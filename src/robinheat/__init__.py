@@ -1,6 +1,17 @@
 """Finite element laboratory for heat semigroups with generalized Robin
 boundary operators."""
 
+import os
+
+# ROBINHEAT_THREADS=n caps the BLAS and OpenMP pools.  The variables are
+# read when numpy loads its BLAS, so they are set before the first numpy
+# import below; a variable the user set explicitly wins.
+if os.environ.get("ROBINHEAT_THREADS"):
+    for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                  "MKL_NUM_THREADS"):
+        os.environ.setdefault(_name, os.environ["ROBINHEAT_THREADS"])
+    del _name
+
 from .mesh import (
     Mesh,
     MeshError,

@@ -9,7 +9,8 @@ and manifest files.
 
 Exit status: 0 when every requested check passed or was hypothesis
 gated, 1 when a conclusion failed under satisfied hypotheses, 2 for
-unusable input (parse errors, missing files, schema mismatch).
+unusable input (parse errors, missing files, schema mismatch, and
+domains, coefficients or boundary operators the builders reject).
 """
 
 import argparse
@@ -219,9 +220,14 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
     out = Path(output_dir or scenario.output_dir or f"runs/{path.stem}")
     out.mkdir(parents=True, exist_ok=True)
 
-    mesh = scenario.build_mesh()
-    field = coefficient_field_from_config(mesh, scenario.coefficient)
-    spec = build_boundary_operator(mesh, scenario.boundary_operator)
+    try:
+        mesh = scenario.build_mesh()
+        field = coefficient_field_from_config(mesh, scenario.coefficient)
+        spec = build_boundary_operator(mesh, scenario.boundary_operator)
+    except KeyError as exc:
+        raise ScenarioError(None, f"missing key {exc.args[0]!r}") from exc
+    except ValueError as exc:
+        raise ScenarioError(None, str(exc)) from exc
     run = _Run(scenario, scenario.seed)
     run.note(f"scenario: {path.name}")
     run.note(f"mesh: dim {mesh.dim}, {mesh.n_vertices} vertices, "
@@ -317,6 +323,8 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
                 seed=scenario.seed)
             run.record(check, report.as_dict(), report.status)
 
+    run.note(f"generator symmetry residual: "
+             f"{_fmt(evaluator.symmetry_residual)}")
     _write_outputs(out, run, evaluator, grid, fit_report)
     for line in run.summary:
         print(line, file=stream)
@@ -453,12 +461,11 @@ def compare_manifests(path_a, path_b, stream=None, tol=1e-6):
 
 # ----------------------------------------------------------------------
 def _apply_thread_override():
+    """Limit BLAS pools that were loaded before the ``*_NUM_THREADS``
+    variables set on package import could act; needs threadpoolctl."""
     threads = os.environ.get("ROBINHEAT_THREADS")
     if not threads:
         return
-    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS"):
-        os.environ.setdefault(name, threads)
     try:
         from threadpoolctl import threadpool_limits
         threadpool_limits(int(threads))

@@ -9,9 +9,32 @@ By default every quantity refers to the shifted contraction semigroup
 exp(-t M^{-1} FormAtilde).  Passing ``shifted=False`` multiplies by
 exp(alpha t) and so returns the corresponding quantity for the original,
 unshifted evolution.
+
+Propagators.  The matrices S(t) live in a propagator, one per distinct
+dense generator and lumped mass, not in the evaluator.  On its first
+matrix or norm call an evaluator looks its generator up in a registry of
+live propagators, keyed by a digest of the generator and mass bytes, and
+shares an entry only when both arrays are ``np.array_equal`` to its own.
+Sharing is detected, never assumed: the primal and adjoint evaluators of
+a self-adjoint form, or an original and a comparison system whose
+boundary operators coincide, end up with one matrix per time, while a
+generator that differs in a single bit gets its own propagator.  Each
+shared matrix is the one ``_exponential`` computes for that generator, so
+sharing moves no bit of any result.  The registry holds propagators
+weakly: a propagator lives exactly as long as an evaluator uses it.
+
+The 2->2 norm.  For the generator P = M^{-1} FormAtilde, the weighted
+generator W = M^{1/2} P M^{-1/2} equals M^{-1/2} FormAtilde M^{-1/2}.
+When max|W - W^T| <= SYMMETRY_TOL * max|W|, S(t) is self-adjoint in the
+lumped inner product and its 2->2 norm is exp(-t lambda_min(W)): the
+propagator computes lambda_min with one ``eigvalsh`` on first use, and
+``norm_2_to_2`` takes no SVD.  Any other generator (sheared matrix
+fields, non-symmetric kernels) keeps the SVD of the weighted S(t).
 """
 
+import hashlib
 import math
+import weakref
 
 import numpy as np
 import scipy.linalg
@@ -26,6 +49,71 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 6000
+
+# Largest entrywise asymmetry of the weighted generator, relative to its
+# largest entry, for which the 2->2 norm is taken from the spectrum.
+SYMMETRY_TOL = 1e-12
+
+# Live propagators by generator digest; an entry vanishes with the last
+# evaluator that uses it.
+_PROPAGATORS = weakref.WeakValueDictionary()
+
+
+class _Propagator:
+    """One dense generator with its lumped mass, the semigroup matrix per
+    time, and the spectral data of the 2->2 norm, computed on first use."""
+
+    def __init__(self, generator, mass):
+        self.generator = generator
+        self.mass = mass
+        self.matrices = {}
+        self._residual = None
+        self._lambda_min = None
+
+    def _weighted(self):
+        root = np.sqrt(self.mass)
+        return root[:, None] * self.generator / root[None, :]
+
+    def symmetry_residual(self):
+        """max|W - W^T| / max|W| for W = M^{1/2} P M^{-1/2}."""
+        if self._residual is None:
+            W = self._weighted()
+            scale = float(np.abs(W).max())
+            asym = float(np.abs(W - W.T).max())
+            self._residual = asym / scale if scale > 0 else 0.0
+        return self._residual
+
+    def lambda_min(self):
+        """Smallest eigenvalue of the symmetrized W, or None when W is not
+        symmetric within SYMMETRY_TOL."""
+        if self.symmetry_residual() > SYMMETRY_TOL:
+            return None
+        if self._lambda_min is None:
+            W = self._weighted()
+            self._lambda_min = float(np.linalg.eigvalsh(0.5 * (W + W.T))[0])
+        return self._lambda_min
+
+
+def _digest(generator, mass):
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.ascontiguousarray(generator))
+    h.update(np.ascontiguousarray(mass))
+    return h.hexdigest()
+
+
+def _propagator_for(generator, mass):
+    """The live propagator of a bitwise-equal generator and mass, or a new
+    one.  A digest collision between unequal arrays gets a private,
+    unregistered propagator."""
+    key = _digest(generator, mass)
+    found = _PROPAGATORS.get(key)
+    if (found is not None and np.array_equal(found.generator, generator)
+            and np.array_equal(found.mass, mass)):
+        return found
+    propagator = _Propagator(generator, mass)
+    if found is None:
+        _PROPAGATORS[key] = propagator
+    return propagator
 
 
 class SemigroupEvaluator:
@@ -66,21 +154,36 @@ class SemigroupEvaluator:
             self._solver_cache = {}
         else:
             raise ValueError(f"unknown method {method!r}")
-        self._cache = {}
+        self._shared = None
 
-    # -- exponentials --------------------------------------------------
-    def matrix(self, t, shifted=True):
-        """Dense matrix of the semigroup at time t >= 0."""
+    def _propagator(self):
+        """The propagator of this generator, resolved on first use."""
         if self.method != "expm":
             raise RuntimeError(
                 "dense semigroup matrices are only available with "
                 "method='expm'")
+        if self._shared is None:
+            self._shared = _propagator_for(self.generator, self.mass)
+            self.generator = self._shared.generator     # drop a duplicate
+        return self._shared
+
+    @property
+    def symmetry_residual(self):
+        """Relative asymmetry of M^{1/2} P M^{-1/2}; the 2->2 norm comes
+        from the spectrum when it is at most SYMMETRY_TOL."""
+        return self._propagator().symmetry_residual()
+
+    # -- exponentials --------------------------------------------------
+    def matrix(self, t, shifted=True):
+        """Dense matrix of the semigroup at time t >= 0."""
+        matrices = self._propagator().matrices
         if t < 0:
             raise ValueError("negative time")
         t = float(t)
-        if t not in self._cache:
-            self._cache[t] = self._exponential(t)
-        S = self._cache[t]
+        S = matrices.get(t)
+        if S is None:
+            S = matrices[t] = self._exponential(t)
+            S.flags.writeable = False   # shared by every evaluator of P
         if not shifted:
             S = math.exp(self.alpha * t) * S
         return S
@@ -151,9 +254,18 @@ class SemigroupEvaluator:
         return float(col.max())
 
     def norm_2_to_2(self, t, shifted=True):
-        S = self.matrix(t, shifted=shifted)
-        root = np.sqrt(self.mass)
-        return float(np.linalg.norm(root[:, None] * S / root[None, :], 2))
+        lam = self._propagator().lambda_min()
+        if lam is None:
+            S = self.matrix(t, shifted=shifted)
+            root = np.sqrt(self.mass)
+            return float(np.linalg.norm(root[:, None] * S / root[None, :], 2))
+        if t < 0:
+            raise ValueError("negative time")
+        t = float(t)
+        value = math.exp(-t * lam)
+        if not shifted:
+            value *= math.exp(self.alpha * t)
+        return value
 
     # -- resolvent -----------------------------------------------------
     def resolvent_contraction(self, lam):

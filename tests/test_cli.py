@@ -7,11 +7,15 @@ relies on.
 """
 
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robinheat
 from robinheat.cli import (
     ScenarioError,
     compare_manifests,
@@ -262,3 +266,43 @@ def test_main_parse_error_exits_2(tmp_path, capsys):
     path = write_scenario(tmp_path, "[orbit]\n")
     assert main(["run", str(path)]) == 2
     assert "error: line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([("extents = 1.0\n", "extents = 1.0, 1.0\n"),
+      ("kind = isotropic\nvalue = 2.0",
+       "kind = matrix\nentries = 1.0, 0.0 / 0.0, -1.0")], "not elliptic"),
+    ([("kind = multiplication\nbeta = -0.1",
+       "kind = kernel\nprofile = cosine")], "cosine kernel needs dim >= 2"),
+    ([("beta = -0.1\n", "")], "missing key 'beta'"),
+], ids=["non-elliptic", "cosine-in-1d", "missing-beta"])
+def test_main_builder_error_exits_2(tmp_path, capsys, edits, message):
+    text = INTERVAL_SCENARIO
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = write_scenario(tmp_path, text)
+    assert main(["run", str(path), "--output-dir",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads, expected", [("1", "1"), (None, "None")])
+def test_thread_cap_is_set_before_numpy_loads(threads, expected):
+    env = {key: value for key, value in os.environ.items()
+           if not key.endswith("_NUM_THREADS")
+           and key != "ROBINHEAT_THREADS"}
+    if threads is not None:
+        env["ROBINHEAT_THREADS"] = threads
+    src = str(Path(robinheat.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import os, robinheat; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120,
+                            check=True)
+    assert result.stdout.strip() == expected

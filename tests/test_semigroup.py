@@ -4,15 +4,19 @@ The exponential itself is checked on systems small enough to integrate by
 hand: a diagonal generator (entrywise scalar decay) and an upper
 triangular 2 x 2 generator whose off-diagonal entry has the explicit
 divided-difference form.  Mixed norms are cross-checked by brute force
-over random inputs and by constructing the maximizers.
+over random inputs and by constructing the maximizers.  Shared
+propagators are checked against unshared exponentials bit for bit, and
+the spectral 2->2 norm against the SVD.
 """
 
+import gc
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from robinheat import (
@@ -20,10 +24,13 @@ from robinheat import (
     CoefficientField,
     SemigroupEvaluator,
     assemble_system,
+    build_box_mesh,
+    build_boundary_operator,
     build_evaluator,
     geometric_times,
     semigroup_law_defect,
 )
+from robinheat import semigroup
 
 EXP_TOL = 1e-13
 
@@ -269,3 +276,124 @@ def test_implicit_euler_tracks_dense_solution(interval4_robin_system):
 def test_unknown_method_rejected(interval4_robin_system):
     with pytest.raises(ValueError, match="unknown method"):
         SemigroupEvaluator(interval4_robin_system, method="pade")
+
+
+# -- shared propagators and the spectral 2->2 norm ----------------------
+
+def svd_norm_2_to_2(ev, t, shifted=True):
+    """Oracle: largest singular value of the mass-weighted S(t)."""
+    root = np.sqrt(ev.mass)
+    S = ev.matrix(t, shifted=shifted)
+    return scipy.linalg.svdvals(root[:, None] * S / root[None, :])[0]
+
+
+@st.composite
+def selfadjoint_systems(draw):
+    """Small box meshes with symmetric forms: isotropic or diagonal fields
+    and zero or multiplication operators with scalar or per-vertex beta."""
+    dim = draw(st.integers(1, 2))
+    mesh = build_box_mesh((1.0,) * dim, (draw(st.integers(2, 4)),) * dim)
+    value = st.floats(0.1, 5.0)
+    if draw(st.booleans()):
+        field = CoefficientField.isotropic(mesh, draw(value))
+    else:
+        field = CoefficientField.diagonal(
+            mesh, draw(st.lists(value, min_size=dim, max_size=dim)))
+    kind = draw(st.sampled_from(("zero", "scalar", "per-vertex")))
+    beta = st.floats(-2.0, 2.0)
+    nb = len(mesh.boundary_vertices)
+    if kind == "zero":
+        spec = BoundaryOperatorSpec.zero(mesh)
+    elif kind == "scalar":
+        spec = BoundaryOperatorSpec.multiplication(mesh, draw(beta))
+    else:
+        spec = BoundaryOperatorSpec.multiplication(
+            mesh, draw(st.lists(beta, min_size=nb, max_size=nb)))
+    return assemble_system(mesh, field, spec)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(selfadjoint_systems(), st.sampled_from((0.01, 0.1, 0.5)))
+def test_selfadjoint_evaluators_share_one_propagator(system, t):
+    primal = build_evaluator(system)
+    adjoint = build_evaluator(system, adjoint=True)
+    S = primal.matrix(t)
+    assert S is adjoint.matrix(t)
+    assert not S.flags.writeable
+    assert np.array_equal(S, SemigroupEvaluator(system)._exponential(t))
+    assert primal.symmetry_residual <= semigroup.SYMMETRY_TOL
+    for shifted in (True, False):
+        assert_allclose(primal.norm_2_to_2(t, shifted=shifted),
+                        svd_norm_2_to_2(primal, t, shifted),
+                        rtol=1e-12, atol=0)
+
+
+def nonsymmetric_system(kind):
+    square = build_box_mesh((1.0, 1.0), (3, 3))
+    if kind == "sheared-matrix":
+        field = CoefficientField.matrix(square, [[2.0, 0.5], [-0.5, 2.0]])
+        spec = BoundaryOperatorSpec.multiplication(square, -0.1)
+    else:
+        field = CoefficientField.isotropic(square, 2.0)
+        spec = build_boundary_operator(
+            square, {"kind": "kernel", "profile": "cosine", "scale": 0.5})
+    return assemble_system(square, field, spec)
+
+
+@pytest.mark.parametrize("kind", ["sheared-matrix", "cosine-kernel"])
+def test_nonsymmetric_generators_keep_svd_path(kind, monkeypatch):
+    system = nonsymmetric_system(kind)
+    primal = build_evaluator(system)
+    adjoint = build_evaluator(system, adjoint=True)
+    t = 0.1
+    assert primal.matrix(t) is not adjoint.matrix(t)
+    assert primal.symmetry_residual > semigroup.SYMMETRY_TOL
+    expected = svd_norm_2_to_2(primal, t)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectral route taken for a nonsymmetric form")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert primal.norm_2_to_2(t) == expected
+
+
+@pytest.mark.parametrize("collide", [False, True],
+                         ids=["digest", "digest-collision"])
+def test_sharing_requires_bitwise_equal_generators(interval4_robin_system,
+                                                   monkeypatch, collide):
+    if collide:
+        monkeypatch.setattr(semigroup, "_digest", lambda *arrays: "same")
+    system = interval4_robin_system
+    form = system.FormAtilde.copy()
+    form[-1, -1] = np.nextafter(form[-1, -1], np.inf)
+    nudged = SimpleNamespace(
+        FormAtilde=form, FormAtilde_adj=system.FormAtilde_adj,
+        mass=system.mass, alpha=system.alpha, n=system.n)
+    ev = build_evaluator(system)
+    assert ev.matrix(0.1) is build_evaluator(system).matrix(0.1)
+    assert ev.matrix(0.1) is not build_evaluator(nudged).matrix(0.1)
+
+
+def test_building_an_evaluator_is_lazy(cube2_neumann_system, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eager work while building an evaluator")
+
+    for owner, name in ((scipy.linalg, "expm"), (scipy.linalg, "eigh"),
+                        (np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                        (semigroup, "_digest")):
+        monkeypatch.setattr(owner, name, refuse)
+    before = len(semigroup._PROPAGATORS)
+    build_evaluator(cube2_neumann_system)
+    SemigroupEvaluator(cube2_neumann_system, adjoint=True)
+    assert len(semigroup._PROPAGATORS) == before
+
+
+def test_propagators_die_with_their_evaluators(cube2_neumann_system):
+    primal = build_evaluator(cube2_neumann_system)
+    adjoint = build_evaluator(cube2_neumann_system, adjoint=True)
+    primal.matrix(0.2)
+    adjoint.norm_2_to_2(0.2)
+    assert len(semigroup._PROPAGATORS) >= 1
+    del primal, adjoint
+    gc.collect()
+    assert len(semigroup._PROPAGATORS) == 0
