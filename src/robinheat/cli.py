@@ -303,10 +303,16 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
                 samples=min(scenario.samples, 50), seed=scenario.seed)
             run.record(check, report.as_dict(), report.status)
         elif check == "ultracontractivity":
-            fit_report = verify.fit_ultracontractivity(
-                evaluator, system.alpha, grid)
-            adjoint_fit = verify.fit_ultracontractivity(
-                adjoint, system.alpha, grid, norm="1_to_2")
+            try:
+                fit_report = verify.fit_ultracontractivity(
+                    evaluator, system.alpha, grid)
+                adjoint_fit = verify.fit_ultracontractivity(
+                    adjoint, system.alpha, grid, norm="1_to_2")
+            except ValueError as exc:     # too few resolved grid points
+                fit_report = None
+                run.record(check, {"reason": str(exc)},
+                           "discretization-limited")
+                continue
             payload = fit_report.as_dict()
             payload["adjoint_fitted_slope"] = adjoint_fit.fitted_slope
             consistent = (abs(fit_report.fitted_slope

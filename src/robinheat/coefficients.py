@@ -173,19 +173,13 @@ class BoundaryOperatorSpec:
 
     @classmethod
     def kernel(cls, mesh, values):
-        """``values``: (nb, nb) samples k(x_i, x_j) or a callable k(x, y)."""
+        """``values``: (nb, nb) samples k(x_i, x_j) at boundary vertices."""
         coords = mesh.vertices[mesh.boundary_vertices]
         w = mesh.boundary_vertex_weights()
         nb = len(coords)
-        if callable(values):
-            kmat = np.empty((nb, nb))
-            for i in range(nb):
-                for j in range(nb):
-                    kmat[i, j] = values(coords[i], coords[j])
-        else:
-            kmat = np.asarray(values, dtype=float)
-            if kmat.shape != (nb, nb):
-                raise ValueError(f"kernel samples must have shape {(nb, nb)}")
+        kmat = np.asarray(values, dtype=float)
+        if kmat.shape != (nb, nb):
+            raise ValueError(f"kernel samples must have shape {(nb, nb)}")
         return cls("kernel", coords, w, kmat * w[None, :],
                    np.abs(kmat) * w[None, :], label="kernel")
 
@@ -241,13 +235,18 @@ def _operator_norms(T, w):
     """Exact discrete operator norms of the application matrix ``T``.
 
     L2 norm on the w-weighted space comes from the largest singular value
-    of W^(1/2) T W^(-1/2); the Linf norm is the max absolute row sum.
+    of W^(1/2) T W^(-1/2), which is max|T_ii| when T has no off-diagonal
+    nonzero; the Linf norm is the max absolute row sum.
     """
     if not np.any(T):
         return 0.0, 0.0
-    root = np.sqrt(w)
-    scaled = (T * root[:, None]) / root[None, :]
-    norm2 = float(np.linalg.norm(scaled, 2))
+    diagonal = np.diagonal(T)
+    if np.array_equal(T, np.diag(diagonal)):
+        norm2 = float(np.abs(diagonal).max())
+    else:
+        root = np.sqrt(w)
+        scaled = (T * root[:, None]) / root[None, :]
+        norm2 = float(np.linalg.norm(scaled, 2))
     norm_inf = float(np.abs(T).sum(axis=1).max())
     return norm2, norm_inf
 
@@ -276,21 +275,22 @@ def build_boundary_operator(mesh, config):
     if kind == "kernel":
         profile = config.get("profile", "constant")
         scale = float(config.get("scale", 1.0))
+        x = mesh.vertices[mesh.boundary_vertices]
         if profile == "constant":
-            func = lambda x, y: scale
+            samples = np.full((len(x), len(x)), scale)
         elif profile == "gaussian":
             width = float(config["width"])
-            func = lambda x, y: scale * np.exp(
-                -np.sum((x - y) ** 2) / (2.0 * width ** 2))
+            dist2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+            samples = scale * np.exp(-dist2 / (2.0 * width ** 2))
         elif profile == "cosine":
             if mesh.dim < 2:
                 raise ValueError("cosine kernel needs dim >= 2")
-            func = lambda x, y: scale * (
-                np.cos(np.pi * x[0]) * np.cos(np.pi * y[1])
-                - np.cos(np.pi * x[1]) * np.cos(np.pi * y[0]))
+            c0, c1 = np.cos(np.pi * x[:, 0]), np.cos(np.pi * x[:, 1])
+            samples = scale * (c0[:, None] * c1[None, :]
+                               - c1[:, None] * c0[None, :])
         else:
             raise ValueError(f"unknown kernel profile {profile!r}")
-        spec = BoundaryOperatorSpec.kernel(mesh, func)
+        spec = BoundaryOperatorSpec.kernel(mesh, samples)
         spec.label = f"kernel({profile}, scale={scale:g})"
         return spec
     if kind == "dense":

@@ -5,8 +5,15 @@ positively, and boundary facets are recovered from cell connectivity (a
 facet is on the boundary iff it belongs to exactly one cell).  In one
 dimension the two endpoint "facets" carry the counting measure, so facet
 area is 1 there.
+
+Everything is computed array-at-a-time, in the same cell order a loop
+over cells would use: accumulations go through ``np.bincount``, and
+vector lengths through stacked ``matmul`` (the BLAS dot product that
+``np.linalg.norm`` of one vector uses), so every derived array has the
+bits of the cell-by-cell computation.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -17,17 +24,6 @@ __all__ = [
     "build_box_mesh",
     "build_lshape_mesh",
     "dump_mesh",
-]
-
-# permutations of (0, 1, 2) with their parity; a hexahedron splits into the
-# six path tetrahedra corner -> corner + e_a -> ... -> opposite corner
-_HEX_PERMUTATIONS = [
-    ((0, 1, 2), +1),
-    ((0, 2, 1), -1),
-    ((1, 0, 2), -1),
-    ((1, 2, 0), +1),
-    ((2, 0, 1), +1),
-    ((2, 1, 0), -1),
 ]
 
 
@@ -65,7 +61,8 @@ class Mesh:
                                 or self.cells.max() >= len(self.vertices)):
             raise MeshError("cell refers to a vertex that does not exist")
 
-        self.cell_volumes = self._compute_volumes()
+        points = self.vertices[self.cells]
+        self.cell_volumes = self._compute_volumes(points)
         if np.any(self.cell_volumes <= 0.0):
             bad = int(np.argmax(self.cell_volumes <= 0.0))
             raise MeshError(f"cell {bad} is degenerate or negatively oriented")
@@ -73,6 +70,11 @@ class Mesh:
         self.boundary_facets, self.facet_cells = self._extract_boundary()
         self.facet_areas = self._compute_facet_areas()
         self.boundary_vertices = np.unique(self.boundary_facets)
+
+        a, b = np.triu_indices(dim + 1, k=1)
+        edges = _lengths(points[:, a] - points[:, b])
+        self._min_edge = float(edges.min(initial=math.inf))
+        self._max_edge = float(edges.max(initial=0.0))
 
     # ------------------------------------------------------------------
     @property
@@ -94,79 +96,60 @@ class Mesh:
     @property
     def mesh_size(self):
         """Largest cell diameter (max pairwise vertex distance per cell)."""
-        h = 0.0
-        for cell in self.cells:
-            pts = self.vertices[cell]
-            for a in range(len(cell)):
-                for b in range(a + 1, len(cell)):
-                    h = max(h, float(np.linalg.norm(pts[a] - pts[b])))
-        return h
+        return self._max_edge
 
     @property
     def min_edge_length(self):
         """Shortest cell edge; squared, this is the smallest diffusion time
         the mesh can resolve."""
-        h = math.inf
-        for cell in self.cells:
-            pts = self.vertices[cell]
-            for a in range(len(cell)):
-                for b in range(a + 1, len(cell)):
-                    h = min(h, float(np.linalg.norm(pts[a] - pts[b])))
-        return h
+        return self._min_edge
 
     def boundary_vertex_weights(self):
         """Lumped boundary measure: each facet spreads its area equally
         over its ``dim`` vertices.  Returns weights aligned with
         ``boundary_vertices``.
         """
-        acc = np.zeros(self.n_vertices)
-        for facet, area in zip(self.boundary_facets, self.facet_areas):
-            acc[facet] += area / self.dim
+        share = np.repeat(self.facet_areas / self.dim, self.dim)
+        acc = np.bincount(self.boundary_facets.ravel(), weights=share,
+                          minlength=self.n_vertices)
         return acc[self.boundary_vertices]
 
     # ------------------------------------------------------------------
-    def _compute_volumes(self):
-        d = self.dim
-        vols = np.empty(len(self.cells))
-        for c, cell in enumerate(self.cells):
-            pts = self.vertices[cell]
-            edges = pts[1:] - pts[0]
-            vols[c] = np.linalg.det(edges) / math.factorial(d)
-        return vols
+    def _compute_volumes(self, points):
+        edges = points[:, 1:] - points[:, :1]
+        return np.linalg.det(edges) / math.factorial(self.dim)
 
     def _extract_boundary(self):
+        """Facets that belong to one cell, in cell-major, omitted-vertex-
+        minor order, each with its vertex ids sorted, plus owning cells."""
         d = self.dim
-        seen = {}
-        for c, cell in enumerate(self.cells):
-            for omit in range(d + 1):
-                facet = tuple(sorted(np.delete(cell, omit)))
-                seen.setdefault(facet, []).append(c)
-        facets, owners = [], []
-        for c, cell in enumerate(self.cells):
-            for omit in range(d + 1):
-                facet = tuple(sorted(np.delete(cell, omit)))
-                hits = seen[facet]
-                if len(hits) == 1:
-                    facets.append(facet)
-                    owners.append(c)
-                elif len(hits) > 2:
-                    raise MeshError(f"facet {facet} shared by {len(hits)} cells")
-        return (np.array(facets, dtype=int).reshape(len(facets), d),
-                np.array(owners, dtype=int))
+        omit = np.array([[k for k in range(d + 1) if k != j]
+                         for j in range(d + 1)])
+        facets = np.sort(self.cells[:, omit], axis=2).reshape(-1, d)
+        _, inverse, counts = np.unique(facets, axis=0, return_inverse=True,
+                                       return_counts=True)
+        hits = counts[inverse.reshape(-1)]
+        if np.any(hits > 2):
+            bad = int(np.argmax(hits > 2))
+            raise MeshError(f"facet {tuple(int(v) for v in facets[bad])} "
+                            f"shared by {hits[bad]} cells")
+        single = np.nonzero(hits == 1)[0]
+        return facets[single], single // (d + 1)
 
     def _compute_facet_areas(self):
-        d = self.dim
-        areas = np.empty(len(self.boundary_facets))
-        for f, facet in enumerate(self.boundary_facets):
-            pts = self.vertices[facet]
-            if d == 1:
-                areas[f] = 1.0        # counting measure on the endpoints
-            elif d == 2:
-                areas[f] = float(np.linalg.norm(pts[1] - pts[0]))
-            else:
-                cross = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-                areas[f] = 0.5 * float(np.linalg.norm(cross))
-        return areas
+        pts = self.vertices[self.boundary_facets]
+        if self.dim == 1:
+            return np.ones(len(pts))      # counting measure on the endpoints
+        if self.dim == 2:
+            return _lengths(pts[:, 1] - pts[:, 0])
+        return 0.5 * _lengths(np.cross(pts[:, 1] - pts[:, 0],
+                                       pts[:, 2] - pts[:, 0]))
+
+
+def _lengths(vectors):
+    """Euclidean lengths along the last axis, with the bits of
+    ``np.linalg.norm`` applied to each vector on its own."""
+    return np.sqrt((vectors[..., None, :] @ vectors[..., :, None])[..., 0, 0])
 
 
 # ----------------------------------------------------------------------
@@ -176,45 +159,33 @@ def _grid_vertices(extents, divisions):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _simplices_from_boxes(dim, divisions, keep):
-    """Split the kept grid boxes into simplices.
+def _box_template(dim):
+    """Grid offsets of the simplices of one box, (dim!, dim + 1, dim).
 
-    ``keep`` maps a box multi-index to True/False.  Returns cell
+    One path simplex corner -> corner + e_a -> ... -> opposite corner per
+    axis order, in ``itertools.permutations`` order; odd orders swap their
+    last two vertices so every simplex is positively oriented.
+    """
+    paths = []
+    for perm in itertools.permutations(range(dim)):
+        steps = np.eye(dim, dtype=int)[list(perm)].cumsum(axis=0)
+        path = np.vstack([np.zeros(dim, int), steps])
+        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
+            path[[-2, -1]] = path[[-1, -2]]
+        paths.append(path)
+    return np.array(paths)
+
+
+def _simplices_from_boxes(dim, divisions, mask):
+    """Split the grid boxes selected by the boolean ``mask`` (shape
+    ``divisions``) into simplices, box by box in C order.  Returns cell
     connectivity in terms of grid vertex ids (C-order ravel).
     """
     shape = tuple(div + 1 for div in divisions)
-
-    def vid(idx):
-        return int(np.ravel_multi_index(idx, shape))
-
-    cells = []
-    for box in np.ndindex(*divisions):
-        if not keep(box):
-            continue
-        if dim == 1:
-            i = box[0]
-            cells.append((vid((i,)), vid((i + 1,))))
-        elif dim == 2:
-            i, j = box
-            v00 = vid((i, j))
-            v10 = vid((i + 1, j))
-            v01 = vid((i, j + 1))
-            v11 = vid((i + 1, j + 1))
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-        else:
-            corner = np.array(box)
-            for perm, parity in _HEX_PERMUTATIONS:
-                steps = [corner.copy()]
-                for axis in perm:
-                    nxt = steps[-1].copy()
-                    nxt[axis] += 1
-                    steps.append(nxt)
-                tet = [vid(tuple(s)) for s in steps]
-                if parity < 0:
-                    tet[2], tet[3] = tet[3], tet[2]
-                cells.append(tuple(tet))
-    return np.array(cells, dtype=int)
+    boxes = np.argwhere(mask)                              # C order
+    corners = boxes[:, None, None, :] + _box_template(dim)[None]
+    ids = np.ravel_multi_index(tuple(np.moveaxis(corners, -1, 0)), shape)
+    return ids.reshape(-1, dim + 1)
 
 
 def build_box_mesh(extents, divisions):
@@ -246,7 +217,7 @@ def build_box_mesh(extents, divisions):
         raise ValueError(f"divisions must be positive, got {divisions}")
 
     vertices = _grid_vertices(extents, divisions)
-    cells = _simplices_from_boxes(dim, divisions, lambda box: True)
+    cells = _simplices_from_boxes(dim, divisions, np.ones(divisions, bool))
     return Mesh(dim, vertices, cells)
 
 
@@ -272,8 +243,9 @@ def build_lshape_mesh(divisions, dim=2):
     half = divisions // 2
     all_divs = (divisions,) * dim
     vertices = _grid_vertices((1.0,) * dim, all_divs)
-    cells = _simplices_from_boxes(
-        dim, all_divs, lambda box: not all(b >= half for b in box))
+    mask = np.ones(all_divs, bool)
+    mask[(slice(half, None),) * dim] = False      # the removed corner box
+    cells = _simplices_from_boxes(dim, all_divs, mask)
 
     used = np.unique(cells)            # ascending == lexicographic grid order
     remap = -np.ones(len(vertices), dtype=int)

@@ -235,14 +235,7 @@ class SemigroupEvaluator:
         scaled vertex indicators)."""
         S = self.matrix(t, shifted=shifted)
         col = np.sqrt((self.mass[:, None] * S * S).sum(axis=0)) / self.mass
-        value = float(col.max())
-        # the same number through the weighted-adjoint identity; the two
-        # formulas must agree to roundoff or the measure weights are wrong
-        Sstar = (S.T * self.mass[None, :]) / self.mass[:, None]
-        dual = float(
-            np.sqrt((Sstar * Sstar / self.mass[None, :]).sum(axis=1)).max())
-        assert abs(value - dual) <= 1e-10 * max(value, 1e-300)
-        return value
+        return float(col.max())
 
     def norm_inf_to_inf(self, t, shifted=True):
         S = self.matrix(t, shifted=shifted)

@@ -177,7 +177,8 @@ def test_mass_sums_to_volume(cube2, interval4):
 # -- trace norm ----------------------------------------------------------
 
 def dense_trace_norm(system):
-    S = system.Gamma.T @ (system.boundary_weights[:, None] * system.Gamma)
+    G = trace_matrix(system.mesh)
+    S = G.T @ (system.boundary_weights[:, None] * G)
     eigs = scipy.linalg.eigh(S, system.H1, eigvals_only=True)
     return float(eigs[-1])
 
@@ -207,7 +208,8 @@ def test_trace_norm_converges_to_continuum_limit():
 
 def test_trace_norm_rejects_bad_iteration_budget(interval4_robin_system):
     system = interval4_robin_system
-    S = system.Gamma.T @ (system.boundary_weights[:, None] * system.Gamma)
+    G = trace_matrix(system.mesh)
+    S = G.T @ (system.boundary_weights[:, None] * G)
     with pytest.raises(RuntimeError, match="did not converge"):
         compute_trace_norm(S, system.H1, tol=0.0, max_iterations=3)
 

@@ -205,6 +205,20 @@ def test_run_reports_discrete_sup_violation(tmp_path):
     assert "contractivity: failed" in stream.getvalue()
 
 
+def test_fit_refusal_is_discretization_limited(tmp_path, capsys):
+    text = (INTERVAL_SCENARIO.replace("count = 10", "count = 3")
+            .replace("checks = accretivity,continuity,contractivity,"
+                     "positivity,domination", "checks = ultracontractivity"))
+    path = write_scenario(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = (out / "manifest.txt").read_text()
+    assert "ultracontractivity.status: discretization-limited\n" in manifest
+    assert "usable grid points" in (out / "ultracontractivity.txt").read_text()
+    assert not (out / "ultracontractivity.csv").exists()
+
+
 def test_run_missing_file_raises(tmp_path):
     with pytest.raises(ScenarioError, match="cannot read"):
         run_scenario(tmp_path / "absent.ini", stream=io.StringIO())

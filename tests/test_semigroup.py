@@ -357,6 +357,22 @@ def test_nonsymmetric_generators_keep_svd_path(kind, monkeypatch):
     assert primal.norm_2_to_2(t) == expected
 
 
+def test_norm_1_to_2_satisfies_weighted_adjoint_identity():
+    """The 1 -> 2 norm of S(t) equals the 2 -> sup norm of its adjoint in
+    the lumped inner product, M^-1 S^T M, on a non-self-adjoint form."""
+    system = nonsymmetric_system("cosine-kernel")
+    ev = build_evaluator(system)
+    m = system.mass
+    for t in (0.01, 0.1, 0.7):
+        for shifted in (True, False):
+            S = ev.matrix(t, shifted=shifted)
+            Sstar = (S.T * m[None, :]) / m[:, None]
+            dual = float(
+                np.sqrt((Sstar * Sstar / m[None, :]).sum(axis=1)).max())
+            assert_allclose(ev.norm_1_to_2(t, shifted=shifted), dual,
+                            rtol=1e-10, atol=0)
+
+
 @pytest.mark.parametrize("collide", [False, True],
                          ids=["digest", "digest-collision"])
 def test_sharing_requires_bitwise_equal_generators(interval4_robin_system,
