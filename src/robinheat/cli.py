@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import build_box_mesh, build_lshape_mesh
+from .mesh import build_box_mesh, build_lshape_mesh, write_lines
 from .coefficients import coefficient_field_from_config, build_boundary_operator
 from .assembly import assemble_system, check_accretivity, check_continuity
 from .semigroup import build_evaluator, geometric_times, semigroup_law_defect
@@ -394,13 +394,11 @@ def _run_nash(system, adjoint, grid, scenario, fit_report, resolved):
 
 def _write_outputs(out, run, evaluator, grid, fit_report):
     verify.write_norms_csv(evaluator, grid, out / "norms.csv")
-    with open(out / "summary.txt", "w") as fh:
-        fh.write("\n".join(run.summary) + "\n")
-    with open(out / "manifest.txt", "w") as fh:
-        fh.write(f"checks: {','.join(run.scenario.checks)}\n")
-        fh.write(f"seed: {run.seed}\n")
-        for key in sorted(run.manifest):
-            fh.write(f"{key}: {run.manifest[key]}\n")
+    write_lines(run.summary, out / "summary.txt")
+    header = [f"checks: {','.join(run.scenario.checks)}", f"seed: {run.seed}"]
+    write_lines(header + [f"{key}: {run.manifest[key]}"
+                          for key in sorted(run.manifest)],
+                out / "manifest.txt")
     for check, report in run.reports.items():
         verify.write_document(report, out / f"{check}.txt")
     if fit_report is not None:
@@ -410,7 +408,7 @@ def _write_outputs(out, run, evaluator, grid, fit_report):
             g = norm * math.exp(-fit_report.alpha * t)
             flag = 1 if float(t) in window else 0
             lines.append(f"{t:.17g},{norm:.17g},{g:.17g},{flag}")
-        (out / "ultracontractivity.csv").write_text("\n".join(lines) + "\n")
+        write_lines(lines, out / "ultracontractivity.csv")
 
 
 # ----------------------------------------------------------------------

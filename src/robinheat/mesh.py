@@ -264,6 +264,12 @@ def dump_mesh(mesh, target):
         lines.append("v " + " ".join(repr(float(x)) for x in vert))
     for cell in mesh.cells:
         lines.append("c " + " ".join(str(int(i)) for i in cell))
+    return write_lines(lines, target)
+
+
+def write_lines(lines, target):
+    """Join ``lines`` with newlines, end the text with one, write it to
+    ``target`` (a path, or a stream with ``write``) and return it."""
     text = "\n".join(lines) + "\n"
     if hasattr(target, "write"):
         target.write(text)

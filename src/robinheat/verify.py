@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import form_norm
+from .mesh import write_lines
+
 __all__ = [
     "NashReport",
     "check_nash",
@@ -194,8 +197,7 @@ def check_ouhabaz_contractivity_criterion(system, samples=100, seed=2024):
     nonnegatively.  Evaluated nodally on threshold-straddling samples."""
     form_plus = system.form_with_boundary(system.spec.shifted_bar(+1))
     form_minus = system.form_with_boundary(system.spec.shifted_bar(-1))
-    scale = max(float(np.linalg.norm(form_plus, 2)),
-                float(np.linalg.norm(form_minus, 2)))
+    scale = max(form_norm(form_plus), form_norm(form_minus))
     rng = np.random.default_rng(seed)
     min_plus = math.inf
     min_minus = math.inf
@@ -326,7 +328,7 @@ def check_domination(evaluator, bar_evaluator, times, samples=50, seed=2024,
             worst = max(worst, float(excess.max()))
     form = evaluator.form
     form_bar = bar_evaluator.form
-    form_scale = float(np.linalg.norm(form, 2))
+    form_scale = form_norm(form)
     form_worst = -math.inf
     for _ in range(100):
         u = rng.standard_normal(n)
@@ -654,13 +656,7 @@ def write_document(mapping, target):
     """Serialize a report mapping as ``key: value`` lines; arrays become
     comma-separated decimals with 17 significant digits."""
     lines = [f"{key}: {_format_value(value)}" for key, value in mapping.items()]
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w") as fh:
-            fh.write(text)
-    return text
+    return write_lines(lines, target)
 
 
 def write_norms_csv(evaluator, times, target):
@@ -676,10 +672,4 @@ def write_norms_csv(evaluator, times, target):
             float(evaluator.matrix(t, shifted=False).min()),
         )
         lines.append(",".join(f"{v:.17g}" for v in row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w") as fh:
-            fh.write(text)
-    return text
+    return write_lines(lines, target)

@@ -33,6 +33,8 @@ from robinheat import (
     check_positivity,
     check_smoothing_decay,
     check_sup_contraction,
+    dump_mesh,
+    export_coordinate_format,
     fit_ultracontractivity,
     geometric_times,
     write_document,
@@ -313,3 +315,23 @@ def test_write_norms_csv_format(interval4_robin_system):
     again = io.StringIO()
     write_norms_csv(ev, [0.25, 0.5], again)
     assert again.getvalue() == buffer.getvalue()
+
+
+def test_writers_send_the_same_text_to_a_path_and_a_stream(
+        tmp_path, interval4_robin_system, square11):
+    system = interval4_robin_system
+    ev = build_evaluator(system)
+    writers = {
+        "mesh": lambda target: dump_mesh(square11, target),
+        "coo": lambda target: export_coordinate_format(system.FormA, target),
+        "document": lambda target: write_document({"a": 1.5, "b": True},
+                                                  target),
+        "norms": lambda target: write_norms_csv(ev, [0.25, 0.5], target),
+    }
+    for name, write in writers.items():
+        buffer = io.StringIO()
+        text = write(buffer)
+        assert buffer.getvalue() == text, name
+        assert write(tmp_path / name) == text, name
+        assert (tmp_path / name).read_bytes() == text.encode(), name
+        assert text.endswith("\n") and not text.endswith("\n\n"), name
