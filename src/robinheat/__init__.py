@@ -3,14 +3,14 @@ boundary operators."""
 
 import os
 
-# ROBINHEAT_THREADS=n caps the BLAS and OpenMP pools.  The variables are
-# read when numpy loads its BLAS, so they are set before the first numpy
-# import below; a variable the user set explicitly wins.
-if os.environ.get("ROBINHEAT_THREADS"):
-    for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                  "MKL_NUM_THREADS"):
-        os.environ.setdefault(_name, os.environ["ROBINHEAT_THREADS"])
-    del _name
+# The BLAS and OpenMP pools get ROBINHEAT_THREADS threads, one when it is
+# unset: the dense kernels here act on a few hundred unknowns, where a
+# second thread costs more than it gives.  The variables are read when
+# numpy loads its BLAS, so they are set before the first numpy import
+# below; a variable the user set explicitly wins.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, os.environ.get("ROBINHEAT_THREADS") or "1")
+del _name
 
 from .mesh import (
     Mesh,

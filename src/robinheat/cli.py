@@ -15,7 +15,6 @@ domains, coefficients or boundary operators the builders reject).
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -464,19 +463,6 @@ def compare_manifests(path_a, path_b, stream=None, tol=1e-6):
 
 
 # ----------------------------------------------------------------------
-def _apply_thread_override():
-    """Limit BLAS pools that were loaded before the ``*_NUM_THREADS``
-    variables set on package import could act; needs threadpoolctl."""
-    threads = os.environ.get("ROBINHEAT_THREADS")
-    if not threads:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(int(threads))
-    except Exception:
-        pass
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="robinheat",
@@ -491,7 +477,6 @@ def main(argv=None):
     cmpp.add_argument("manifest_a")
     cmpp.add_argument("manifest_b")
     args = parser.parse_args(argv)
-    _apply_thread_override()
     try:
         if args.command == "run":
             return run_scenario(args.scenario, output_dir=args.output_dir,

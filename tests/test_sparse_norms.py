@@ -11,7 +11,18 @@ relative, because a Ritz value lies inside the spectrum and a scale that
 only underestimates can only tighten the tolerance of a check.  Smaller
 symmetric forms take the dense spectrum itself; non-symmetric forms keep
 the SVD.
+
+From LANCZOS_MIN_SIZE unknowns on, ``check_accretivity`` decides
+``passed`` from the pivot signs of a sparse factorization of
+sym(FormAtilde - H1) - sigma I and takes lambda_min from shift-invert
+Lanczos on it.  With that path forced, the status must equal the one the
+dense spectrum gives and lambda_min must match it at rtol 1e-10 with atol
+1e-12 * scale; every case the factorization cannot certify must reach
+the dense spectrum.  The sparse matrices both paths factor are gathered
+at the P1 sparsity pattern and must have the arrays of csc_matrix(dense).
 """
+
+import types
 
 from unittest import mock
 
@@ -59,6 +70,23 @@ def is_symmetric(F):
 
 def dense_form_norm(F):
     return float(np.abs(np.linalg.eigvalsh(0.5 * (F + F.T))).max())
+
+
+def dense_lambda_min(system):
+    diff = system.FormAtilde - system.H1
+    return float(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min())
+
+
+def assert_accretivity_matches_dense(report, system):
+    """Status and lambda_min of a report against the dense spectrum."""
+    if not system.admissibility.accretive:
+        assert report.status == "hypothesis unmet"
+        return
+    lam = dense_lambda_min(system)
+    sigma = -report.tolerance * report.scale
+    assert report.status == ("passed" if lam >= sigma else "failed")
+    assert_allclose(report.lambda_min, lam, rtol=1e-10,
+                    atol=1e-12 * report.scale)
 
 
 def lanczos_everywhere():
@@ -138,13 +166,35 @@ def test_sparse_trace_norm_and_lanczos_scale_match_dense_oracles(system):
     for F in forms.values():
         assert_lanczos_scale(F)
 
-    # the accretivity and contractivity scales go through form_norm
+    # the accretivity and contractivity scales go through form_norm, and
+    # the certified lambda_min agrees with the dense spectrum
     with lanczos_everywhere():
-        assert check_accretivity(system).scale == form_norm(forms["form"])
+        report = check_accretivity(system)
+        assert report.scale == form_norm(forms["form"])
+        assert_accretivity_matches_dense(report, system)
         contractivity = check_ouhabaz_contractivity_criterion(system,
                                                               samples=3)
         assert contractivity.scale == max(form_norm(forms["plus"]),
                                           form_norm(forms["minus"]))
+
+    # gathered at its P1 pattern, a form has the arrays of csc_matrix(dense)
+    for pattern, A in ((system._pattern, system.H1),
+                       (assembly._form_pattern(system), system.FormAtilde)):
+        _, rows, cols = pattern
+        gathered = assembly._at_pattern(pattern, A[rows, cols])
+        expected = scipy.sparse.csc_matrix(A)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(gathered, name),
+                                  getattr(expected, name)), name
+
+    # the inertia certificate holds exactly when the dense spectrum says
+    # so, inside the hypothesis or not
+    lam = dense_lambda_min(system)
+    sigma = -1e-10 * report.scale
+    certified = assembly._certified_lambda_min(system, sigma)
+    assert (certified is not None) == (lam >= sigma)
+    if certified is not None:
+        assert_allclose(certified, lam, rtol=1e-10, atol=1e-12 * report.scale)
 
 
 @pytest.mark.parametrize("mesh", [
@@ -231,13 +281,14 @@ def test_assembly_takes_no_cholesky(monkeypatch):
                     rtol=1e-10, atol=0)
 
 
-def test_symmetric_accretivity_check_takes_one_dense_spectrum(monkeypatch):
+def test_symmetric_accretivity_check_takes_no_dense_spectrum(monkeypatch):
     system = cube_system()
     assert system.n >= assembly.LANCZOS_MIN_SIZE
     calls = count_eigvalsh(monkeypatch)
     report = check_accretivity(system)
     assert report.status == "passed"
-    assert calls == [(system.n, system.n)]
+    assert calls == []
+    assert_accretivity_matches_dense(report, system)
 
 
 def test_small_symmetric_form_takes_the_dense_spectrum(monkeypatch):
@@ -279,6 +330,89 @@ def test_lanczos_failure_falls_back_to_the_dense_spectrum(monkeypatch):
     assert value == dense_form_norm(F)
     assert_allclose(value, lanczos, rtol=1e-10, atol=0)
     assert check_accretivity(system).scale == value
+
+
+def shifted_down(system, margin):
+    """The system with FormAtilde shifted so that lambda_min of
+    sym(FormAtilde - H1) is -margin * tol * ||FormAtilde||, tol = 1e-10."""
+    shift = dense_lambda_min(system) + margin * 1e-10 * form_norm(
+        system.FormAtilde)
+    system.FormAtilde = system.FormAtilde - shift * np.eye(system.n)
+    return system
+
+
+@pytest.mark.parametrize("margin, status, dense_calls", [
+    (0.5, "passed", 0), (2.0, "failed", 1)])
+def test_accretivity_near_the_tolerance(monkeypatch, margin, status,
+                                        dense_calls):
+    """Inside the tolerance the factorization certifies the pass; past it
+    a negative pivot sends the check to the dense spectrum, which fails
+    it."""
+    system = shifted_down(cube_system(), margin)
+    calls = count_eigvalsh(monkeypatch)
+    report = check_accretivity(system)
+    assert report.status == status
+    assert calls == [(system.n, system.n)] * dense_calls
+    assert_accretivity_matches_dense(report, system)
+
+
+def fake_factor(lu, **changes):
+    """The factor ``lu`` with some attributes replaced."""
+    fields = {name: getattr(lu, name) for name in ("perm_r", "perm_c", "U",
+                                                   "solve")}
+    fields.update(changes)
+    return types.SimpleNamespace(**fields)
+
+
+def singular(original):
+    def factor(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    return factor
+
+
+def permuted(original):
+    def factor(*args, **kwargs):
+        lu = original(*args, **kwargs)
+        return fake_factor(lu, perm_r=np.roll(lu.perm_r, 1))
+    return factor
+
+
+def nonpositive_pivot(original):
+    def factor(*args, **kwargs):
+        lu = original(*args, **kwargs)
+        U = lu.U.tolil()
+        U[0, 0] = 0.0
+        return fake_factor(lu, U=U.tocsc())
+    return factor
+
+
+@pytest.mark.parametrize("patch", [singular, permuted, nonpositive_pivot],
+                         ids=["singular", "permuted", "nonpositive-pivot"])
+def test_uncertified_factor_takes_the_dense_spectrum(monkeypatch, patch):
+    system = cube_system()
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        patch(scipy.sparse.linalg.splu))
+    calls = count_eigvalsh(monkeypatch)
+    report = check_accretivity(system)
+    assert calls == [(system.n, system.n)]
+    assert report.status == "passed"
+    assert report.lambda_min == dense_lambda_min(system)
+
+
+def test_shift_invert_failure_takes_the_dense_spectrum(monkeypatch):
+    """``form_norm`` and the certified lambda_min both fall back."""
+    system = cube_system()
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    calls = count_eigvalsh(monkeypatch)
+    report = check_accretivity(system)
+    assert calls == [(system.n, system.n)] * 2
+    assert report.status == "passed"
+    assert report.lambda_min == dense_lambda_min(system)
 
 
 def test_zero_form_has_zero_norm():
