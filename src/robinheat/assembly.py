@@ -25,6 +25,7 @@ matrices are scattered onto the boundary vertex rows and columns; no 0/1
 trace matrix is formed.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ import scipy.sparse.linalg
 
 from .coefficients import CoefficientField, check_admissibility
 from .mesh import write_lines
+from .report import Report
 from .semigroup import SYMMETRY_TOL
 
 __all__ = [
@@ -179,8 +181,10 @@ class AssembledSystem:
 
     Attributes
     ----------
-    K, K_id : (n, n)
-        Stiffness for the coefficient field and for the identity field.
+    K, K_adj, K_id : (n, n)
+        Stiffness for the coefficient field, its transpose and the
+        identity field.  K_adj is K itself when the transposed field has
+        the bits of the field.
     mass : (n,)
         Lumped mass diagonal.
     boundary_weights : (nb,)
@@ -200,30 +204,26 @@ class AssembledSystem:
         ``compute_trace_norm`` as a sparse diagonal and H1 gathered at the
         P1 pattern; neither sparse matrix is stored.
     admissibility : AdmissibilityReport
+
+    ``with_boundary`` derives the system of another boundary operator
+    from this one.
     """
 
     def __init__(self, mesh, field, spec, alpha):
         self.mesh = mesh
         self.field = field
-        self.spec = spec
         self.alpha = float(alpha)
 
         self.K = assemble_stiffness(mesh, field)
+        transposed = field.transposed()
+        self.K_adj = (self.K if np.array_equal(transposed.per_cell,
+                                               field.per_cell)
+                      else assemble_stiffness(mesh, transposed))
         self.K_id = assemble_stiffness(
             mesh, CoefficientField.isotropic(mesh, 1.0))
         self.mass = assemble_lumped_mass(mesh)
         self.boundary_weights = mesh.boundary_vertex_weights()
-        self.Bw = assemble_boundary_term(mesh, spec)
-
-        Mdiag = np.diag(self.mass)
-        self.FormA = self.K + _on_boundary(mesh, self.Bw)
-        self.FormAtilde = self.FormA + self.alpha * Mdiag
-        self.H1 = self.K_id + Mdiag
-
-        K_adj = assemble_stiffness(mesh, field.transposed())
-        Bw_adj = self.boundary_weights[:, None] * spec.adjoint_matrix()
-        self.FormA_adj = K_adj + _on_boundary(mesh, Bw_adj)
-        self.FormAtilde_adj = self.FormA_adj + self.alpha * Mdiag
+        self.H1 = self.K_id + np.diag(self.mass)
 
         self._pattern = _p1_pattern(mesh)
         _, rows, cols = self._pattern
@@ -232,6 +232,18 @@ class AssembledSystem:
         H1 = _at_pattern(self._pattern, self.H1[rows, cols])
         self.trace_norm_sq = compute_trace_norm(scipy.sparse.diags(weights),
                                                 H1)
+        self._couple(spec)
+
+    def _couple(self, spec):
+        """Set the boundary operator: Bw, the four forms and admissibility."""
+        self.spec = spec
+        self.Bw = self.boundary_weights[:, None] * spec.matrix()
+        Bw_adj = self.boundary_weights[:, None] * spec.adjoint_matrix()
+        Mdiag = np.diag(self.mass)
+        self.FormA = self.K + _on_boundary(self.mesh, self.Bw)
+        self.FormAtilde = self.FormA + self.alpha * Mdiag
+        self.FormA_adj = self.K_adj + _on_boundary(self.mesh, Bw_adj)
+        self.FormAtilde_adj = self.FormA_adj + self.alpha * Mdiag
         self.admissibility = check_admissibility(
             spec, self.alpha, self.trace_norm_sq)
 
@@ -239,12 +251,14 @@ class AssembledSystem:
     def n(self):
         return self.mesh.n_vertices
 
-    def form_with_boundary(self, spec):
-        """FormAtilde rebuilt with a different boundary operator, same field
-        and shift."""
-        Bw = self.boundary_weights[:, None] * spec.matrix()
-        return (self.K + _on_boundary(self.mesh, Bw)
-                + self.alpha * np.diag(self.mass))
+    def with_boundary(self, spec):
+        """The system of boundary operator ``spec`` with this field and
+        shift.  It shares the stiffness, mass, H1, pattern and trace norm
+        of this system; Bw, the four forms and admissibility are its own,
+        with the bits ``assemble_system`` gives them."""
+        derived = copy.copy(self)
+        derived._couple(spec)
+        return derived
 
     def h1_norm(self, u):
         return math.sqrt(max(float(u @ self.H1 @ u), 0.0))
@@ -344,19 +358,11 @@ def form_norm(F):
 
 # ----------------------------------------------------------------------
 @dataclass
-class AccretivityReport:
+class AccretivityReport(Report):
     status: str                 # "passed" | "failed" | "hypothesis unmet"
     lambda_min: float
     scale: float
     tolerance: float
-
-    def as_dict(self):
-        return {
-            "status": self.status,
-            "lambda_min": self.lambda_min,
-            "scale": self.scale,
-            "tolerance": self.tolerance,
-        }
 
 
 def _form_pattern(system):
@@ -447,21 +453,12 @@ def check_accretivity(system, tol=1e-10):
 
 
 @dataclass
-class ContinuityReport:
+class ContinuityReport(Report):
     max_ratio: float
     bound_constant: float
     samples: int
     seed: int
     passed: bool
-
-    def as_dict(self):
-        return {
-            "max_ratio": self.max_ratio,
-            "bound_constant": self.bound_constant,
-            "samples": self.samples,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
 
 
 def check_continuity(system, samples=200, seed=2024):

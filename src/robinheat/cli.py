@@ -1,16 +1,18 @@
 """Config-driven experiment runner.
 
 A scenario is a flat key-value text file with ``[section]`` headers; the
-runner builds the mesh, coefficients, and boundary operator, gates the
-requested checks on the admissibility condition, and writes a summary
-document, per-check reports, a norms CSV, and a machine-readable
+runner builds the mesh, coefficients, and boundary operator, assembles
+one system, runs the requested checks from the table ``CHECKS`` (which
+says whether each needs the admissibility condition), and writes a
+summary document, per-check reports, a norms CSV, and a machine-readable
 manifest.  Running the same scenario twice produces byte-identical CSV
 and manifest files.
 
 Exit status: 0 when every requested check passed or was hypothesis
 gated, 1 when a conclusion failed under satisfied hypotheses, 2 for
-unusable input (parse errors, missing files, schema mismatch, and
-domains, coefficients or boundary operators the builders reject).
+unusable input (parse errors, non-finite numbers, a negative seed or no
+samples, missing files, schema mismatch, and domains, coefficients,
+boundary operators or time grids the builders reject).
 """
 
 import argparse
@@ -25,14 +27,10 @@ from .coefficients import coefficient_field_from_config, build_boundary_operator
 from .assembly import assemble_system, check_accretivity, check_continuity
 from .semigroup import build_evaluator, geometric_times, semigroup_law_defect
 from . import verify
+from .report import format_value as _fmt
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "run_scenario",
            "compare_manifests", "main"]
-
-KNOWN_CHECKS = (
-    "accretivity", "continuity", "nash", "contractivity", "positivity",
-    "domination", "ultracontractivity", "eventual_positivity",
-)
 
 EXTRA_POSITIVITY_TIMES = (2.0, 5.0, 10.0, 20.0, 50.0)
 
@@ -121,14 +119,21 @@ def parse_scenario(text):
     return scenario
 
 
+def _finite(text):
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return number
+
+
 def _parse_value(section, key, value):
     if (section, key) in _FLOAT_KEYS:
-        return float(value)
+        return _finite(value)
     if (section, key) in _INT_KEYS:
         return int(value)
     if (section, key) in _LIST_KEYS:
         parts = [p for chunk in value.split("/") for p in chunk.split(",")]
-        return [float(p) for p in parts if p.strip()]
+        return [_finite(p) for p in parts if p.strip()]
     if (section, key) == ("domain", "divisions"):
         parts = [p for p in value.split(",") if p.strip()]
         numbers = [int(p) for p in parts]
@@ -141,14 +146,18 @@ def _store(scenario, section, key, value, lineno):
         if key == "checks":
             names = [c.strip() for c in str(value).split(",") if c.strip()]
             for name in names:
-                if name not in KNOWN_CHECKS:
+                if name not in CHECKS:
                     raise ScenarioError(
                         lineno, f"unknown check {name!r} "
-                        f"(known: {', '.join(KNOWN_CHECKS)})")
+                        f"(known: {', '.join(CHECKS)})")
             scenario.checks = names
         elif key == "samples":
+            if value < 1:
+                raise ScenarioError(lineno, "samples must be positive")
             scenario.samples = value
         elif key == "seed":
+            if value < 0:
+                raise ScenarioError(lineno, "seed must be nonnegative")
             scenario.seed = value
         elif key == "output_dir":
             scenario.output_dir = value
@@ -172,20 +181,21 @@ def _store(scenario, section, key, value, lineno):
 
 
 # ----------------------------------------------------------------------
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
 class _Run:
-    """Mutable state while executing one scenario."""
+    """One scenario run: what every check runner reads (the scenario, the
+    assembled system, its primal and adjoint evaluators, the time grid and
+    the squared shortest edge, the smallest time the mesh resolves) and
+    what the runs record."""
 
-    def __init__(self, scenario, seed):
+    def __init__(self, scenario, system, grid):
         self.scenario = scenario
-        self.seed = seed
+        self.seed = scenario.seed
+        self.system = system
+        self.grid = grid
+        self.resolved = system.mesh.min_edge_length ** 2
+        self.evaluator = build_evaluator(system)
+        self.adjoint = build_evaluator(system, adjoint=True)
+        self.fits = None
         self.summary = []
         self.manifest = {}
         self.reports = {}
@@ -194,15 +204,38 @@ class _Run:
     def note(self, line):
         self.summary.append(line)
 
-    def record(self, check, report_dict, status):
-        self.reports[check] = report_dict
+    def record(self, check, status, payload):
+        self.reports[check] = payload
         self.manifest[f"{check}.status"] = status
-        for key, value in report_dict.items():
+        for key, value in payload.items():
             if isinstance(value, (int, float, np.floating, bool, np.bool_)):
                 self.manifest[f"{check}.{key}"] = _fmt(value)
         if status == "failed":
             self.failed.append(check)
         self.note(f"{check}: {status}")
+
+    def runs(self, check):
+        """Whether ``check`` is requested and not gated off: the
+        admissibility condition holds or the check does not need it."""
+        needs_admissibility, _ = CHECKS[check]
+        return check in self.scenario.checks and (
+            self.system.admissibility.admissible or not needs_admissibility)
+
+    def fit(self):
+        """The ultracontractivity fits of the semigroup and of its adjoint,
+        made on the first call, or the ValueError that refused them (too
+        few resolved grid points)."""
+        if self.fits is None:
+            alpha = self.system.alpha
+            try:
+                self.fits = (
+                    verify.fit_ultracontractivity(self.evaluator, alpha,
+                                                  self.grid),
+                    verify.fit_ultracontractivity(self.adjoint, alpha,
+                                                  self.grid, norm="1_to_2"))
+            except ValueError as exc:
+                self.fits = exc
+        return self.fits
 
 
 def run_scenario(path, output_dir=None, seed=None, stream=None):
@@ -215,6 +248,8 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
         raise ScenarioError(None, f"cannot read {path}: {exc}") from exc
     scenario = parse_scenario(text)
     if seed is not None:
+        if seed < 0:
+            raise ScenarioError(None, "seed must be nonnegative")
         scenario.seed = seed
     out = Path(output_dir or scenario.output_dir or f"runs/{path.stem}")
     out.mkdir(parents=True, exist_ok=True)
@@ -223,11 +258,16 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
         mesh = scenario.build_mesh()
         field = coefficient_field_from_config(mesh, scenario.coefficient)
         spec = build_boundary_operator(mesh, scenario.boundary_operator)
+        grid = geometric_times(scenario.time_grid["t_max"],
+                               scenario.time_grid["ratio"],
+                               scenario.time_grid["count"])
     except KeyError as exc:
         raise ScenarioError(None, f"missing key {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise ScenarioError(None, str(exc)) from exc
-    run = _Run(scenario, scenario.seed)
+    run = _Run(scenario, assemble_system(mesh, field, spec), grid)
+    system = run.system
+    admissibility = system.admissibility
     run.note(f"scenario: {path.name}")
     run.note(f"mesh: dim {mesh.dim}, {mesh.n_vertices} vertices, "
              f"{mesh.n_cells} cells, volume {_fmt(mesh.volume)}")
@@ -237,123 +277,55 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
                    f"certified ellipticity constant {_fmt(field.alpha)} wins")
         run.note(message)
         print(message, file=sys.stderr)
-
-    system = assemble_system(mesh, field, spec)
-    admissibility = system.admissibility
     run.note(f"alpha: {_fmt(system.alpha)}")
     run.note(f"trace_norm_sq: {_fmt(system.trace_norm_sq)}")
     run.note(f"admissible: {_fmt(admissibility.admissible)} "
              f"(margin {_fmt(admissibility.margin)})")
     for key, value in admissibility.as_dict().items():
         run.manifest[f"admissibility.{key}"] = _fmt(value)
-
-    grid = geometric_times(scenario.time_grid["t_max"],
-                           scenario.time_grid["ratio"],
-                           scenario.time_grid["count"])
-    resolved = mesh.min_edge_length ** 2
-    if grid[0] < resolved:
+    if grid[0] < run.resolved:
         run.note(f"warning: smallest grid time {_fmt(grid[0])} is below the "
-                 f"resolved scale {_fmt(resolved)}; norm values there "
+                 f"resolved scale {_fmt(run.resolved)}; norm values there "
                  f"reflect the mesh resolution, not the domain")
 
-    evaluator = build_evaluator(system)
-    adjoint = build_evaluator(system, adjoint=True)
-
-    gated = ("contractivity", "domination", "ultracontractivity",
-             "eventual_positivity")
-    fit_report = None
     for check in scenario.checks:
-        if check in gated and not admissibility.admissible:
-            run.record(check, {"reason": "admissibility condition violated: "
-                               f"margin {_fmt(admissibility.margin)}"},
-                       "hypothesis unmet")
-            continue
-        if check == "accretivity":
-            payload, status = _run_accretivity(system, evaluator, adjoint,
-                                               grid, scenario, resolved)
-            run.record(check, payload, status)
-        elif check == "continuity":
-            report = check_continuity(system, samples=scenario.samples,
-                                      seed=scenario.seed)
-            run.record(check, report.as_dict(),
-                       "passed" if report.passed else "failed")
-        elif check == "nash":
-            status, payload = _run_nash(system, adjoint, grid, scenario,
-                                        fit_report, resolved)
-            run.record(check, payload, status)
-        elif check == "contractivity":
-            report = verify.check_ouhabaz_contractivity_criterion(
-                system, samples=max(scenario.samples, 100),
-                seed=scenario.seed)
-            bounds = verify.check_sup_contraction(evaluator, adjoint, grid)
-            payload = report.as_dict()
-            payload.update(bounds.as_dict())
-            status = ("passed" if report.status == "passed"
-                      and bounds.status == "passed" else "failed")
-            run.record(check, payload, status)
-        elif check == "positivity":
-            bar_system = assemble_system(mesh, field, spec.shifted_bar(-1))
-            report = verify.check_positivity(build_evaluator(bar_system), grid)
-            run.record(check, report.as_dict(), report.status)
-        elif check == "domination":
-            bar_system = assemble_system(mesh, field, spec.dominating())
-            report = verify.check_domination(
-                evaluator, build_evaluator(bar_system), grid,
-                samples=min(scenario.samples, 50), seed=scenario.seed)
-            run.record(check, report.as_dict(), report.status)
-        elif check == "ultracontractivity":
-            try:
-                fit_report = verify.fit_ultracontractivity(
-                    evaluator, system.alpha, grid)
-                adjoint_fit = verify.fit_ultracontractivity(
-                    adjoint, system.alpha, grid, norm="1_to_2")
-            except ValueError as exc:     # too few resolved grid points
-                fit_report = None
-                run.record(check, {"reason": str(exc)},
-                           "discretization-limited")
-                continue
-            payload = fit_report.as_dict()
-            payload["adjoint_fitted_slope"] = adjoint_fit.fitted_slope
-            consistent = (abs(fit_report.fitted_slope
-                              - adjoint_fit.fitted_slope)
-                          <= 1e-9 * abs(fit_report.fitted_slope))
-            payload["adjoint_consistent"] = consistent
-            status = ("passed" if fit_report.envelope_ok and consistent
-                      else "failed")
-            run.record(check, payload, status)
-        elif check == "eventual_positivity":
-            times = np.concatenate([grid, EXTRA_POSITIVITY_TIMES])
-            report = verify.check_eventual_positivity(
-                evaluator, spec, times, samples=min(scenario.samples, 20),
-                seed=scenario.seed)
-            run.record(check, report.as_dict(), report.status)
+        if run.runs(check):
+            _, runner = CHECKS[check]
+            run.record(check, *runner(run))
+        else:
+            run.record(check, "hypothesis unmet",
+                       {"reason": "admissibility condition violated: "
+                        f"margin {_fmt(admissibility.margin)}"})
 
     run.note(f"generator symmetry residual: "
-             f"{_fmt(evaluator.symmetry_residual)}")
-    _write_outputs(out, run, evaluator, grid, fit_report)
+             f"{_fmt(run.evaluator.symmetry_residual)}")
+    _write_outputs(out, run)
     for line in run.summary:
         print(line, file=stream)
     print(f"output: {out}", file=stream)
     return 1 if run.failed else 0
 
 
-def _run_accretivity(system, evaluator, adjoint, grid, scenario, resolved):
+# -- check runners: each takes the run and returns (status, payload), and
+# looks its library functions up when it is called ----------------------
+def _run_accretivity(run):
     """Form accretivity plus the identities it buys: resolvent
     contraction, the semigroup law, L2 contraction, and the energy
     dissipation rate along the adjoint evolution."""
-    report = check_accretivity(system)
+    report = check_accretivity(run.system)
     payload = report.as_dict()
     if report.status == "hypothesis unmet":
-        return payload, "hypothesis unmet"
+        return "hypothesis unmet", payload
+    evaluator = run.evaluator
     law = max(semigroup_law_defect(evaluator, s, t)
               for s, t in ((0.25, 0.375), (1 / 3, 2 / 3)))
-    l2 = max(evaluator.norm_2_to_2(t) for t in grid)
+    l2 = max(evaluator.norm_2_to_2(t) for t in run.grid)
     resolvent = max(evaluator.resolvent_contraction(lam)
                     for lam in (0.1, 1.0, 10.0))
-    energy_times = [t for t in grid if t >= resolved][:5]
+    energy_times = [t for t in run.grid if t >= run.resolved][:5]
     energy = verify.check_energy_dissipation(
-        adjoint, energy_times, samples=min(scenario.samples, 20),
-        seed=scenario.seed)
+        run.adjoint, energy_times, samples=min(run.scenario.samples, 20),
+        seed=run.seed)
     payload["law_defect"] = law
     payload["max_l2_norm"] = l2
     payload["max_resolvent_norm"] = resolvent
@@ -363,36 +335,102 @@ def _run_accretivity(system, evaluator, adjoint, grid, scenario, resolved):
           and energy.status == "passed")
     status = "passed" if ok else "failed"
     payload["status"] = status
-    return payload, status
-
-
-def _run_nash(system, adjoint, grid, scenario, fit_report, resolved):
-    mesh = system.mesh
-    try:
-        report = verify.check_nash(mesh, system, samples=scenario.samples,
-                                   seed=scenario.seed,
-                                   allow_low_dimension=mesh.dim <= 2)
-    except ValueError as exc:
-        return "hypothesis unmet", {"reason": str(exc)}
-    payload = report.as_dict()
-    if report.status == "out-of-hypothesis":
-        return "hypothesis unmet", payload
-    if fit_report is not None:
-        decay_times = fit_report.window_times
-    else:
-        decay_times = np.array([t for t in grid if t >= resolved])
-    decay = verify.check_smoothing_decay(
-        adjoint, report.implied_constant, decay_times,
-        samples=min(scenario.samples, 50), seed=scenario.seed)
-    payload["decay_max_ratio"] = decay.max_ratio
-    payload["decay_prefactor"] = decay.prefactor
-    status = ("passed" if report.status == "passed"
-              and decay.status == "passed" else "failed")
     return status, payload
 
 
-def _write_outputs(out, run, evaluator, grid, fit_report):
-    verify.write_norms_csv(evaluator, grid, out / "norms.csv")
+def _run_continuity(run):
+    report = check_continuity(run.system, samples=run.scenario.samples,
+                              seed=run.seed)
+    return "passed" if report.passed else "failed", report.as_dict()
+
+
+def _run_nash(run):
+    """Nash's inequality and the L1 -> L2 decay it implies, sampled on the
+    ultracontractivity fit window when that check runs and its fit
+    succeeds, on the resolved grid times otherwise."""
+    report = verify.check_nash(run.system.mesh, run.system,
+                               samples=run.scenario.samples, seed=run.seed,
+                               allow_low_dimension=True)
+    payload = report.as_dict()
+    if report.status == "out-of-hypothesis":
+        return "hypothesis unmet", payload
+    fits = run.fit() if run.runs("ultracontractivity") else None
+    if isinstance(fits, tuple):
+        decay_times = fits[0].window_times
+    else:
+        decay_times = np.array([t for t in run.grid if t >= run.resolved])
+    decay = verify.check_smoothing_decay(
+        run.adjoint, report.implied_constant, decay_times,
+        samples=min(run.scenario.samples, 50), seed=run.seed)
+    payload["decay_max_ratio"] = decay.max_ratio
+    payload["decay_prefactor"] = decay.prefactor
+    ok = report.status == "passed" and decay.status == "passed"
+    return "passed" if ok else "failed", payload
+
+
+def _run_contractivity(run):
+    report = verify.check_ouhabaz_contractivity_criterion(
+        run.system, samples=max(run.scenario.samples, 100), seed=run.seed)
+    bounds = verify.check_sup_contraction(run.evaluator, run.adjoint,
+                                          run.grid)
+    payload = report.as_dict()
+    payload.update(bounds.as_dict())
+    ok = report.status == "passed" and bounds.status == "passed"
+    return "passed" if ok else "failed", payload
+
+
+def _run_positivity(run):
+    comparison = run.system.with_boundary(run.system.spec.shifted_bar(-1))
+    report = verify.check_positivity(build_evaluator(comparison), run.grid)
+    return report.status, report.as_dict()
+
+
+def _run_domination(run):
+    comparison = run.system.with_boundary(run.system.spec.dominating())
+    report = verify.check_domination(
+        run.evaluator, build_evaluator(comparison), run.grid,
+        samples=min(run.scenario.samples, 50), seed=run.seed)
+    return report.status, report.as_dict()
+
+
+def _run_ultracontractivity(run):
+    fits = run.fit()
+    if isinstance(fits, ValueError):
+        return "discretization-limited", {"reason": str(fits)}
+    fit, adjoint_fit = fits
+    payload = fit.as_dict()
+    payload["adjoint_fitted_slope"] = adjoint_fit.fitted_slope
+    consistent = (abs(fit.fitted_slope - adjoint_fit.fitted_slope)
+                  <= 1e-9 * abs(fit.fitted_slope))
+    payload["adjoint_consistent"] = consistent
+    ok = fit.envelope_ok and consistent
+    return "passed" if ok else "failed", payload
+
+
+def _run_eventual_positivity(run):
+    times = np.concatenate([run.grid, EXTRA_POSITIVITY_TIMES])
+    report = verify.check_eventual_positivity(
+        run.evaluator, run.system.spec, times,
+        samples=min(run.scenario.samples, 20), seed=run.seed)
+    return report.status, report.as_dict()
+
+
+# Every check: name -> (needs admissibility, runner), in the order the
+# parser lists them.
+CHECKS = {
+    "accretivity": (False, _run_accretivity),
+    "continuity": (False, _run_continuity),
+    "nash": (False, _run_nash),
+    "contractivity": (True, _run_contractivity),
+    "positivity": (False, _run_positivity),
+    "domination": (True, _run_domination),
+    "ultracontractivity": (True, _run_ultracontractivity),
+    "eventual_positivity": (True, _run_eventual_positivity),
+}
+
+
+def _write_outputs(out, run):
+    verify.write_norms_csv(run.evaluator, run.grid, out / "norms.csv")
     write_lines(run.summary, out / "summary.txt")
     header = [f"checks: {','.join(run.scenario.checks)}", f"seed: {run.seed}"]
     write_lines(header + [f"{key}: {run.manifest[key]}"
@@ -400,11 +438,12 @@ def _write_outputs(out, run, evaluator, grid, fit_report):
                 out / "manifest.txt")
     for check, report in run.reports.items():
         verify.write_document(report, out / f"{check}.txt")
-    if fit_report is not None:
+    if isinstance(run.fits, tuple):
+        fit = run.fits[0]
         lines = ["t,norm_2_to_inf,g,in_window"]
-        window = set(float(t) for t in fit_report.window_times)
-        for t, norm in zip(fit_report.times, fit_report.norms):
-            g = norm * math.exp(-fit_report.alpha * t)
+        window = set(float(t) for t in fit.window_times)
+        for t, norm in zip(fit.times, fit.norms):
+            g = norm * math.exp(-fit.alpha * t)
             flag = 1 if float(t) in window else 0
             lines.append(f"{t:.17g},{norm:.17g},{g:.17g},{flag}")
         write_lines(lines, out / "ultracontractivity.csv")

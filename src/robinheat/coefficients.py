@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .report import Report
+
 __all__ = [
     "CoefficientField",
     "certify_ellipticity",
@@ -86,12 +88,8 @@ class CoefficientField:
 
     def transposed(self):
         """Field with every cell matrix transposed."""
-        out = CoefficientField.__new__(CoefficientField)
-        out.mesh = self.mesh
-        out.per_cell = np.transpose(self.per_cell, (0, 2, 1)).copy()
-        out.alpha = self.alpha          # sym part unchanged
-        out.sup_norm = self.sup_norm
-        return out
+        return CoefficientField(
+            self.mesh, np.transpose(self.per_cell, (0, 2, 1)).copy())
 
 
 def certify_ellipticity(field):
@@ -141,14 +139,11 @@ class BoundaryOperatorSpec:
     positive comparison operator with entrywise absolute kernel.
     """
 
-    def __init__(self, kind, coords, weights, application, bar_application,
-                 label=""):
+    def __init__(self, kind, weights, application, bar_application):
         self.kind = kind
-        self.coords = coords
         self.weights = np.asarray(weights, dtype=float)
         self._T = np.asarray(application, dtype=float)
         self._Tbar = np.asarray(bar_application, dtype=float)
-        self.label = label or kind
 
         self.norm2, self.norm_inf = _operator_norms(self._T, self.weights)
         self.norm2_bar, self.norm_inf_bar = _operator_norms(
@@ -159,39 +154,33 @@ class BoundaryOperatorSpec:
     def zero(cls, mesh):
         nb = len(mesh.boundary_vertices)
         z = np.zeros((nb, nb))
-        return cls("zero", mesh.vertices[mesh.boundary_vertices],
-                   mesh.boundary_vertex_weights(), z, z)
+        return cls("zero", mesh.boundary_vertex_weights(), z, z)
 
     @classmethod
     def multiplication(cls, mesh, beta):
-        coords = mesh.vertices[mesh.boundary_vertices]
-        nb = len(coords)
+        nb = len(mesh.boundary_vertices)
         beta = np.broadcast_to(np.asarray(beta, dtype=float), (nb,)).copy()
-        return cls("multiplication", coords, mesh.boundary_vertex_weights(),
-                   np.diag(beta), np.diag(np.abs(beta)),
-                   label=f"multiplication({_short(beta)})")
+        return cls("multiplication", mesh.boundary_vertex_weights(),
+                   np.diag(beta), np.diag(np.abs(beta)))
 
     @classmethod
     def kernel(cls, mesh, values):
         """``values``: (nb, nb) samples k(x_i, x_j) at boundary vertices."""
-        coords = mesh.vertices[mesh.boundary_vertices]
         w = mesh.boundary_vertex_weights()
-        nb = len(coords)
+        nb = len(w)
         kmat = np.asarray(values, dtype=float)
         if kmat.shape != (nb, nb):
             raise ValueError(f"kernel samples must have shape {(nb, nb)}")
-        return cls("kernel", coords, w, kmat * w[None, :],
-                   np.abs(kmat) * w[None, :], label="kernel")
+        return cls("kernel", w, kmat * w[None, :], np.abs(kmat) * w[None, :])
 
     @classmethod
     def dense(cls, mesh, matrix):
-        coords = mesh.vertices[mesh.boundary_vertices]
         matrix = np.asarray(matrix, dtype=float)
-        nb = len(coords)
+        nb = len(mesh.boundary_vertices)
         if matrix.shape != (nb, nb):
             raise ValueError(f"dense operator must have shape {(nb, nb)}")
-        return cls("dense", coords, mesh.boundary_vertex_weights(),
-                   matrix, np.abs(matrix), label="dense")
+        return cls("dense", mesh.boundary_vertex_weights(), matrix,
+                   np.abs(matrix))
 
     # -- operator data --------------------------------------------------
     def matrix(self):
@@ -209,15 +198,13 @@ class BoundaryOperatorSpec:
     # -- derived operators ----------------------------------------------
     def bar(self):
         """The positive comparison operator itself."""
-        return BoundaryOperatorSpec(
-            self.kind, self.coords, self.weights, self._Tbar, self._Tbar,
-            label=f"bar[{self.label}]")
+        return BoundaryOperatorSpec(self.kind, self.weights, self._Tbar,
+                                    self._Tbar)
 
     def dominating(self):
         """Negated comparison operator; its semigroup dominates this one's."""
-        return BoundaryOperatorSpec(
-            self.kind, self.coords, self.weights, -self._Tbar, self._Tbar,
-            label=f"dominating[{self.label}]")
+        return BoundaryOperatorSpec(self.kind, self.weights, -self._Tbar,
+                                    self._Tbar)
 
     def shifted_bar(self, sign):
         """norm_inf_bar * identity +/- bar, as a dense operator."""
@@ -225,10 +212,7 @@ class BoundaryOperatorSpec:
             raise ValueError("sign must be +1 or -1")
         nb = len(self.weights)
         comb = self.norm_inf_bar * np.eye(nb) + sign * self._Tbar
-        tag = "+" if sign > 0 else "-"
-        return BoundaryOperatorSpec(
-            "dense", self.coords, self.weights, comb, np.abs(comb),
-            label=f"inf_shift{tag}[{self.label}]")
+        return BoundaryOperatorSpec("dense", self.weights, comb, np.abs(comb))
 
 
 def _operator_norms(T, w):
@@ -249,13 +233,6 @@ def _operator_norms(T, w):
         norm2 = float(np.linalg.norm(scaled, 2))
     norm_inf = float(np.abs(T).sum(axis=1).max())
     return norm2, norm_inf
-
-
-def _short(arr):
-    vals = np.unique(arr)
-    if len(vals) == 1:
-        return f"{vals[0]:g}"
-    return f"{arr.min():g}..{arr.max():g}"
 
 
 # ----------------------------------------------------------------------
@@ -290,9 +267,7 @@ def build_boundary_operator(mesh, config):
                                - c1[:, None] * c0[None, :])
         else:
             raise ValueError(f"unknown kernel profile {profile!r}")
-        spec = BoundaryOperatorSpec.kernel(mesh, samples)
-        spec.label = f"kernel({profile}, scale={scale:g})"
-        return spec
+        return BoundaryOperatorSpec.kernel(mesh, samples)
     if kind == "dense":
         nb = len(mesh.boundary_vertices)
         entries = np.asarray(config["entries"], dtype=float).reshape(nb, nb)
@@ -302,7 +277,7 @@ def build_boundary_operator(mesh, config):
 
 # ----------------------------------------------------------------------
 @dataclass
-class AdmissibilityReport:
+class AdmissibilityReport(Report):
     """Outcome of the coupling condition between diffusion strength and
     boundary operator size.
 
@@ -317,16 +292,6 @@ class AdmissibilityReport:
     margin: float
     accretive: bool
     accretive_margin: float
-
-    def as_dict(self):
-        return {
-            "alpha": self.alpha,
-            "trace_norm_sq": self.trace_norm_sq,
-            "admissible": self.admissible,
-            "margin": self.margin,
-            "accretive": self.accretive,
-            "accretive_margin": self.accretive_margin,
-        }
 
 
 def check_admissibility(spec, alpha, trace_norm_sq):

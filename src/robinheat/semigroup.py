@@ -38,8 +38,6 @@ import weakref
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 __all__ = [
     "SemigroupEvaluator",
@@ -125,43 +123,25 @@ class SemigroupEvaluator:
     adjoint : bool
         Use the adjoint form matrix; together with the mass weights this
         realizes the adjoint semigroup on the same mesh.
-    method : str
-        "expm" (dense, default) or "implicit-euler" (matrix-free stepping
-        for systems above the dense limit; first order accurate, apply
-        only).
+    dense_limit : int
+        Largest number of unknowns the dense exponential accepts.
     """
 
-    def __init__(self, system, adjoint=False, method="expm",
-                 dense_limit=DENSE_LIMIT):
+    def __init__(self, system, adjoint=False, dense_limit=DENSE_LIMIT):
+        if system.n > dense_limit:
+            raise RuntimeError(
+                f"system has {system.n} unknowns, above the dense "
+                f"exponential limit {dense_limit}; coarsen the mesh")
         self.system = system
         self.adjoint = bool(adjoint)
-        self.method = method
         self.mass = system.mass
         self.alpha = system.alpha
-        F = system.FormAtilde_adj if adjoint else system.FormAtilde
-        self.form = F
-        if method == "expm":
-            if system.n > dense_limit:
-                raise RuntimeError(
-                    f"system has {system.n} unknowns, above the dense "
-                    f"exponential limit {dense_limit}; pass "
-                    f"method='implicit-euler' for matrix-free stepping or "
-                    f"coarsen the mesh")
-            self.generator = F / self.mass[:, None]
-        elif method == "implicit-euler":
-            self.generator = None
-            self._sparse_form = scipy.sparse.csc_matrix(F)
-            self._solver_cache = {}
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        self.form = system.FormAtilde_adj if adjoint else system.FormAtilde
+        self.generator = self.form / self.mass[:, None]
         self._shared = None
 
     def _propagator(self):
         """The propagator of this generator, resolved on first use."""
-        if self.method != "expm":
-            raise RuntimeError(
-                "dense semigroup matrices are only available with "
-                "method='expm'")
         if self._shared is None:
             self._shared = _propagator_for(self.generator, self.mass)
             self.generator = self._shared.generator     # drop a duplicate
@@ -201,28 +181,7 @@ class SemigroupEvaluator:
 
     def apply(self, t, u, shifted=True):
         """Semigroup applied to a vertex vector."""
-        u = np.asarray(u, dtype=float)
-        if self.method == "expm":
-            return self.matrix(t, shifted=shifted) @ u
-        return self._apply_implicit_euler(t, u, shifted=shifted)
-
-    def _apply_implicit_euler(self, t, u, shifted=True, steps=256):
-        if t == 0.0:
-            out = u.copy()
-        else:
-            dt = float(t) / steps
-            key = dt
-            if key not in self._solver_cache:
-                A = scipy.sparse.diags(self.mass) + dt * self._sparse_form
-                self._solver_cache[key] = scipy.sparse.linalg.factorized(
-                    A.tocsc())
-            solve = self._solver_cache[key]
-            out = u.copy()
-            for _ in range(steps):
-                out = solve(self.mass * out)
-        if not shifted:
-            out = math.exp(self.alpha * t) * out
-        return out
+        return self.matrix(t, shifted=shifted) @ np.asarray(u, dtype=float)
 
     # -- mixed norms ---------------------------------------------------
     def norm_2_to_inf(self, t, shifted=True):
@@ -264,8 +223,6 @@ class SemigroupEvaluator:
     def resolvent_contraction(self, lam):
         """Weighted L2 norm of (I + lam M^{-1} FormAtilde)^{-1}; at most 1
         for an accretive form."""
-        if self.method != "expm":
-            raise RuntimeError("resolvent check needs the dense generator")
         if lam <= 0:
             raise ValueError("lam must be positive")
         R = np.linalg.inv(np.eye(len(self.mass)) + lam * self.generator)
@@ -273,8 +230,8 @@ class SemigroupEvaluator:
         return float(np.linalg.norm(root[:, None] * R / root[None, :], 2))
 
 
-def build_evaluator(system, adjoint=False, method="expm"):
-    return SemigroupEvaluator(system, adjoint=adjoint, method=method)
+def build_evaluator(system, adjoint=False):
+    return SemigroupEvaluator(system, adjoint=adjoint)
 
 
 def geometric_times(t_max=1.0, ratio=2 ** -0.5, count=24):

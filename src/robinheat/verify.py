@@ -16,6 +16,7 @@ import numpy as np
 
 from .assembly import form_norm
 from .mesh import write_lines
+from .report import Report, format_value
 
 __all__ = [
     "NashReport",
@@ -72,7 +73,7 @@ def _tensor_cosine_modes(mesh, count):
 
 
 @dataclass
-class NashReport:
+class NashReport(Report):
     dim: int
     samples: int
     max_ratio: float
@@ -80,17 +81,6 @@ class NashReport:
     gradient_only_violation: bool
     status: str
     seed: int
-
-    def as_dict(self):
-        return {
-            "dim": self.dim,
-            "samples": self.samples,
-            "max_ratio": self.max_ratio,
-            "implied_constant": self.implied_constant,
-            "gradient_only_violation": self.gradient_only_violation,
-            "status": self.status,
-            "seed": self.seed,
-        }
 
 
 def check_nash(mesh, system, samples=200, seed=2024,
@@ -148,23 +138,13 @@ def check_nash(mesh, system, samples=200, seed=2024,
 
 # ----------------------------------------------------------------------
 @dataclass
-class ContractivityReport:
+class ContractivityReport(Report):
     min_value_plus: float
     min_value_minus: float
     scale: float
     samples: int
     seed: int
     status: str
-
-    def as_dict(self):
-        return {
-            "min_value_plus": self.min_value_plus,
-            "min_value_minus": self.min_value_minus,
-            "scale": self.scale,
-            "samples": self.samples,
-            "seed": self.seed,
-            "status": self.status,
-        }
 
 
 def _straddling_samples(mesh, count, rng):
@@ -195,8 +175,8 @@ def check_ouhabaz_contractivity_criterion(system, samples=100, seed=2024):
     w = (1 ^ |u|) sign u and z = (|u| - 1)^+ sign u, the shifted form
     built with boundary operator |bar|_inf +- bar must pair w against z
     nonnegatively.  Evaluated nodally on threshold-straddling samples."""
-    form_plus = system.form_with_boundary(system.spec.shifted_bar(+1))
-    form_minus = system.form_with_boundary(system.spec.shifted_bar(-1))
+    form_plus = system.with_boundary(system.spec.shifted_bar(+1)).FormAtilde
+    form_minus = system.with_boundary(system.spec.shifted_bar(-1)).FormAtilde
     scale = max(form_norm(form_plus), form_norm(form_minus))
     rng = np.random.default_rng(seed)
     min_plus = math.inf
@@ -219,17 +199,10 @@ def check_ouhabaz_contractivity_criterion(system, samples=100, seed=2024):
 
 # ----------------------------------------------------------------------
 @dataclass
-class SupBoundReport:
+class SupBoundReport(Report):
     max_sup_excess: float
     max_l1_excess: float
     status: str
-
-    def as_dict(self):
-        return {
-            "max_sup_excess": self.max_sup_excess,
-            "max_l1_excess": self.max_l1_excess,
-            "status": self.status,
-        }
 
 
 def check_sup_contraction(evaluator, adjoint_evaluator, times, tol=1e-8):
@@ -247,17 +220,10 @@ def check_sup_contraction(evaluator, adjoint_evaluator, times, tol=1e-8):
 
 # ----------------------------------------------------------------------
 @dataclass
-class PositivityReport:
+class PositivityReport(Report):
     times: np.ndarray
     min_entries: np.ndarray
     status: str
-
-    def as_dict(self):
-        return {
-            "times": self.times,
-            "min_entries": self.min_entries,
-            "status": self.status,
-        }
 
 
 def check_positivity(evaluator, times, tol=1e-9):
@@ -282,7 +248,7 @@ def check_positivity(evaluator, times, tol=1e-9):
 
 # ----------------------------------------------------------------------
 @dataclass
-class DominationReport:
+class DominationReport(Report):
     times: np.ndarray
     max_violation: float
     form_max_violation: float
@@ -290,17 +256,6 @@ class DominationReport:
     samples: int
     seed: int
     status: str
-
-    def as_dict(self):
-        return {
-            "times": self.times,
-            "max_violation": self.max_violation,
-            "form_max_violation": self.form_max_violation,
-            "form_scale": self.form_scale,
-            "samples": self.samples,
-            "seed": self.seed,
-            "status": self.status,
-        }
 
 
 def check_domination(evaluator, bar_evaluator, times, samples=50, seed=2024,
@@ -350,7 +305,7 @@ def check_domination(evaluator, bar_evaluator, times, samples=50, seed=2024,
 
 # ----------------------------------------------------------------------
 @dataclass
-class UltracontractivityReport:
+class UltracontractivityReport(Report):
     times: np.ndarray
     norms: np.ndarray          # unshifted 2 -> sup norms
     alpha: float
@@ -359,18 +314,6 @@ class UltracontractivityReport:
     mu: float
     window_times: np.ndarray
     envelope_ok: bool
-
-    def as_dict(self):
-        return {
-            "times": self.times,
-            "norms": self.norms,
-            "alpha": self.alpha,
-            "fitted_slope": self.fitted_slope,
-            "fitted_C": self.fitted_C,
-            "mu": self.mu,
-            "window_times": self.window_times,
-            "envelope_ok": self.envelope_ok,
-        }
 
 
 def fit_ultracontractivity(evaluator, alpha, times, norm="2_to_inf"):
@@ -429,7 +372,7 @@ def fit_ultracontractivity(evaluator, alpha, times, norm="2_to_inf"):
 
 # ----------------------------------------------------------------------
 @dataclass
-class EventualPositivityReport:
+class EventualPositivityReport(Report):
     delta: float
     t0: float
     hypothesis_ok: bool
@@ -438,18 +381,6 @@ class EventualPositivityReport:
     samples: int
     seed: int
     status: str
-
-    def as_dict(self):
-        return {
-            "delta": self.delta,
-            "t0": self.t0,
-            "hypothesis_ok": self.hypothesis_ok,
-            "times": self.times,
-            "ratios": self.ratios,
-            "samples": self.samples,
-            "seed": self.seed,
-            "status": self.status,
-        }
 
 
 def check_eventual_positivity(evaluator, spec, times, samples=20, seed=2024):
@@ -511,15 +442,9 @@ def check_eventual_positivity(evaluator, spec, times, samples=20, seed=2024):
 
 # ----------------------------------------------------------------------
 @dataclass
-class DualityReport:
+class DualityReport(Report):
     max_relative_difference: float
     status: str
-
-    def as_dict(self):
-        return {
-            "max_relative_difference": self.max_relative_difference,
-            "status": self.status,
-        }
 
 
 def check_duality(evaluator, adjoint_evaluator, times, tol=1e-10):
@@ -538,21 +463,12 @@ def check_duality(evaluator, adjoint_evaluator, times, tol=1e-10):
 
 # ----------------------------------------------------------------------
 @dataclass
-class EnergyReport:
+class EnergyReport(Report):
     max_excess: float
     scale: float
     samples: int
     seed: int
     status: str
-
-    def as_dict(self):
-        return {
-            "max_excess": self.max_excess,
-            "scale": self.scale,
-            "samples": self.samples,
-            "seed": self.seed,
-            "status": self.status,
-        }
 
 
 def check_energy_dissipation(adjoint_evaluator, times, samples=20, seed=2024,
@@ -588,7 +504,7 @@ def check_energy_dissipation(adjoint_evaluator, times, samples=20, seed=2024,
 
 # ----------------------------------------------------------------------
 @dataclass
-class DecayReport:
+class DecayReport(Report):
     constant: float
     prefactor: float
     max_ratio: float
@@ -596,17 +512,6 @@ class DecayReport:
     samples: int
     seed: int
     status: str
-
-    def as_dict(self):
-        return {
-            "constant": self.constant,
-            "prefactor": self.prefactor,
-            "max_ratio": self.max_ratio,
-            "times": self.times,
-            "samples": self.samples,
-            "seed": self.seed,
-            "status": self.status,
-        }
 
 
 def check_smoothing_decay(adjoint_evaluator, nash_constant, times,
@@ -642,20 +547,10 @@ def check_smoothing_decay(adjoint_evaluator, nash_constant, times,
 
 
 # ----------------------------------------------------------------------
-def _format_value(value):
-    if isinstance(value, (np.ndarray, list, tuple)):
-        return ",".join(f"{float(v):.17g}" for v in np.asarray(value).ravel())
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
 def write_document(mapping, target):
     """Serialize a report mapping as ``key: value`` lines; arrays become
     comma-separated decimals with 17 significant digits."""
-    lines = [f"{key}: {_format_value(value)}" for key, value in mapping.items()]
+    lines = [f"{key}: {format_value(value)}" for key, value in mapping.items()]
     return write_lines(lines, target)
 
 

@@ -251,8 +251,38 @@ def test_continuity_report(interval4_robin_system):
 
 def test_form_with_boundary_matches_direct_assembly(interval4_robin_system):
     system = interval4_robin_system
-    rebuilt = system.form_with_boundary(system.spec)
+    rebuilt = system.with_boundary(system.spec).FormAtilde
     assert np.abs(rebuilt - system.FormAtilde).max() <= 1e-14
+
+
+@pytest.mark.parametrize("sheared", [False, True])
+def test_with_boundary_matches_assemble_system(cube2, sheared):
+    """A derived system shares the mesh-level data of its parent and has
+    the bits of a system assembled for its boundary operator."""
+    if sheared:
+        field = CoefficientField.matrix(cube2, [[2.0, 0.5, 0.0],
+                                                [-0.5, 2.0, 0.3],
+                                                [0.0, -0.3, 2.0]])
+    else:
+        field = CoefficientField.isotropic(cube2, 2.0)
+    nb = len(cube2.boundary_vertices)
+    coupling = np.random.default_rng(3).uniform(-0.01, 0.01, (nb, nb))
+    system = assemble_system(cube2, field,
+                             BoundaryOperatorSpec.kernel(cube2, coupling))
+    assert (system.K_adj is system.K) is not sheared
+    for spec in (system.spec.dominating(), system.spec.shifted_bar(-1)):
+        derived = system.with_boundary(spec)
+        direct = assemble_system(cube2, field, spec)
+        for name in ("K", "K_adj", "K_id", "mass", "boundary_weights", "H1",
+                     "_pattern", "trace_norm_sq"):
+            assert getattr(derived, name) is getattr(system, name), name
+        for name in ("Bw", "FormA", "FormAtilde", "FormA_adj",
+                     "FormAtilde_adj"):
+            assert np.array_equal(getattr(derived, name),
+                                  getattr(direct, name)), name
+        assert derived.spec is spec
+        assert derived.admissibility == direct.admissibility
+        assert not np.array_equal(derived.FormAtilde, system.FormAtilde)
 
 
 def test_norm_helpers(interval4_robin_system):

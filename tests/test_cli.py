@@ -304,6 +304,98 @@ def test_main_builder_error_exits_2(tmp_path, capsys, edits, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("count = 10", "count = 0"),
+    ("ratio = 0.5", "ratio = 1.5"),
+    ("seed = 2024", "seed = -1"),
+    ("samples = 40", "samples = -3"),
+    ("samples = 40", "samples = 0"),
+    ("value = 2.0", "value = inf"),
+    ("t_max = 1.0", "t_max = nan"),
+], ids=["no-grid-points", "ratio-above-1", "negative-seed",
+        "negative-samples", "no-samples", "infinite-coefficient", "nan-time"])
+def test_main_unusable_value_exits_2(tmp_path, capsys, old, new):
+    assert old in INTERVAL_SCENARIO
+    path = write_scenario(tmp_path, INTERVAL_SCENARIO.replace(old, new))
+    assert main(["run", str(path), "--output-dir",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_main_negative_seed_override_exits_2(tmp_path, capsys):
+    path = write_scenario(tmp_path, INTERVAL_SCENARIO)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out"),
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+
+
+# -- the check table -----------------------------------------------------
+
+CUBE_SCENARIO = """\
+[domain]
+shape = box
+extents = 1.0, 1.0, 1.0
+divisions = 4
+
+[coefficient]
+kind = isotropic
+value = 1.0
+
+[boundary_operator]
+kind = zero
+
+[run]
+checks = ultracontractivity, nash
+samples = 200
+seed = 2024
+"""
+
+
+def nash_lines(tmp_path, checks):
+    name = checks.replace(", ", "-")
+    path = write_scenario(tmp_path, CUBE_SCENARIO.replace(
+        "checks = ultracontractivity, nash", f"checks = {checks}"),
+        f"{name}.ini")
+    out = tmp_path / name
+    run_scenario(path, output_dir=out, stream=io.StringIO())
+    return [line for line in (out / "manifest.txt").read_text().splitlines()
+            if line.startswith("nash.")]
+
+
+def test_nash_does_not_depend_on_the_check_order(tmp_path):
+    """nash samples its decay on the ultracontractivity fit window
+    whenever that check is requested and fits, whichever comes first."""
+    first = nash_lines(tmp_path, "ultracontractivity, nash")
+    assert "nash.status: passed" in first
+    assert nash_lines(tmp_path, "nash, ultracontractivity") == first
+    # alone, nash takes the resolved grid times, which gives other values
+    assert nash_lines(tmp_path, "nash") != first
+
+
+def test_comparison_systems_are_derived_not_assembled(tmp_path, monkeypatch):
+    from robinheat import cli
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return robinheat.assemble_system(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble_system", counted)
+    text = (CUBE_SCENARIO.replace("value = 1.0", "value = 2.5")
+            .replace("kind = zero", "kind = multiplication\nbeta = -0.05")
+            .replace("checks = ultracontractivity, nash",
+                     "checks = positivity, domination"))
+    path = write_scenario(tmp_path, text)
+    stream = io.StringIO()
+    assert run_scenario(path, output_dir=tmp_path / "o", stream=stream) == 0
+    assert len(calls) == 1
+    assert "positivity: passed" in stream.getvalue()
+    assert "domination: passed" in stream.getvalue()
+
+
 def clean_env(**variables):
     """os.environ without any thread variable, plus ``variables``, with
     this package first on PYTHONPATH."""

@@ -250,32 +250,11 @@ def test_geometric_times_shape():
         geometric_times(t_max=-1.0)
 
 
-# -- large-system fallback ----------------------------------------------
+# -- dense limit ---------------------------------------------------------
 
 def test_dense_limit_refusal(interval4_robin_system):
     with pytest.raises(RuntimeError, match="dense exponential limit"):
         SemigroupEvaluator(interval4_robin_system, dense_limit=3)
-
-
-def test_implicit_euler_tracks_dense_solution(interval4_robin_system):
-    dense = build_evaluator(interval4_robin_system)
-    stepped = build_evaluator(interval4_robin_system, method="implicit-euler")
-    rng = np.random.default_rng(9)
-    u = rng.standard_normal(5)
-    t = 0.1
-    expected = dense.apply(t, u)
-    actual = stepped.apply(t, u)
-    assert np.abs(actual - expected).max() <= 5e-3 * np.abs(u).max()
-    # matrices and resolvents are dense-only features
-    with pytest.raises(RuntimeError):
-        stepped.matrix(t)
-    with pytest.raises(RuntimeError):
-        stepped.resolvent_contraction(1.0)
-
-
-def test_unknown_method_rejected(interval4_robin_system):
-    with pytest.raises(ValueError, match="unknown method"):
-        SemigroupEvaluator(interval4_robin_system, method="pade")
 
 
 # -- shared propagators and the spectral 2->2 norm ----------------------

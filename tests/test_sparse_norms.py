@@ -161,8 +161,10 @@ def test_sparse_trace_norm_and_lanczos_scale_match_dense_oracles(system):
                     rtol=1e-10, atol=0)
 
     forms = {"form": system.FormAtilde,
-             "plus": system.form_with_boundary(system.spec.shifted_bar(+1)),
-             "minus": system.form_with_boundary(system.spec.shifted_bar(-1))}
+             "plus": system.with_boundary(
+                 system.spec.shifted_bar(+1)).FormAtilde,
+             "minus": system.with_boundary(
+                 system.spec.shifted_bar(-1)).FormAtilde}
     for F in forms.values():
         assert_lanczos_scale(F)
 
