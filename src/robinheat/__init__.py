@@ -45,6 +45,7 @@ from .semigroup import (
     SemigroupEvaluator,
     build_evaluator,
     geometric_times,
+    reuse,
     semigroup_law_defect,
 )
 from .verify import (
@@ -91,6 +92,7 @@ __all__ = [
     "SemigroupEvaluator",
     "build_evaluator",
     "geometric_times",
+    "reuse",
     "semigroup_law_defect",
     "check_nash",
     "check_ouhabaz_contractivity_criterion",

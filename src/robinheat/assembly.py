@@ -191,11 +191,11 @@ class AssembledSystem:
         Lumped boundary measure at the boundary vertices.
     Bw : (nb, nb)
         Weighted boundary coupling diag(w) T on boundary vertex values.
-    FormA, FormAtilde : (n, n)
-        Boundary-coupled form and its alpha-shifted version.
-    FormA_adj, FormAtilde_adj : (n, n)
-        Same built from the transposed field and the weighted adjoint of
-        the boundary operator; equals the transpose entrywise.
+    FormAtilde : (n, n)
+        Alpha-shifted boundary-coupled form.
+    FormAtilde_adj : (n, n), built on each read
+        Same from the transposed field and the weighted adjoint of the
+        boundary operator; equals the transpose entrywise.
     H1 : (n, n)
         Discrete H1 Gram matrix K_id + diag(mass).
     trace_norm_sq : float
@@ -235,17 +235,20 @@ class AssembledSystem:
         self._couple(spec)
 
     def _couple(self, spec):
-        """Set the boundary operator: Bw, the four forms and admissibility."""
+        """Set the boundary operator: Bw, FormAtilde and admissibility."""
         self.spec = spec
         self.Bw = self.boundary_weights[:, None] * spec.matrix()
-        Bw_adj = self.boundary_weights[:, None] * spec.adjoint_matrix()
-        Mdiag = np.diag(self.mass)
-        self.FormA = self.K + _on_boundary(self.mesh, self.Bw)
-        self.FormAtilde = self.FormA + self.alpha * Mdiag
-        self.FormA_adj = self.K_adj + _on_boundary(self.mesh, Bw_adj)
-        self.FormAtilde_adj = self.FormA_adj + self.alpha * Mdiag
+        self.FormAtilde = ((self.K + _on_boundary(self.mesh, self.Bw))
+                           + self.alpha * np.diag(self.mass))
         self.admissibility = check_admissibility(
             spec, self.alpha, self.trace_norm_sq)
+
+    @property
+    def FormAtilde_adj(self):
+        """Built on each read; only an adjoint evaluator reads it."""
+        Bw_adj = self.boundary_weights[:, None] * self.spec.adjoint_matrix()
+        return ((self.K_adj + _on_boundary(self.mesh, Bw_adj))
+                + self.alpha * np.diag(self.mass))
 
     @property
     def n(self):
@@ -254,8 +257,8 @@ class AssembledSystem:
     def with_boundary(self, spec):
         """The system of boundary operator ``spec`` with this field and
         shift.  It shares the stiffness, mass, H1, pattern and trace norm
-        of this system; Bw, the four forms and admissibility are its own,
-        with the bits ``assemble_system`` gives them."""
+        of this system; Bw, FormAtilde and admissibility are its own, with
+        the bits ``assemble_system`` gives them."""
         derived = copy.copy(self)
         derived._couple(spec)
         return derived
@@ -292,9 +295,9 @@ def _sparse(A, kind):
     return A
 
 
-def compute_trace_norm(S, H1, tol=1e-10, max_iterations=10000, shift=0.0):
+def compute_trace_norm(S, H1, tol=1e-10, max_iterations=10000):
     """Largest generalized eigenvalue of (S, H1) by power iteration on the
-    H1-solve, with an optional spectral shift.
+    H1-solve.
 
     Both matrices must be symmetric and H1 positive definite; the pencil
     then has a real nonnegative spectrum and the Rayleigh quotient
@@ -312,7 +315,7 @@ def compute_trace_norm(S, H1, tol=1e-10, max_iterations=10000, shift=0.0):
     Sx = S @ x
     value = float(x @ Sx)
     for _ in range(max_iterations):
-        y = solve(Sx) + shift * x
+        y = solve(Sx)
         norm = math.sqrt(float(y @ (H1 @ y)))
         if norm == 0.0:
             return 0.0

@@ -25,7 +25,8 @@ import numpy as np
 from .mesh import build_box_mesh, build_lshape_mesh, write_lines
 from .coefficients import coefficient_field_from_config, build_boundary_operator
 from .assembly import assemble_system, check_accretivity, check_continuity
-from .semigroup import build_evaluator, geometric_times, semigroup_law_defect
+from .semigroup import (build_evaluator, geometric_times, reuse,
+                        semigroup_law_defect)
 from . import verify
 from .report import format_value as _fmt
 
@@ -185,7 +186,8 @@ class _Run:
     """One scenario run: what every check runner reads (the scenario, the
     assembled system, its primal and adjoint evaluators, the time grid and
     the squared shortest edge, the smallest time the mesh resolves) and
-    what the runs record."""
+    what the runs record.  The adjoint and comparison evaluators are the
+    primal one when ``reuse`` finds their form and mass bitwise equal."""
 
     def __init__(self, scenario, system, grid):
         self.scenario = scenario
@@ -194,7 +196,8 @@ class _Run:
         self.grid = grid
         self.resolved = system.mesh.min_edge_length ** 2
         self.evaluator = build_evaluator(system)
-        self.adjoint = build_evaluator(system, adjoint=True)
+        self.adjoint = reuse(self.evaluator,
+                             build_evaluator(system, adjoint=True))
         self.fits = None
         self.summary = []
         self.manifest = {}
@@ -224,7 +227,8 @@ class _Run:
     def fit(self):
         """The ultracontractivity fits of the semigroup and of its adjoint,
         made on the first call, or the ValueError that refused them (too
-        few resolved grid points)."""
+        few resolved grid points).  The error is kept without its
+        traceback, whose frames would hold the run and its matrices."""
         if self.fits is None:
             alpha = self.system.alpha
             try:
@@ -234,7 +238,7 @@ class _Run:
                     verify.fit_ultracontractivity(self.adjoint, alpha,
                                                   self.grid, norm="1_to_2"))
             except ValueError as exc:
-                self.fits = exc
+                self.fits = exc.with_traceback(None)
         return self.fits
 
 
@@ -348,9 +352,8 @@ def _run_nash(run):
     """Nash's inequality and the L1 -> L2 decay it implies, sampled on the
     ultracontractivity fit window when that check runs and its fit
     succeeds, on the resolved grid times otherwise."""
-    report = verify.check_nash(run.system.mesh, run.system,
-                               samples=run.scenario.samples, seed=run.seed,
-                               allow_low_dimension=True)
+    report = verify.check_nash(run.system, samples=run.scenario.samples,
+                               seed=run.seed)
     payload = report.as_dict()
     if report.status == "out-of-hypothesis":
         return "hypothesis unmet", payload
@@ -381,14 +384,16 @@ def _run_contractivity(run):
 
 def _run_positivity(run):
     comparison = run.system.with_boundary(run.system.spec.shifted_bar(-1))
-    report = verify.check_positivity(build_evaluator(comparison), run.grid)
+    report = verify.check_positivity(
+        reuse(run.evaluator, build_evaluator(comparison)), run.grid)
     return report.status, report.as_dict()
 
 
 def _run_domination(run):
     comparison = run.system.with_boundary(run.system.spec.dominating())
+    bar_evaluator = reuse(run.evaluator, build_evaluator(comparison))
     report = verify.check_domination(
-        run.evaluator, build_evaluator(comparison), run.grid,
+        run.evaluator, bar_evaluator, run.grid,
         samples=min(run.scenario.samples, 50), seed=run.seed)
     return report.status, report.as_dict()
 

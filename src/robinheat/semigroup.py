@@ -10,31 +10,25 @@ exp(-t M^{-1} FormAtilde).  Passing ``shifted=False`` multiplies by
 exp(alpha t) and so returns the corresponding quantity for the original,
 unshifted evolution.
 
-Propagators.  The matrices S(t) live in a propagator, one per distinct
-dense generator and lumped mass, not in the evaluator.  On its first
-matrix or norm call an evaluator looks its generator up in a registry of
-live propagators, keyed by a digest of the generator and mass bytes, and
-shares an entry only when both arrays are ``np.array_equal`` to its own.
-Sharing is detected, never assumed: the primal and adjoint evaluators of
-a self-adjoint form, or an original and a comparison system whose
-boundary operators coincide, end up with one matrix per time, while a
-generator that differs in a single bit gets its own propagator.  Each
-shared matrix is the one ``_exponential`` computes for that generator, so
-sharing moves no bit of any result.  The registry holds propagators
-weakly: a propagator lives exactly as long as an evaluator uses it.
+Sharing.  Each evaluator owns its read-only matrix per time, its
+symmetry residual and its lambda_min.  ``reuse(evaluator, candidate)``
+returns ``evaluator`` when the candidate's form and mass are
+``np.array_equal`` to its own, so whoever builds the primal and adjoint
+evaluators of a self-adjoint form, or those of an original and a
+comparison system whose boundary operators coincide, detects that they
+can share and never assumes it.  A form one bit away keeps its own
+evaluator, and a reused one gives the bits the candidate would give.
 
 The 2->2 norm.  For the generator P = M^{-1} FormAtilde, the weighted
 generator W = M^{1/2} P M^{-1/2} equals M^{-1/2} FormAtilde M^{-1/2}.
 When max|W - W^T| <= SYMMETRY_TOL * max|W|, S(t) is self-adjoint in the
 lumped inner product and its 2->2 norm is exp(-t lambda_min(W)): the
-propagator computes lambda_min with one ``eigvalsh`` on first use, and
+evaluator computes lambda_min with one ``eigvalsh`` on first use, and
 ``norm_2_to_2`` takes no SVD.  Any other generator (sheared matrix
 fields, non-symmetric kernels) keeps the SVD of the weighted S(t).
 """
 
-import hashlib
 import math
-import weakref
 
 import numpy as np
 import scipy.linalg
@@ -43,6 +37,7 @@ __all__ = [
     "SemigroupEvaluator",
     "build_evaluator",
     "geometric_times",
+    "reuse",
     "semigroup_law_defect",
 ]
 
@@ -51,67 +46,6 @@ DENSE_LIMIT = 6000
 # Largest entrywise asymmetry of the weighted generator, relative to its
 # largest entry, for which the 2->2 norm is taken from the spectrum.
 SYMMETRY_TOL = 1e-12
-
-# Live propagators by generator digest; an entry vanishes with the last
-# evaluator that uses it.
-_PROPAGATORS = weakref.WeakValueDictionary()
-
-
-class _Propagator:
-    """One dense generator with its lumped mass, the semigroup matrix per
-    time, and the spectral data of the 2->2 norm, computed on first use."""
-
-    def __init__(self, generator, mass):
-        self.generator = generator
-        self.mass = mass
-        self.matrices = {}
-        self._residual = None
-        self._lambda_min = None
-
-    def _weighted(self):
-        root = np.sqrt(self.mass)
-        return root[:, None] * self.generator / root[None, :]
-
-    def symmetry_residual(self):
-        """max|W - W^T| / max|W| for W = M^{1/2} P M^{-1/2}."""
-        if self._residual is None:
-            W = self._weighted()
-            scale = float(np.abs(W).max())
-            asym = float(np.abs(W - W.T).max())
-            self._residual = asym / scale if scale > 0 else 0.0
-        return self._residual
-
-    def lambda_min(self):
-        """Smallest eigenvalue of the symmetrized W, or None when W is not
-        symmetric within SYMMETRY_TOL."""
-        if self.symmetry_residual() > SYMMETRY_TOL:
-            return None
-        if self._lambda_min is None:
-            W = self._weighted()
-            self._lambda_min = float(np.linalg.eigvalsh(0.5 * (W + W.T))[0])
-        return self._lambda_min
-
-
-def _digest(generator, mass):
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.ascontiguousarray(generator))
-    h.update(np.ascontiguousarray(mass))
-    return h.hexdigest()
-
-
-def _propagator_for(generator, mass):
-    """The live propagator of a bitwise-equal generator and mass, or a new
-    one.  A digest collision between unequal arrays gets a private,
-    unregistered propagator."""
-    key = _digest(generator, mass)
-    found = _PROPAGATORS.get(key)
-    if (found is not None and np.array_equal(found.generator, generator)
-            and np.array_equal(found.mass, mass)):
-        return found
-    propagator = _Propagator(generator, mass)
-    if found is None:
-        _PROPAGATORS[key] = propagator
-    return propagator
 
 
 class SemigroupEvaluator:
@@ -123,47 +57,48 @@ class SemigroupEvaluator:
     adjoint : bool
         Use the adjoint form matrix; together with the mass weights this
         realizes the adjoint semigroup on the same mesh.
-    dense_limit : int
-        Largest number of unknowns the dense exponential accepts.
     """
 
-    def __init__(self, system, adjoint=False, dense_limit=DENSE_LIMIT):
-        if system.n > dense_limit:
+    def __init__(self, system, adjoint=False):
+        if system.n > DENSE_LIMIT:
             raise RuntimeError(
                 f"system has {system.n} unknowns, above the dense "
-                f"exponential limit {dense_limit}; coarsen the mesh")
+                f"exponential limit {DENSE_LIMIT}; coarsen the mesh")
         self.system = system
         self.adjoint = bool(adjoint)
         self.mass = system.mass
         self.alpha = system.alpha
         self.form = system.FormAtilde_adj if adjoint else system.FormAtilde
         self.generator = self.form / self.mass[:, None]
-        self._shared = None
+        self._matrices = {}
+        self._residual = None
+        self._lambda_min = None
 
-    def _propagator(self):
-        """The propagator of this generator, resolved on first use."""
-        if self._shared is None:
-            self._shared = _propagator_for(self.generator, self.mass)
-            self.generator = self._shared.generator     # drop a duplicate
-        return self._shared
+    def _weighted(self):
+        root = np.sqrt(self.mass)
+        return root[:, None] * self.generator / root[None, :]
 
     @property
     def symmetry_residual(self):
-        """Relative asymmetry of M^{1/2} P M^{-1/2}; the 2->2 norm comes
-        from the spectrum when it is at most SYMMETRY_TOL."""
-        return self._propagator().symmetry_residual()
+        """max|W - W^T| / max|W| for W = M^{1/2} P M^{-1/2}; the 2->2 norm
+        comes from the spectrum when it is at most SYMMETRY_TOL."""
+        if self._residual is None:
+            W = self._weighted()
+            scale = float(np.abs(W).max())
+            asym = float(np.abs(W - W.T).max())
+            self._residual = asym / scale if scale > 0 else 0.0
+        return self._residual
 
     # -- exponentials --------------------------------------------------
     def matrix(self, t, shifted=True):
         """Dense matrix of the semigroup at time t >= 0."""
-        matrices = self._propagator().matrices
         if t < 0:
             raise ValueError("negative time")
         t = float(t)
-        S = matrices.get(t)
+        S = self._matrices.get(t)
         if S is None:
-            S = matrices[t] = self._exponential(t)
-            S.flags.writeable = False   # shared by every evaluator of P
+            S = self._matrices[t] = self._exponential(t)
+            S.flags.writeable = False   # handed to every caller
         if not shifted:
             S = math.exp(self.alpha * t) * S
         return S
@@ -206,15 +141,17 @@ class SemigroupEvaluator:
         return float(col.max())
 
     def norm_2_to_2(self, t, shifted=True):
-        lam = self._propagator().lambda_min()
-        if lam is None:
+        if self.symmetry_residual > SYMMETRY_TOL:
             S = self.matrix(t, shifted=shifted)
             root = np.sqrt(self.mass)
             return float(np.linalg.norm(root[:, None] * S / root[None, :], 2))
         if t < 0:
             raise ValueError("negative time")
+        if self._lambda_min is None:     # of the symmetrized W
+            W = self._weighted()
+            self._lambda_min = float(np.linalg.eigvalsh(0.5 * (W + W.T))[0])
         t = float(t)
-        value = math.exp(-t * lam)
+        value = math.exp(-t * self._lambda_min)
         if not shifted:
             value *= math.exp(self.alpha * t)
         return value
@@ -232,6 +169,15 @@ class SemigroupEvaluator:
 
 def build_evaluator(system, adjoint=False):
     return SemigroupEvaluator(system, adjoint=adjoint)
+
+
+def reuse(evaluator, candidate):
+    """``evaluator`` when ``candidate`` has a bitwise-equal form and mass,
+    so both would compute the same matrices, else ``candidate``."""
+    if (np.array_equal(candidate.form, evaluator.form)
+            and np.array_equal(candidate.mass, evaluator.mass)):
+        return evaluator
+    return candidate
 
 
 def geometric_times(t_max=1.0, ratio=2 ** -0.5, count=24):

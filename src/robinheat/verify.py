@@ -83,8 +83,7 @@ class NashReport(Report):
     seed: int
 
 
-def check_nash(mesh, system, samples=200, seed=2024,
-               allow_low_dimension=False):
+def check_nash(system, samples=200, seed=2024):
     """Sample the interpolation inequality
 
         |u|_L2^(2+4/d) <= C |u|_L1^(4/d) |u|_H1^2
@@ -95,14 +94,11 @@ def check_nash(mesh, system, samples=200, seed=2024,
     constant function and its failure recorded, not counted as a check
     failure.
 
-    The estimate is used for d > 2; lower dimensions run only with
-    ``allow_low_dimension`` and are labeled out-of-hypothesis.
+    The estimate is used for d > 2; lower dimensions are sampled all the
+    same and labeled out-of-hypothesis.
     """
+    mesh = system.mesh
     d = mesh.dim
-    if d <= 2 and not allow_low_dimension:
-        raise ValueError(
-            f"the sampled inequality backs the d > 2 smoothing argument; "
-            f"got dim {d} (pass allow_low_dimension=True to probe anyway)")
     rng = np.random.default_rng(seed)
     vectors = [np.ones(mesh.n_vertices)]
     vectors += _tensor_cosine_modes(mesh, 10)

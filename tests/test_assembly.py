@@ -89,8 +89,6 @@ def test_interval_full_system_oracle(interval4_robin_system):
     form_a = K.copy()
     form_a[0, 0] -= 0.1
     form_a[4, 4] -= 0.1
-    assert np.abs(system.FormA - form_a).max() <= ENTRY_TOL
-
     form_shifted = form_a + 2.0 * np.diag(mass)
     assert np.abs(system.FormAtilde - form_shifted).max() <= ENTRY_TOL
     # spot values: 8.15 at the absorbing ends, 16.5 inside
@@ -142,7 +140,6 @@ def test_adjoint_form_is_transpose(cube2):
     spec = BoundaryOperatorSpec.multiplication(cube2, -0.02)
     system = assemble_system(cube2, field, spec)
     assert np.abs(system.FormAtilde_adj - system.FormAtilde.T).max() <= 1e-13
-    assert np.abs(system.FormA_adj - system.FormA.T).max() <= 1e-13
 
 
 def test_kernel_adjoint_form_is_transpose(cube2):
@@ -276,8 +273,7 @@ def test_with_boundary_matches_assemble_system(cube2, sheared):
         for name in ("K", "K_adj", "K_id", "mass", "boundary_weights", "H1",
                      "_pattern", "trace_norm_sq"):
             assert getattr(derived, name) is getattr(system, name), name
-        for name in ("Bw", "FormA", "FormAtilde", "FormA_adj",
-                     "FormAtilde_adj"):
+        for name in ("Bw", "FormAtilde", "FormAtilde_adj"):
             assert np.array_equal(getattr(derived, name),
                                   getattr(direct, name)), name
         assert derived.spec is spec

@@ -6,16 +6,19 @@ rewritten CSV and manifest, which is the contract the compare command
 relies on.
 """
 
+import gc
 import io
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import robinheat
+from robinheat import SemigroupEvaluator
 from robinheat.cli import (
     ScenarioError,
     compare_manifests,
@@ -394,6 +397,58 @@ def test_comparison_systems_are_derived_not_assembled(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert "positivity: passed" in stream.getvalue()
     assert "domination: passed" in stream.getvalue()
+
+
+CUBE2_SCENARIO = CUBE_SCENARIO.replace("divisions = 4", "divisions = 2")
+
+
+@pytest.mark.parametrize("checks, grid", [
+    ("ultracontractivity", "\n[time_grid]\ncount = 3\n"),
+    ("positivity, domination", ""),
+], ids=["refused-fit", "comparisons"])
+def test_evaluators_die_with_their_run(tmp_path, monkeypatch, checks, grid):
+    """No evaluator outlives run_scenario, even with the cycle collector
+    off: a refused fit keeps no traceback holding the run."""
+    from robinheat import cli
+
+    alive = []
+
+    def recorded(*args, **kwargs):
+        evaluator = robinheat.build_evaluator(*args, **kwargs)
+        alive.append(weakref.ref(evaluator))
+        return evaluator
+
+    monkeypatch.setattr(cli, "build_evaluator", recorded)
+    text = CUBE2_SCENARIO.replace("checks = ultracontractivity, nash",
+                                  f"checks = {checks}") + grid
+    path = write_scenario(tmp_path, text)
+    gc.disable()
+    try:
+        run_scenario(path, output_dir=tmp_path / "o", stream=io.StringIO())
+        assert alive
+        assert all(ref() is None for ref in alive)
+    finally:
+        gc.enable()
+
+
+def test_one_evaluator_makes_every_exponential(tmp_path, monkeypatch):
+    """On a self-adjoint form whose comparison systems coincide with it,
+    the adjoint, positivity and domination evaluators are the primal
+    one, so a single evaluator computes every exponential."""
+    makers = set()
+    exponential = SemigroupEvaluator._exponential
+
+    def recorded(self, t):
+        makers.add(id(self))
+        return exponential(self, t)
+
+    monkeypatch.setattr(SemigroupEvaluator, "_exponential", recorded)
+    text = CUBE2_SCENARIO.replace(
+        "checks = ultracontractivity, nash",
+        "checks = accretivity, positivity, domination, ultracontractivity")
+    path = write_scenario(tmp_path, text)
+    run_scenario(path, output_dir=tmp_path / "o", stream=io.StringIO())
+    assert len(makers) == 1
 
 
 def clean_env(**variables):

@@ -4,12 +4,11 @@ The exponential itself is checked on systems small enough to integrate by
 hand: a diagonal generator (entrywise scalar decay) and an upper
 triangular 2 x 2 generator whose off-diagonal entry has the explicit
 divided-difference form.  Mixed norms are cross-checked by brute force
-over random inputs and by constructing the maximizers.  Shared
-propagators are checked against unshared exponentials bit for bit, and
+over random inputs and by constructing the maximizers.  Reused
+evaluators are checked against unshared exponentials bit for bit, and
 the spectral 2->2 norm against the SVD.
 """
 
-import gc
 import math
 from types import SimpleNamespace
 
@@ -28,6 +27,7 @@ from robinheat import (
     build_boundary_operator,
     build_evaluator,
     geometric_times,
+    reuse,
     semigroup_law_defect,
 )
 from robinheat import semigroup
@@ -252,12 +252,13 @@ def test_geometric_times_shape():
 
 # -- dense limit ---------------------------------------------------------
 
-def test_dense_limit_refusal(interval4_robin_system):
+def test_dense_limit_refusal(interval4_robin_system, monkeypatch):
+    monkeypatch.setattr(semigroup, "DENSE_LIMIT", 3)
     with pytest.raises(RuntimeError, match="dense exponential limit"):
-        SemigroupEvaluator(interval4_robin_system, dense_limit=3)
+        SemigroupEvaluator(interval4_robin_system)
 
 
-# -- shared propagators and the spectral 2->2 norm ----------------------
+# -- reused evaluators and the spectral 2->2 norm -----------------------
 
 def svd_norm_2_to_2(ev, t, shifted=True):
     """Oracle: largest singular value of the mass-weighted S(t)."""
@@ -295,9 +296,8 @@ def selfadjoint_systems(draw):
 @given(selfadjoint_systems(), st.sampled_from((0.01, 0.1, 0.5)))
 def test_selfadjoint_evaluators_share_one_propagator(system, t):
     primal = build_evaluator(system)
-    adjoint = build_evaluator(system, adjoint=True)
+    assert reuse(primal, build_evaluator(system, adjoint=True)) is primal
     S = primal.matrix(t)
-    assert S is adjoint.matrix(t)
     assert not S.flags.writeable
     assert np.array_equal(S, SemigroupEvaluator(system)._exponential(t))
     assert primal.symmetry_residual <= semigroup.SYMMETRY_TOL
@@ -325,7 +325,7 @@ def test_nonsymmetric_generators_keep_svd_path(kind, monkeypatch):
     primal = build_evaluator(system)
     adjoint = build_evaluator(system, adjoint=True)
     t = 0.1
-    assert primal.matrix(t) is not adjoint.matrix(t)
+    assert reuse(primal, adjoint) is adjoint
     assert primal.symmetry_residual > semigroup.SYMMETRY_TOL
     expected = svd_norm_2_to_2(primal, t)
 
@@ -352,12 +352,7 @@ def test_norm_1_to_2_satisfies_weighted_adjoint_identity():
                             rtol=1e-10, atol=0)
 
 
-@pytest.mark.parametrize("collide", [False, True],
-                         ids=["digest", "digest-collision"])
-def test_sharing_requires_bitwise_equal_generators(interval4_robin_system,
-                                                   monkeypatch, collide):
-    if collide:
-        monkeypatch.setattr(semigroup, "_digest", lambda *arrays: "same")
+def test_sharing_requires_bitwise_equal_generators(interval4_robin_system):
     system = interval4_robin_system
     form = system.FormAtilde.copy()
     form[-1, -1] = np.nextafter(form[-1, -1], np.inf)
@@ -365,8 +360,9 @@ def test_sharing_requires_bitwise_equal_generators(interval4_robin_system,
         FormAtilde=form, FormAtilde_adj=system.FormAtilde_adj,
         mass=system.mass, alpha=system.alpha, n=system.n)
     ev = build_evaluator(system)
-    assert ev.matrix(0.1) is build_evaluator(system).matrix(0.1)
-    assert ev.matrix(0.1) is not build_evaluator(nudged).matrix(0.1)
+    assert reuse(ev, build_evaluator(system)) is ev
+    candidate = build_evaluator(nudged)
+    assert reuse(ev, candidate) is candidate
 
 
 def test_building_an_evaluator_is_lazy(cube2_neumann_system, monkeypatch):
@@ -374,21 +370,7 @@ def test_building_an_evaluator_is_lazy(cube2_neumann_system, monkeypatch):
         raise AssertionError("eager work while building an evaluator")
 
     for owner, name in ((scipy.linalg, "expm"), (scipy.linalg, "eigh"),
-                        (np.linalg, "eigvalsh"), (np.linalg, "eigh"),
-                        (semigroup, "_digest")):
+                        (np.linalg, "eigvalsh"), (np.linalg, "eigh")):
         monkeypatch.setattr(owner, name, refuse)
-    before = len(semigroup._PROPAGATORS)
     build_evaluator(cube2_neumann_system)
     SemigroupEvaluator(cube2_neumann_system, adjoint=True)
-    assert len(semigroup._PROPAGATORS) == before
-
-
-def test_propagators_die_with_their_evaluators(cube2_neumann_system):
-    primal = build_evaluator(cube2_neumann_system)
-    adjoint = build_evaluator(cube2_neumann_system, adjoint=True)
-    primal.matrix(0.2)
-    adjoint.norm_2_to_2(0.2)
-    assert len(semigroup._PROPAGATORS) >= 1
-    del primal, adjoint
-    gc.collect()
-    assert len(semigroup._PROPAGATORS) == 0

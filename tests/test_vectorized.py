@@ -5,8 +5,8 @@ replaced: boxes split one at a time, facets counted in a dictionary,
 cell matrices added with ``np.ix_`` and the boundary coupling lifted with
 the 0/1 trace matrix.  The vectorized code promises the same bits, not
 merely close values, because roundoff-level outputs (semigroup law
-defect, eventual positivity delta, domination violation) and the sharing
-of propagators between bitwise-equal generators depend on them.  So every
+defect, eventual positivity delta, domination violation) and the reuse
+of one evaluator for bitwise-equal forms depend on them.  So every
 array is compared through ``tobytes()``.
 
 The structural shortcuts (diagonal operator norm, spectral accretivity
@@ -205,9 +205,7 @@ def loop_system(mesh, field, spec, alpha):
     return {
         "K": K,
         "K_id": K_id,
-        "FormA": FormA,
         "FormAtilde": FormA + alpha * Mdiag,
-        "FormA_adj": FormA_adj,
         "FormAtilde_adj": FormA_adj + alpha * Mdiag,
         "H1": K_id + Mdiag,
         "trace_form": Gamma.T @ (w[:, None] * Gamma),
@@ -326,8 +324,7 @@ def test_vectorized_mesh_and_assembly_match_cell_loops_bitwise(data):
     assert same_bits(system.mass, loop_lumped_mass(mesh))
     assert same_bits(assemble_consistent_mass(mesh),
                      loop_consistent_mass(mesh))
-    for name in ("K", "K_id", "FormA", "FormAtilde", "FormA_adj",
-                 "FormAtilde_adj", "H1"):
+    for name in ("K", "K_id", "FormAtilde", "FormAtilde_adj", "H1"):
         assert same_bits(getattr(system, name), expected[name]), name
     assert same_bits(system.with_boundary(spec.dominating()).FormAtilde,
                      expected["dominating_form"])

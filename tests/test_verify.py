@@ -45,8 +45,8 @@ from robinheat.verify import MIN_FIT_POINTS
 
 # -- Nash sampling -------------------------------------------------------
 
-def test_nash_constant_attains_unit_ratio(cube2, cube2_neumann_system):
-    report = check_nash(cube2, cube2_neumann_system, samples=200, seed=2024)
+def test_nash_constant_attains_unit_ratio(cube2_neumann_system):
+    report = check_nash(cube2_neumann_system, samples=200, seed=2024)
     assert report.status == "passed"
     # the constant function gives L2^2 = L1 = H1^2 = volume, ratio one,
     # and no sampled vector exceeds it
@@ -56,11 +56,8 @@ def test_nash_constant_attains_unit_ratio(cube2, cube2_neumann_system):
     assert report.gradient_only_violation
 
 
-def test_nash_low_dimension_gate(interval4, interval4_robin_system):
-    with pytest.raises(ValueError, match="allow_low_dimension"):
-        check_nash(interval4, interval4_robin_system)
-    report = check_nash(interval4, interval4_robin_system, samples=50,
-                        seed=2024, allow_low_dimension=True)
+def test_nash_low_dimension_gate(interval4_robin_system):
+    report = check_nash(interval4_robin_system, samples=50, seed=2024)
     assert report.status == "out-of-hypothesis"
 
 
@@ -271,7 +268,7 @@ def test_energy_dissipation(interval4_robin_system):
 
 
 def test_smoothing_decay(cube2, cube2_neumann_system):
-    nash = check_nash(cube2, cube2_neumann_system, samples=100, seed=2024)
+    nash = check_nash(cube2_neumann_system, samples=100, seed=2024)
     adjoint = build_evaluator(cube2_neumann_system, adjoint=True)
     window = [t for t in geometric_times(count=12)
               if t >= cube2.min_edge_length ** 2]
@@ -323,7 +320,7 @@ def test_writers_send_the_same_text_to_a_path_and_a_stream(
     ev = build_evaluator(system)
     writers = {
         "mesh": lambda target: dump_mesh(square11, target),
-        "coo": lambda target: export_coordinate_format(system.FormA, target),
+        "coo": lambda target: export_coordinate_format(system.FormAtilde, target),
         "document": lambda target: write_document({"a": 1.5, "b": True},
                                                   target),
         "norms": lambda target: write_norms_csv(ev, [0.25, 0.5], target),
