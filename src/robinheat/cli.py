@@ -186,8 +186,10 @@ class _Run:
     """One scenario run: what every check runner reads (the scenario, the
     assembled system, its primal and adjoint evaluators, the time grid and
     the squared shortest edge, the smallest time the mesh resolves) and
-    what the runs record.  The adjoint and comparison evaluators are the
-    primal one when ``reuse`` finds their form and mass bitwise equal."""
+    what the runs record.  Every evaluator is built with the grid, so it
+    squares its way along the grid's doublings; the adjoint and comparison
+    evaluators are the primal one when ``reuse`` finds their form and mass
+    bitwise equal."""
 
     def __init__(self, scenario, system, grid):
         self.scenario = scenario
@@ -195,9 +197,9 @@ class _Run:
         self.system = system
         self.grid = grid
         self.resolved = system.mesh.min_edge_length ** 2
-        self.evaluator = build_evaluator(system)
+        self.evaluator = build_evaluator(system, grid=grid)
         self.adjoint = reuse(self.evaluator,
-                             build_evaluator(system, adjoint=True))
+                             build_evaluator(system, adjoint=True, grid=grid))
         self.fits = None
         self.summary = []
         self.manifest = {}
@@ -385,13 +387,15 @@ def _run_contractivity(run):
 def _run_positivity(run):
     comparison = run.system.with_boundary(run.system.spec.shifted_bar(-1))
     report = verify.check_positivity(
-        reuse(run.evaluator, build_evaluator(comparison)), run.grid)
+        reuse(run.evaluator, build_evaluator(comparison, grid=run.grid)),
+        run.grid)
     return report.status, report.as_dict()
 
 
 def _run_domination(run):
     comparison = run.system.with_boundary(run.system.spec.dominating())
-    bar_evaluator = reuse(run.evaluator, build_evaluator(comparison))
+    bar_evaluator = reuse(run.evaluator,
+                          build_evaluator(comparison, grid=run.grid))
     report = verify.check_domination(
         run.evaluator, bar_evaluator, run.grid,
         samples=min(run.scenario.samples, 50), seed=run.seed)
@@ -413,7 +417,7 @@ def _run_ultracontractivity(run):
 
 
 def _run_eventual_positivity(run):
-    times = np.concatenate([run.grid, EXTRA_POSITIVITY_TIMES])
+    times = np.union1d(run.grid, EXTRA_POSITIVITY_TIMES)
     report = verify.check_eventual_positivity(
         run.evaluator, run.system.spec, times,
         samples=min(run.scenario.samples, 20), seed=run.seed)

@@ -12,12 +12,35 @@ unshifted evolution.
 
 Sharing.  Each evaluator owns its read-only matrix per time, its
 symmetry residual and its lambda_min.  ``reuse(evaluator, candidate)``
-returns ``evaluator`` when the candidate's form and mass are
+returns ``evaluator`` when the candidate's form, mass and grid are
 ``np.array_equal`` to its own, so whoever builds the primal and adjoint
 evaluators of a self-adjoint form, or those of an original and a
 comparison system whose boundary operators coincide, detects that they
 can share and never assumes it.  A form one bit away keeps its own
 evaluator, and a reused one gives the bits the candidate would give.
+
+Doubling chain.  An evaluator built with the run's time grid maps each
+grid time t_k to the earliest grid time t_j with
+|t_k - 2 t_j| <= 4 eps t_k (eps the float64 machine epsilon) and
+computes S(t_k) = S(t_j) @ S(t_j) instead of a fresh ``expm``: on the
+default ratio 2^-1/2, t_{k+2} = 2 t_k, so two exponentials and squarings
+cover the grid.  This is scaling and squaring (Higham, SIAM J. Matrix
+Anal. Appl. 26(4), 2005) run across grid points instead of inside each
+one.  Floats rarely double exactly (5 of the 22 pairs of the default
+grid do; the rest differ in the last bit), so pairs are detected with
+the tolerance and never assumed; a grid with no pairs, such as ratio
+0.6, keeps one ``expm`` per time.  ``matrix`` resolves a time's half
+before the time itself, so each grid matrix's bits depend only on the
+generator and the grid, never on the order in which callers ask.
+Error: S(t_k) becomes the 2^m-th power of an exponential at t_k / 2^m,
+the same scaling and squaring a single ``expm`` at t_k performs with
+about as many squarings.  For an accretive form the factors are
+contractions in the weighted 2-norm, so each squaring at most doubles
+the factor's error and adds one product's rounding, as ``expm``'s own
+squarings do; and the tolerated time mismatch moves S(t_k) by at most
+4 eps t_k |P S(t)|.  ``exponential(t)`` is the uncached single-``expm``
+route; ``semigroup_law_defect`` and the energy check use it, so neither
+tests a law the chain satisfies by construction.
 
 The 2->2 norm.  For the generator P = M^{-1} FormAtilde, the weighted
 generator W = M^{1/2} P M^{-1/2} equals M^{-1/2} FormAtilde M^{-1/2}.
@@ -57,9 +80,13 @@ class SemigroupEvaluator:
     adjoint : bool
         Use the adjoint form matrix; together with the mass weights this
         realizes the adjoint semigroup on the same mesh.
+    grid : sequence of float
+        The times the caller will ask for; ``matrix`` builds each grid
+        time that is twice another by squaring (see the module
+        docstring).  Empty by default: one ``expm`` per time.
     """
 
-    def __init__(self, system, adjoint=False):
+    def __init__(self, system, adjoint=False, grid=()):
         if system.n > DENSE_LIMIT:
             raise RuntimeError(
                 f"system has {system.n} unknowns, above the dense "
@@ -70,6 +97,8 @@ class SemigroupEvaluator:
         self.alpha = system.alpha
         self.form = system.FormAtilde_adj if adjoint else system.FormAtilde
         self.generator = self.form / self.mass[:, None]
+        self.grid = np.asarray(grid, dtype=float)
+        self._halves = _halves(self.grid)
         self._matrices = {}
         self._residual = None
         self._lambda_min = None
@@ -91,19 +120,35 @@ class SemigroupEvaluator:
 
     # -- exponentials --------------------------------------------------
     def matrix(self, t, shifted=True):
-        """Dense matrix of the semigroup at time t >= 0."""
+        """Dense matrix of the semigroup at time t >= 0, cached per time; a
+        grid time with a half on the grid is the square of the half's."""
         if t < 0:
             raise ValueError("negative time")
         t = float(t)
         S = self._matrices.get(t)
         if S is None:
-            S = self._matrices[t] = self._exponential(t)
-            S.flags.writeable = False   # handed to every caller
+            # walk down to a time whose half is cached or that has none,
+            # then build back up, so the bits never depend on call order
+            pending = [t]
+            while (pending[-1] in self._halves
+                   and self._halves[pending[-1]] not in self._matrices):
+                pending.append(self._halves[pending[-1]])
+            for time in reversed(pending):
+                half = self._halves.get(time)
+                if half is None:
+                    S = self.exponential(time)
+                else:
+                    S = self._matrices[half] @ self._matrices[half]
+                S.flags.writeable = False   # handed to every caller
+                self._matrices[time] = S
         if not shifted:
             S = math.exp(self.alpha * t) * S
         return S
 
-    def _exponential(self, t):
+    def exponential(self, t):
+        """Shifted semigroup matrix at time t >= 0 from one dense scaling
+        and squaring ``expm``, uncached: the route the checks use as an
+        oracle independent of the doubling chain."""
         if t == 0.0:
             return np.eye(len(self.mass))
         scaled = -t * self.generator
@@ -167,17 +212,27 @@ class SemigroupEvaluator:
         return float(np.linalg.norm(root[:, None] * R / root[None, :], 2))
 
 
-def build_evaluator(system, adjoint=False):
-    return SemigroupEvaluator(system, adjoint=adjoint)
+def build_evaluator(system, adjoint=False, grid=()):
+    return SemigroupEvaluator(system, adjoint=adjoint, grid=grid)
 
 
 def reuse(evaluator, candidate):
-    """``evaluator`` when ``candidate`` has a bitwise-equal form and mass,
-    so both would compute the same matrices, else ``candidate``."""
+    """``evaluator`` when ``candidate`` has a bitwise-equal form, mass and
+    grid, so both would compute the same matrices, else ``candidate``."""
     if (np.array_equal(candidate.form, evaluator.form)
-            and np.array_equal(candidate.mass, evaluator.mass)):
+            and np.array_equal(candidate.mass, evaluator.mass)
+            and np.array_equal(candidate.grid, evaluator.grid)):
         return evaluator
     return candidate
+
+
+def _halves(grid):
+    """Map each positive grid time to the earliest grid time that is its
+    half within 4 eps relative (see the module docstring)."""
+    close = (np.abs(grid[:, None] - 2.0 * grid[None, :])
+             <= 4.0 * np.finfo(float).eps * grid[:, None])
+    return {float(t): float(grid[row.argmax()])
+            for t, row in zip(grid, close) if t > 0 and row.any()}
 
 
 def geometric_times(t_max=1.0, ratio=2 ** -0.5, count=24):
@@ -190,13 +245,14 @@ def geometric_times(t_max=1.0, ratio=2 ** -0.5, count=24):
 
 
 def semigroup_law_defect(evaluator, t, s):
-    """Relative weighted-L2 defect of S(t+s) - S(t) S(s)."""
+    """Relative weighted-L2 defect of S(t+s) - S(t) S(s), each factor from
+    its own ``expm`` (``exponential``), never from the doubling chain."""
     root = np.sqrt(evaluator.mass)
 
     def weighted(S):
         return root[:, None] * S / root[None, :]
 
-    combined = evaluator.matrix(t + s)
-    product = evaluator.matrix(t) @ evaluator.matrix(s)
+    combined = evaluator.exponential(t + s)
+    product = evaluator.exponential(t) @ evaluator.exponential(s)
     return float(np.linalg.norm(weighted(combined - product), 2)
                  / np.linalg.norm(weighted(combined), 2))

@@ -436,19 +436,71 @@ def test_one_evaluator_makes_every_exponential(tmp_path, monkeypatch):
     the adjoint, positivity and domination evaluators are the primal
     one, so a single evaluator computes every exponential."""
     makers = set()
-    exponential = SemigroupEvaluator._exponential
+    exponential = SemigroupEvaluator.exponential
 
     def recorded(self, t):
         makers.add(id(self))
         return exponential(self, t)
 
-    monkeypatch.setattr(SemigroupEvaluator, "_exponential", recorded)
+    monkeypatch.setattr(SemigroupEvaluator, "exponential", recorded)
     text = CUBE2_SCENARIO.replace(
         "checks = ultracontractivity, nash",
         "checks = accretivity, positivity, domination, ultracontractivity")
     path = write_scenario(tmp_path, text)
     run_scenario(path, output_dir=tmp_path / "o", stream=io.StringIO())
     assert len(makers) == 1
+
+
+@pytest.mark.parametrize("operator, expected", [
+    ("kind = zero", 2),
+    ("kind = kernel\nprofile = cosine\nscale = 0.005", 4),
+], ids=["self-adjoint", "cosine-kernel"])
+def test_ultracontractivity_takes_two_exponentials_per_evaluator(
+        tmp_path, monkeypatch, operator, expected):
+    """The default grid doubles every second time, so each evaluator
+    exponentiates its two smallest times and squares the rest; a
+    non-self-adjoint form has a primal and an adjoint evaluator."""
+    import scipy.linalg
+
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(A):
+        calls.append(A.shape)
+        return expm(A)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    text = CUBE2_SCENARIO.replace("checks = ultracontractivity, nash",
+                                  "checks = ultracontractivity")
+    text = text.replace("value = 1.0", "value = 2.0")
+    path = write_scenario(tmp_path, text.replace("kind = zero", operator))
+    stream = io.StringIO()
+    run_scenario(path, output_dir=tmp_path / "o", stream=stream)
+    assert "ultracontractivity: hypothesis unmet" not in stream.getvalue()
+    assert len(calls) == expected
+
+
+def eventual_positivity_times(tmp_path, t_max):
+    text = CUBE2_SCENARIO.replace("checks = ultracontractivity, nash",
+                                  "checks = eventual_positivity")
+    text += f"\n[time_grid]\nt_max = {t_max}\n"
+    path = write_scenario(tmp_path, text, f"t{t_max}.ini")
+    out = tmp_path / f"t{t_max}"
+    run_scenario(path, output_dir=out, stream=io.StringIO())
+    for line in (out / "eventual_positivity.txt").read_text().splitlines():
+        key, _, value = line.partition(": ")
+        if key == "times":
+            return [float(x) for x in value.split(",")]
+    raise AssertionError("no times in the eventual positivity report")
+
+
+def test_eventual_positivity_scans_sorted_distinct_times(tmp_path):
+    """The extra long times merge into the grid in order, once each,
+    whatever t_max is."""
+    times = eventual_positivity_times(tmp_path, 30)
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert times[-2:] == [30.0, 50.0]
+    assert eventual_positivity_times(tmp_path, 10).count(10.0) == 1
 
 
 def clean_env(**variables):

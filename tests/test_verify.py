@@ -37,6 +37,7 @@ from robinheat import (
     export_coordinate_format,
     fit_ultracontractivity,
     geometric_times,
+    semigroup_law_defect,
     write_document,
     write_norms_csv,
 )
@@ -265,6 +266,80 @@ def test_energy_dissipation(interval4_robin_system):
     report = check_energy_dissipation(adjoint, times, samples=10, seed=2024)
     assert report.status == "passed"
     assert report.max_excess <= 1e-6 * report.scale
+
+
+def sample_outer_energy(adjoint_evaluator, times, samples, seed):
+    """Reference for check_energy_dissipation: the loop over samples, each
+    through every time by ``apply``, as (max_excess, scale)."""
+    system = adjoint_evaluator.system
+    rng = np.random.default_rng(seed)
+    worst = -math.inf
+    scale = 0.0
+    for _ in range(samples):
+        u = rng.standard_normal(system.n)
+        scale = max(scale, system.l2_norm(u) ** 2)
+        for t in times:
+            step = 1e-3 * t
+            vm = adjoint_evaluator.apply(t - step, u)
+            vp = adjoint_evaluator.apply(t + step, u)
+            v = adjoint_evaluator.apply(t, u)
+            derivative = (system.l2_norm(vp) ** 2
+                          - system.l2_norm(vm) ** 2) / (2 * step)
+            worst = max(worst, derivative + 2.0 * system.h1_norm(v) ** 2)
+    return worst, scale
+
+
+def cube2_kernel_system(cube2):
+    """A non-self-adjoint form: cosine kernel on the 2x2x2 cube."""
+    spec = build_boundary_operator(
+        cube2, {"kind": "kernel", "profile": "cosine", "scale": 0.05})
+    return assemble_system(cube2, CoefficientField.isotropic(cube2, 2.0),
+                           spec)
+
+
+@pytest.mark.parametrize("kind", ["interval", "cube-kernel"])
+def test_energy_report_matches_the_sample_outer_loop(
+        kind, interval4_robin_system, cube2):
+    system = (interval4_robin_system if kind == "interval"
+              else cube2_kernel_system(cube2))
+    grid = geometric_times()
+    times = grid[-8:-3]
+    chained = build_evaluator(system, adjoint=True, grid=grid)
+    report = check_energy_dissipation(chained, times, samples=7, seed=11)
+    worst, scale = sample_outer_energy(
+        build_evaluator(system, adjoint=True), times, samples=7, seed=11)
+    assert report.max_excess == worst
+    assert report.scale == scale
+
+
+def test_oracle_routes_ignore_the_evaluators_matrices(cube2):
+    """The semigroup law and the energy check take every matrix from
+    ``exponential``: garbage in the evaluator's cached matrices, at every
+    time either could ask for, changes none of their bits."""
+    system = cube2_kernel_system(cube2)
+    grid = geometric_times()
+    energy_times = grid[-6:-1]
+    law_pairs = ((0.25, 0.375), (1 / 3, 2 / 3))
+    ev = build_evaluator(system, grid=grid)
+
+    def outputs():
+        law = [semigroup_law_defect(ev, t, s) for t, s in law_pairs]
+        energy = check_energy_dissipation(ev, energy_times, samples=5,
+                                          seed=3)
+        return law, energy.max_excess, energy.scale
+
+    expected = outputs()
+    asked = list(grid) + [x for pair in law_pairs for x in pair]
+    asked += [t + s for t, s in law_pairs]
+    asked += [t + sign * (1e-3 * t) for t in energy_times
+              for sign in (-1, 1)]
+    rng = np.random.default_rng(0)
+    for t in asked:
+        S = ev.matrix(t)
+        S.flags.writeable = True
+        S[...] = rng.standard_normal(S.shape)
+    assert ev.matrix(grid[-1]).max() > 1.0      # the cache holds garbage
+    assert outputs() == expected
 
 
 def test_smoothing_decay(cube2, cube2_neumann_system):
