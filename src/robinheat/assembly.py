@@ -70,6 +70,10 @@ __all__ = [
 # 7.1 ms at 301 in 1-D, one thread).
 LANCZOS_MIN_SIZE = 300
 
+# Most unknowns an AssembledSystem admits: it holds several dense n x n
+# arrays (288 MB each at this size), so it refuses before allocating one.
+DENSE_LIMIT = 6000
+
 
 def _barycentric_gradients(points):
     """Gradients of the d+1 hat functions per simplex, (m, d+1, d)."""
@@ -210,6 +214,9 @@ class AssembledSystem:
     """
 
     def __init__(self, mesh, field, spec, alpha):
+        if mesh.n_vertices > DENSE_LIMIT:
+            raise RuntimeError(f"mesh has {mesh.n_vertices} unknowns, above "
+                               f"the dense limit {DENSE_LIMIT}")
         self.mesh = mesh
         self.field = field
         self.alpha = float(alpha)

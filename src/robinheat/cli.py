@@ -11,8 +11,9 @@ and manifest files.
 Exit status: 0 when every requested check passed or was hypothesis
 gated, 1 when a conclusion failed under satisfied hypotheses, 2 for
 unusable input (parse errors, non-finite numbers, a negative seed or no
-samples, missing files, schema mismatch, and domains, coefficients,
-boundary operators or time grids the builders reject).
+samples, missing files, schema mismatch, domains, coefficients,
+boundary operators or time grids the builders reject, an assembly that
+refuses or fails, and an alpha t beyond the range of exp).
 """
 
 import argparse
@@ -136,8 +137,9 @@ def _parse_value(section, key, value):
         parts = [p for chunk in value.split("/") for p in chunk.split(",")]
         return [_finite(p) for p in parts if p.strip()]
     if (section, key) == ("domain", "divisions"):
-        parts = [p for p in value.split(",") if p.strip()]
-        numbers = [int(p) for p in parts]
+        numbers = [int(p) for p in value.split(",") if p.strip()]
+        if not numbers:
+            raise ValueError("no divisions given")
         return numbers[0] if len(numbers) == 1 else numbers
     return value
 
@@ -267,12 +269,19 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
         grid = geometric_times(scenario.time_grid["t_max"],
                                scenario.time_grid["ratio"],
                                scenario.time_grid["count"])
+        system = assemble_system(mesh, field, spec)
     except KeyError as exc:
         raise ScenarioError(None, f"missing key {exc.args[0]!r}") from exc
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         raise ScenarioError(None, str(exc)) from exc
-    run = _Run(scenario, assemble_system(mesh, field, spec), grid)
-    system = run.system
+    run = _Run(scenario, system, grid)
+    horizon = (max(grid[-1], EXTRA_POSITIVITY_TIMES[-1])
+               if run.runs("eventual_positivity") else grid[-1])
+    limit = math.log(sys.float_info.max)
+    if system.alpha * horizon > limit:
+        raise ScenarioError(None, f"alpha {_fmt(system.alpha)} times the "
+                            f"longest time {_fmt(horizon)} exceeds "
+                            f"{_fmt(limit)}, where exp(alpha t) overflows")
     admissibility = system.admissibility
     run.note(f"scenario: {path.name}")
     run.note(f"mesh: dim {mesh.dim}, {mesh.n_vertices} vertices, "

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-class MeshError(Exception):
+class MeshError(ValueError):
     """Raised for invalid mesh topology or geometry."""
 
 

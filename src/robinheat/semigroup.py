@@ -5,10 +5,10 @@ scaling and squaring and reports the mixed operator norms used by the
 smoothing estimates.  All norms refer to the lumped measures: L2 and L1
 carry the mass weights, the sup norm is the plain max over vertices.
 
-By default every quantity refers to the shifted contraction semigroup
-exp(-t M^{-1} FormAtilde).  Passing ``shifted=False`` multiplies by
-exp(alpha t) and so returns the corresponding quantity for the original,
-unshifted evolution.
+Every quantity refers to the shifted contraction semigroup
+exp(-t M^{-1} FormAtilde).  The original evolution is exp(alpha t) times
+it (Ouhabaz, Analysis of Heat Equations on Domains, 2005); the checks
+that report it apply that scalar, so an evaluator is its form, mass and grid.
 
 Sharing.  Each evaluator owns its read-only matrix per time, its
 symmetry residual and its lambda_min.  ``reuse(evaluator, candidate)``
@@ -64,8 +64,6 @@ __all__ = [
     "semigroup_law_defect",
 ]
 
-DENSE_LIMIT = 6000
-
 # Largest entrywise asymmetry of the weighted generator, relative to its
 # largest entry, for which the 2->2 norm is taken from the spectrum.
 SYMMETRY_TOL = 1e-12
@@ -87,14 +85,8 @@ class SemigroupEvaluator:
     """
 
     def __init__(self, system, adjoint=False, grid=()):
-        if system.n > DENSE_LIMIT:
-            raise RuntimeError(
-                f"system has {system.n} unknowns, above the dense "
-                f"exponential limit {DENSE_LIMIT}; coarsen the mesh")
         self.system = system
-        self.adjoint = bool(adjoint)
         self.mass = system.mass
-        self.alpha = system.alpha
         self.form = system.FormAtilde_adj if adjoint else system.FormAtilde
         self.generator = self.form / self.mass[:, None]
         self.grid = np.asarray(grid, dtype=float)
@@ -119,7 +111,7 @@ class SemigroupEvaluator:
         return self._residual
 
     # -- exponentials --------------------------------------------------
-    def matrix(self, t, shifted=True):
+    def matrix(self, t):
         """Dense matrix of the semigroup at time t >= 0, cached per time; a
         grid time with a half on the grid is the square of the half's."""
         if t < 0:
@@ -141,8 +133,6 @@ class SemigroupEvaluator:
                     S = self._matrices[half] @ self._matrices[half]
                 S.flags.writeable = False   # handed to every caller
                 self._matrices[time] = S
-        if not shifted:
-            S = math.exp(self.alpha * t) * S
         return S
 
     def exponential(self, t):
@@ -159,35 +149,35 @@ class SemigroupEvaluator:
             S = S @ S
         return S
 
-    def apply(self, t, u, shifted=True):
+    def apply(self, t, u):
         """Semigroup applied to a vertex vector."""
-        return self.matrix(t, shifted=shifted) @ np.asarray(u, dtype=float)
+        return self.matrix(t) @ np.asarray(u, dtype=float)
 
     # -- mixed norms ---------------------------------------------------
-    def norm_2_to_inf(self, t, shifted=True):
+    def norm_2_to_inf(self, t):
         """sup norm of S(t) u over the L2 unit ball."""
-        S = self.matrix(t, shifted=shifted)
+        S = self.matrix(t)
         return float(np.sqrt((S * S / self.mass[None, :]).sum(axis=1)).max())
 
-    def norm_1_to_2(self, t, shifted=True):
+    def norm_1_to_2(self, t):
         """L2 norm of S(t) u over the L1 unit ball (extreme points are the
         scaled vertex indicators)."""
-        S = self.matrix(t, shifted=shifted)
+        S = self.matrix(t)
         col = np.sqrt((self.mass[:, None] * S * S).sum(axis=0)) / self.mass
         return float(col.max())
 
-    def norm_inf_to_inf(self, t, shifted=True):
-        S = self.matrix(t, shifted=shifted)
+    def norm_inf_to_inf(self, t):
+        S = self.matrix(t)
         return float(np.abs(S).sum(axis=1).max())
 
-    def norm_1_to_1(self, t, shifted=True):
-        S = self.matrix(t, shifted=shifted)
+    def norm_1_to_1(self, t):
+        S = self.matrix(t)
         col = (self.mass[:, None] * np.abs(S)).sum(axis=0) / self.mass
         return float(col.max())
 
-    def norm_2_to_2(self, t, shifted=True):
+    def norm_2_to_2(self, t):
         if self.symmetry_residual > SYMMETRY_TOL:
-            S = self.matrix(t, shifted=shifted)
+            S = self.matrix(t)
             root = np.sqrt(self.mass)
             return float(np.linalg.norm(root[:, None] * S / root[None, :], 2))
         if t < 0:
@@ -195,11 +185,7 @@ class SemigroupEvaluator:
         if self._lambda_min is None:     # of the symmetrized W
             W = self._weighted()
             self._lambda_min = float(np.linalg.eigvalsh(0.5 * (W + W.T))[0])
-        t = float(t)
-        value = math.exp(-t * self._lambda_min)
-        if not shifted:
-            value *= math.exp(self.alpha * t)
-        return value
+        return math.exp(-float(t) * self._lambda_min)
 
     # -- resolvent -----------------------------------------------------
     def resolvent_contraction(self, lam):

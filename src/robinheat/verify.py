@@ -313,7 +313,8 @@ class UltracontractivityReport(Report):
 
 
 def fit_ultracontractivity(evaluator, alpha, times, norm="2_to_inf"):
-    """Power-law fit of g(t) = exp(-alpha t) * (2 -> sup norm at t).
+    """Power-law fit of g(t), the 2 -> sup norm of the shifted semigroup
+    at t; the report's norms are the unshifted ones, exp(alpha t) g(t).
 
     The window keeps grid points the mesh can resolve (t at least the
     squared shortest edge) whose local log-log slope is away from zero
@@ -325,14 +326,11 @@ def fit_ultracontractivity(evaluator, alpha, times, norm="2_to_inf"):
     """
     times = np.asarray(times, dtype=float)
     if norm == "2_to_inf":
-        raw = np.array([evaluator.norm_2_to_inf(t, shifted=False)
-                        for t in times])
+        g = np.array([evaluator.norm_2_to_inf(t) for t in times])
     elif norm == "1_to_2":
-        raw = np.array([evaluator.norm_1_to_2(t, shifted=False)
-                        for t in times])
+        g = np.array([evaluator.norm_1_to_2(t) for t in times])
     else:
         raise ValueError(f"unknown norm {norm!r}")
-    g = raw * np.exp(-alpha * times)
     log_t = np.log(times)
     log_g = np.log(g)
     local = np.gradient(log_g, log_t)
@@ -356,7 +354,7 @@ def fit_ultracontractivity(evaluator, alpha, times, norm="2_to_inf"):
         idx = idx[:-1]
     return UltracontractivityReport(
         times=times,
-        norms=raw,
+        norms=g * np.exp(alpha * times),
         alpha=float(alpha),
         fitted_slope=float(slope),
         fitted_C=float(math.exp(intercept)),
@@ -385,9 +383,10 @@ def check_eventual_positivity(evaluator, spec, times, samples=20, seed=2024):
 
     Hypotheses checked discretely before any claim: the weighted boundary
     coupling must have nonnegative symmetric part and annihilate the
-    constant boundary vector.  The scan uses the unshifted semigroup and
-    reports the first grid time from which the worst sample ratio stays
-    positive, with delta the worst ratio from there on.
+    constant boundary vector.  The scan uses the unshifted semigroup,
+    exp(alpha t) times the shifted one, and reports the first grid time
+    from which the worst sample ratio stays positive, with delta the
+    worst ratio from there on.
     """
     times = np.asarray(times, dtype=float)
     weights = evaluator.system.boundary_weights
@@ -411,8 +410,8 @@ def check_eventual_positivity(evaluator, spec, times, samples=20, seed=2024):
         data.append(bump)
     ratios = np.empty(len(times))
     for k, t in enumerate(times):
-        S = evaluator.matrix(t, shifted=False)
-        ratios[k] = min(
+        S = evaluator.matrix(t)
+        ratios[k] = math.exp(evaluator.system.alpha * t) * min(
             float((S @ u).min() / float(mass @ u)) for u in data)
     positive = ratios > 0.0
     start = None
@@ -551,15 +550,13 @@ def write_document(mapping, target):
 
 def write_norms_csv(evaluator, times, target):
     """One row per grid time with the unshifted semigroup's mixed norms
-    and its smallest matrix entry."""
+    and its smallest matrix entry: exp(alpha t) times the shifted ones."""
     lines = ["t,norm_2_to_inf,norm_1_to_2,norm_inf_to_inf,min_entry"]
     for t in times:
-        row = (
-            float(t),
-            evaluator.norm_2_to_inf(t, shifted=False),
-            evaluator.norm_1_to_2(t, shifted=False),
-            evaluator.norm_inf_to_inf(t, shifted=False),
-            float(evaluator.matrix(t, shifted=False).min()),
-        )
+        shift = math.exp(evaluator.system.alpha * t)
+        shifted = (evaluator.norm_2_to_inf(t), evaluator.norm_1_to_2(t),
+                   evaluator.norm_inf_to_inf(t),
+                   float(evaluator.matrix(t).min()))
+        row = (float(t), *(shift * v for v in shifted))
         lines.append(",".join(f"{v:.17g}" for v in row))
     return write_lines(lines, target)

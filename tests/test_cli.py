@@ -6,16 +6,21 @@ rewritten CSV and manifest, which is the contract the compare command
 relies on.
 """
 
+import contextlib
 import gc
 import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import robinheat
 from robinheat import SemigroupEvaluator
@@ -501,6 +506,110 @@ def test_eventual_positivity_scans_sorted_distinct_times(tmp_path):
     assert all(a < b for a, b in zip(times, times[1:]))
     assert times[-2:] == [30.0, 50.0]
     assert eventual_positivity_times(tmp_path, 10).count(10.0) == 1
+
+
+# -- the exit-code contract ---------------------------------------------
+
+CONTRACT_SCENARIO = CUBE2_SCENARIO.replace(
+    "checks = ultracontractivity, nash",
+    "checks = accretivity, positivity, eventual_positivity",
+) + "\n[time_grid]\nt_max = 1.0\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("t_max = 1.0", "t_max = 1000", "longest time 1000 exceeds 709.78"),
+    ("value = 1.0", "value = 20", "alpha 20 times the longest time 50"),
+    ("value = 1.0", "value = 1e300", "exp(alpha t) overflows"),
+    ("extents = 1.0, 1.0, 1.0", "extents = 1e-120, 1e-120, 1e-120",
+     "degenerate"),
+    ("extents = 1.0, 1.0, 1.0", "extents = 1e300, 1, 1", "did not converge"),
+], ids=["long-time", "large-alpha-long-positivity-time", "huge-alpha",
+        "degenerate-cells", "huge-extent"])
+def test_unusable_scale_exits_2(tmp_path, capsys, old, new, message):
+    """Inputs the builders accept but whose run cannot be evaluated in
+    floating point are refused before the first check runs."""
+    assert old in CONTRACT_SCENARIO
+    path = write_scenario(tmp_path, CONTRACT_SCENARIO.replace(old, new))
+    assert main(["run", str(path), "--output-dir",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_large_alpha_runs_when_no_long_time_is_evaluated(tmp_path):
+    text = CONTRACT_SCENARIO.replace("value = 1.0", "value = 20").replace(
+        ", eventual_positivity", "")
+    path = write_scenario(tmp_path, text)
+    assert run_scenario(path, output_dir=tmp_path / "o",
+                        stream=io.StringIO()) == 0
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+# Each shipped scenario shrunk to a mesh that runs in milliseconds.
+SHRUNK = {
+    path.stem: re.sub(r"divisions = \d+", "divisions = "
+                      + ("8" if path.stem == "interval_robin" else "2"),
+                      path.read_text())
+    for path in sorted(SCENARIO_DIR.glob("*.ini"))
+}
+TOKENS = ("0", "-1", "2", "0.5", "nan", "inf", "abc", "", "1e-120", "1e300",
+          "1000")
+# divisions and count stay small so that no example allocates much
+SMALL_TOKENS = tuple(token for token in TOKENS if token != "1000")
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shrunk shipped scenario with one value replaced by a token, one
+    line dropped, or an unknown key added."""
+    lines = SHRUNK[draw(st.sampled_from(sorted(SHRUNK)))].splitlines()
+    filled = [k for k, line in enumerate(lines)
+              if line.strip() and not line.startswith("#")]
+    k = draw(st.sampled_from(filled))
+    action = draw(st.sampled_from(("value", "drop", "unknown")))
+    key = lines[k].partition("=")[0].strip()
+    if action == "value" and "=" in lines[k]:
+        pool = SMALL_TOKENS if key in ("divisions", "count") else TOKENS
+        lines[k] = f"{key} = {draw(st.sampled_from(pool))}"
+    elif action == "drop":
+        del lines[k]
+    else:   # also where a value was drawn for a section header
+        lines.insert(k + 1, "colour = blue")
+    return "\n".join(lines) + "\n"
+
+
+def _edited(name, old, new):
+    assert old in SHRUNK[name]
+    return SHRUNK[name].replace(old, new)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_scenarios())
+@example(_edited("cube_robin", "t_max = 1.0", "t_max = 1000"))
+@example(_edited("cube_kernel", "value = 2.0", "value = 20"))
+@example(_edited("cube_robin", "value = 2.5", "value = 1e300"))
+@example(_edited("cube_neumann", "extents = 1.0, 1.0, 1.0",
+                 "extents = 1e-120, 1e-120, 1e-120"))
+@example(_edited("cube_neumann", "extents = 1.0, 1.0, 1.0",
+                 "extents = 1e300, 1, 1"))
+@example(_edited("lshape_robin", "divisions = 2", "divisions = "))
+def test_every_input_exits_0_1_or_2(text):
+    """main never raises: it exits 0, 1 or 2, and on 2 stderr starts with
+    an error line."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "fuzz.ini"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["run", str(path), "--output-dir",
+                         str(Path(scratch) / "out")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
 
 
 def clean_env(**variables):

@@ -13,6 +13,7 @@ reach), and its pairing, its order independence and its part in
 ``reuse`` are checked exactly.
 """
 
+import io
 import math
 from types import SimpleNamespace
 
@@ -30,11 +31,14 @@ from robinheat import (
     build_box_mesh,
     build_boundary_operator,
     build_evaluator,
+    fit_ultracontractivity,
     geometric_times,
     reuse,
     semigroup_law_defect,
+    write_norms_csv,
 )
-from robinheat import semigroup
+from robinheat import assembly, semigroup
+from robinheat.cli import main
 
 EXP_TOL = 1e-13
 
@@ -78,13 +82,27 @@ def test_triangular_generator_closed_form():
         assert_allclose(S[1, 0], 0.0, rtol=0, atol=EXP_TOL)
 
 
-def test_unshifted_matrix_carries_exponential_factor():
-    rates = np.array([2.0, 5.0])
-    system = stub_system(np.diag(rates), np.ones(2), alpha=0.8)
-    ev = SemigroupEvaluator(system)
-    t = 0.6
-    assert np.abs(ev.matrix(t, shifted=False)
-                  - math.exp(0.8 * t) * ev.matrix(t)).max() <= 1e-14
+def test_unshifted_outputs_carry_exponential_factor():
+    """The evaluator gives the shifted semigroup only; norms.csv and the
+    fit report the unshifted evolution as exp(alpha t) times it, bit for
+    bit."""
+    cube4 = build_box_mesh((1.0, 1.0, 1.0), (4, 4, 4))
+    system = assemble_system(
+        cube4, CoefficientField.isotropic(cube4, 2.5),
+        BoundaryOperatorSpec.multiplication(cube4, -0.05))
+    alpha = system.alpha
+    times = geometric_times()
+    ev = build_evaluator(system, grid=times)
+    buffer = io.StringIO()
+    write_norms_csv(ev, times, buffer)
+    for line, t in zip(buffer.getvalue().splitlines()[1:], times):
+        shifted = (ev.norm_2_to_inf(t), ev.norm_1_to_2(t),
+                   ev.norm_inf_to_inf(t), float(ev.matrix(t).min()))
+        assert [float(v) for v in line.split(",")] == [
+            t, *(math.exp(alpha * t) * v for v in shifted)]
+    fit = fit_ultracontractivity(ev, alpha, times)
+    g = np.array([ev.norm_2_to_inf(t) for t in times])
+    assert np.array_equal(fit.norms, g * np.exp(alpha * times))
 
 
 def test_matrix_rejects_negative_time():
@@ -256,18 +274,29 @@ def test_geometric_times_shape():
 
 # -- dense limit ---------------------------------------------------------
 
-def test_dense_limit_refusal(interval4_robin_system, monkeypatch):
-    monkeypatch.setattr(semigroup, "DENSE_LIMIT", 3)
-    with pytest.raises(RuntimeError, match="dense exponential limit"):
-        SemigroupEvaluator(interval4_robin_system)
+def test_dense_limit_refusal(tmp_path, monkeypatch, capsys):
+    """A mesh above the limit is refused with exit 2 before assembly
+    allocates its first dense array."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembly started above the dense limit")
+
+    monkeypatch.setattr(assembly, "DENSE_LIMIT", 20)
+    monkeypatch.setattr(assembly, "assemble_stiffness", refuse)
+    path = tmp_path / "cube2.ini"
+    path.write_text("[domain]\nshape = box\nextents = 1, 1, 1\n"
+                    "divisions = 2\n[run]\nchecks = accretivity\n")
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "27 unknowns, above the dense limit 20" in err
 
 
 # -- reused evaluators and the spectral 2->2 norm -----------------------
 
-def svd_norm_2_to_2(ev, t, shifted=True):
+def svd_norm_2_to_2(ev, t):
     """Oracle: largest singular value of the mass-weighted S(t)."""
     root = np.sqrt(ev.mass)
-    S = ev.matrix(t, shifted=shifted)
+    S = ev.matrix(t)
     return scipy.linalg.svdvals(root[:, None] * S / root[None, :])[0]
 
 
@@ -305,10 +334,8 @@ def test_selfadjoint_evaluators_share_one_propagator(system, t):
     assert not S.flags.writeable
     assert np.array_equal(S, SemigroupEvaluator(system).exponential(t))
     assert primal.symmetry_residual <= semigroup.SYMMETRY_TOL
-    for shifted in (True, False):
-        assert_allclose(primal.norm_2_to_2(t, shifted=shifted),
-                        svd_norm_2_to_2(primal, t, shifted),
-                        rtol=1e-12, atol=0)
+    assert_allclose(primal.norm_2_to_2(t), svd_norm_2_to_2(primal, t),
+                    rtol=1e-12, atol=0)
 
 
 def nonsymmetric_system(kind):
@@ -347,13 +374,10 @@ def test_norm_1_to_2_satisfies_weighted_adjoint_identity():
     ev = build_evaluator(system)
     m = system.mass
     for t in (0.01, 0.1, 0.7):
-        for shifted in (True, False):
-            S = ev.matrix(t, shifted=shifted)
-            Sstar = (S.T * m[None, :]) / m[:, None]
-            dual = float(
-                np.sqrt((Sstar * Sstar / m[None, :]).sum(axis=1)).max())
-            assert_allclose(ev.norm_1_to_2(t, shifted=shifted), dual,
-                            rtol=1e-10, atol=0)
+        S = ev.matrix(t)
+        Sstar = (S.T * m[None, :]) / m[:, None]
+        dual = float(np.sqrt((Sstar * Sstar / m[None, :]).sum(axis=1)).max())
+        assert_allclose(ev.norm_1_to_2(t), dual, rtol=1e-10, atol=0)
 
 
 def test_sharing_requires_bitwise_equal_generators(interval4_robin_system):

@@ -152,26 +152,23 @@ def test_norm_shifted_operator_does_not_dominate(interval4_robin_system):
 # -- power-law fit -------------------------------------------------------
 
 class SyntheticNormEvaluator:
-    """Physical-norm curve C t^p below the knee, flat beyond it."""
+    """Shifted-norm curve C t^p below the knee, flat beyond it."""
 
-    def __init__(self, C, p, alpha, knee, min_edge):
+    def __init__(self, C, p, knee, min_edge):
         self.C = C
         self.p = p
-        self.alpha = alpha
         self.knee = knee
         self.system = SimpleNamespace(
             mesh=SimpleNamespace(min_edge_length=min_edge))
 
-    def norm_2_to_inf(self, t, shifted=True):
-        g = self.C * min(t, self.knee) ** self.p
-        return g if shifted else g * math.exp(self.alpha * t)
+    def norm_2_to_inf(self, t):
+        return self.C * min(t, self.knee) ** self.p
 
     norm_1_to_2 = norm_2_to_inf
 
 
 def test_fit_recovers_planted_exponent():
-    ev = SyntheticNormEvaluator(C=0.3, p=-0.75, alpha=1.0, knee=0.3,
-                                min_edge=0.05)
+    ev = SyntheticNormEvaluator(C=0.3, p=-0.75, knee=0.3, min_edge=0.05)
     report = fit_ultracontractivity(ev, alpha=1.0, times=geometric_times(
         t_max=1.0, count=20))
     assert report.envelope_ok
@@ -184,8 +181,7 @@ def test_fit_recovers_planted_exponent():
 
 
 def test_fit_refuses_unresolved_grid():
-    ev = SyntheticNormEvaluator(C=0.3, p=-0.75, alpha=1.0, knee=0.3,
-                                min_edge=10.0)
+    ev = SyntheticNormEvaluator(C=0.3, p=-0.75, knee=0.3, min_edge=10.0)
     with pytest.raises(ValueError, match="usable grid points"):
         fit_ultracontractivity(ev, alpha=1.0,
                                times=geometric_times(count=20))
@@ -200,8 +196,7 @@ def test_fit_rejects_unknown_norm(interval4_robin_system):
 
 
 def test_fit_window_has_minimum_size():
-    ev = SyntheticNormEvaluator(C=0.3, p=-0.75, alpha=1.0, knee=0.3,
-                                min_edge=0.05)
+    ev = SyntheticNormEvaluator(C=0.3, p=-0.75, knee=0.3, min_edge=0.05)
     report = fit_ultracontractivity(ev, alpha=1.0,
                                     times=geometric_times(count=20))
     assert len(report.window_times) >= MIN_FIT_POINTS
@@ -381,8 +376,9 @@ def test_write_norms_csv_format(interval4_robin_system):
     assert len(lines) == 3
     first = lines[1].split(",")
     assert float(first[0]) == 0.25
-    # columns reproduce the evaluator's unshifted quantities exactly
-    assert float(first[1]) == ev.norm_2_to_inf(0.25, shifted=False)
+    # columns are exp(alpha t) times the evaluator's shifted quantities
+    assert float(first[1]) == (math.exp(interval4_robin_system.alpha * 0.25)
+                               * ev.norm_2_to_inf(0.25))
     # serialization must be reproducible byte for byte
     again = io.StringIO()
     write_norms_csv(ev, [0.25, 0.5], again)
