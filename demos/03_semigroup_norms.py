@@ -13,11 +13,11 @@ import io
 from robinheat import (
     BoundaryOperatorSpec,
     CoefficientField,
+    adjoint_of,
     assemble_system,
     build_box_mesh,
     build_evaluator,
     geometric_times,
-    reuse,
     semigroup_law_defect,
     write_norms_csv,
 )
@@ -29,7 +29,7 @@ def main():
                              BoundaryOperatorSpec.zero(mesh))
     forward = build_evaluator(system)
     # the form is symmetric, so the adjoint evaluator is the forward one
-    adjoint = reuse(forward, build_evaluator(system, adjoint=True))
+    adjoint = adjoint_of(forward)
 
     times = geometric_times(t_max=1.0, count=9, ratio=0.5)
     print("unit cube, 4 divisions per axis, A = I, no boundary operator")

@@ -13,6 +13,7 @@ import numpy as np
 from robinheat import (
     BoundaryOperatorSpec,
     CoefficientField,
+    adjoint_of,
     assemble_system,
     build_box_mesh,
     build_evaluator,
@@ -20,7 +21,6 @@ from robinheat import (
     check_positivity,
     check_sup_contraction,
     geometric_times,
-    reuse,
 )
 
 TIMES = geometric_times(count=12)
@@ -55,8 +55,7 @@ def main():
           f"violation {report.max_violation:+.2e}")
 
     forward = build_evaluator(robin)
-    report = check_sup_contraction(
-        forward, reuse(forward, build_evaluator(robin, adjoint=True)), TIMES)
+    report = check_sup_contraction(forward, adjoint_of(forward), TIMES)
     print(f"robin cube:          sup bound {report.status}, largest "
           f"excess {report.max_sup_excess:+.2e}")
 

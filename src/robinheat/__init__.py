@@ -33,16 +33,14 @@ from .assembly import (
     assemble_stiffness,
     assemble_lumped_mass,
     assemble_consistent_mass,
-    assemble_boundary_mass,
-    assemble_boundary_term,
     trace_matrix,
     compute_trace_norm,
     check_accretivity,
     check_continuity,
-    export_coordinate_format,
 )
 from .semigroup import (
     SemigroupEvaluator,
+    adjoint_of,
     build_evaluator,
     geometric_times,
     reuse,
@@ -82,14 +80,12 @@ __all__ = [
     "assemble_stiffness",
     "assemble_lumped_mass",
     "assemble_consistent_mass",
-    "assemble_boundary_mass",
-    "assemble_boundary_term",
     "trace_matrix",
     "compute_trace_norm",
     "check_accretivity",
     "check_continuity",
-    "export_coordinate_format",
     "SemigroupEvaluator",
+    "adjoint_of",
     "build_evaluator",
     "geometric_times",
     "reuse",

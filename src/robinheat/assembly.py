@@ -34,7 +34,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .coefficients import CoefficientField, check_admissibility
-from .mesh import write_lines
 from .report import Report
 from .semigroup import SYMMETRY_TOL
 
@@ -42,9 +41,7 @@ __all__ = [
     "assemble_stiffness",
     "assemble_lumped_mass",
     "assemble_consistent_mass",
-    "assemble_boundary_mass",
     "trace_matrix",
-    "assemble_boundary_term",
     "AssembledSystem",
     "assemble_system",
     "compute_trace_norm",
@@ -53,7 +50,6 @@ __all__ = [
     "check_accretivity",
     "ContinuityReport",
     "check_continuity",
-    "export_coordinate_format",
 ]
 
 # Smallest form that ``form_norm`` and ``check_accretivity`` hand to
@@ -160,11 +156,6 @@ def assemble_consistent_mass(mesh):
         mesh, (mesh.cell_volumes * scale)[:, None, None] * pattern)
 
 
-def assemble_boundary_mass(mesh):
-    """Lumped boundary measure: (boundary vertex ids, weights)."""
-    return mesh.boundary_vertices.copy(), mesh.boundary_vertex_weights()
-
-
 def trace_matrix(mesh):
     """0/1 restriction matrix from vertex values to boundary vertex values."""
     nb = len(mesh.boundary_vertices)
@@ -173,33 +164,24 @@ def trace_matrix(mesh):
     return G
 
 
-def assemble_boundary_term(mesh, spec):
-    """Weighted boundary coupling Bw = diag(w) @ T so that the boundary part
-    of the form is (trace v)^t Bw (trace u)."""
-    return mesh.boundary_vertex_weights()[:, None] * spec.matrix()
-
-
 # ----------------------------------------------------------------------
 class AssembledSystem:
     """All matrices of the shifted form on one mesh.
 
     Attributes
     ----------
-    K, K_adj, K_id : (n, n)
-        Stiffness for the coefficient field, its transpose and the
-        identity field.  K_adj is K itself when the transposed field has
-        the bits of the field.
+    K, K_id : (n, n)
+        Stiffness for the coefficient field and for the identity field.
     mass : (n,)
         Lumped mass diagonal.
     boundary_weights : (nb,)
         Lumped boundary measure at the boundary vertices.
     Bw : (nb, nb)
-        Weighted boundary coupling diag(w) T on boundary vertex values.
+        Weighted boundary coupling diag(w) T on boundary vertex values, so
+        the boundary part of the form is (trace v)^t Bw (trace u).
     FormAtilde : (n, n)
-        Alpha-shifted boundary-coupled form.
-    FormAtilde_adj : (n, n), built on each read
-        Same from the transposed field and the weighted adjoint of the
-        boundary operator; equals the transpose entrywise.
+        Alpha-shifted boundary-coupled form.  The adjoint form
+        a*(u, v) = a(v, u) is its transpose, so none is assembled.
     H1 : (n, n)
         Discrete H1 Gram matrix K_id + diag(mass).
     trace_norm_sq : float
@@ -222,10 +204,6 @@ class AssembledSystem:
         self.alpha = float(alpha)
 
         self.K = assemble_stiffness(mesh, field)
-        transposed = field.transposed()
-        self.K_adj = (self.K if np.array_equal(transposed.per_cell,
-                                               field.per_cell)
-                      else assemble_stiffness(mesh, transposed))
         self.K_id = assemble_stiffness(
             mesh, CoefficientField.isotropic(mesh, 1.0))
         self.mass = assemble_lumped_mass(mesh)
@@ -249,13 +227,6 @@ class AssembledSystem:
                            + self.alpha * np.diag(self.mass))
         self.admissibility = check_admissibility(
             spec, self.alpha, self.trace_norm_sq)
-
-    @property
-    def FormAtilde_adj(self):
-        """Built on each read; only an adjoint evaluator reads it."""
-        Bw_adj = self.boundary_weights[:, None] * self.spec.adjoint_matrix()
-        return ((self.K_adj + _on_boundary(self.mesh, Bw_adj))
-                + self.alpha * np.diag(self.mass))
 
     @property
     def n(self):
@@ -500,12 +471,3 @@ def check_continuity(system, samples=200, seed=2024):
         seed=seed,
         passed=bool(worst <= 1.0 + 1e-10),
     )
-
-
-# ----------------------------------------------------------------------
-def export_coordinate_format(matrix, target):
-    """Write nonzero entries as ``row col value`` lines (17 significant
-    digits, row-major)."""
-    matrix = np.asarray(matrix)
-    return write_lines((f"{i} {j} {matrix[i, j]:.17g}"
-                        for i, j in zip(*np.nonzero(matrix))), target)

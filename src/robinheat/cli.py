@@ -13,7 +13,8 @@ gated, 1 when a conclusion failed under satisfied hypotheses, 2 for
 unusable input (parse errors, non-finite numbers, a negative seed or no
 samples, missing files, schema mismatch, domains, coefficients,
 boundary operators or time grids the builders reject, an assembly that
-refuses or fails, and an alpha t beyond the range of exp).
+refuses or fails, an alpha t beyond the range of exp, and a Nash constant
+outside the float range).
 """
 
 import argparse
@@ -26,7 +27,7 @@ import numpy as np
 from .mesh import build_box_mesh, build_lshape_mesh, write_lines
 from .coefficients import coefficient_field_from_config, build_boundary_operator
 from .assembly import assemble_system, check_accretivity, check_continuity
-from .semigroup import (build_evaluator, geometric_times, reuse,
+from .semigroup import (adjoint_of, build_evaluator, geometric_times, reuse,
                         semigroup_law_defect)
 from . import verify
 from .report import format_value as _fmt
@@ -189,9 +190,9 @@ class _Run:
     assembled system, its primal and adjoint evaluators, the time grid and
     the squared shortest edge, the smallest time the mesh resolves) and
     what the runs record.  Every evaluator is built with the grid, so it
-    squares its way along the grid's doublings; the adjoint and comparison
-    evaluators are the primal one when ``reuse`` finds their form and mass
-    bitwise equal."""
+    squares its way along the grid's doublings.  The adjoint evaluator is
+    the primal one when ``adjoint_of`` finds the form self-adjoint, and a
+    comparison evaluator is when ``reuse`` finds its form bitwise equal."""
 
     def __init__(self, scenario, system, grid):
         self.scenario = scenario
@@ -200,8 +201,7 @@ class _Run:
         self.grid = grid
         self.resolved = system.mesh.min_edge_length ** 2
         self.evaluator = build_evaluator(system, grid=grid)
-        self.adjoint = reuse(self.evaluator,
-                             build_evaluator(system, adjoint=True, grid=grid))
+        self.adjoint = adjoint_of(self.evaluator)
         self.fits = None
         self.summary = []
         self.manifest = {}
@@ -368,6 +368,11 @@ def _run_nash(run):
     payload = report.as_dict()
     if report.status == "out-of-hypothesis":
         return "hypothesis unmet", payload
+    constant = report.implied_constant
+    if not 0.0 < constant < math.inf:
+        raise ScenarioError(None, f"Nash constant {_fmt(constant)} is outside "
+                            f"the float range on a mesh of volume "
+                            f"{_fmt(run.system.mesh.volume)}")
     fits = run.fit() if run.runs("ultracontractivity") else None
     if isinstance(fits, tuple):
         decay_times = fits[0].window_times

@@ -86,11 +86,6 @@ class CoefficientField:
         target = scal[:, None, None] * np.eye(d)
         return bool(np.allclose(self.per_cell, target, rtol=0.0, atol=1e-14))
 
-    def transposed(self):
-        """Field with every cell matrix transposed."""
-        return CoefficientField(
-            self.mesh, np.transpose(self.per_cell, (0, 2, 1)).copy())
-
 
 def certify_ellipticity(field):
     """Smallest eigenvalue of the symmetric part over all cells.
@@ -135,15 +130,16 @@ class BoundaryOperatorSpec:
     * ``dense``           T = Bm, a raw matrix on vertex values
 
     ``norm2`` / ``norm_inf`` are the exact operator norms of ``T`` on the
-    w-weighted L2 and the Linf boundary spaces.  ``bar`` data describes the
-    positive comparison operator with entrywise absolute kernel.
+    w-weighted L2 and the Linf boundary spaces.  The positive comparison
+    operator ("bar") is |T|, entrywise: the operator of the absolute
+    kernel |k(x, y)| w(y), since the weights are positive.  ``norm2_bar``
+    and ``norm_inf_bar`` are its norms.
     """
 
-    def __init__(self, kind, weights, application, bar_application):
-        self.kind = kind
+    def __init__(self, weights, application):
         self.weights = np.asarray(weights, dtype=float)
         self._T = np.asarray(application, dtype=float)
-        self._Tbar = np.asarray(bar_application, dtype=float)
+        self._Tbar = np.abs(self._T)
 
         self.norm2, self.norm_inf = _operator_norms(self._T, self.weights)
         self.norm2_bar, self.norm_inf_bar = _operator_norms(
@@ -153,15 +149,13 @@ class BoundaryOperatorSpec:
     @classmethod
     def zero(cls, mesh):
         nb = len(mesh.boundary_vertices)
-        z = np.zeros((nb, nb))
-        return cls("zero", mesh.boundary_vertex_weights(), z, z)
+        return cls(mesh.boundary_vertex_weights(), np.zeros((nb, nb)))
 
     @classmethod
     def multiplication(cls, mesh, beta):
         nb = len(mesh.boundary_vertices)
-        beta = np.broadcast_to(np.asarray(beta, dtype=float), (nb,)).copy()
-        return cls("multiplication", mesh.boundary_vertex_weights(),
-                   np.diag(beta), np.diag(np.abs(beta)))
+        beta = np.broadcast_to(np.asarray(beta, dtype=float), (nb,))
+        return cls(mesh.boundary_vertex_weights(), np.diag(beta))
 
     @classmethod
     def kernel(cls, mesh, values):
@@ -171,7 +165,7 @@ class BoundaryOperatorSpec:
         kmat = np.asarray(values, dtype=float)
         if kmat.shape != (nb, nb):
             raise ValueError(f"kernel samples must have shape {(nb, nb)}")
-        return cls("kernel", w, kmat * w[None, :], np.abs(kmat) * w[None, :])
+        return cls(w, kmat * w[None, :])
 
     @classmethod
     def dense(cls, mesh, matrix):
@@ -179,32 +173,17 @@ class BoundaryOperatorSpec:
         nb = len(mesh.boundary_vertices)
         if matrix.shape != (nb, nb):
             raise ValueError(f"dense operator must have shape {(nb, nb)}")
-        return cls("dense", mesh.boundary_vertex_weights(), matrix,
-                   np.abs(matrix))
+        return cls(mesh.boundary_vertex_weights(), matrix)
 
     # -- operator data --------------------------------------------------
     def matrix(self):
         """Application matrix on boundary vertex values."""
         return self._T.copy()
 
-    def bar_matrix(self):
-        return self._Tbar.copy()
-
-    def adjoint_matrix(self):
-        """Adjoint on the w-weighted boundary space: W^-1 T^t W."""
-        w = self.weights
-        return (self._T.T * w[None, :]) / w[:, None]
-
     # -- derived operators ----------------------------------------------
-    def bar(self):
-        """The positive comparison operator itself."""
-        return BoundaryOperatorSpec(self.kind, self.weights, self._Tbar,
-                                    self._Tbar)
-
     def dominating(self):
         """Negated comparison operator; its semigroup dominates this one's."""
-        return BoundaryOperatorSpec(self.kind, self.weights, -self._Tbar,
-                                    self._Tbar)
+        return BoundaryOperatorSpec(self.weights, -self._Tbar)
 
     def shifted_bar(self, sign):
         """norm_inf_bar * identity +/- bar, as a dense operator."""
@@ -212,7 +191,7 @@ class BoundaryOperatorSpec:
             raise ValueError("sign must be +1 or -1")
         nb = len(self.weights)
         comb = self.norm_inf_bar * np.eye(nb) + sign * self._Tbar
-        return BoundaryOperatorSpec("dense", self.weights, comb, np.abs(comb))
+        return BoundaryOperatorSpec(self.weights, comb)
 
 
 def _operator_norms(T, w):

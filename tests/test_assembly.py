@@ -19,8 +19,6 @@ from robinheat import (
     BoundaryOperatorSpec,
     CoefficientField,
     Mesh,
-    assemble_boundary_mass,
-    assemble_boundary_term,
     assemble_consistent_mass,
     assemble_lumped_mass,
     assemble_stiffness,
@@ -65,17 +63,17 @@ def test_interval_mass_oracles(interval4):
     assert np.abs(M - expected).max() <= ENTRY_TOL
 
 
-def test_interval_boundary_pieces(interval4):
-    ids, weights = assemble_boundary_mass(interval4)
-    assert list(ids) == [0, 4]
-    assert np.abs(weights - 1.0).max() <= ENTRY_TOL
+def test_interval_boundary_pieces(interval4, interval4_robin_system):
+    assert list(interval4.boundary_vertices) == [0, 4]
+    assert np.abs(interval4.boundary_vertex_weights() - 1.0).max() \
+        <= ENTRY_TOL
     G = trace_matrix(interval4)
     expected = np.zeros((2, 5))
     expected[0, 0] = 1.0
     expected[1, 4] = 1.0
     assert np.array_equal(G, expected)
-    spec = BoundaryOperatorSpec.multiplication(interval4, -0.1)
-    Bw = assemble_boundary_term(interval4, spec)
+    # beta = -0.1 at both ends
+    Bw = interval4_robin_system.Bw
     assert np.abs(Bw - np.diag([-0.1, -0.1])).max() <= ENTRY_TOL
 
 
@@ -99,9 +97,6 @@ def test_interval_full_system_oracle(interval4_robin_system):
     K_id[0, 0] = 4.0
     K_id[4, 4] = 4.0
     assert np.abs(system.H1 - (K_id + np.diag(mass))).max() <= ENTRY_TOL
-
-    # multiplication operators are self-adjoint and A is scalar here
-    assert np.abs(system.FormAtilde_adj - system.FormAtilde).max() <= ENTRY_TOL
 
 
 # -- single reference triangle ------------------------------------------
@@ -128,27 +123,10 @@ def test_stiffness_transpose_identity(cube2):
                         [0.0, -0.3, 2.0]])
     field = CoefficientField.matrix(cube2, entries)
     K = assemble_stiffness(cube2, field)
-    Kt = assemble_stiffness(cube2, field.transposed())
+    transposed = CoefficientField(
+        cube2, np.transpose(field.per_cell, (0, 2, 1)))
+    Kt = assemble_stiffness(cube2, transposed)
     assert np.abs(K.T - Kt).max() <= 1e-14
-
-
-def test_adjoint_form_is_transpose(cube2):
-    entries = np.array([[2.0, 0.5, 0.0],
-                        [-0.5, 2.0, 0.3],
-                        [0.0, -0.3, 2.0]])
-    field = CoefficientField.matrix(cube2, entries)
-    spec = BoundaryOperatorSpec.multiplication(cube2, -0.02)
-    system = assemble_system(cube2, field, spec)
-    assert np.abs(system.FormAtilde_adj - system.FormAtilde.T).max() <= 1e-13
-
-
-def test_kernel_adjoint_form_is_transpose(cube2):
-    from robinheat import build_boundary_operator
-    field = CoefficientField.isotropic(cube2, 2.0)
-    spec = build_boundary_operator(
-        cube2, {"kind": "kernel", "profile": "cosine", "scale": 0.005})
-    system = assemble_system(cube2, field, spec)
-    assert np.abs(system.FormAtilde_adj - system.FormAtilde.T).max() <= 1e-13
 
 
 # -- mass and quadrature relations --------------------------------------
@@ -266,14 +244,13 @@ def test_with_boundary_matches_assemble_system(cube2, sheared):
     coupling = np.random.default_rng(3).uniform(-0.01, 0.01, (nb, nb))
     system = assemble_system(cube2, field,
                              BoundaryOperatorSpec.kernel(cube2, coupling))
-    assert (system.K_adj is system.K) is not sheared
     for spec in (system.spec.dominating(), system.spec.shifted_bar(-1)):
         derived = system.with_boundary(spec)
         direct = assemble_system(cube2, field, spec)
-        for name in ("K", "K_adj", "K_id", "mass", "boundary_weights", "H1",
+        for name in ("K", "K_id", "mass", "boundary_weights", "H1",
                      "_pattern", "trace_norm_sq"):
             assert getattr(derived, name) is getattr(system, name), name
-        for name in ("Bw", "FormAtilde", "FormAtilde_adj"):
+        for name in ("Bw", "FormAtilde"):
             assert np.array_equal(getattr(derived, name),
                                   getattr(direct, name)), name
         assert derived.spec is spec

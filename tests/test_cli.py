@@ -7,8 +7,10 @@ relies on.
 """
 
 import contextlib
+import dataclasses
 import gc
 import io
+import math
 import os
 import re
 import subprocess
@@ -546,6 +548,41 @@ def test_large_alpha_runs_when_no_long_time_is_evaluated(tmp_path):
                         stream=io.StringIO()) == 0
 
 
+HUGE_INTERVAL_NASH = ("[domain]\nextents = 1e300\ndivisions = 8\n"
+                      "[run]\nchecks = nash\n")
+
+
+def test_huge_interval_nash_is_hypothesis_unmet(tmp_path):
+    """On an interval of length 1e300 the Nash constant underflows to 0,
+    and like every 1-D nash run it is reported as hypothesis unmet."""
+    path = write_scenario(tmp_path, HUGE_INTERVAL_NASH)
+    out = tmp_path / "o"
+    assert run_scenario(path, output_dir=out, stream=io.StringIO()) == 0
+    manifest = (out / "manifest.txt").read_text()
+    assert "nash.status: hypothesis unmet\n" in manifest
+    assert "nash.implied_constant: 0\n" in manifest
+
+
+@pytest.mark.parametrize("constant", [0.0, math.inf], ids=["zero", "inf"])
+def test_nash_constant_outside_float_range_exits_2(tmp_path, capsys,
+                                                   monkeypatch, constant):
+    """The decay check divides by the Nash constant, so a 3-D run whose
+    constant left the float range is refused, naming the mesh volume."""
+    from robinheat import verify
+
+    real = verify.check_nash
+    monkeypatch.setattr(verify, "check_nash", lambda *args, **kwargs: (
+        dataclasses.replace(real(*args, **kwargs),
+                            implied_constant=constant)))
+    path = write_scenario(tmp_path, CUBE2_SCENARIO.replace(
+        "checks = ultracontractivity, nash", "checks = nash"))
+    assert main(["run", str(path), "--output-dir",
+                 str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "mesh of volume 1" in err
+
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # Each shipped scenario shrunk to a mesh that runs in milliseconds.
 SHRUNK = {
@@ -596,6 +633,8 @@ def _edited(name, old, new):
 @example(_edited("cube_neumann", "extents = 1.0, 1.0, 1.0",
                  "extents = 1e300, 1, 1"))
 @example(_edited("lshape_robin", "divisions = 2", "divisions = "))
+@example(_edited("cube_neumann", "extents = 1.0, 1.0, 1.0",
+                 "extents = 1e300"))
 def test_every_input_exits_0_1_or_2(text):
     """main never raises: it exits 0, 1 or 2, and on 2 stderr starts with
     an error line."""

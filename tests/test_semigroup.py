@@ -5,12 +5,13 @@ hand: a diagonal generator (entrywise scalar decay) and an upper
 triangular 2 x 2 generator whose off-diagonal entry has the explicit
 divided-difference form.  Mixed norms are cross-checked by brute force
 over random inputs and by constructing the maximizers.  Reused
-evaluators are checked against unshared exponentials bit for bit, and
-the spectral 2->2 norm against the SVD.  The doubling chain along a time
-grid is checked against one ``expm`` per time at 1e-11 relative in the
-weighted 2-norm (6.9e-14 is the largest gap the derandomized examples
-reach), and its pairing, its order independence and its part in
-``reuse`` are checked exactly.
+evaluators are checked against unshared exponentials bit for bit, the
+sharing of a primal evaluator as its own adjoint against the symmetry
+tolerance from both sides, and the spectral 2->2 norm against the SVD.
+The doubling chain along a time grid is checked against one ``expm``
+per time at 1e-11 relative in the weighted 2-norm (6.9e-14 is the
+largest gap the derandomized examples reach), and its pairing, its
+order independence and its part in ``reuse`` are checked exactly.
 """
 
 import io
@@ -27,6 +28,7 @@ from robinheat import (
     BoundaryOperatorSpec,
     CoefficientField,
     SemigroupEvaluator,
+    adjoint_of,
     assemble_system,
     build_box_mesh,
     build_boundary_operator,
@@ -43,12 +45,11 @@ from robinheat.cli import main
 EXP_TOL = 1e-13
 
 
-def stub_system(form, mass, alpha=0.0, form_adj=None):
+def stub_system(form, mass, alpha=0.0):
     form = np.asarray(form, dtype=float)
     mass = np.asarray(mass, dtype=float)
     return SimpleNamespace(
         FormAtilde=form,
-        FormAtilde_adj=form.T.copy() if form_adj is None else form_adj,
         mass=mass,
         alpha=alpha,
         n=len(mass),
@@ -329,7 +330,7 @@ def selfadjoint_systems(draw):
 @given(selfadjoint_systems(), st.sampled_from((0.01, 0.1, 0.5)))
 def test_selfadjoint_evaluators_share_one_propagator(system, t):
     primal = build_evaluator(system)
-    assert reuse(primal, build_evaluator(system, adjoint=True)) is primal
+    assert adjoint_of(primal) is primal
     S = primal.matrix(t)
     assert not S.flags.writeable
     assert np.array_equal(S, SemigroupEvaluator(system).exponential(t))
@@ -380,13 +381,74 @@ def test_norm_1_to_2_satisfies_weighted_adjoint_identity():
         assert_allclose(ev.norm_1_to_2(t), dual, rtol=1e-10, atol=0)
 
 
+def test_adjoint_form_is_the_transpose_view(cube2):
+    field = CoefficientField.matrix(cube2, [[2.0, 0.5, 0.0],
+                                            [-0.5, 2.0, 0.3],
+                                            [0.0, -0.3, 2.0]])
+    system = assemble_system(
+        cube2, field, BoundaryOperatorSpec.multiplication(cube2, -0.02))
+    adjoint = build_evaluator(system, adjoint=True)
+    assert np.array_equal(adjoint.form, system.FormAtilde.T)
+    assert np.shares_memory(adjoint.form, system.FormAtilde)
+
+
+@pytest.mark.parametrize("kind", ["sheared-matrix", "cosine-kernel"])
+def test_nonsymmetric_adjoint_is_the_weighted_transpose(kind):
+    """adjoint_of builds a new evaluator on the primal's grid, and its
+    S*(t) is M^-1 S(t)^T M, the adjoint in the lumped inner product."""
+    system = nonsymmetric_system(kind)
+    grid = geometric_times(count=6)
+    primal = build_evaluator(system, grid=grid)
+    adjoint = adjoint_of(primal)
+    assert adjoint is not primal
+    assert np.array_equal(adjoint.grid, grid)
+    m = system.mass
+    for t in grid:
+        dual = (primal.matrix(t).T * m[None, :]) / m[:, None]
+        assert weighted_gap(primal, adjoint.matrix(t), dual) <= 1e-12
+
+
+@pytest.mark.parametrize("divisions", [5, 6])
+def test_selfadjoint_sharing_tolerates_stiffness_roundoff(divisions):
+    """On the cube_robin operator at 216 and 343 unknowns the form is not
+    bitwise symmetric, only to roundoff; the primal still serves as its
+    own adjoint."""
+    cube = build_box_mesh((1.0, 1.0, 1.0), (divisions,) * 3)
+    system = assemble_system(
+        cube, CoefficientField.isotropic(cube, 2.5),
+        BoundaryOperatorSpec.multiplication(cube, -0.05))
+    assert not np.array_equal(system.FormAtilde, system.FormAtilde.T)
+    primal = build_evaluator(system)
+    assert adjoint_of(primal) is primal
+
+
+@pytest.mark.parametrize("factor, shared", [(0.5, True), (2.0, False)])
+def test_sharing_stops_above_the_symmetry_tolerance(interval4_robin_system,
+                                                    factor, shared):
+    """One off-diagonal entry is moved so that the weighted generator's
+    asymmetry is ``factor`` times SYMMETRY_TOL of its largest entry."""
+    system = interval4_robin_system
+    m = system.mass
+    root = np.sqrt(m)
+    scale = np.abs(system.FormAtilde / root[:, None] / root[None, :]).max()
+    form = system.FormAtilde.copy()
+    form[0, 1] += factor * semigroup.SYMMETRY_TOL * scale * root[0] * root[1]
+    pushed = SimpleNamespace(FormAtilde=form, mass=m)
+    primal = build_evaluator(pushed)
+    assert_allclose(primal.symmetry_residual,
+                    factor * semigroup.SYMMETRY_TOL, rtol=1e-3)
+    adjoint = adjoint_of(primal)
+    assert (adjoint is primal) is shared
+    if not shared:
+        assert np.array_equal(adjoint.form, form.T)
+
+
 def test_sharing_requires_bitwise_equal_generators(interval4_robin_system):
     system = interval4_robin_system
     form = system.FormAtilde.copy()
     form[-1, -1] = np.nextafter(form[-1, -1], np.inf)
-    nudged = SimpleNamespace(
-        FormAtilde=form, FormAtilde_adj=system.FormAtilde_adj,
-        mass=system.mass, alpha=system.alpha, n=system.n)
+    nudged = SimpleNamespace(FormAtilde=form, mass=system.mass,
+                             alpha=system.alpha, n=system.n)
     ev = build_evaluator(system)
     assert reuse(ev, build_evaluator(system)) is ev
     candidate = build_evaluator(nudged)

@@ -34,7 +34,6 @@ from robinheat import (
     check_smoothing_decay,
     check_sup_contraction,
     dump_mesh,
-    export_coordinate_format,
     fit_ultracontractivity,
     geometric_times,
     semigroup_law_defect,
@@ -391,7 +390,6 @@ def test_writers_send_the_same_text_to_a_path_and_a_stream(
     ev = build_evaluator(system)
     writers = {
         "mesh": lambda target: dump_mesh(square11, target),
-        "coo": lambda target: export_coordinate_format(system.FormAtilde, target),
         "document": lambda target: write_document({"a": 1.5, "b": True},
                                                   target),
         "norms": lambda target: write_norms_csv(ev, [0.25, 0.5], target),
