@@ -32,13 +32,12 @@ from .assembly import (
     assemble_system,
     assemble_stiffness,
     assemble_lumped_mass,
-    assemble_consistent_mass,
-    trace_matrix,
     compute_trace_norm,
     check_accretivity,
     check_continuity,
 )
 from .semigroup import (
+    AdjointEvaluator,
     SemigroupEvaluator,
     adjoint_of,
     build_evaluator,
@@ -54,7 +53,6 @@ from .verify import (
     check_domination,
     fit_ultracontractivity,
     check_eventual_positivity,
-    check_duality,
     check_energy_dissipation,
     check_smoothing_decay,
     write_document,
@@ -79,11 +77,10 @@ __all__ = [
     "assemble_system",
     "assemble_stiffness",
     "assemble_lumped_mass",
-    "assemble_consistent_mass",
-    "trace_matrix",
     "compute_trace_norm",
     "check_accretivity",
     "check_continuity",
+    "AdjointEvaluator",
     "SemigroupEvaluator",
     "adjoint_of",
     "build_evaluator",
@@ -97,7 +94,6 @@ __all__ = [
     "check_domination",
     "fit_ultracontractivity",
     "check_eventual_positivity",
-    "check_duality",
     "check_energy_dissipation",
     "check_smoothing_decay",
     "write_document",

@@ -40,8 +40,6 @@ from .semigroup import SYMMETRY_TOL
 __all__ = [
     "assemble_stiffness",
     "assemble_lumped_mass",
-    "assemble_consistent_mass",
-    "trace_matrix",
     "AssembledSystem",
     "assemble_system",
     "compute_trace_norm",
@@ -120,7 +118,8 @@ def _at_pattern(pattern, values):
 
 def _on_boundary(mesh, block):
     """n x n matrix with ``block`` on the boundary vertex rows and columns,
-    the same as trace_matrix(mesh).T @ block @ trace_matrix(mesh)."""
+    the same as Gamma^t block Gamma for the 0/1 restriction Gamma from
+    vertex values to boundary vertex values."""
     n = mesh.n_vertices
     out = np.zeros((n, n))
     out[np.ix_(mesh.boundary_vertices, mesh.boundary_vertices)] = block
@@ -147,23 +146,6 @@ def assemble_lumped_mass(mesh):
                        minlength=mesh.n_vertices)
 
 
-def assemble_consistent_mass(mesh):
-    """Exact P1 mass matrix (for quadrature comparisons)."""
-    d = mesh.dim
-    scale = 1.0 / ((d + 1) * (d + 2))
-    pattern = np.ones((d + 1, d + 1)) + np.eye(d + 1)
-    return _scatter_cells(
-        mesh, (mesh.cell_volumes * scale)[:, None, None] * pattern)
-
-
-def trace_matrix(mesh):
-    """0/1 restriction matrix from vertex values to boundary vertex values."""
-    nb = len(mesh.boundary_vertices)
-    G = np.zeros((nb, mesh.n_vertices))
-    G[np.arange(nb), mesh.boundary_vertices] = 1.0
-    return G
-
-
 # ----------------------------------------------------------------------
 class AssembledSystem:
     """All matrices of the shifted form on one mesh.
@@ -186,7 +168,8 @@ class AssembledSystem:
         Discrete H1 Gram matrix K_id + diag(mass).
     trace_norm_sq : float
         Largest generalized eigenvalue of (Gamma^t diag(w) Gamma, H1),
-        Gamma = trace_matrix(mesh).  The trace form is passed to
+        Gamma the 0/1 restriction to the boundary vertices.  The trace
+        form is passed to
         ``compute_trace_norm`` as a sparse diagonal and H1 gathered at the
         P1 pattern; neither sparse matrix is stored.
     admissibility : AdmissibilityReport

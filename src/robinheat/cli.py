@@ -190,16 +190,19 @@ class _Run:
     assembled system, its primal and adjoint evaluators, the time grid and
     the squared shortest edge, the smallest time the mesh resolves) and
     what the runs record.  Every evaluator is built with the grid, so it
-    squares its way along the grid's doublings.  The adjoint evaluator is
-    the primal one when ``adjoint_of`` finds the form self-adjoint, and a
-    comparison evaluator is when ``reuse`` finds its form bitwise equal."""
+    squares its way along the grid's doublings.  The adjoint comes from
+    ``adjoint_of``: the primal evaluator itself on a self-adjoint form,
+    otherwise a view that reads the primal's matrices, so a run builds
+    one doubling chain for both.  A comparison evaluator is the primal
+    one when ``reuse`` finds its form bitwise equal."""
 
     def __init__(self, scenario, system, grid):
         self.scenario = scenario
         self.seed = scenario.seed
         self.system = system
         self.grid = grid
-        self.resolved = system.mesh.min_edge_length ** 2
+        edge = system.mesh.min_edge_length
+        self.resolved = edge * edge     # inf past the float range
         self.evaluator = build_evaluator(system, grid=grid)
         self.adjoint = adjoint_of(self.evaluator)
         self.fits = None

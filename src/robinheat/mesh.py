@@ -72,7 +72,7 @@ class Mesh:
         self.boundary_vertices = np.unique(self.boundary_facets)
 
         a, b = np.triu_indices(dim + 1, k=1)
-        edges = _lengths(points[:, a] - points[:, b])
+        edges = _edge_lengths(points[:, a] - points[:, b])
         self._min_edge = float(edges.min(initial=math.inf))
         self._max_edge = float(edges.max(initial=0.0))
 
@@ -150,6 +150,22 @@ def _lengths(vectors):
     """Euclidean lengths along the last axis, with the bits of
     ``np.linalg.norm`` applied to each vector on its own."""
     return np.sqrt((vectors[..., None, :] @ vectors[..., :, None])[..., 0, 0])
+
+
+def _edge_lengths(edges):
+    """``_lengths`` of cell edges, except that an edge whose squared length
+    overflows is divided by its largest entry first, so only a length
+    past the float range is inf.  Facet areas keep ``_lengths``: a facet
+    measure whose square overflows still makes the trace norm refuse the
+    mesh."""
+    with np.errstate(over="ignore"):
+        lengths = _lengths(edges)
+    huge = np.isinf(lengths) & np.isfinite(edges).all(axis=-1)
+    if huge.any():
+        scale = np.abs(edges[huge]).max(axis=-1)
+        scaled = edges[huge] / scale[:, None]
+        lengths[huge] = scale * np.sqrt((scaled * scaled).sum(axis=-1))
+    return lengths
 
 
 # ----------------------------------------------------------------------

@@ -10,16 +10,20 @@ exp(-t M^{-1} FormAtilde).  The original evolution is exp(alpha t) times
 it (Ouhabaz, Analysis of Heat Equations on Domains, 2005); the checks
 that report it apply that scalar, so an evaluator is its form, mass and grid.
 
-Sharing.  Each evaluator owns its read-only matrix per time, its
-symmetry residual and its lambda_min.  The adjoint semigroup is generated
-by the adjoint form a*(u, v) = a(v, u), which is FormAtilde.T with the
-same mass; ``adjoint=True`` reads that view.  ``adjoint_of(evaluator)``
-returns the evaluator itself when its symmetry residual is at most
-SYMMETRY_TOL, the rule that also picks the spectral 2->2 norm below, and
-a new adjoint evaluator on the same grid otherwise.  The rule is a
-tolerance, not bitwise symmetry: from 216 unknowns on, the stiffness sum
-leaves a self-adjoint form asymmetric in its last bits, with residuals
-near 1e-16, while the shipped non-self-adjoint forms sit above 1e-5.
+Sharing.  Each evaluator owns its read-only matrix per time, its mixed
+norms per time (each computed once), its symmetry residual and its
+lambda_min.  In the lumped inner product u^T M v the adjoint semigroup
+is exactly S*(t) = M^{-1} S(t)^T M = exp(-t M^{-1} FormAtilde^T).
+``adjoint_of(evaluator)`` returns the evaluator itself when its symmetry
+residual is at most SYMMETRY_TOL, the rule that also picks the spectral
+2->2 norm below, and otherwise an ``AdjointEvaluator`` that reads S*(t)
+and its mixed norms, the primal's dual norms, off the primal's matrices:
+it builds no chain and stores no matrix.  ``adjoint=True`` builds an
+independent chain on the adjoint form FormAtilde.T instead; the tests
+hold the identity against it.  The rule is a tolerance, not bitwise
+symmetry: from 216 unknowns on, the stiffness sum leaves a self-adjoint
+form asymmetric in its last bits, with residuals near 1e-16, while the
+shipped non-self-adjoint forms sit above 1e-5.
 ``reuse(evaluator, candidate)`` returns ``evaluator`` when the
 candidate's form, mass and grid are ``np.array_equal`` to its own, so
 whoever builds the evaluators of an original and a comparison system
@@ -59,12 +63,14 @@ evaluator computes lambda_min with one ``eigvalsh`` on first use, and
 fields, non-symmetric kernels) keeps the SVD of the weighted S(t).
 """
 
+import functools
 import math
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
+    "AdjointEvaluator",
     "SemigroupEvaluator",
     "adjoint_of",
     "build_evaluator",
@@ -78,6 +84,18 @@ __all__ = [
 SYMMETRY_TOL = 1e-12
 
 
+def _once_per_time(norm):
+    """Compute a mixed norm once per evaluator and time."""
+    @functools.wraps(norm)
+    def cached(self, t):
+        key = (norm.__name__, float(t))
+        value = self._norms.get(key)
+        if value is None:
+            value = self._norms[key] = norm(self, t)
+        return value
+    return cached
+
+
 class SemigroupEvaluator:
     """Evaluate exp(-t M^{-1} F) and its mixed operator norms.
 
@@ -86,7 +104,8 @@ class SemigroupEvaluator:
     system : AssembledSystem
     adjoint : bool
         Use the adjoint form FormAtilde.T; together with the mass weights
-        this realizes the adjoint semigroup on the same mesh.
+        this realizes the adjoint semigroup on the same mesh, with a chain
+        independent of the primal's.
     grid : sequence of float
         The times the caller will ask for; ``matrix`` builds each grid
         time that is twice another by squaring (see the module
@@ -101,6 +120,7 @@ class SemigroupEvaluator:
         self.grid = np.asarray(grid, dtype=float)
         self._halves = _halves(self.grid)
         self._matrices = {}
+        self._norms = {}
         self._residual = None
         self._lambda_min = None
 
@@ -163,11 +183,13 @@ class SemigroupEvaluator:
         return self.matrix(t) @ np.asarray(u, dtype=float)
 
     # -- mixed norms ---------------------------------------------------
+    @_once_per_time
     def norm_2_to_inf(self, t):
         """sup norm of S(t) u over the L2 unit ball."""
         S = self.matrix(t)
         return float(np.sqrt((S * S / self.mass[None, :]).sum(axis=1)).max())
 
+    @_once_per_time
     def norm_1_to_2(self, t):
         """L2 norm of S(t) u over the L1 unit ball (extreme points are the
         scaled vertex indicators)."""
@@ -175,15 +197,18 @@ class SemigroupEvaluator:
         col = np.sqrt((self.mass[:, None] * S * S).sum(axis=0)) / self.mass
         return float(col.max())
 
+    @_once_per_time
     def norm_inf_to_inf(self, t):
         S = self.matrix(t)
         return float(np.abs(S).sum(axis=1).max())
 
+    @_once_per_time
     def norm_1_to_1(self, t):
         S = self.matrix(t)
         col = (self.mass[:, None] * np.abs(S)).sum(axis=0) / self.mass
         return float(col.max())
 
+    @_once_per_time
     def norm_2_to_2(self, t):
         if self.symmetry_residual > SYMMETRY_TOL:
             S = self.matrix(t)
@@ -207,18 +232,56 @@ class SemigroupEvaluator:
         return float(np.linalg.norm(root[:, None] * R / root[None, :], 2))
 
 
+class AdjointEvaluator:
+    """S*(t) = M^{-1} S(t)^T M read off a primal evaluator (see the module
+    docstring): no chain, no stored matrix, and each mixed norm is the
+    primal's dual norm.  ``exponential`` is its own ``expm`` of
+    FormAtilde^T / M, independent of the primal's matrices."""
+
+    exponential = SemigroupEvaluator.exponential
+
+    def __init__(self, primal):
+        self.primal = primal
+        self.system, self.mass = primal.system, primal.mass
+        self.grid = primal.grid
+        self.form = primal.form.T
+        self.generator = self.form / self.mass[:, None]
+
+    def matrix(self, t):
+        S = self.primal.matrix(t)
+        return (S.T * self.mass[None, :]) / self.mass[:, None]
+
+    def apply(self, t, u):
+        u = np.asarray(u, dtype=float)
+        return (self.primal.matrix(t).T @ (self.mass * u)) / self.mass
+
+    def norm_2_to_inf(self, t):
+        return self.primal.norm_1_to_2(t)
+
+    def norm_1_to_2(self, t):
+        return self.primal.norm_2_to_inf(t)
+
+    def norm_inf_to_inf(self, t):
+        return self.primal.norm_1_to_1(t)
+
+    def norm_1_to_1(self, t):
+        return self.primal.norm_inf_to_inf(t)
+
+    def norm_2_to_2(self, t):
+        return self.primal.norm_2_to_2(t)
+
+
 def build_evaluator(system, adjoint=False, grid=()):
     return SemigroupEvaluator(system, adjoint=adjoint, grid=grid)
 
 
 def adjoint_of(evaluator):
-    """Evaluator of the adjoint semigroup of a primal ``evaluator``: the
-    evaluator itself when its symmetry residual is at most SYMMETRY_TOL,
-    else a new adjoint evaluator of the same system and grid."""
+    """The adjoint semigroup of a primal ``evaluator``: the evaluator
+    itself when its symmetry residual is at most SYMMETRY_TOL, else an
+    ``AdjointEvaluator`` that reads the primal's matrices."""
     if evaluator.symmetry_residual <= SYMMETRY_TOL:
         return evaluator
-    return build_evaluator(evaluator.system, adjoint=True,
-                           grid=evaluator.grid)
+    return AdjointEvaluator(evaluator)
 
 
 def reuse(evaluator, candidate):

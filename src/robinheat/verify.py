@@ -33,8 +33,6 @@ __all__ = [
     "fit_ultracontractivity",
     "EventualPositivityReport",
     "check_eventual_positivity",
-    "DualityReport",
-    "check_duality",
     "EnergyReport",
     "check_energy_dissipation",
     "DecayReport",
@@ -346,7 +344,8 @@ def fit_ultracontractivity(evaluator, alpha, times, norm="2_to_inf"):
     log_t = np.log(times)
     log_g = np.log(g)
     local = np.gradient(log_g, log_t)
-    resolved = evaluator.system.mesh.min_edge_length ** 2
+    edge = evaluator.system.mesh.min_edge_length
+    resolved = edge * edge
     usable = (times >= resolved) & (np.abs(local) >= PLATEAU_SLOPE)
     idx = np.nonzero(usable)[0]
     if len(idx) < MIN_FIT_POINTS:
@@ -444,27 +443,6 @@ def check_eventual_positivity(evaluator, spec, times, samples=20, seed=2024):
         samples=len(data),
         seed=seed,
         status="passed",
-    )
-
-
-# ----------------------------------------------------------------------
-@dataclass
-class DualityReport(Report):
-    max_relative_difference: float
-    status: str
-
-
-def check_duality(evaluator, adjoint_evaluator, times, tol=1e-10):
-    """The 2 -> sup norm of the semigroup equals the 1 -> 2 norm of its
-    adjoint at every time."""
-    worst = 0.0
-    for t in times:
-        a = evaluator.norm_2_to_inf(t)
-        b = adjoint_evaluator.norm_1_to_2(t)
-        worst = max(worst, abs(a - b) / max(a, b))
-    return DualityReport(
-        max_relative_difference=float(worst),
-        status="passed" if worst <= tol else "failed",
     )
 
 

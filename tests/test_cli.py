@@ -460,13 +460,14 @@ def test_one_evaluator_makes_every_exponential(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("operator, expected", [
     ("kind = zero", 2),
-    ("kind = kernel\nprofile = cosine\nscale = 0.005", 4),
+    ("kind = kernel\nprofile = cosine\nscale = 0.005", 2),
 ], ids=["self-adjoint", "cosine-kernel"])
 def test_ultracontractivity_takes_two_exponentials_per_evaluator(
         tmp_path, monkeypatch, operator, expected):
     """The default grid doubles every second time, so each evaluator
-    exponentiates its two smallest times and squares the rest; a
-    non-self-adjoint form has a primal and an adjoint evaluator."""
+    exponentiates its two smallest times and squares the rest; the adjoint
+    of a non-self-adjoint form reads the primal's matrices, so either
+    form takes one chain."""
     import scipy.linalg
 
     calls = []

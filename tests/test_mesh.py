@@ -6,6 +6,7 @@ derived by hand from the grid layout, not read off the implementation.
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,17 @@ def test_box_rejects_bad_input():
         build_box_mesh((1.0,), (0,))
     with pytest.raises(ValueError):
         build_box_mesh((1.0, 1.0), (2,))
+
+
+def test_huge_interval_has_finite_edge_lengths():
+    """Each edge of an interval of length 1e300 in 8 cells squares past the
+    float range; its length does not, and no warning is printed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = build_box_mesh((1e300,), (8,))
+    assert math.isfinite(mesh.min_edge_length)
+    assert_allclose(mesh.min_edge_length, 1.25e299, rtol=1e-14, atol=0)
+    assert_allclose(mesh.mesh_size, 1.25e299, rtol=1e-14, atol=0)
 
 
 def test_mesh_validation_catches_degenerate_cell():

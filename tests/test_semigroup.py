@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from robinheat import (
+    AdjointEvaluator,
     BoundaryOperatorSpec,
     CoefficientField,
     SemigroupEvaluator,
@@ -344,6 +345,11 @@ def nonsymmetric_system(kind):
     if kind == "sheared-matrix":
         field = CoefficientField.matrix(square, [[2.0, 0.5], [-0.5, 2.0]])
         spec = BoundaryOperatorSpec.multiplication(square, -0.1)
+    elif kind == "random-kernel":
+        field = CoefficientField.isotropic(square, 2.0)
+        nb = len(square.boundary_vertices)
+        spec = BoundaryOperatorSpec.kernel(
+            square, 0.1 * np.random.default_rng(1).standard_normal((nb, nb)))
     else:
         field = CoefficientField.isotropic(square, 2.0)
         spec = build_boundary_operator(
@@ -394,18 +400,66 @@ def test_adjoint_form_is_the_transpose_view(cube2):
 
 @pytest.mark.parametrize("kind", ["sheared-matrix", "cosine-kernel"])
 def test_nonsymmetric_adjoint_is_the_weighted_transpose(kind):
-    """adjoint_of builds a new evaluator on the primal's grid, and its
-    S*(t) is M^-1 S(t)^T M, the adjoint in the lumped inner product."""
+    """The semigroup of the adjoint form, from a chain of its own, is
+    M^-1 S(t)^T M, the adjoint in the lumped inner product; adjoint_of
+    reads it off the primal on the primal's grid, and its single-expm
+    route keeps the bits of the adjoint form's own."""
     system = nonsymmetric_system(kind)
     grid = geometric_times(count=6)
     primal = build_evaluator(system, grid=grid)
+    independent = build_evaluator(system, adjoint=True, grid=grid)
     adjoint = adjoint_of(primal)
-    assert adjoint is not primal
+    assert isinstance(adjoint, AdjointEvaluator)
+    assert adjoint.primal is primal
     assert np.array_equal(adjoint.grid, grid)
     m = system.mass
     for t in grid:
         dual = (primal.matrix(t).T * m[None, :]) / m[:, None]
-        assert weighted_gap(primal, adjoint.matrix(t), dual) <= 1e-12
+        assert weighted_gap(primal, independent.matrix(t), dual) <= 1e-12
+        assert np.array_equal(adjoint.exponential(t),
+                              independent.exponential(t))
+
+
+def relative_gap(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+NORMS = ("norm_2_to_inf", "norm_1_to_2", "norm_inf_to_inf", "norm_1_to_1",
+         "norm_2_to_2")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(("sheared-matrix", "cosine-kernel", "random-kernel")),
+       st.sampled_from((2 ** -0.5, 0.6)), st.integers(1, 12),
+       st.floats(0.05, 2.0), st.integers(0, 2 ** 16))
+def test_adjoint_view_matches_an_independent_chain(kind, ratio, count, t_max,
+                                                   seed):
+    """adjoint_of's view of the primal's matrices against the adjoint
+    form's own chain, on grids with doublings (ratio 2^-1/2) and without
+    (ratio 0.6): matrix and the five mixed norms at 1e-12 relative, and
+    apply at 1e-12 of |S*(t)|_inf->inf |u|_inf, because a random u can
+    nearly cancel in S*(t) u.  On the first two forms each mixed norm of
+    S(t) equals its dual norm to roundoff; on the random kernel they
+    differ by about 1e-3, so a dual norm read off the wrong primal norm
+    shows.  The view takes only the primal chain's exponentials and
+    stores no matrix."""
+    system = nonsymmetric_system(kind)
+    grid = geometric_times(t_max, ratio, count)
+    primal = build_evaluator(system, grid=grid)
+    taken = recording_exponentials(primal)
+    adjoint = adjoint_of(primal)
+    oracle = build_evaluator(system, adjoint=True, grid=grid)
+    rng = np.random.default_rng(seed)
+    for t in grid:
+        u = rng.standard_normal(system.n)
+        gap = np.abs(adjoint.apply(t, u) - oracle.apply(t, u)).max()
+        assert gap <= 1e-12 * oracle.norm_inf_to_inf(t) * np.abs(u).max()
+        assert relative_gap(adjoint.matrix(t), oracle.matrix(t)) <= 1e-12
+        for name in NORMS:
+            assert_allclose(getattr(adjoint, name)(t),
+                            getattr(oracle, name)(t), rtol=1e-12, atol=0)
+    assert len(taken) == (min(count, 2) if ratio == 2 ** -0.5 else count)
+    assert adjoint.matrix(grid[-1]) is not adjoint.matrix(grid[-1])
 
 
 @pytest.mark.parametrize("divisions", [5, 6])

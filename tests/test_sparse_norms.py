@@ -47,11 +47,11 @@ from robinheat import (
     check_ouhabaz_contractivity_criterion,
     compute_trace_norm,
     geometric_times,
-    trace_matrix,
 )
 from robinheat import assembly
 from robinheat.assembly import form_norm
 from robinheat.semigroup import SYMMETRY_TOL
+from oracles import trace_matrix
 
 
 def dense_trace_form(system):

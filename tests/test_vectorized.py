@@ -27,7 +27,6 @@ from robinheat import (
     CoefficientField,
     Mesh,
     MeshError,
-    assemble_consistent_mass,
     assemble_system,
     build_box_mesh,
     build_boundary_operator,
@@ -35,9 +34,9 @@ from robinheat import (
     check_accretivity,
     check_continuity,
     compute_trace_norm,
-    trace_matrix,
 )
 from robinheat import coefficients
+from oracles import trace_matrix
 
 HEX_PERMUTATIONS = [
     ((0, 1, 2), +1), ((0, 2, 1), -1), ((1, 0, 2), -1),
@@ -158,16 +157,6 @@ def loop_lumped_mass(mesh):
     for cell, vol in zip(mesh.cells, mesh.cell_volumes):
         m[cell] += vol / (mesh.dim + 1)
     return m
-
-
-def loop_consistent_mass(mesh):
-    d = mesh.dim
-    M = np.zeros((mesh.n_vertices, mesh.n_vertices))
-    scale = 1.0 / ((d + 1) * (d + 2))
-    for cell, vol in zip(mesh.cells, mesh.cell_volumes):
-        M[np.ix_(cell, cell)] += vol * scale * (np.ones((d + 1, d + 1))
-                                                + np.eye(d + 1))
-    return M
 
 
 def loop_kernel_samples(mesh, profile, scale, width=None):
@@ -318,8 +307,6 @@ def test_vectorized_mesh_and_assembly_match_cell_loops_bitwise(data):
     system = assemble_system(mesh, field, spec)
     expected = loop_system(mesh, field, spec, system.alpha)
     assert same_bits(system.mass, loop_lumped_mass(mesh))
-    assert same_bits(assemble_consistent_mass(mesh),
-                     loop_consistent_mass(mesh))
     for name in ("K", "K_id", "FormAtilde", "H1"):
         assert same_bits(getattr(system, name), expected[name]), name
     assert same_bits(system.with_boundary(spec.dominating()).FormAtilde,

@@ -25,7 +25,6 @@ from robinheat import (
     build_box_mesh,
     build_evaluator,
     check_domination,
-    check_duality,
     check_energy_dissipation,
     check_eventual_positivity,
     check_nash,
@@ -41,6 +40,7 @@ from robinheat import (
     write_norms_csv,
 )
 from robinheat.verify import MIN_FIT_POINTS
+from oracles import check_duality
 
 
 # -- Nash sampling -------------------------------------------------------
