@@ -8,6 +8,8 @@ over random inputs and by constructing the maximizers.  Reused
 evaluators are checked against unshared exponentials bit for bit, the
 sharing of a primal evaluator as its own adjoint against the symmetry
 tolerance from both sides, and the spectral 2->2 norm against the SVD.
+The adjoint view that ``adjoint_of`` returns for a non-self-adjoint form
+is checked against the adjoint form's own chain at 1e-12 relative.
 The doubling chain along a time grid is checked against one ``expm``
 per time at 1e-11 relative in the weighted 2-norm (6.9e-14 is the
 largest gap the derandomized examples reach), and its pairing, its
