@@ -224,6 +224,11 @@ class _Run:
             self.failed.append(check)
         self.note(f"{check}: {status}")
 
+    def resolved_times(self):
+        """The grid times the mesh resolves: t at least the squared
+        shortest edge."""
+        return self.grid[self.grid >= self.resolved]
+
     def runs(self, check):
         """Whether ``check`` is requested and not gated off: the
         admissibility condition holds or the check does not need it."""
@@ -340,20 +345,16 @@ def _run_accretivity(run):
     l2 = max(evaluator.norm_2_to_2(t) for t in run.grid)
     resolvent = max(evaluator.resolvent_contraction(lam)
                     for lam in (0.1, 1.0, 10.0))
-    energy_times = [t for t in run.grid if t >= run.resolved][:5]
     energy = verify.check_energy_dissipation(
-        run.adjoint, energy_times, samples=min(run.scenario.samples, 20),
-        seed=run.seed)
+        run.adjoint, run.resolved_times()[:5],
+        samples=min(run.scenario.samples, 20), seed=run.seed)
     payload["law_defect"] = law
     payload["max_l2_norm"] = l2
     payload["max_resolvent_norm"] = resolvent
     payload["energy_max_excess"] = energy.max_excess
     ok = (report.status == "passed" and law <= 1e-10
-          and l2 <= 1.0 + 1e-10 and resolvent <= 1.0 + 1e-10
-          and energy.status == "passed")
-    status = "passed" if ok else "failed"
-    payload["status"] = status
-    return status, payload
+          and l2 <= 1.0 + 1e-10 and resolvent <= 1.0 + 1e-10)
+    return _conclude(run, ok, energy, payload)
 
 
 def _run_continuity(run):
@@ -380,14 +381,32 @@ def _run_nash(run):
     if isinstance(fits, tuple):
         decay_times = fits[0].window_times
     else:
-        decay_times = np.array([t for t in run.grid if t >= run.resolved])
+        decay_times = run.resolved_times()
     decay = verify.check_smoothing_decay(
         run.adjoint, report.implied_constant, decay_times,
         samples=min(run.scenario.samples, 50), seed=run.seed)
     payload["decay_max_ratio"] = decay.max_ratio
     payload["decay_prefactor"] = decay.prefactor
-    ok = report.status == "passed" and decay.status == "passed"
-    return "passed" if ok else "failed", payload
+    return _conclude(run, report.status == "passed", decay, payload)
+
+
+def _conclude(run, ok, sampled, payload):
+    """The status of a check whose conclusion also rests on a report
+    sampled at the resolved grid times: failed when ``ok`` is false or
+    the sampled report failed; discretization-limited, with the reason in
+    the payload, when no grid time was resolved, so nothing was sampled;
+    passed otherwise."""
+    if not ok or sampled.status == "failed":
+        status = "failed"
+    elif sampled.status == "discretization-limited":
+        status = "discretization-limited"
+        payload["reason"] = (
+            f"no grid time reaches the resolved scale {_fmt(run.resolved)}"
+            f" (the longest is {_fmt(run.grid[-1])}), so nothing was sampled")
+    else:
+        status = "passed"
+    payload["status"] = status
+    return status, payload
 
 
 def _run_contractivity(run):

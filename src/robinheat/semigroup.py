@@ -11,9 +11,10 @@ it (Ouhabaz, Analysis of Heat Equations on Domains, 2005); the checks
 that report it apply that scalar, so an evaluator is its form, mass and grid.
 
 Sharing.  Each evaluator owns its read-only matrix per time, its mixed
-norms per time (each computed once), its symmetry residual and its
-lambda_min.  In the lumped inner product u^T M v the adjoint semigroup
-is exactly S*(t) = M^{-1} S(t)^T M = exp(-t M^{-1} FormAtilde^T).
+norms per time (each computed once), its symmetry residual and the
+spectrum of its symmetrized weighted generator.  In the lumped inner
+product u^T M v the adjoint semigroup is exactly
+S*(t) = M^{-1} S(t)^T M = exp(-t M^{-1} FormAtilde^T).
 ``adjoint_of(evaluator)`` returns the evaluator itself when its symmetry
 residual is at most SYMMETRY_TOL, the rule that also picks the spectral
 2->2 norm below, and otherwise an ``AdjointEvaluator`` that reads S*(t)
@@ -58,9 +59,13 @@ The 2->2 norm.  For the generator P = M^{-1} FormAtilde, the weighted
 generator W = M^{1/2} P M^{-1/2} equals M^{-1/2} FormAtilde M^{-1/2}.
 When max|W - W^T| <= SYMMETRY_TOL * max|W|, S(t) is self-adjoint in the
 lumped inner product and its 2->2 norm is exp(-t lambda_min(W)): the
-evaluator computes lambda_min with one ``eigvalsh`` on first use, and
-``norm_2_to_2`` takes no SVD.  Any other generator (sheared matrix
-fields, non-symmetric kernels) keeps the SVD of the weighted S(t).
+evaluator computes the spectrum of W with one ``eigvalsh`` on first use,
+and ``norm_2_to_2`` takes no SVD.  The same spectrum gives the weighted
+2->2 norm of the resolvent (I + lam P)^{-1}, max_k 1 / |1 + lam lambda_k|,
+which is 1 / (1 + lam lambda_min) whenever 1 + lam lambda_min > 0, so
+``resolvent_contraction`` takes neither ``inv`` nor an SVD.  Any other
+generator (sheared matrix fields, non-symmetric kernels) keeps the SVD of
+the weighted S(t) and the ``inv`` and SVD of the weighted resolvent.
 """
 
 import functools
@@ -122,7 +127,7 @@ class SemigroupEvaluator:
         self._matrices = {}
         self._norms = {}
         self._residual = None
-        self._lambda_min = None
+        self._eigenvalues = None
 
     def _weighted(self):
         root = np.sqrt(self.mass)
@@ -216,17 +221,29 @@ class SemigroupEvaluator:
             return float(np.linalg.norm(root[:, None] * S / root[None, :], 2))
         if t < 0:
             raise ValueError("negative time")
-        if self._lambda_min is None:     # of the symmetrized W
+        return math.exp(-float(t) * self._spectrum()[0])
+
+    def _spectrum(self):
+        """Ascending eigenvalues of the symmetrized W, from one
+        ``eigvalsh`` on first use."""
+        if self._eigenvalues is None:
             W = self._weighted()
-            self._lambda_min = float(np.linalg.eigvalsh(0.5 * (W + W.T))[0])
-        return math.exp(-float(t) * self._lambda_min)
+            self._eigenvalues = np.linalg.eigvalsh(0.5 * (W + W.T))
+        return self._eigenvalues
 
     # -- resolvent -----------------------------------------------------
     def resolvent_contraction(self, lam):
         """Weighted L2 norm of (I + lam M^{-1} FormAtilde)^{-1}; at most 1
-        for an accretive form."""
+        for an accretive form.  On a self-adjoint form (the rule of
+        ``norm_2_to_2``) it is max_k 1 / |1 + lam lambda_k| over the
+        spectrum of W, which is 1 / (1 + lam lambda_min) whenever
+        1 + lam lambda_min > 0; any other form takes ``inv`` and an SVD."""
         if lam <= 0:
             raise ValueError("lam must be positive")
+        if self.symmetry_residual <= SYMMETRY_TOL:
+            with np.errstate(divide="ignore"):
+                return float((1.0 / np.abs(1.0 + lam * self._spectrum()))
+                             .max())
         R = np.linalg.inv(np.eye(len(self.mass)) + lam * self.generator)
         root = np.sqrt(self.mass)
         return float(np.linalg.norm(root[:, None] * R / root[None, :], 2))
@@ -305,12 +322,17 @@ def _halves(grid):
 
 
 def geometric_times(t_max=1.0, ratio=2 ** -0.5, count=24):
-    """Geometrically spaced times, increasing, ending at t_max."""
+    """Geometrically spaced times, increasing, ending at t_max; a grid
+    whose first time underflows to 0 is refused."""
     if not 0 < ratio < 1:
         raise ValueError("ratio must lie in (0, 1)")
     if count < 1 or t_max <= 0:
         raise ValueError("count must be >= 1 and t_max positive")
-    return t_max * ratio ** np.arange(count - 1, -1, -1, dtype=float)
+    times = t_max * ratio ** np.arange(count - 1, -1, -1, dtype=float)
+    if not times[0] > 0:
+        raise ValueError(f"the first grid time t_max * ratio^{count - 1} "
+                         "underflows to 0")
+    return times
 
 
 def semigroup_law_defect(evaluator, t, s):

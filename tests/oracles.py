@@ -1,16 +1,22 @@
 """Dense reference constructions that only the tests use.
 
 The package assembles the boundary coupling without a trace matrix,
-lumps the mass and reads the adjoint semigroup off the primal's
-matrices.  These are the textbook forms it is checked against: the 0/1
-trace matrix, the exact P1 mass matrix, and the duality of the mixed
-norms between a semigroup and an adjoint evaluated on its own.
+lumps the mass, reads the adjoint semigroup off the primal's matrices,
+runs each time's samples as one matrix product and takes a self-adjoint
+resolvent norm from the spectrum.  These are the textbook forms it is
+checked against: the 0/1 trace matrix, the exact P1 mass matrix, the
+duality of the mixed norms between a semigroup and an adjoint evaluated
+on its own, the per-sample loops of the sampled checks, and the
+resolvent from ``inv`` and an SVD.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from robinheat import verify
+from robinheat.assembly import form_norm
 from robinheat.report import Report
 
 
@@ -54,3 +60,175 @@ def check_duality(evaluator, adjoint_evaluator, times, tol=1e-10):
         max_relative_difference=float(worst),
         status="passed" if worst <= tol else "failed",
     )
+
+
+# -- the sampled checks, one matrix-vector product per sample and time --
+#
+# verify.py runs each time's samples as one matrix product; these are the
+# per-sample loops it replaced, with the same random draws in the same
+# order.  They return the package's own report types.
+
+def loop_straddling_samples(mesh, count, rng):
+    out = []
+    for _ in range(count):
+        u = np.zeros(mesh.n_vertices)
+        for _ in range(3):
+            amp = rng.standard_normal()
+            freqs = rng.integers(0, 4, size=mesh.dim)
+            phase = rng.uniform(0, math.pi, size=mesh.dim)
+            mode = np.ones(mesh.n_vertices) * amp
+            for axis in range(mesh.dim):
+                mode *= np.cos(freqs[axis] * math.pi
+                               * mesh.vertices[:, axis] + phase[axis])
+            u += mode
+        peak = np.abs(u).max()
+        if peak == 0.0:
+            u = np.ones(mesh.n_vertices)
+            peak = 1.0
+        out.append(u / peak * rng.uniform(1.2, 3.0))
+    return out
+
+
+def loop_nash(system, samples=200, seed=2024):
+    mesh = system.mesh
+    d = mesh.dim
+    rng = np.random.default_rng(seed)
+    vectors = [np.ones(mesh.n_vertices)]
+    vectors += verify._tensor_cosine_modes(mesh, 10)
+    while len(vectors) < samples:
+        vectors.append(rng.standard_normal(mesh.n_vertices))
+    exponent = 4.0 / d
+
+    def log_ratio(u, h1_sq):
+        return ((2 + exponent) * math.log(system.l2_norm(u))
+                - exponent * math.log(system.l1_norm(u))
+                - (math.log(h1_sq) if h1_sq > 0.0 else -math.inf))
+
+    worst = -math.inf
+    used = 0
+    for u in vectors[:samples]:
+        if system.l1_norm(u) == 0.0:
+            continue
+        used += 1
+        worst = max(worst, log_ratio(u, float(u @ system.H1 @ u)))
+    ones = np.ones(mesh.n_vertices)
+    gradient_only_violation = bool(
+        log_ratio(ones, float(ones @ system.K_id @ ones)) > worst)
+    try:
+        constant = math.exp(worst)
+    except OverflowError:
+        constant = math.inf
+    return verify.NashReport(
+        dim=d, samples=used, max_ratio=constant, implied_constant=constant,
+        gradient_only_violation=gradient_only_violation,
+        status="passed" if d > 2 else "out-of-hypothesis", seed=seed)
+
+
+def loop_contractivity_criterion(system, samples=100, seed=2024):
+    form_plus = system.with_boundary(system.spec.shifted_bar(+1)).FormAtilde
+    form_minus = system.with_boundary(system.spec.shifted_bar(-1)).FormAtilde
+    scale = max(form_norm(form_plus), form_norm(form_minus))
+    rng = np.random.default_rng(seed)
+    min_plus = math.inf
+    min_minus = math.inf
+    for u in loop_straddling_samples(system.mesh, samples, rng):
+        w = np.clip(u, -1.0, 1.0)
+        z = u - w
+        min_plus = min(min_plus, float(z @ form_plus @ w))
+        min_minus = min(min_minus, float(z @ form_minus @ w))
+    ok = min(min_plus, min_minus) >= -1e-9 * scale
+    return verify.ContractivityReport(
+        min_value_plus=float(min_plus), min_value_minus=float(min_minus),
+        scale=scale, samples=samples, seed=seed,
+        status="passed" if ok else "failed")
+
+
+def loop_domination(evaluator, bar_evaluator, times, samples=50, seed=2024,
+                    tol=1e-8):
+    times = np.asarray(times, dtype=float)
+    rng = np.random.default_rng(seed)
+    n = len(evaluator.mass)
+    draws = rng.standard_normal((samples, n))
+    draws /= np.abs(draws).max(axis=1, keepdims=True)
+    worst = 0.0
+    for t in times:
+        S = evaluator.matrix(t)
+        Sbar = bar_evaluator.matrix(t)
+        for u in draws:
+            excess = np.abs(S @ u) - Sbar @ np.abs(u)
+            worst = max(worst, float(excess.max()))
+    form = evaluator.form
+    form_bar = bar_evaluator.form
+    form_scale = form_norm(form)
+    form_worst = -math.inf
+    for _ in range(100):
+        u = rng.standard_normal(n)
+        v = np.abs(rng.standard_normal(n)) * np.sign(u)
+        value = float(np.abs(v) @ form_bar @ np.abs(u) - v @ form @ u)
+        form_worst = max(form_worst, value)
+    form_worst = max(form_worst, 0.0)
+    ok = worst <= tol and form_worst <= 1e-9 * form_scale
+    return verify.DominationReport(
+        times=times, max_violation=float(worst),
+        form_max_violation=float(form_worst), form_scale=form_scale,
+        samples=samples, seed=seed, status="passed" if ok else "failed")
+
+
+def loop_eventual_positivity(evaluator, spec, times, samples=20, seed=2024):
+    """The sampling loop of the check; the hypothesis test is the
+    package's, so this takes only inputs that meet it."""
+    times = np.asarray(times, dtype=float)
+    rng = np.random.default_rng(seed)
+    mesh = evaluator.system.mesh
+    mass = evaluator.system.mass
+    data = [np.abs(rng.standard_normal(mesh.n_vertices))
+            for _ in range(max(samples - 3, 1))]
+    for vertex in (0, mesh.n_vertices // 2, int(mesh.boundary_vertices[-1])):
+        bump = np.zeros(mesh.n_vertices)
+        bump[vertex] = 1.0
+        data.append(bump)
+    ratios = np.empty(len(times))
+    for k, t in enumerate(times):
+        S = evaluator.matrix(t)
+        ratios[k] = math.exp(evaluator.system.alpha * t) * min(
+            float((S @ u).min() / float(mass @ u)) for u in data)
+    positive = ratios > 0.0
+    start = next((k for k in range(len(times)) if positive[k:].all()), None)
+    if start is None:
+        return verify.EventualPositivityReport(
+            delta=math.nan, t0=math.nan, hypothesis_ok=True, times=times,
+            ratios=ratios, samples=len(data), seed=seed, status="failed")
+    return verify.EventualPositivityReport(
+        delta=float(ratios[start:].min()), t0=float(times[start]),
+        hypothesis_ok=True, times=times, ratios=ratios, samples=len(data),
+        seed=seed, status="passed")
+
+
+def loop_smoothing_decay(adjoint_evaluator, nash_constant, times,
+                         samples=50, seed=2024):
+    """The sampling loop of the check, for a nonempty grid."""
+    system = adjoint_evaluator.system
+    d = system.mesh.dim
+    prefactor = (d * nash_constant / 4.0) ** (d / 4.0)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    times = np.asarray(times, dtype=float)
+    for t in times:
+        S = adjoint_evaluator.matrix(t)
+        bound = prefactor * t ** (-d / 4.0)
+        for _ in range(samples):
+            u = rng.standard_normal(system.n)
+            worst = max(worst,
+                        system.l2_norm(S @ u) / (bound * system.l1_norm(u)))
+    return verify.DecayReport(
+        constant=float(nash_constant), prefactor=float(prefactor),
+        max_ratio=float(worst), times=times, samples=samples, seed=seed,
+        status="passed" if worst <= 1.0 else "failed")
+
+
+def inverse_resolvent_norm(evaluator, lam):
+    """Weighted L2 norm of (I + lam M^-1 FormAtilde)^-1 from ``inv`` and
+    an SVD, for any form."""
+    R = np.linalg.inv(np.eye(len(evaluator.mass)) + lam * evaluator.generator)
+    root = np.sqrt(evaluator.mass)
+    return float(np.linalg.norm(root[:, None] * R / root[None, :], 2))

@@ -229,6 +229,36 @@ def test_fit_refusal_is_discretization_limited(tmp_path, capsys):
     assert not (out / "ultracontractivity.csv").exists()
 
 
+UNRESOLVED_SCENARIO = """\
+[domain]
+extents = 3, 3, 3
+divisions = 2
+[boundary_operator]
+kind = zero
+[run]
+checks = accretivity, nash
+"""
+
+
+def test_unresolved_grid_is_discretization_limited(tmp_path, capsys):
+    """Edges of 1.5 resolve t >= 2.25, past t_max = 1, so the energy and
+    decay checks have no time to sample: neither reports passed."""
+    path = write_scenario(tmp_path, UNRESOLVED_SCENARIO)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = (out / "manifest.txt").read_text()
+    for line in ("accretivity.status: discretization-limited",
+                 "accretivity.energy_max_excess: nan",
+                 "nash.status: discretization-limited",
+                 "nash.decay_max_ratio: nan"):
+        assert line + "\n" in manifest
+    for check in ("accretivity", "nash"):
+        document = (out / f"{check}.txt").read_text()
+        assert "status: discretization-limited\n" in document
+        assert "no grid time reaches the resolved scale 2.25" in document
+
+
 def test_run_missing_file_raises(tmp_path):
     with pytest.raises(ScenarioError, match="cannot read"):
         run_scenario(tmp_path / "absent.ini", stream=io.StringIO())
@@ -322,8 +352,10 @@ def test_main_builder_error_exits_2(tmp_path, capsys, edits, message):
     ("samples = 40", "samples = 0"),
     ("value = 2.0", "value = inf"),
     ("t_max = 1.0", "t_max = nan"),
+    ("ratio = 0.5", "ratio = 1e-120"),
 ], ids=["no-grid-points", "ratio-above-1", "negative-seed",
-        "negative-samples", "no-samples", "infinite-coefficient", "nan-time"])
+        "negative-samples", "no-samples", "infinite-coefficient", "nan-time",
+        "underflowing-grid"])
 def test_main_unusable_value_exits_2(tmp_path, capsys, old, new):
     assert old in INTERVAL_SCENARIO
     path = write_scenario(tmp_path, INTERVAL_SCENARIO.replace(old, new))

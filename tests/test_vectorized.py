@@ -35,8 +35,19 @@ from robinheat import (
     check_continuity,
     compute_trace_norm,
 )
-from robinheat import coefficients
-from oracles import trace_matrix
+from robinheat import (adjoint_of, build_evaluator, coefficients,
+                       geometric_times, verify)
+from robinheat.semigroup import SYMMETRY_TOL
+from oracles import (
+    inverse_resolvent_norm,
+    loop_contractivity_criterion,
+    loop_domination,
+    loop_eventual_positivity,
+    loop_nash,
+    loop_smoothing_decay,
+    loop_straddling_samples,
+    trace_matrix,
+)
 
 HEX_PERMUTATIONS = [
     ((0, 1, 2), +1), ((0, 2, 1), -1), ((1, 0, 2), -1),
@@ -476,3 +487,142 @@ def test_batched_continuity_matches_sample_loop(kind, samples, seed):
     assert_allclose(report.max_ratio, worst, rtol=1e-12, atol=0)
     assert report.bound_constant == const
     assert report.passed == (worst <= 1.0 + 1e-10)
+
+
+# -- the sampled checks as block products ----------------------------------
+
+GRID = geometric_times(1.0, 2.0 ** -0.5, 8)
+SAMPLES = [(200, 2024), (7, 11), (0, 3)]
+
+
+def sampled_system(kind):
+    """A self-adjoint form (isotropic field, no boundary coupling) or the
+    non-self-adjoint cosine-kernel form, with its evaluator and the
+    evaluator of its dominating comparison system on ``GRID``."""
+    cube = build_box_mesh((1.0, 1.0, 1.0), (3, 3, 3))
+    config = ({"kind": "zero"} if kind == "selfadjoint" else
+              {"kind": "kernel", "profile": "cosine", "scale": 0.05})
+    system = assemble_system(cube, CoefficientField.isotropic(cube, 2.5),
+                             build_boundary_operator(cube, config))
+    evaluator = build_evaluator(system, grid=GRID)
+    assert (evaluator.symmetry_residual <= SYMMETRY_TOL) == (
+        kind == "selfadjoint")
+    comparison = system.with_boundary(system.spec.dominating())
+    return system, evaluator, build_evaluator(comparison, grid=GRID)
+
+
+def assert_reports_match(report, expected):
+    """Equal statuses, counts and arrays; floats at rtol 1e-12."""
+    for key, value in expected.as_dict().items():
+        actual = getattr(report, key)
+        if isinstance(value, (str, bool, int)):
+            assert actual == value, key
+        else:
+            assert_allclose(actual, value, rtol=1e-12, atol=0, err_msg=key)
+
+
+@pytest.mark.parametrize("count, seed", SAMPLES + [(40, 5)])
+@pytest.mark.parametrize("shape", [
+    ((1.0,), (8,)), ((1.0, 1.3), (4, 5)), ((1.0, 1.0, 1.0), (4, 4, 4))])
+def test_straddling_samples_match_the_loop_bitwise(shape, count, seed):
+    mesh = build_box_mesh(*shape)
+    block = verify._straddling_samples(mesh, count,
+                                       np.random.default_rng(seed))
+    loop = loop_straddling_samples(mesh, count, np.random.default_rng(seed))
+    assert block.shape == (count, mesh.n_vertices)
+    assert block.tobytes() == np.array(loop).reshape(block.shape).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["selfadjoint", "cosine"])
+@pytest.mark.parametrize("samples, seed", SAMPLES)
+def test_batched_nash_matches_sample_loop(kind, samples, seed):
+    system, _, _ = sampled_system(kind)
+    assert_reports_match(verify.check_nash(system, samples, seed),
+                         loop_nash(system, samples, seed))
+
+
+@pytest.mark.parametrize("kind", ["selfadjoint", "cosine"])
+@pytest.mark.parametrize("samples, seed", SAMPLES)
+def test_batched_contractivity_criterion_matches_sample_loop(kind, samples,
+                                                             seed):
+    system, _, _ = sampled_system(kind)
+    assert_reports_match(
+        verify.check_ouhabaz_contractivity_criterion(system, samples, seed),
+        loop_contractivity_criterion(system, samples, seed))
+
+
+@pytest.mark.parametrize("absorbing", [False, True],
+                         ids=["dominating", "absorbing"])
+@pytest.mark.parametrize("kind", ["selfadjoint", "cosine"])
+@pytest.mark.parametrize("samples, seed", SAMPLES)
+def test_batched_domination_matches_sample_loop(kind, samples, seed,
+                                                absorbing):
+    """An absorbing comparison semigroup (beta = 50, decay rate about 25)
+    is no bound, so every sample violates it and the violation's value is
+    compared too."""
+    system, evaluator, bar = sampled_system(kind)
+    if absorbing:
+        bar = build_evaluator(system.with_boundary(
+            BoundaryOperatorSpec.multiplication(system.mesh, 50.0)),
+            grid=GRID)
+    expected = loop_domination(evaluator, bar, GRID, samples, seed)
+    assert (expected.max_violation > 0) == (absorbing and samples > 0)
+    assert_reports_match(
+        verify.check_domination(evaluator, bar, GRID, samples, seed),
+        expected)
+
+
+@pytest.mark.parametrize("kind", ["selfadjoint", "cosine"])
+@pytest.mark.parametrize("samples, seed", SAMPLES)
+def test_batched_eventual_positivity_matches_sample_loop(kind, samples, seed):
+    system, evaluator, _ = sampled_system(kind)
+    times = np.union1d(GRID, (2.0, 5.0))
+    report = verify.check_eventual_positivity(evaluator, system.spec, times,
+                                              samples, seed)
+    assert report.hypothesis_ok
+    assert_reports_match(report, loop_eventual_positivity(
+        evaluator, system.spec, times, samples, seed))
+
+
+@pytest.mark.parametrize("kind", ["selfadjoint", "cosine"])
+@pytest.mark.parametrize("samples, seed", SAMPLES)
+def test_batched_smoothing_decay_matches_sample_loop(kind, samples, seed):
+    _, evaluator, _ = sampled_system(kind)
+    adjoint = adjoint_of(evaluator)
+    assert (adjoint is evaluator) == (kind == "selfadjoint")
+    assert_reports_match(
+        verify.check_smoothing_decay(adjoint, 0.3, GRID, samples, seed),
+        loop_smoothing_decay(adjoint, 0.3, GRID, samples, seed))
+
+
+@pytest.mark.parametrize("beta", [0.0, -5.0], ids=["accretive", "indefinite"])
+def test_self_adjoint_resolvent_norm_takes_no_svd(beta, monkeypatch):
+    """On a self-adjoint form the resolvent norm is max_k 1/|1 + lam l_k|
+    over the spectrum of W: 1/(1 + lam l_min) when the form is accretive,
+    and not that when 1 + lam l_min < 0 (beta = -5 gives l_min = -39)."""
+    cube = build_box_mesh((1.0, 1.0, 1.0), (3, 3, 3))
+    system = assemble_system(cube, CoefficientField.isotropic(cube, 2.5),
+                             BoundaryOperatorSpec.multiplication(cube, beta))
+    evaluator = build_evaluator(system)
+    lams = (0.1, 1.0, 10.0)
+    expected = [inverse_resolvent_norm(evaluator, lam) for lam in lams]
+    calls = count_svds(monkeypatch)
+    norms = [evaluator.resolvent_contraction(lam) for lam in lams]
+    assert calls == []
+    assert_allclose(norms, expected, rtol=1e-12, atol=0)
+    W = evaluator._weighted()
+    lam_min = np.linalg.eigvalsh(0.5 * (W + W.T))[0]
+    if beta == 0.0:
+        assert lam_min > 0.0
+        assert_allclose(norms, [1.0 / (1.0 + lam * lam_min) for lam in lams],
+                        rtol=1e-12, atol=0)
+    else:
+        assert all(1.0 + lam * lam_min < 0.0 for lam in lams)
+
+
+def test_cosine_kernel_resolvent_norm_keeps_one_svd(monkeypatch):
+    _, evaluator, _ = sampled_system("cosine")
+    expected = inverse_resolvent_norm(evaluator, 1.0)
+    calls = count_svds(monkeypatch)
+    assert evaluator.resolvent_contraction(1.0) == expected
+    assert calls == [evaluator.form.shape]
