@@ -229,6 +229,19 @@ def test_fit_refusal_is_discretization_limited(tmp_path, capsys):
     assert not (out / "ultracontractivity.csv").exists()
 
 
+def test_one_point_grid_fit_is_discretization_limited(tmp_path):
+    """A single grid time has no local slope, so it is no usable fit
+    point."""
+    text = (INTERVAL_SCENARIO.replace("count = 10", "count = 1")
+            .replace("checks = accretivity,continuity,contractivity,"
+                     "positivity,domination", "checks = ultracontractivity"))
+    out = tmp_path / "out"
+    assert main(["run", str(write_scenario(tmp_path, text)),
+                 "--output-dir", str(out)]) == 0
+    assert ("ultracontractivity.status: discretization-limited\n"
+            in (out / "manifest.txt").read_text())
+
+
 UNRESOLVED_SCENARIO = """\
 [domain]
 extents = 3, 3, 3
