@@ -571,7 +571,7 @@ def test_batched_contractivity_criterion_matches_sample_loop(kind, samples,
 def test_batched_domination_matches_sample_loop(kind, samples, seed,
                                                 absorbing):
     """An absorbing comparison semigroup (beta = 50, decay rate about 25)
-    is no bound, so every sample violates it and the violation's value is
+    is no bound: the samples violate it, so the violation's value is
     compared too."""
     system, evaluator, bar = sampled_system(kind)
     if absorbing:
