@@ -37,9 +37,7 @@ from .assembly import (
     check_continuity,
 )
 from .semigroup import (
-    AdjointEvaluator,
     SemigroupEvaluator,
-    adjoint_of,
     build_evaluator,
     geometric_times,
     reuse,
@@ -80,9 +78,7 @@ __all__ = [
     "compute_trace_norm",
     "check_accretivity",
     "check_continuity",
-    "AdjointEvaluator",
     "SemigroupEvaluator",
-    "adjoint_of",
     "build_evaluator",
     "geometric_times",
     "reuse",

@@ -10,21 +10,14 @@ exp(-t M^{-1} FormAtilde).  The original evolution is exp(alpha t) times
 it (Ouhabaz, Analysis of Heat Equations on Domains, 2005); the checks
 that report it apply that scalar, so an evaluator is its form, mass and grid.
 
-Sharing.  Each evaluator owns its read-only matrix per time, its mixed
-norms per time (each computed once), its symmetry residual and the
-spectrum of its symmetrized weighted generator.  In the lumped inner
-product u^T M v the adjoint semigroup is exactly
-S*(t) = M^{-1} S(t)^T M = exp(-t M^{-1} FormAtilde^T).
-``adjoint_of(evaluator)`` returns the evaluator itself when its symmetry
-residual is at most SYMMETRY_TOL, the rule that also picks the spectral
-2->2 norm below, and otherwise an ``AdjointEvaluator`` that reads S*(t)
-and its mixed norms, the primal's dual norms, off the primal's matrices:
-it builds no chain and stores no matrix.  ``adjoint=True`` builds an
-independent chain on the adjoint form FormAtilde.T instead; the tests
-hold the identity against it.  The rule is a tolerance, not bitwise
-symmetry: from 216 unknowns on, the stiffness sum leaves a self-adjoint
-form asymmetric in its last bits, with residuals near 1e-16, while the
-shipped non-self-adjoint forms sit above 1e-5.
+Sharing and duality.  Each evaluator owns its read-only matrix per time,
+its mixed norms per time (each computed once), its symmetry residual and
+the spectrum of its symmetrized weighted generator.  There is no adjoint
+evaluator: in the lumped inner product u^T M v the adjoint semigroup is
+exactly S*(t) = M^{-1} S(t)^T M = exp(-t M^{-1} FormAtilde^T) on every
+form.  Its mixed norms are the primal's dual norms,
+|S*|_{1->2} = |S|_{2->inf} and |S*|_{1->1} = |S|_{inf->inf}, and a check
+that needs S*(t) itself forms it from the primal's matrix.
 ``reuse(evaluator, candidate)`` returns ``evaluator`` when the
 candidate's form, mass and grid are ``np.array_equal`` to its own, so
 whoever builds the evaluators of an original and a comparison system
@@ -52,8 +45,10 @@ contractions in the weighted 2-norm, so each squaring at most doubles
 the factor's error and adds one product's rounding, as ``expm``'s own
 squarings do; and the tolerated time mismatch moves S(t_k) by at most
 4 eps t_k |P S(t)|.  ``exponential(t)`` is the uncached single-``expm``
-route; ``semigroup_law_defect`` and the energy check use it, so neither
-tests a law the chain satisfies by construction.
+route, ``dense_exponential`` of the generator; ``semigroup_law_defect``
+and the energy check use it, so neither tests a law the chain satisfies
+by construction.  A matrix with a non-finite entry, from an exponential
+or a squaring, is refused with ``FloatingPointError``.
 
 The 2->2 norm.  For the generator P = M^{-1} FormAtilde, the weighted
 generator W = M^{1/2} P M^{-1/2} equals M^{-1/2} FormAtilde M^{-1/2}.
@@ -65,7 +60,11 @@ and ``norm_2_to_2`` takes no SVD.  The same spectrum gives the weighted
 which is 1 / (1 + lam lambda_min) whenever 1 + lam lambda_min > 0, so
 ``resolvent_contraction`` takes neither ``inv`` nor an SVD.  Any other
 generator (sheared matrix fields, non-symmetric kernels) keeps the SVD of
-the weighted S(t) and the ``inv`` and SVD of the weighted resolvent.
+the weighted S(t) and the ``inv`` and SVD of the weighted resolvent.  The
+rule is a tolerance, not bitwise symmetry: from 216 unknowns on, the
+stiffness sum leaves a self-adjoint form asymmetric in its last bits, with
+residuals near 1e-16, while the shipped non-self-adjoint forms sit above
+1e-5.
 """
 
 import functools
@@ -75,10 +74,9 @@ import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "AdjointEvaluator",
     "SemigroupEvaluator",
-    "adjoint_of",
     "build_evaluator",
+    "dense_exponential",
     "geometric_times",
     "reuse",
     "semigroup_law_defect",
@@ -107,20 +105,16 @@ class SemigroupEvaluator:
     Parameters
     ----------
     system : AssembledSystem
-    adjoint : bool
-        Use the adjoint form FormAtilde.T; together with the mass weights
-        this realizes the adjoint semigroup on the same mesh, with a chain
-        independent of the primal's.
     grid : sequence of float
         The times the caller will ask for; ``matrix`` builds each grid
         time that is twice another by squaring (see the module
         docstring).  Empty by default: one ``expm`` per time.
     """
 
-    def __init__(self, system, adjoint=False, grid=()):
+    def __init__(self, system, grid=()):
         self.system = system
         self.mass = system.mass
-        self.form = system.FormAtilde.T if adjoint else system.FormAtilde
+        self.form = system.FormAtilde
         self.generator = self.form / self.mass[:, None]
         self.grid = np.asarray(grid, dtype=float)
         self._halves = _halves(self.grid)
@@ -164,7 +158,9 @@ class SemigroupEvaluator:
                 if half is None:
                     S = self.exponential(time)
                 else:
-                    S = self._matrices[half] @ self._matrices[half]
+                    factor = self._matrices[half]
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        S = _finite(factor @ factor, time)
                 S.flags.writeable = False   # handed to every caller
                 self._matrices[time] = S
         return S
@@ -173,15 +169,7 @@ class SemigroupEvaluator:
         """Shifted semigroup matrix at time t >= 0 from one dense scaling
         and squaring ``expm``, uncached: the route the checks use as an
         oracle independent of the doubling chain."""
-        if t == 0.0:
-            return np.eye(len(self.mass))
-        scaled = -t * self.generator
-        norm = float(np.linalg.norm(scaled, np.inf))
-        squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
-        S = scipy.linalg.expm(scaled / 2 ** squarings)
-        for _ in range(squarings):
-            S = S @ S
-        return S
+        return dense_exponential(self.generator, t)
 
     def apply(self, t, u):
         """Semigroup applied to a vertex vector."""
@@ -249,62 +237,38 @@ class SemigroupEvaluator:
         return float(np.linalg.norm(root[:, None] * R / root[None, :], 2))
 
 
-class AdjointEvaluator:
-    """S*(t) = M^{-1} S(t)^T M read off a primal evaluator (see the module
-    docstring): no chain, no stored matrix, and each mixed norm is the
-    primal's dual norm.  ``exponential`` is its own ``expm`` of
-    FormAtilde^T / M, independent of the primal's matrices."""
-
-    exponential = SemigroupEvaluator.exponential
-
-    def __init__(self, primal):
-        self.primal = primal
-        self.system, self.mass = primal.system, primal.mass
-        self.grid = primal.grid
-        self.form = primal.form.T
-        self.generator = self.form / self.mass[:, None]
-
-    def matrix(self, t):
-        S = self.primal.matrix(t)
-        return (S.T * self.mass[None, :]) / self.mass[:, None]
-
-    def apply(self, t, u):
-        u = np.asarray(u, dtype=float)
-        return (self.primal.matrix(t).T @ (self.mass * u)) / self.mass
-
-    def norm_2_to_inf(self, t):
-        return self.primal.norm_1_to_2(t)
-
-    def norm_1_to_2(self, t):
-        return self.primal.norm_2_to_inf(t)
-
-    def norm_inf_to_inf(self, t):
-        return self.primal.norm_1_to_1(t)
-
-    def norm_1_to_1(self, t):
-        return self.primal.norm_inf_to_inf(t)
-
-    def norm_2_to_2(self, t):
-        return self.primal.norm_2_to_2(t)
+def build_evaluator(system, grid=()):
+    return SemigroupEvaluator(system, grid=grid)
 
 
-def build_evaluator(system, adjoint=False, grid=()):
-    return SemigroupEvaluator(system, adjoint=adjoint, grid=grid)
+def dense_exponential(generator, t):
+    """exp(-t generator) for t >= 0 from one dense scaling and squaring
+    ``expm``; a result with a non-finite entry is refused."""
+    if t == 0.0:
+        return np.eye(len(generator))
+    scaled = -t * generator
+    norm = float(np.linalg.norm(scaled, np.inf))
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = scipy.linalg.expm(scaled / 2 ** squarings)
+        for _ in range(squarings):
+            S = S @ S
+    return _finite(S, t)
 
 
-def adjoint_of(evaluator):
-    """The adjoint semigroup of a primal ``evaluator``: the evaluator
-    itself when its symmetry residual is at most SYMMETRY_TOL, else an
-    ``AdjointEvaluator`` that reads the primal's matrices."""
-    if evaluator.symmetry_residual <= SYMMETRY_TOL:
-        return evaluator
-    return AdjointEvaluator(evaluator)
+def _finite(S, t):
+    """``S``, unless it has a non-finite entry: then FloatingPointError."""
+    if not np.isfinite(S).all():
+        raise FloatingPointError(
+            f"the semigroup matrix at t = {float(t):.17g} has a non-finite "
+            "entry; the generator is too large for the time grid")
+    return S
 
 
 def reuse(evaluator, candidate):
     """``evaluator`` when ``candidate`` has a bitwise-equal form, mass and
     grid, so both would compute the same matrices, else ``candidate``.
-    For comparison systems; the adjoint is ``adjoint_of``'s."""
+    For comparison systems."""
     if (np.array_equal(candidate.form, evaluator.form)
             and np.array_equal(candidate.mass, evaluator.mass)
             and np.array_equal(candidate.grid, evaluator.grid)):

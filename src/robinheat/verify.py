@@ -17,6 +17,7 @@ import numpy as np
 from .assembly import form_norm
 from .mesh import write_lines
 from .report import Report, format_value
+from .semigroup import SYMMETRY_TOL, dense_exponential
 
 __all__ = [
     "NashReport",
@@ -47,6 +48,11 @@ MIN_FIT_POINTS = 4
 
 
 # ----------------------------------------------------------------------
+def _require_samples(samples):
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def _tensor_cosine_modes(mesh, count):
     """The lowest nonconstant products of axis cosines, vertex-interpolated,
     ordered by total frequency."""
@@ -218,16 +224,16 @@ class SupBoundReport(Report):
     status: str
 
 
-def check_sup_contraction(evaluator, adjoint_evaluator, times, tol=1e-8):
-    """Grid check of the sup-norm bound exp(alpha t) for the semigroup and
-    the matching L1 bound for its adjoint (excess = shifted norm - 1)."""
-    sup_excess = max(evaluator.norm_inf_to_inf(t) - 1.0 for t in times)
-    l1_excess = max(adjoint_evaluator.norm_1_to_1(t) - 1.0 for t in times)
-    ok = sup_excess <= tol and l1_excess <= tol
+def check_sup_contraction(evaluator, times, tol=1e-8):
+    """Grid check of the sup-norm bound exp(alpha t) for the semigroup
+    (excess = shifted norm - 1).  The matching L1 bound for the adjoint
+    is the same number, |S*(t)|_{1->1} = |S(t)|_{inf->inf} by duality, so
+    max_l1_excess restates max_sup_excess."""
+    excess = float(max(evaluator.norm_inf_to_inf(t) - 1.0 for t in times))
     return SupBoundReport(
-        max_sup_excess=float(sup_excess),
-        max_l1_excess=float(l1_excess),
-        status="passed" if ok else "failed",
+        max_sup_excess=excess,
+        max_l1_excess=excess,
+        status="passed" if excess <= tol else "failed",
     )
 
 
@@ -280,8 +286,9 @@ def check_domination(evaluator, bar_evaluator, times, samples=50, seed=2024,
     The comparison semigroup must be the one generated with boundary
     operator -bar: its form minorizes the original on sign-aligned pairs
     entry by entry, which is the discrete shape of the kernel bound
-    |B w| <= bar w.
+    |B w| <= bar w.  Fewer than one sample is refused with ValueError.
     """
+    _require_samples(samples)
     times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(seed)
     n = len(evaluator.mass)
@@ -327,7 +334,7 @@ class UltracontractivityReport(Report):
     envelope_ok: bool
 
 
-def fit_ultracontractivity(evaluator, alpha, times, norm="2_to_inf"):
+def fit_ultracontractivity(evaluator, alpha, times):
     """Power-law fit of g(t), the 2 -> sup norm of the shifted semigroup
     at t; the report's norms are the unshifted ones, exp(alpha t) g(t).
 
@@ -340,12 +347,7 @@ def fit_ultracontractivity(evaluator, alpha, times, norm="2_to_inf"):
     refused.
     """
     times = np.asarray(times, dtype=float)
-    if norm == "2_to_inf":
-        g = np.array([evaluator.norm_2_to_inf(t) for t in times])
-    elif norm == "1_to_2":
-        g = np.array([evaluator.norm_1_to_2(t) for t in times])
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
+    g = np.array([evaluator.norm_2_to_inf(t) for t in times])
     log_t = np.log(times)
     log_g = np.log(g)
     # np.gradient needs two points; a single one counts as a plateau
@@ -465,23 +467,31 @@ class EnergyReport(Report):
     status: str
 
 
-def check_energy_dissipation(adjoint_evaluator, times, samples=20, seed=2024,
+def check_energy_dissipation(evaluator, times, samples=20, seed=2024,
                              tol=1e-6):
-    """The squared L2 norm along the adjoint shifted evolution dissipates
-    at least twice the squared H1 norm (centered finite difference in t
-    against the instantaneous H1 energy).  All three matrices of a time
-    come from ``exponential``, one ``expm`` each, so a difference of O(1)
-    terms never mixes them with the evaluator's doubling chain.  With no
-    time to sample, nothing is concluded: max_excess is nan and the
-    status discretization-limited."""
-    system = adjoint_evaluator.system
+    """The squared L2 norm along the adjoint shifted evolution S*(t)
+    dissipates at least twice the squared H1 norm (centered finite
+    difference in t against the instantaneous H1 energy).  All three
+    matrices of a time come from ``dense_exponential`` of the adjoint
+    generator M^{-1} FormAtilde^T, one ``expm`` each, so a difference of
+    O(1) terms never mixes them with the evaluator's doubling chain.  On a
+    self-adjoint form (symmetry residual at most SYMMETRY_TOL) that is the
+    evaluator's own generator, whose last bits the transpose need not
+    share.  With no time to sample, nothing is concluded: max_excess is
+    nan and the status discretization-limited.  Fewer than one sample is
+    refused with ValueError."""
+    _require_samples(samples)
+    system = evaluator.system
+    generator = (evaluator.generator
+                 if evaluator.symmetry_residual <= SYMMETRY_TOL
+                 else evaluator.form.T / evaluator.mass[:, None])
     rng = np.random.default_rng(seed)
     draws = [rng.standard_normal(system.n) for _ in range(samples)]
     scale = max((system.l2_norm(u) ** 2 for u in draws), default=0.0)
     worst = -math.inf
     for t in times:
         step = 1e-3 * t
-        before, now, after = (adjoint_evaluator.exponential(s)
+        before, now, after = (dense_exponential(generator, s)
                               for s in (t - step, t, t + step))
         for u in draws:
             derivative = (system.l2_norm(after @ u) ** 2
@@ -512,17 +522,21 @@ class DecayReport(Report):
     status: str
 
 
-def check_smoothing_decay(adjoint_evaluator, nash_constant, times,
-                          samples=50, seed=2024):
-    """Quantitative L1 -> L2 decay of the adjoint shifted semigroup:
+def check_smoothing_decay(evaluator, nash_constant, times, samples=50,
+                          seed=2024):
+    """Quantitative L1 -> L2 decay of the adjoint shifted semigroup
+    S*(t) = M^{-1} S(t)^T M, formed from the evaluator's matrices:
 
         |S*(t) u|_L2 <= (d C / 4)^(d/4) t^(-d/4) |u|_L1
 
     with C the sampled interpolation constant on the same mesh.  The
     report's max_ratio is the worst observed left/right quotient.  With
     no time to sample, nothing is concluded: max_ratio is nan and the
-    status discretization-limited."""
-    system = adjoint_evaluator.system
+    status discretization-limited.  Fewer than one sample is refused with
+    ValueError."""
+    _require_samples(samples)
+    system = evaluator.system
+    mass = system.mass
     d = system.mesh.dim
     prefactor = (d * nash_constant / 4.0) ** (d / 4.0)
     rng = np.random.default_rng(seed)
@@ -530,10 +544,10 @@ def check_smoothing_decay(adjoint_evaluator, nash_constant, times,
     worst = 0.0
     for t in times:
         U = rng.standard_normal((samples, system.n))
-        SU = U @ adjoint_evaluator.matrix(t).T
+        S = evaluator.matrix(t)
+        SU = U @ ((S.T * mass) / mass[:, None]).T
         bound = prefactor * t ** (-d / 4.0)
-        ratios = (np.sqrt((SU * SU) @ system.mass)
-                  / (bound * (np.abs(U) @ system.mass)))
+        ratios = np.sqrt((SU * SU) @ mass) / (bound * (np.abs(U) @ mass))
         worst = max(worst, float(ratios.max(initial=0.0)))
     if len(times):
         status = "passed" if worst <= 1.0 else "failed"

@@ -1,21 +1,23 @@
 """Dense reference constructions that only the tests use.
 
 The package assembles the boundary coupling without a trace matrix,
-lumps the mass, reads the adjoint semigroup off the primal's matrices,
-runs each time's samples as one matrix product and takes a self-adjoint
-resolvent norm from the spectrum.  These are the textbook forms it is
-checked against: the 0/1 trace matrix, the exact P1 mass matrix, the
-duality of the mixed norms between a semigroup and an adjoint evaluated
-on its own, the per-sample loops of the sampled checks, and the
-resolvent from ``inv`` and an SVD.
+lumps the mass, reads the adjoint semigroup off the primal's matrices by
+duality, runs each time's samples as one matrix product and takes a
+self-adjoint resolvent norm from the spectrum.  These are the textbook
+forms it is checked against: the 0/1 trace matrix, the exact P1 mass
+matrix, the adjoint semigroup evaluated on its own with a chain of its
+own, the duality of the mixed norms between a semigroup and that
+adjoint, the per-sample loops of the sampled checks, and the resolvent
+from ``inv`` and an SVD.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from robinheat import verify
+from robinheat import build_evaluator, verify
 from robinheat.assembly import form_norm
 from robinheat.report import Report
 
@@ -40,6 +42,16 @@ def assemble_consistent_mass(mesh):
     M = np.zeros((mesh.n_vertices, mesh.n_vertices))
     np.add.at(M, (rows, cols), local.ravel())
     return M
+
+
+def adjoint_evaluator(system, grid=()):
+    """The adjoint semigroup exp(-t M^-1 FormAtilde^T) evaluated on its
+    own: an evaluator of a copy of ``system`` whose FormAtilde is the
+    transpose view, so its chain and its exponentials never read the
+    primal's matrices."""
+    adjoint = copy.copy(system)
+    adjoint.FormAtilde = system.FormAtilde.T
+    return build_evaluator(adjoint, grid=grid)
 
 
 @dataclass

@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import robinheat
-from robinheat import SemigroupEvaluator
+from robinheat import semigroup, verify
 from robinheat.cli import (
     ScenarioError,
     compare_manifests,
@@ -485,22 +486,50 @@ def test_evaluators_die_with_their_run(tmp_path, monkeypatch, checks, grid):
 
 def test_one_evaluator_makes_every_exponential(tmp_path, monkeypatch):
     """On a self-adjoint form whose comparison systems coincide with it,
-    the adjoint, positivity and domination evaluators are the primal
-    one, so a single evaluator computes every exponential."""
-    makers = set()
-    exponential = SemigroupEvaluator.exponential
+    the positivity and domination evaluators are the primal one, and the
+    energy check exponentiates the primal's generator as the adjoint's,
+    so every exponential is of one generator."""
+    generators = []
+    real = semigroup.dense_exponential
 
-    def recorded(self, t):
-        makers.add(id(self))
-        return exponential(self, t)
+    def recorded(generator, t):
+        generators.append(generator)
+        return real(generator, t)
 
-    monkeypatch.setattr(SemigroupEvaluator, "exponential", recorded)
+    monkeypatch.setattr(semigroup, "dense_exponential", recorded)
+    monkeypatch.setattr(verify, "dense_exponential", recorded)
     text = CUBE2_SCENARIO.replace(
         "checks = ultracontractivity, nash",
         "checks = accretivity, positivity, domination, ultracontractivity")
     path = write_scenario(tmp_path, text)
     run_scenario(path, output_dir=tmp_path / "o", stream=io.StringIO())
-    assert len(makers) == 1
+    assert len(generators) > 20
+    assert all(generator is generators[0] for generator in generators)
+
+
+@pytest.mark.parametrize("operator", [
+    "kind = multiplication\nbeta = -0.05",
+    "kind = kernel\nprofile = cosine\nscale = 0.005",
+], ids=["self-adjoint", "cosine-kernel"])
+def test_manifest_restates_the_adjoint_keys(tmp_path, operator):
+    """The adjoint's 1 -> 2 norm and L1 norm are the primal's 2 -> sup and
+    sup norms by duality, so the manifest writes the adjoint's fitted
+    slope and L1 excess as the primal's, character for character."""
+    text = (CUBE_SCENARIO.replace("value = 1.0", "value = 2.5")
+            .replace("kind = zero", operator)
+            .replace("checks = ultracontractivity, nash",
+                     "checks = contractivity, ultracontractivity"))
+    path = write_scenario(tmp_path, text)
+    out = tmp_path / "o"
+    assert run_scenario(path, output_dir=out, stream=io.StringIO()) == 0
+    manifest = dict(line.split(": ", 1) for line in
+                    (out / "manifest.txt").read_text().splitlines())
+    assert manifest["ultracontractivity.status"] == "passed"
+    assert manifest["ultracontractivity.adjoint_consistent"] == "true"
+    assert (manifest["ultracontractivity.adjoint_fitted_slope"]
+            == manifest["ultracontractivity.fitted_slope"])
+    assert (manifest["contractivity.max_l1_excess"]
+            == manifest["contractivity.max_sup_excess"])
 
 
 @pytest.mark.parametrize("operator, expected", [
@@ -510,9 +539,9 @@ def test_one_evaluator_makes_every_exponential(tmp_path, monkeypatch):
 def test_ultracontractivity_takes_two_exponentials_per_evaluator(
         tmp_path, monkeypatch, operator, expected):
     """The default grid doubles every second time, so each evaluator
-    exponentiates its two smallest times and squares the rest; the adjoint
-    of a non-self-adjoint form reads the primal's matrices, so either
-    form takes one chain."""
+    exponentiates its two smallest times and squares the rest; the fit of
+    the adjoint is the primal's by duality, so either form takes one
+    chain."""
     import scipy.linalg
 
     calls = []
@@ -695,6 +724,24 @@ def test_every_input_exits_0_1_or_2(text):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+def test_non_finite_semigroup_matrix_exits_2(tmp_path, capsys):
+    """A cosine kernel of scale 1e300 overflows the squarings of the first
+    exponential.  The run is refused with an error line, where it used to
+    print numpy overflow warnings and report positivity: passed."""
+    text = re.sub(r"checks = .*", "checks = positivity",
+                  _edited("cube_kernel", "scale = 0.005", "scale = 1e300"))
+    path = write_scenario(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # a numpy warning fails the test
+        assert main(["run", str(path), "--output-dir",
+                     str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the semigroup matrix at t = ")
+    assert "has a non-finite entry" in captured.err
+    assert "Traceback" not in captured.err
+    assert "positivity: passed" not in captured.out
 
 
 def clean_env(**variables):

@@ -6,16 +6,20 @@ triangular 2 x 2 generator whose off-diagonal entry has the explicit
 divided-difference form.  Mixed norms are cross-checked by brute force
 over random inputs and by constructing the maximizers.  Reused
 evaluators are checked against unshared exponentials bit for bit, the
-sharing of a primal evaluator as its own adjoint against the symmetry
-tolerance from both sides, and the spectral 2->2 norm against the SVD.
-The adjoint view that ``adjoint_of`` returns for a non-self-adjoint form
-is checked against the adjoint form's own chain at 1e-12 relative.
+energy check's adjoint generator (the evaluator's own on a self-adjoint
+form) against the symmetry tolerance from both sides, and the spectral
+2->2 norm against the SVD.  The duality routes that read the adjoint
+semigroup off the primal (the dual mixed norms, the decay check's
+S*(t) = M^-1 S(t)^T M and the energy check's exponentials) are checked
+against the adjoint form's own chain from ``oracles.py``: at 1e-12
+relative, and the exponentials bit for bit.
 The doubling chain along a time grid is checked against one ``expm``
 per time at 1e-11 relative in the weighted 2-norm (6.9e-14 is the
 largest gap the derandomized examples reach), and its pairing, its
 order independence and its part in ``reuse`` are checked exactly.
 """
 
+import copy
 import io
 import math
 from types import SimpleNamespace
@@ -27,11 +31,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from robinheat import (
-    AdjointEvaluator,
     BoundaryOperatorSpec,
     CoefficientField,
     SemigroupEvaluator,
-    adjoint_of,
     assemble_system,
     build_box_mesh,
     build_boundary_operator,
@@ -42,8 +44,9 @@ from robinheat import (
     semigroup_law_defect,
     write_norms_csv,
 )
-from robinheat import assembly, semigroup
+from robinheat import assembly, semigroup, verify
 from robinheat.cli import main
+from oracles import adjoint_evaluator, loop_smoothing_decay
 
 EXP_TOL = 1e-13
 
@@ -136,7 +139,7 @@ def test_adjoint_pairing(cube2):
     spec = BoundaryOperatorSpec.multiplication(cube2, -0.02)
     system = assemble_system(cube2, field, spec)
     primal = build_evaluator(system)
-    adjoint = build_evaluator(system, adjoint=True)
+    adjoint = adjoint_evaluator(system)
     mass = system.mass
     rng = np.random.default_rng(3)
     t = 0.2
@@ -254,7 +257,7 @@ def test_norm_2_to_2_matches_svd(interval4_robin_system):
 
 def test_duality_of_mixed_norms(cube2_neumann_system):
     primal = build_evaluator(cube2_neumann_system)
-    adjoint = build_evaluator(cube2_neumann_system, adjoint=True)
+    adjoint = adjoint_evaluator(cube2_neumann_system)
     for t in (0.05, 0.2, 1.0):
         a = primal.norm_2_to_inf(t)
         b = adjoint.norm_1_to_2(t)
@@ -332,8 +335,11 @@ def selfadjoint_systems(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(selfadjoint_systems(), st.sampled_from((0.01, 0.1, 0.5)))
 def test_selfadjoint_evaluators_share_one_propagator(system, t):
+    """The energy check exponentiates the evaluator's own generator on a
+    self-adjoint form, so every exponential is the primal's."""
     primal = build_evaluator(system)
-    assert adjoint_of(primal) is primal
+    assert np.array_equal(energy_exponentials(primal, t),
+                          primal.exponential(t))
     S = primal.matrix(t)
     assert not S.flags.writeable
     assert np.array_equal(S, SemigroupEvaluator(system).exponential(t))
@@ -363,7 +369,7 @@ def nonsymmetric_system(kind):
 def test_nonsymmetric_generators_keep_svd_path(kind, monkeypatch):
     system = nonsymmetric_system(kind)
     primal = build_evaluator(system)
-    adjoint = build_evaluator(system, adjoint=True)
+    adjoint = adjoint_evaluator(system)
     t = 0.1
     assert reuse(primal, adjoint) is adjoint
     assert primal.symmetry_residual > semigroup.SYMMETRY_TOL
@@ -390,113 +396,141 @@ def test_norm_1_to_2_satisfies_weighted_adjoint_identity():
 
 
 def test_adjoint_form_is_the_transpose_view(cube2):
+    """The oracle's adjoint copies no matrix: its form is a view of the
+    primal's, and the primal system keeps its own."""
     field = CoefficientField.matrix(cube2, [[2.0, 0.5, 0.0],
                                             [-0.5, 2.0, 0.3],
                                             [0.0, -0.3, 2.0]])
     system = assemble_system(
         cube2, field, BoundaryOperatorSpec.multiplication(cube2, -0.02))
-    adjoint = build_evaluator(system, adjoint=True)
-    assert np.array_equal(adjoint.form, system.FormAtilde.T)
-    assert np.shares_memory(adjoint.form, system.FormAtilde)
+    form = system.FormAtilde
+    adjoint = adjoint_evaluator(system)
+    assert np.array_equal(adjoint.form, form.T)
+    assert np.shares_memory(adjoint.form, form)
+    assert system.FormAtilde is form
 
 
 @pytest.mark.parametrize("kind", ["sheared-matrix", "cosine-kernel"])
 def test_nonsymmetric_adjoint_is_the_weighted_transpose(kind):
     """The semigroup of the adjoint form, from a chain of its own, is
-    M^-1 S(t)^T M, the adjoint in the lumped inner product; adjoint_of
-    reads it off the primal on the primal's grid, and its single-expm
-    route keeps the bits of the adjoint form's own."""
+    M^-1 S(t)^T M, the adjoint in the lumped inner product, and the
+    energy check's exponentials keep the bits of the adjoint form's own
+    single-expm route."""
     system = nonsymmetric_system(kind)
     grid = geometric_times(count=6)
     primal = build_evaluator(system, grid=grid)
-    independent = build_evaluator(system, adjoint=True, grid=grid)
-    adjoint = adjoint_of(primal)
-    assert isinstance(adjoint, AdjointEvaluator)
-    assert adjoint.primal is primal
-    assert np.array_equal(adjoint.grid, grid)
+    independent = adjoint_evaluator(system, grid=grid)
     m = system.mass
     for t in grid:
         dual = (primal.matrix(t).T * m[None, :]) / m[:, None]
         assert weighted_gap(primal, independent.matrix(t), dual) <= 1e-12
-        assert np.array_equal(adjoint.exponential(t),
+        assert np.array_equal(energy_exponentials(primal, t),
                               independent.exponential(t))
 
 
-def relative_gap(a, b):
-    return float(np.abs(a - b).max() / np.abs(b).max())
+def energy_exponentials(evaluator, t):
+    """The matrix ``check_energy_dissipation`` exponentiates at time t,
+    recorded from a one-sample check at t."""
+    taken = {}
+    real = verify.dense_exponential
+
+    def recorded(generator, s):
+        taken[s] = real(generator, s)
+        return taken[s]
+
+    verify.dense_exponential = recorded
+    try:
+        verify.check_energy_dissipation(evaluator, [t], samples=1)
+    finally:
+        verify.dense_exponential = real
+    return taken[t]
 
 
-NORMS = ("norm_2_to_inf", "norm_1_to_2", "norm_inf_to_inf", "norm_1_to_1",
-         "norm_2_to_2")
+# (primal norm, the adjoint's norm it equals by duality)
+DUAL_NORMS = (("norm_2_to_inf", "norm_1_to_2"),
+              ("norm_1_to_2", "norm_2_to_inf"),
+              ("norm_inf_to_inf", "norm_1_to_1"),
+              ("norm_1_to_1", "norm_inf_to_inf"),
+              ("norm_2_to_2", "norm_2_to_2"))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(("sheared-matrix", "cosine-kernel", "random-kernel")),
        st.sampled_from((2 ** -0.5, 0.6)), st.integers(1, 12),
        st.floats(0.05, 2.0), st.integers(0, 2 ** 16))
-def test_adjoint_view_matches_an_independent_chain(kind, ratio, count, t_max,
+def test_duality_routes_match_an_independent_chain(kind, ratio, count, t_max,
                                                    seed):
-    """adjoint_of's view of the primal's matrices against the adjoint
-    form's own chain, on grids with doublings (ratio 2^-1/2) and without
-    (ratio 0.6): matrix and the five mixed norms at 1e-12 relative, and
-    apply at 1e-12 of |S*(t)|_inf->inf |u|_inf, because a random u can
-    nearly cancel in S*(t) u.  On the first two forms each mixed norm of
+    """What the checks read off the primal for the adjoint semigroup,
+    against the adjoint form's own chain on grids with doublings (ratio
+    2^-1/2) and without (ratio 0.6): every mixed norm against its dual
+    and the sup check's L1 bound at 1e-12 relative, the decay check's
+    S*(t) through its ratios at 1e-12 relative, and the energy check's
+    exponentials bit for bit.  On the first two forms each mixed norm of
     S(t) equals its dual norm to roundoff; on the random kernel they
     differ by about 1e-3, so a dual norm read off the wrong primal norm
-    shows.  The view takes only the primal chain's exponentials and
-    stores no matrix."""
+    shows, and the lumped masses differ from vertex to vertex, so S*(t)
+    without its mass weights shows."""
     system = nonsymmetric_system(kind)
     grid = geometric_times(t_max, ratio, count)
     primal = build_evaluator(system, grid=grid)
-    taken = recording_exponentials(primal)
-    adjoint = adjoint_of(primal)
-    oracle = build_evaluator(system, adjoint=True, grid=grid)
-    rng = np.random.default_rng(seed)
+    oracle = adjoint_evaluator(system, grid=grid)
     for t in grid:
-        u = rng.standard_normal(system.n)
-        gap = np.abs(adjoint.apply(t, u) - oracle.apply(t, u)).max()
-        assert gap <= 1e-12 * oracle.norm_inf_to_inf(t) * np.abs(u).max()
-        assert relative_gap(adjoint.matrix(t), oracle.matrix(t)) <= 1e-12
-        for name in NORMS:
-            assert_allclose(getattr(adjoint, name)(t),
-                            getattr(oracle, name)(t), rtol=1e-12, atol=0)
-    assert len(taken) == (min(count, 2) if ratio == 2 ** -0.5 else count)
-    assert adjoint.matrix(grid[-1]) is not adjoint.matrix(grid[-1])
+        for norm, dual in DUAL_NORMS:
+            assert_allclose(getattr(primal, norm)(t), getattr(oracle, dual)(t),
+                            rtol=1e-12, atol=0)
+        decay = verify.check_smoothing_decay(primal, 0.3, [t], 5, seed)
+        expected = loop_smoothing_decay(oracle, 0.3, [t], 5, seed)
+        assert_allclose(decay.max_ratio, expected.max_ratio, rtol=1e-12,
+                        atol=0)
+    bounds = verify.check_sup_contraction(primal, grid)
+    assert_allclose(bounds.max_l1_excess + 1.0,
+                    max(oracle.norm_1_to_1(t) for t in grid),
+                    rtol=1e-12, atol=0)
+    for t in grid[-3:]:
+        assert np.array_equal(energy_exponentials(primal, t),
+                              oracle.exponential(t))
 
 
 @pytest.mark.parametrize("divisions", [5, 6])
 def test_selfadjoint_sharing_tolerates_stiffness_roundoff(divisions):
     """On the cube_robin operator at 216 and 343 unknowns the form is not
-    bitwise symmetric, only to roundoff; the primal still serves as its
-    own adjoint."""
+    bitwise symmetric, only to roundoff; the energy check still takes the
+    primal's own exponentials."""
     cube = build_box_mesh((1.0, 1.0, 1.0), (divisions,) * 3)
     system = assemble_system(
         cube, CoefficientField.isotropic(cube, 2.5),
         BoundaryOperatorSpec.multiplication(cube, -0.05))
     assert not np.array_equal(system.FormAtilde, system.FormAtilde.T)
     primal = build_evaluator(system)
-    assert adjoint_of(primal) is primal
+    assert primal.symmetry_residual <= semigroup.SYMMETRY_TOL
+    assert np.array_equal(energy_exponentials(primal, 0.1),
+                          primal.exponential(0.1))
 
 
 @pytest.mark.parametrize("factor, shared", [(0.5, True), (2.0, False)])
 def test_sharing_stops_above_the_symmetry_tolerance(interval4_robin_system,
                                                     factor, shared):
     """One off-diagonal entry is moved so that the weighted generator's
-    asymmetry is ``factor`` times SYMMETRY_TOL of its largest entry."""
+    asymmetry is ``factor`` times SYMMETRY_TOL of its largest entry.  The
+    energy check exponentiates the primal's own generator below the
+    tolerance and the transpose's above it; the two differ in their bits."""
     system = interval4_robin_system
     m = system.mass
     root = np.sqrt(m)
     scale = np.abs(system.FormAtilde / root[:, None] / root[None, :]).max()
     form = system.FormAtilde.copy()
     form[0, 1] += factor * semigroup.SYMMETRY_TOL * scale * root[0] * root[1]
-    pushed = SimpleNamespace(FormAtilde=form, mass=m)
+    pushed = copy.copy(system)
+    pushed.FormAtilde = form
     primal = build_evaluator(pushed)
     assert_allclose(primal.symmetry_residual,
                     factor * semigroup.SYMMETRY_TOL, rtol=1e-3)
-    adjoint = adjoint_of(primal)
-    assert (adjoint is primal) is shared
-    if not shared:
-        assert np.array_equal(adjoint.form, form.T)
+    t = 0.1
+    own = primal.exponential(t)
+    transposed = semigroup.dense_exponential(form.T / m[:, None], t)
+    assert not np.array_equal(own, transposed)
+    taken = energy_exponentials(primal, t)
+    assert np.array_equal(taken, own if shared else transposed)
 
 
 def test_sharing_requires_bitwise_equal_generators(interval4_robin_system):
@@ -519,9 +553,8 @@ def test_building_an_evaluator_is_lazy(cube2_neumann_system, monkeypatch):
                         (np.linalg, "eigvalsh"), (np.linalg, "eigh")):
         monkeypatch.setattr(owner, name, refuse)
     build_evaluator(cube2_neumann_system)
-    SemigroupEvaluator(cube2_neumann_system, adjoint=True)
     build_evaluator(cube2_neumann_system, grid=geometric_times())
-    SemigroupEvaluator(cube2_neumann_system, adjoint=True,
+    SemigroupEvaluator(cube2_neumann_system,
                        grid=geometric_times(ratio=2 ** -0.25))
 
 
@@ -577,12 +610,13 @@ def chain_systems(draw):
 def test_chain_agrees_with_single_exponentials(system, ratio, count, t_max,
                                                adjoint):
     grid = geometric_times(t_max, ratio, count)
-    ev = build_evaluator(system, adjoint=adjoint, grid=grid)
+    build = adjoint_evaluator if adjoint else build_evaluator
+    ev = build(system, grid=grid)
     taken = recording_exponentials(ev)
     chained = [ev.matrix(t) for t in grid]
     # one expm per time until the grid first doubles, squarings after
     assert len(taken) == min(count, 2 if ratio == 2 ** -0.5 else 4)
-    oracle = build_evaluator(system, adjoint=adjoint)
+    oracle = build(system)
     for t, S in zip(grid, chained):
         assert weighted_gap(ev, S, oracle.exponential(t)) <= 1e-11
 

@@ -19,9 +19,12 @@ The sampled checks (Nash, truncation criterion, domination, eventual
 positivity, L1 -> L2 decay) run each time's samples as one matrix
 product.  Each is held against its per-sample loop in ``oracles.py`` at
 rtol 1e-12 with equal statuses and counts, at 200, 7 and 0 samples, on
-a self-adjoint form and on the non-self-adjoint cosine-kernel form; a
-comparison semigroup that absorbs at the boundary makes domination's
-violation positive, so its value is compared too.  The straddling
+a self-adjoint form and on the non-self-adjoint cosine-kernel form; the
+decay check's S*(t), read off the primal by duality, is held against
+the loop over the adjoint form's own chain.  Domination and the decay
+check refuse 0 samples with ValueError instead of passing on no
+evidence.  A comparison semigroup that absorbs at the boundary makes
+domination's violation positive, so its value is compared too.  The straddling
 samples of the truncation criterion keep the loop's draws and bits and
 are compared through ``tobytes()``.  The spectral resolvent norm of a
 self-adjoint form is held against ``inv`` and an SVD, also where
@@ -48,10 +51,10 @@ from robinheat import (
     check_continuity,
     compute_trace_norm,
 )
-from robinheat import (adjoint_of, build_evaluator, coefficients,
-                       geometric_times, verify)
+from robinheat import build_evaluator, coefficients, geometric_times, verify
 from robinheat.semigroup import SYMMETRY_TOL
 from oracles import (
+    adjoint_evaluator,
     inverse_resolvent_norm,
     loop_contractivity_criterion,
     loop_domination,
@@ -572,14 +575,18 @@ def test_batched_domination_matches_sample_loop(kind, samples, seed,
                                                 absorbing):
     """An absorbing comparison semigroup (beta = 50, decay rate about 25)
     is no bound: the samples violate it, so the violation's value is
-    compared too."""
+    compared too.  No sample is refused."""
     system, evaluator, bar = sampled_system(kind)
     if absorbing:
         bar = build_evaluator(system.with_boundary(
             BoundaryOperatorSpec.multiplication(system.mesh, 50.0)),
             grid=GRID)
+    if samples == 0:
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify.check_domination(evaluator, bar, GRID, samples, seed)
+        return
     expected = loop_domination(evaluator, bar, GRID, samples, seed)
-    assert (expected.max_violation > 0) == (absorbing and samples > 0)
+    assert (expected.max_violation > 0) == absorbing
     assert_reports_match(
         verify.check_domination(evaluator, bar, GRID, samples, seed),
         expected)
@@ -600,12 +607,17 @@ def test_batched_eventual_positivity_matches_sample_loop(kind, samples, seed):
 @pytest.mark.parametrize("kind", ["selfadjoint", "cosine"])
 @pytest.mark.parametrize("samples, seed", SAMPLES)
 def test_batched_smoothing_decay_matches_sample_loop(kind, samples, seed):
-    _, evaluator, _ = sampled_system(kind)
-    adjoint = adjoint_of(evaluator)
-    assert (adjoint is evaluator) == (kind == "selfadjoint")
+    """The check forms S*(t) from the evaluator's matrices; the loop runs
+    on the adjoint form's own chain.  No sample is refused."""
+    system, evaluator, _ = sampled_system(kind)
+    if samples == 0:
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify.check_smoothing_decay(evaluator, 0.3, GRID, samples, seed)
+        return
     assert_reports_match(
-        verify.check_smoothing_decay(adjoint, 0.3, GRID, samples, seed),
-        loop_smoothing_decay(adjoint, 0.3, GRID, samples, seed))
+        verify.check_smoothing_decay(evaluator, 0.3, GRID, samples, seed),
+        loop_smoothing_decay(adjoint_evaluator(system, grid=GRID), 0.3, GRID,
+                             samples, seed))
 
 
 @pytest.mark.parametrize("beta", [0.0, -5.0], ids=["accretive", "indefinite"])

@@ -40,7 +40,7 @@ from robinheat import (
     write_norms_csv,
 )
 from robinheat.verify import MIN_FIT_POINTS
-from oracles import check_duality
+from oracles import adjoint_evaluator, check_duality
 
 
 # -- Nash sampling -------------------------------------------------------
@@ -85,12 +85,12 @@ def test_ouhabaz_criterion_kernel(cube2):
 # -- sup norm bounds -----------------------------------------------------
 
 def test_sup_contraction_interval(interval4_robin_system):
+    """The adjoint's L1 bound restates the sup bound by duality."""
     primal = build_evaluator(interval4_robin_system)
-    adjoint = build_evaluator(interval4_robin_system, adjoint=True)
-    report = check_sup_contraction(primal, adjoint, geometric_times(count=12))
+    report = check_sup_contraction(primal, geometric_times(count=12))
     assert report.status == "passed"
     assert report.max_sup_excess <= 1e-8
-    assert report.max_l1_excess <= 1e-8
+    assert report.max_l1_excess == report.max_sup_excess
 
 
 # -- positivity ----------------------------------------------------------
@@ -163,8 +163,6 @@ class SyntheticNormEvaluator:
     def norm_2_to_inf(self, t):
         return self.C * min(t, self.knee) ** self.p
 
-    norm_1_to_2 = norm_2_to_inf
-
 
 def test_fit_recovers_planted_exponent():
     ev = SyntheticNormEvaluator(C=0.3, p=-0.75, knee=0.3, min_edge=0.05)
@@ -184,14 +182,6 @@ def test_fit_refuses_unresolved_grid():
     with pytest.raises(ValueError, match="usable grid points"):
         fit_ultracontractivity(ev, alpha=1.0,
                                times=geometric_times(count=20))
-
-
-def test_fit_rejects_unknown_norm(interval4_robin_system):
-    ev = build_evaluator(interval4_robin_system)
-    with pytest.raises(ValueError, match="unknown norm"):
-        fit_ultracontractivity(ev, alpha=2.0,
-                               times=geometric_times(count=8),
-                               norm="2_to_2")
 
 
 def test_fit_window_has_minimum_size():
@@ -248,16 +238,16 @@ def test_eventual_positivity_gates_on_symmetric_part(interval4_robin_system):
 
 def test_duality_report(cube2_neumann_system):
     primal = build_evaluator(cube2_neumann_system)
-    adjoint = build_evaluator(cube2_neumann_system, adjoint=True)
+    adjoint = adjoint_evaluator(cube2_neumann_system)
     report = check_duality(primal, adjoint, geometric_times(count=12))
     assert report.status == "passed"
     assert report.max_relative_difference <= 1e-10
 
 
 def test_energy_dissipation(interval4_robin_system):
-    adjoint = build_evaluator(interval4_robin_system, adjoint=True)
+    evaluator = build_evaluator(interval4_robin_system)
     times = geometric_times(count=8)[:5]
-    report = check_energy_dissipation(adjoint, times, samples=10, seed=2024)
+    report = check_energy_dissipation(evaluator, times, samples=10, seed=2024)
     assert report.status == "passed"
     assert report.max_excess <= 1e-6 * report.scale
 
@@ -298,10 +288,10 @@ def test_energy_report_matches_the_sample_outer_loop(
               else cube2_kernel_system(cube2))
     grid = geometric_times()
     times = grid[-8:-3]
-    chained = build_evaluator(system, adjoint=True, grid=grid)
+    chained = build_evaluator(system, grid=grid)
     report = check_energy_dissipation(chained, times, samples=7, seed=11)
     worst, scale = sample_outer_energy(
-        build_evaluator(system, adjoint=True), times, samples=7, seed=11)
+        adjoint_evaluator(system), times, samples=7, seed=11)
     assert report.max_excess == worst
     assert report.scale == scale
 
@@ -338,10 +328,10 @@ def test_oracle_routes_ignore_the_evaluators_matrices(cube2):
 
 def test_smoothing_decay(cube2, cube2_neumann_system):
     nash = check_nash(cube2_neumann_system, samples=100, seed=2024)
-    adjoint = build_evaluator(cube2_neumann_system, adjoint=True)
+    evaluator = build_evaluator(cube2_neumann_system)
     window = [t for t in geometric_times(count=12)
               if t >= cube2.min_edge_length ** 2]
-    report = check_smoothing_decay(adjoint, nash.implied_constant, window,
+    report = check_smoothing_decay(evaluator, nash.implied_constant, window,
                                    samples=50, seed=2024)
     assert report.status == "passed"
     assert report.max_ratio <= 1.0
