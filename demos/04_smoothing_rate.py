@@ -25,7 +25,7 @@ TIMES = geometric_times(t_max=1.0, ratio=2.0 ** -0.5, count=24)
 def report(label, system):
     # given the grid, the evaluator squares S(t) into S(2t) along it
     evaluator = build_evaluator(system, grid=TIMES)
-    fit = fit_ultracontractivity(evaluator, system.alpha, TIMES)
+    fit = fit_ultracontractivity(evaluator)
     window = f"[{fit.window_times[0]:.4f}, {fit.window_times[-1]:.4f}]"
     print(f"{label}:")
     print(f"  fitted slope {fit.fitted_slope:+.4f}  (prediction -0.75)")

@@ -29,7 +29,7 @@ def main():
     cube = build_box_mesh((1.0, 1.0, 1.0), (4, 4, 4))
     plain = assemble_system(cube, CoefficientField.isotropic(cube, 1.0),
                             BoundaryOperatorSpec.zero(cube))
-    report = check_positivity(build_evaluator(plain), TIMES)
+    report = check_positivity(build_evaluator(plain, grid=TIMES))
     print(f"isotropic cube:      positivity {report.status}, smallest "
           f"entry {report.min_entries.min():+.2e}")
 
@@ -39,7 +39,7 @@ def main():
         CoefficientField.matrix(square, np.array([[1.0, -0.9],
                                                   [-0.9, 1.0]])),
         BoundaryOperatorSpec.zero(square))
-    report = check_positivity(build_evaluator(sheared), TIMES)
+    report = check_positivity(build_evaluator(sheared, grid=TIMES))
     print(f"sheared square:      positivity {report.status}, smallest "
           f"entry {report.min_entries.min():+.2e}")
 
@@ -47,13 +47,14 @@ def main():
     robin = assemble_system(cube, CoefficientField.isotropic(cube, 5.0),
                             spec)
     comparison = assemble_system(cube, robin.field, spec.dominating())
-    report = check_domination(build_evaluator(robin),
-                              build_evaluator(comparison), TIMES,
+    evaluator = build_evaluator(robin, grid=TIMES)
+    report = check_domination(evaluator,
+                              build_evaluator(comparison, grid=TIMES),
                               samples=30, seed=2024)
     print(f"robin cube:          domination {report.status}, largest "
           f"violation {report.max_violation:+.2e}")
 
-    report = check_sup_contraction(build_evaluator(robin), TIMES)
+    report = check_sup_contraction(evaluator)
     print(f"robin cube:          sup bound {report.status}, largest "
           f"excess {report.max_sup_excess:+.2e}")
 

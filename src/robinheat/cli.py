@@ -70,7 +70,9 @@ class Scenario:
                 divisions = [int(divisions)] * len(extents)
             return build_box_mesh(extents, divisions)
         if shape == "lshape":
-            divisions = int(self.domain.get("divisions", 4))
+            divisions = self.domain.get("divisions", 4)
+            if isinstance(divisions, list):
+                raise ScenarioError(None, "lshape divisions: one number only")
             dim = int(self.domain.get("dim", 2))
             return build_lshape_mesh(divisions, dim=dim)
         raise ScenarioError(None, f"unknown domain shape {shape!r}")
@@ -244,8 +246,7 @@ class _Run:
         run and its matrices."""
         if self.fitted is None:
             try:
-                self.fitted = verify.fit_ultracontractivity(
-                    self.evaluator, self.system.alpha, self.grid)
+                self.fitted = verify.fit_ultracontractivity(self.evaluator)
             except ValueError as exc:
                 self.fitted = exc.with_traceback(None)
         return self.fitted
@@ -410,7 +411,7 @@ def _conclude(run, ok, sampled, payload):
 def _run_contractivity(run):
     report = verify.check_ouhabaz_contractivity_criterion(
         run.system, samples=max(run.scenario.samples, 100), seed=run.seed)
-    bounds = verify.check_sup_contraction(run.evaluator, run.grid)
+    bounds = verify.check_sup_contraction(run.evaluator)
     payload = report.as_dict()
     payload.update(bounds.as_dict())
     ok = report.status == "passed" and bounds.status == "passed"
@@ -420,8 +421,7 @@ def _run_contractivity(run):
 def _run_positivity(run):
     comparison = run.system.with_boundary(run.system.spec.shifted_bar(-1))
     report = verify.check_positivity(
-        reuse(run.evaluator, build_evaluator(comparison, grid=run.grid)),
-        run.grid)
+        reuse(run.evaluator, build_evaluator(comparison, grid=run.grid)))
     return report.status, report.as_dict()
 
 
@@ -430,7 +430,7 @@ def _run_domination(run):
     bar_evaluator = reuse(run.evaluator,
                           build_evaluator(comparison, grid=run.grid))
     report = verify.check_domination(
-        run.evaluator, bar_evaluator, run.grid,
+        run.evaluator, bar_evaluator,
         samples=min(run.scenario.samples, 50), seed=run.seed)
     return report.status, report.as_dict()
 
@@ -451,7 +451,7 @@ def _run_ultracontractivity(run):
 def _run_eventual_positivity(run):
     times = np.union1d(run.grid, EXTRA_POSITIVITY_TIMES)
     report = verify.check_eventual_positivity(
-        run.evaluator, run.system.spec, times,
+        run.evaluator, times,
         samples=min(run.scenario.samples, 20), seed=run.seed)
     return report.status, report.as_dict()
 
@@ -471,7 +471,7 @@ CHECKS = {
 
 
 def _write_outputs(out, run):
-    verify.write_norms_csv(run.evaluator, run.grid, out / "norms.csv")
+    verify.write_norms_csv(run.evaluator, out / "norms.csv")
     write_lines(run.summary, out / "summary.txt")
     header = [f"checks: {','.join(run.scenario.checks)}", f"seed: {run.seed}"]
     write_lines(header + [f"{key}: {run.manifest[key]}"
@@ -528,9 +528,8 @@ def compare_manifests(path_a, path_b, stream=None, tol=1e-6):
             if va != vb:
                 rows.append((key, va, vb, ""))
             continue
-        denom = max(abs(fa), abs(fb), 1e-300)
-        rel = abs(fa - fb) / denom
-        if rel > tol:
+        rel = abs(fa - fb) / max(abs(fa), abs(fb), 1e-300)
+        if rel > tol or (math.isnan(rel) and va != vb):  # a nan or inf
             rows.append((key, va, vb, f"{rel:.3g}"))
     if not rows:
         print("no differences", file=stream)

@@ -10,7 +10,7 @@ exp(-t M^{-1} FormAtilde).  The original evolution is exp(alpha t) times
 it (Ouhabaz, Analysis of Heat Equations on Domains, 2005); the checks
 that report it apply that scalar, so an evaluator is its form, mass and grid.
 
-Sharing and duality.  Each evaluator owns its read-only matrix per time,
+Sharing and duality.  Each evaluator owns its grid's read-only matrices,
 its mixed norms per time (each computed once), its symmetry residual and
 the spectrum of its symmetrized weighted generator.  There is no adjoint
 evaluator: in the lumped inner product u^T M v the adjoint semigroup is
@@ -25,8 +25,8 @@ whose boundary operators coincide detects that they can share and never
 assumes it.  A form one bit away keeps its own evaluator, and a reused
 one gives the bits the candidate would give.
 
-Doubling chain.  An evaluator built with the run's time grid maps each
-grid time t_k to the earliest grid time t_j with
+Doubling chain.  An evaluator maps each grid time t_k to the earliest
+grid time t_j with
 |t_k - 2 t_j| <= 4 eps t_k (eps the float64 machine epsilon) and
 computes S(t_k) = S(t_j) @ S(t_j) instead of a fresh ``expm``: on the
 default ratio 2^-1/2, t_{k+2} = 2 t_k, so two exponentials and squarings
@@ -35,9 +35,9 @@ Anal. Appl. 26(4), 2005) run across grid points instead of inside each
 one.  Floats rarely double exactly (5 of the 22 pairs of the default
 grid do; the rest differ in the last bit), so pairs are detected with
 the tolerance and never assumed; a grid with no pairs, such as ratio
-0.6, keeps one ``expm`` per time.  ``matrix`` resolves a time's half
-before the time itself, so each grid matrix's bits depend only on the
-generator and the grid, never on the order in which callers ask.
+0.6, keeps one ``expm`` per time.  The first grid request builds the
+grid in ascending time order, so the bits depend only on the generator
+and the grid; an off-grid time takes one uncached ``expm``.
 Error: S(t_k) becomes the 2^m-th power of an exponential at t_k / 2^m,
 the same scaling and squaring a single ``expm`` at t_k performs with
 about as many squarings.  For an accretive form the factors are
@@ -106,9 +106,8 @@ class SemigroupEvaluator:
     ----------
     system : AssembledSystem
     grid : sequence of float
-        The times the caller will ask for; ``matrix`` builds each grid
-        time that is twice another by squaring (see the module
-        docstring).  Empty by default: one ``expm`` per time.
+        The times the grid checks scan, built together by ``matrix`` (see
+        the module docstring).  Empty by default.
     """
 
     def __init__(self, system, grid=()):
@@ -117,8 +116,9 @@ class SemigroupEvaluator:
         self.form = system.FormAtilde
         self.generator = self.form / self.mass[:, None]
         self.grid = np.asarray(grid, dtype=float)
-        self._halves = _halves(self.grid)
-        self._matrices = {}
+        if not (self.grid >= 0).all():
+            raise ValueError("grid times must be nonnegative")
+        self._chain = None
         self._norms = {}
         self._residual = None
         self._eigenvalues = None
@@ -140,29 +140,24 @@ class SemigroupEvaluator:
 
     # -- exponentials --------------------------------------------------
     def matrix(self, t):
-        """Dense matrix of the semigroup at time t >= 0, cached per time; a
-        grid time with a half on the grid is the square of the half's."""
+        """Read-only matrix of the semigroup at time t >= 0: a grid time's
+        from the chain, any other's from one uncached ``expm``."""
         if t < 0:
             raise ValueError("negative time")
-        t = float(t)
-        S = self._matrices.get(t)
-        if S is None:
-            # walk down to a time whose half is cached or that has none,
-            # then build back up, so the bits never depend on call order
-            pending = [t]
-            while (pending[-1] in self._halves
-                   and self._halves[pending[-1]] not in self._matrices):
-                pending.append(self._halves[pending[-1]])
-            for time in reversed(pending):
-                half = self._halves.get(time)
-                if half is None:
-                    S = self.exponential(time)
+        hits = np.flatnonzero(self.grid == t)
+        if len(hits) and self._chain is None:
+            halves = _halves(self.grid)
+            chain = [None] * len(self.grid)
+            for k in np.argsort(self.grid, kind="stable"):
+                if halves[k] < 0:
+                    chain[k] = self.exponential(float(self.grid[k]))
                 else:
-                    factor = self._matrices[half]
+                    half = chain[halves[k]]
                     with np.errstate(over="ignore", invalid="ignore"):
-                        S = _finite(factor @ factor, time)
-                S.flags.writeable = False   # handed to every caller
-                self._matrices[time] = S
+                        chain[k] = _finite(half @ half, self.grid[k])
+            self._chain = chain
+        S = self._chain[hits[0]] if len(hits) else self.exponential(float(t))
+        S.flags.writeable = False   # a grid matrix is handed to every caller
         return S
 
     def exponential(self, t):
@@ -277,12 +272,11 @@ def reuse(evaluator, candidate):
 
 
 def _halves(grid):
-    """Map each positive grid time to the earliest grid time that is its
-    half within 4 eps relative (see the module docstring)."""
+    """For each grid index, the index of the earliest grid time that is
+    its half within 4 eps relative (see the module docstring), or -1."""
     close = (np.abs(grid[:, None] - 2.0 * grid[None, :])
              <= 4.0 * np.finfo(float).eps * grid[:, None])
-    return {float(t): float(grid[row.argmax()])
-            for t, row in zip(grid, close) if t > 0 and row.any()}
+    return np.where((grid > 0) & close.any(axis=1), close.argmax(axis=1), -1)
 
 
 def geometric_times(t_max=1.0, ratio=2 ** -0.5, count=24):

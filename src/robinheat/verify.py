@@ -7,6 +7,10 @@ under satisfied hypotheses, "hypothesis unmet" means a precondition of
 the underlying estimate does not hold and nothing was claimed,
 "discretization-limited" marks conclusions the mesh cannot be expected
 to reproduce (sign structure under non-isotropic coefficients).
+
+The grid checks (sup bound, positivity, domination, the power-law fit,
+the norms CSV) scan the evaluator's grid; the others take ``times``.
+Alpha and the boundary operator come from the evaluator's system.
 """
 
 import math
@@ -224,12 +228,12 @@ class SupBoundReport(Report):
     status: str
 
 
-def check_sup_contraction(evaluator, times, tol=1e-8):
+def check_sup_contraction(evaluator, tol=1e-8):
     """Grid check of the sup-norm bound exp(alpha t) for the semigroup
     (excess = shifted norm - 1).  The matching L1 bound for the adjoint
     is the same number, |S*(t)|_{1->1} = |S(t)|_{inf->inf} by duality, so
     max_l1_excess restates max_sup_excess."""
-    excess = float(max(evaluator.norm_inf_to_inf(t) - 1.0 for t in times))
+    excess = float(max(map(evaluator.norm_inf_to_inf, evaluator.grid))) - 1.0
     return SupBoundReport(
         max_sup_excess=excess,
         max_l1_excess=excess,
@@ -245,7 +249,7 @@ class PositivityReport(Report):
     status: str
 
 
-def check_positivity(evaluator, times, tol=1e-9):
+def check_positivity(evaluator, tol=1e-9):
     """Entrywise nonnegativity of the semigroup matrix on the grid.
 
     Intended for the evaluator of the boundary operator |bar|_inf - bar,
@@ -254,7 +258,7 @@ def check_positivity(evaluator, times, tol=1e-9):
     discretization-limited: P1 elements need not preserve positivity
     there even when the continuum operator does.
     """
-    times = np.asarray(times, dtype=float)
+    times = evaluator.grid
     mins = np.array([float(evaluator.matrix(t).min()) for t in times])
     if mins.min() >= -tol:
         status = "passed"
@@ -277,7 +281,7 @@ class DominationReport(Report):
     status: str
 
 
-def check_domination(evaluator, bar_evaluator, times, samples=50, seed=2024,
+def check_domination(evaluator, bar_evaluator, samples=50, seed=2024,
                      tol=1e-8):
     """|S(t) u| <= S_bar(t) |u| componentwise for random signed samples,
     with violations measured relative to the sup norm of u, plus the
@@ -286,10 +290,13 @@ def check_domination(evaluator, bar_evaluator, times, samples=50, seed=2024,
     The comparison semigroup must be the one generated with boundary
     operator -bar: its form minorizes the original on sign-aligned pairs
     entry by entry, which is the discrete shape of the kernel bound
-    |B w| <= bar w.  Fewer than one sample is refused with ValueError.
+    |B w| <= bar w.  No sample, or no common grid, is refused with
+    ValueError: an empty grid would leave the form criterion alone.
     """
     _require_samples(samples)
-    times = np.asarray(times, dtype=float)
+    times = evaluator.grid
+    if not len(times) or not np.array_equal(times, bar_evaluator.grid):
+        raise ValueError("the two evaluators need one common, nonempty grid")
     rng = np.random.default_rng(seed)
     n = len(evaluator.mass)
     draws = rng.standard_normal((samples, n))
@@ -334,7 +341,7 @@ class UltracontractivityReport(Report):
     envelope_ok: bool
 
 
-def fit_ultracontractivity(evaluator, alpha, times):
+def fit_ultracontractivity(evaluator):
     """Power-law fit of g(t), the 2 -> sup norm of the shifted semigroup
     at t; the report's norms are the unshifted ones, exp(alpha t) g(t).
 
@@ -346,7 +353,7 @@ def fit_ultracontractivity(evaluator, alpha, times):
     in log-log coordinates.  With fewer than 4 usable points the fit is
     refused.
     """
-    times = np.asarray(times, dtype=float)
+    times, alpha = evaluator.grid, evaluator.system.alpha
     g = np.array([evaluator.norm_2_to_inf(t) for t in times])
     log_t = np.log(times)
     log_g = np.log(g)
@@ -397,22 +404,22 @@ class EventualPositivityReport(Report):
     status: str
 
 
-def check_eventual_positivity(evaluator, spec, times, samples=20, seed=2024):
+def check_eventual_positivity(evaluator, times, samples=20, seed=2024):
     """Uniform lower bound (S(t) u)_i >= delta * integral(u) for
     nonnegative data and large times.
 
     Hypotheses checked discretely before any claim: the weighted boundary
     coupling must have nonnegative symmetric part and annihilate the
     constant boundary vector.  The scan uses the unshifted semigroup,
-    exp(alpha t) times the shifted one, and reports the first grid time
+    exp(alpha t) times the shifted one, and reports the first time
     from which the worst sample ratio stays positive, with delta the
     worst ratio from there on.
     """
     times = np.asarray(times, dtype=float)
-    weights = evaluator.system.boundary_weights
-    Bw = weights[:, None] * spec.matrix()
+    system = evaluator.system
+    Bw = system.Bw
     sym_min = float(np.linalg.eigvalsh(0.5 * (Bw + Bw.T)).min())
-    ones_excess = float(np.abs(spec.matrix().sum(axis=1)).max())
+    ones_excess = float(np.abs(system.spec.matrix().sum(axis=1)).max())
     hypothesis_ok = sym_min >= -1e-10 and ones_excess <= 1e-10
     if not hypothesis_ok:
         return EventualPositivityReport(
@@ -420,8 +427,7 @@ def check_eventual_positivity(evaluator, spec, times, samples=20, seed=2024):
             ratios=np.full(len(times), math.nan), samples=samples, seed=seed,
             status="hypothesis unmet")
     rng = np.random.default_rng(seed)
-    mesh = evaluator.system.mesh
-    mass = evaluator.system.mass
+    mesh, mass = system.mesh, system.mass
     data = [np.abs(rng.standard_normal(mesh.n_vertices))
             for _ in range(max(samples - 3, 1))]
     for vertex in (0, mesh.n_vertices // 2, int(mesh.boundary_vertices[-1])):
@@ -433,7 +439,7 @@ def check_eventual_positivity(evaluator, spec, times, samples=20, seed=2024):
     ratios = np.empty(len(times))
     for k, t in enumerate(times):
         lowest = (evaluator.matrix(t) @ block).min(axis=0)
-        ratios[k] = (math.exp(evaluator.system.alpha * t)
+        ratios[k] = (math.exp(system.alpha * t)
                      * float((lowest / integrals).min()))
     positive = ratios > 0.0
     start = None
@@ -572,11 +578,11 @@ def write_document(mapping, target):
     return write_lines(lines, target)
 
 
-def write_norms_csv(evaluator, times, target):
+def write_norms_csv(evaluator, target):
     """One row per grid time with the unshifted semigroup's mixed norms
     and its smallest matrix entry: exp(alpha t) times the shifted ones."""
     lines = ["t,norm_2_to_inf,norm_1_to_2,norm_inf_to_inf,min_entry"]
-    for t in times:
+    for t in evaluator.grid:
         shift = math.exp(evaluator.system.alpha * t)
         shifted = (evaluator.norm_2_to_inf(t), evaluator.norm_1_to_2(t),
                    evaluator.norm_inf_to_inf(t),

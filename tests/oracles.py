@@ -155,9 +155,9 @@ def loop_contractivity_criterion(system, samples=100, seed=2024):
         status="passed" if ok else "failed")
 
 
-def loop_domination(evaluator, bar_evaluator, times, samples=50, seed=2024,
+def loop_domination(evaluator, bar_evaluator, samples=50, seed=2024,
                     tol=1e-8):
-    times = np.asarray(times, dtype=float)
+    times = evaluator.grid
     rng = np.random.default_rng(seed)
     n = len(evaluator.mass)
     draws = rng.standard_normal((samples, n))
@@ -186,7 +186,7 @@ def loop_domination(evaluator, bar_evaluator, times, samples=50, seed=2024,
         samples=samples, seed=seed, status="passed" if ok else "failed")
 
 
-def loop_eventual_positivity(evaluator, spec, times, samples=20, seed=2024):
+def loop_eventual_positivity(evaluator, times, samples=20, seed=2024):
     """The sampling loop of the check; the hypothesis test is the
     package's, so this takes only inputs that meet it."""
     times = np.asarray(times, dtype=float)

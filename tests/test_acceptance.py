@@ -80,7 +80,7 @@ def make_scenario(mesh, value, spec_config):
     return SimpleNamespace(
         system=system,
         spec=spec,
-        primal=build_evaluator(system),
+        primal=build_evaluator(system, grid=GRID),
         adjoint=adjoint_evaluator(system, grid=GRID),
     )
 
@@ -127,11 +127,10 @@ def test_1_smoothing_rate(absorbing):
     mesh = build_box_mesh((1.0, 1.0, 1.0), (6, 6, 6))
     field = CoefficientField.isotropic(mesh, 1.0)
     system = assemble_system(mesh, field, BoundaryOperatorSpec.zero(mesh))
-    fit = fit_ultracontractivity(build_evaluator(system), system.alpha, GRID)
+    fit = fit_ultracontractivity(build_evaluator(system, grid=GRID))
     runtime = time.perf_counter() - start
 
-    robin_fit = fit_ultracontractivity(absorbing.primal,
-                                       absorbing.system.alpha, GRID)
+    robin_fit = fit_ultracontractivity(absorbing.primal)
     ok = (SLOPE_WINDOW[0] <= fit.fitted_slope <= SLOPE_WINDOW[1]
           and runtime < RUNTIME_LIMIT
           and SLOPE_WINDOW[0] <= robin_fit.fitted_slope <= SLOPE_WINDOW[1]
@@ -164,7 +163,7 @@ def test_3_domination(strong):
     mesh = strong.system.mesh
     dom = assemble_system(mesh, strong.system.field,
                           strong.spec.dominating())
-    report = check_domination(strong.primal, build_evaluator(dom), GRID,
+    report = check_domination(strong.primal, build_evaluator(dom, grid=GRID),
                               samples=50, seed=SEED, tol=DOMINATION_TOL)
     ok = report.status == "passed" and report.max_violation <= DOMINATION_TOL
     assert announce(3, "domination", ok,
@@ -178,7 +177,7 @@ def test_4_sup_norm_bounds(all_scenarios):
     every grid time."""
     worst = -math.inf
     for scenario in all_scenarios.values():
-        report = check_sup_contraction(scenario.primal, GRID, tol=SUP_TOL)
+        report = check_sup_contraction(scenario.primal, tol=SUP_TOL)
         l1_excess = max(scenario.adjoint.norm_1_to_1(t) - 1.0 for t in GRID)
         worst = max(worst, report.max_sup_excess, l1_excess)
         if report.status != "passed":
@@ -229,7 +228,7 @@ def test_6_interpolation_inequality(plain):
                                     seed=SEED).implied_constant
     drift = abs(constants[4] - constants[8]) / constants[8]
 
-    fit = fit_ultracontractivity(plain.primal, plain.system.alpha, GRID)
+    fit = fit_ultracontractivity(plain.primal)
     decay = check_smoothing_decay(plain.primal, report.implied_constant,
                                   fit.window_times, samples=50, seed=SEED)
     ok = (report.status == "passed"
@@ -270,10 +269,10 @@ def test_8_eventual_positivity(rotating, plain):
     Bw = rotating.system.Bw
     antisym = float(np.abs(Bw + Bw.T).max() / np.abs(Bw).max())
     annihilates = float(np.abs(spec.matrix().sum(axis=1)).max())
-    report = check_eventual_positivity(rotating.primal, spec, LONG_TIMES,
+    report = check_eventual_positivity(rotating.primal, LONG_TIMES,
                                        samples=20, seed=SEED)
-    uniform = check_eventual_positivity(plain.primal, plain.spec,
-                                        LONG_TIMES, samples=20, seed=SEED)
+    uniform = check_eventual_positivity(plain.primal, LONG_TIMES,
+                                        samples=20, seed=SEED)
     limit_error = abs(uniform.ratios[-1] - 1.0)
     ok = (antisym <= 1e-10 and annihilates <= 1e-10
           and report.status == "passed"

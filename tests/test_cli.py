@@ -307,6 +307,17 @@ def test_compare_lists_numeric_drift(tmp_path):
     assert "no differences" not in printed
     assert "admissibility.alpha" in printed
     assert "rel" in printed
+    # a value that turns nan or infinite is drift too; equal ones are not
+    header = "checks: eventual_positivity\nseed: 2024\n"
+    man_a.write_text(header + "eventual_positivity.delta: nan\n"
+                     "eventual_positivity.t0: inf\nratio: nan\nbound: inf\n")
+    man_b.write_text(header + "eventual_positivity.delta: 0.25\n"
+                     "eventual_positivity.t0: 1.5\nratio: nan\nbound: inf\n")
+    stream = io.StringIO()
+    assert compare_manifests(man_a, man_b, stream=stream) == 0
+    rows = [line.split()[:3] for line in stream.getvalue().splitlines()]
+    assert rows == [["eventual_positivity.delta", "nan", "0.25"],
+                    ["eventual_positivity.t0", "inf", "1.5"]]
 
 
 def test_compare_rejects_mismatched_checks(tmp_path):
@@ -343,7 +354,9 @@ def test_main_parse_error_exits_2(tmp_path, capsys):
     ([("kind = multiplication\nbeta = -0.1",
        "kind = kernel\nprofile = cosine")], "cosine kernel needs dim >= 2"),
     ([("beta = -0.1\n", "")], "missing key 'beta'"),
-], ids=["non-elliptic", "cosine-in-1d", "missing-beta"])
+    ([("shape = box\nextents = 1.0\ndivisions = 4",
+       "shape = lshape\ndivisions = 2, 2")], "one number only"),
+], ids=["non-elliptic", "cosine-in-1d", "missing-beta", "lshape-divisions"])
 def test_main_builder_error_exits_2(tmp_path, capsys, edits, message):
     text = INTERVAL_SCENARIO
     for old, new in edits:
@@ -708,6 +721,7 @@ def _edited(name, old, new):
 @example(_edited("cube_neumann", "extents = 1.0, 1.0, 1.0",
                  "extents = 1e300, 1, 1"))
 @example(_edited("lshape_robin", "divisions = 2", "divisions = "))
+@example(_edited("lshape_robin", "divisions = 2", "divisions = 2, 2"))
 @example(_edited("cube_neumann", "extents = 1.0, 1.0, 1.0",
                  "extents = 1e300"))
 def test_every_input_exits_0_1_or_2(text):

@@ -16,7 +16,8 @@ relative, and the exponentials bit for bit.
 The doubling chain along a time grid is checked against one ``expm``
 per time at 1e-11 relative in the weighted 2-norm (6.9e-14 is the
 largest gap the derandomized examples reach), and its pairing, its
-order independence and its part in ``reuse`` are checked exactly.
+independence of the grid's order, its one matrix per grid position, the
+uncached off-grid route and its part in ``reuse`` are checked exactly.
 """
 
 import copy
@@ -101,13 +102,13 @@ def test_unshifted_outputs_carry_exponential_factor():
     times = geometric_times()
     ev = build_evaluator(system, grid=times)
     buffer = io.StringIO()
-    write_norms_csv(ev, times, buffer)
+    write_norms_csv(ev, buffer)
     for line, t in zip(buffer.getvalue().splitlines()[1:], times):
         shifted = (ev.norm_2_to_inf(t), ev.norm_1_to_2(t),
                    ev.norm_inf_to_inf(t), float(ev.matrix(t).min()))
         assert [float(v) for v in line.split(",")] == [
             t, *(math.exp(alpha * t) * v for v in shifted)]
-    fit = fit_ultracontractivity(ev, alpha, times)
+    fit = fit_ultracontractivity(ev)
     g = np.array([ev.norm_2_to_inf(t) for t in times])
     assert np.array_equal(fit.norms, g * np.exp(alpha * times))
 
@@ -116,11 +117,6 @@ def test_matrix_rejects_negative_time():
     ev = SemigroupEvaluator(stub_system(np.eye(2), np.ones(2)))
     with pytest.raises(ValueError):
         ev.matrix(-0.1)
-
-
-def test_matrix_is_cached():
-    ev = SemigroupEvaluator(stub_system(np.eye(2), np.ones(2)))
-    assert ev.matrix(0.25) is ev.matrix(0.25)
 
 
 # -- structural identities ----------------------------------------------
@@ -482,7 +478,7 @@ def test_duality_routes_match_an_independent_chain(kind, ratio, count, t_max,
         expected = loop_smoothing_decay(oracle, 0.3, [t], 5, seed)
         assert_allclose(decay.max_ratio, expected.max_ratio, rtol=1e-12,
                         atol=0)
-    bounds = verify.check_sup_contraction(primal, grid)
+    bounds = verify.check_sup_contraction(primal)
     assert_allclose(bounds.max_l1_excess + 1.0,
                     max(oracle.norm_1_to_1(t) for t in grid),
                     rtol=1e-12, atol=0)
@@ -636,21 +632,52 @@ def test_pairs_are_detected_not_assumed(interval4_robin_system, grid):
         assert np.array_equal(S, oracle.exponential(t))
 
 
-def test_chained_bits_do_not_depend_on_request_order():
+def test_grid_time_returns_one_read_only_matrix(interval4_robin_system):
+    """The first request builds the whole grid; every later request for a
+    grid time returns the same read-only object and takes no expm."""
+    grid = geometric_times(count=6)
+    ev = build_evaluator(interval4_robin_system, grid=grid)
+    taken = recording_exponentials(ev)
+    first = [ev.matrix(t) for t in grid]
+    assert taken == [float(t) for t in grid[:2]]
+    for t, S in zip(grid, first):
+        assert ev.matrix(t) is S
+        assert not S.flags.writeable
+    assert len(taken) == 2
+
+
+@pytest.mark.parametrize("grid", [(), geometric_times(count=6)],
+                         ids=["no-grid", "grid"])
+def test_off_grid_time_takes_one_expm_per_request(interval4_robin_system,
+                                                  grid):
+    ev = build_evaluator(interval4_robin_system, grid=grid)
+    taken = recording_exponentials(ev)
+    first, second = ev.matrix(0.3), ev.matrix(0.3)
+    assert taken == [0.3, 0.3]
+    assert first is not second
+    assert np.array_equal(first, second)
+    assert not first.flags.writeable
+
+
+def test_shuffled_grid_gives_the_sorted_bits():
+    """The chain is built in ascending time order whatever the grid's
+    order, so each time gets the bits, and the two exponentials, of the
+    sorted grid."""
     system = nonsymmetric_system("cosine-kernel")
     grid = geometric_times()
-    target = float(grid[17])
-    orders = {"ascending": list(grid), "descending": list(grid[::-1]),
-              "target first": [target] + list(grid)}
-    matrices = {}
-    for name, order in orders.items():
-        ev = build_evaluator(system, grid=grid)
-        for t in order:
-            ev.matrix(t)
-        matrices[name] = [ev.matrix(t) for t in grid]
-    for name in ("descending", "target first"):
-        for A, B in zip(matrices["ascending"], matrices[name]):
-            assert np.array_equal(A, B)
+    ordered = build_evaluator(system, grid=grid)
+    permutation = np.random.default_rng(0).permutation(len(grid))
+    for shuffled in (grid[::-1], grid[permutation]):
+        ev = build_evaluator(system, grid=shuffled)
+        taken = recording_exponentials(ev)
+        for t in shuffled:
+            assert np.array_equal(ev.matrix(t), ordered.matrix(t))
+        assert taken == [float(t) for t in grid[:2]]
+
+
+def test_negative_grid_time_is_refused(interval4_robin_system):
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_evaluator(interval4_robin_system, grid=[-0.1, 0.5])
 
 
 def test_reuse_requires_an_equal_grid(interval4_robin_system):

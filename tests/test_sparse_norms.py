@@ -428,8 +428,9 @@ def test_domination_form_scale_is_the_accretivity_scale():
     system = cube_system(divisions=3)
     comparison = assemble_system(system.mesh, system.field,
                                  system.spec.dominating())
+    grid = geometric_times(count=2)
     with lanczos_everywhere():
-        report = check_domination(build_evaluator(system),
-                                  build_evaluator(comparison),
-                                  geometric_times(count=2), samples=2)
+        report = check_domination(build_evaluator(system, grid=grid),
+                                  build_evaluator(comparison, grid=grid),
+                                  samples=2)
         assert report.form_scale == check_accretivity(system).scale

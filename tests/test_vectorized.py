@@ -583,12 +583,12 @@ def test_batched_domination_matches_sample_loop(kind, samples, seed,
             grid=GRID)
     if samples == 0:
         with pytest.raises(ValueError, match="samples must be at least 1"):
-            verify.check_domination(evaluator, bar, GRID, samples, seed)
+            verify.check_domination(evaluator, bar, samples, seed)
         return
-    expected = loop_domination(evaluator, bar, GRID, samples, seed)
+    expected = loop_domination(evaluator, bar, samples, seed)
     assert (expected.max_violation > 0) == absorbing
     assert_reports_match(
-        verify.check_domination(evaluator, bar, GRID, samples, seed),
+        verify.check_domination(evaluator, bar, samples, seed),
         expected)
 
 
@@ -597,11 +597,11 @@ def test_batched_domination_matches_sample_loop(kind, samples, seed,
 def test_batched_eventual_positivity_matches_sample_loop(kind, samples, seed):
     system, evaluator, _ = sampled_system(kind)
     times = np.union1d(GRID, (2.0, 5.0))
-    report = verify.check_eventual_positivity(evaluator, system.spec, times,
-                                              samples, seed)
+    report = verify.check_eventual_positivity(evaluator, times, samples,
+                                              seed)
     assert report.hypothesis_ok
     assert_reports_match(report, loop_eventual_positivity(
-        evaluator, system.spec, times, samples, seed))
+        evaluator, times, samples, seed))
 
 
 @pytest.mark.parametrize("kind", ["selfadjoint", "cosine"])

@@ -86,8 +86,9 @@ def test_ouhabaz_criterion_kernel(cube2):
 
 def test_sup_contraction_interval(interval4_robin_system):
     """The adjoint's L1 bound restates the sup bound by duality."""
-    primal = build_evaluator(interval4_robin_system)
-    report = check_sup_contraction(primal, geometric_times(count=12))
+    primal = build_evaluator(interval4_robin_system,
+                             grid=geometric_times(count=12))
+    report = check_sup_contraction(primal)
     assert report.status == "passed"
     assert report.max_sup_excess <= 1e-8
     assert report.max_l1_excess == report.max_sup_excess
@@ -96,8 +97,8 @@ def test_sup_contraction_interval(interval4_robin_system):
 # -- positivity ----------------------------------------------------------
 
 def test_positivity_isotropic(cube2_neumann_system):
-    ev = build_evaluator(cube2_neumann_system)
-    report = check_positivity(ev, geometric_times(count=8))
+    ev = build_evaluator(cube2_neumann_system, grid=geometric_times(count=8))
+    report = check_positivity(ev)
     assert report.status == "passed"
     assert report.min_entries.min() >= -1e-9
 
@@ -110,8 +111,8 @@ def test_positivity_sheared_coefficient_is_discretization_limited():
     field = CoefficientField.matrix(mesh, np.array([[1.0, -0.9],
                                                     [-0.9, 1.0]]))
     system = assemble_system(mesh, field, BoundaryOperatorSpec.zero(mesh))
-    report = check_positivity(build_evaluator(system),
-                              geometric_times(count=8))
+    report = check_positivity(build_evaluator(system,
+                                              grid=geometric_times(count=8)))
     assert report.status == "discretization-limited"
     assert report.min_entries.min() < -1e-3
 
@@ -123,10 +124,10 @@ def test_domination_by_negated_comparison_operator(interval4_robin_system):
     mesh = interval4_robin_system.mesh
     field = interval4_robin_system.field
     dom_system = assemble_system(mesh, field, spec.dominating(), alpha=2.0)
+    grid = geometric_times(count=8)
     report = check_domination(
-        build_evaluator(interval4_robin_system),
-        build_evaluator(dom_system),
-        geometric_times(count=8), samples=50, seed=2024)
+        build_evaluator(interval4_robin_system, grid=grid),
+        build_evaluator(dom_system, grid=grid), samples=50, seed=2024)
     assert report.status == "passed"
     assert report.max_violation <= 1e-8
     assert report.form_max_violation <= 1e-9 * report.form_scale
@@ -140,25 +141,44 @@ def test_norm_shifted_operator_does_not_dominate(interval4_robin_system):
     mesh = interval4_robin_system.mesh
     field = interval4_robin_system.field
     wrong = assemble_system(mesh, field, spec.shifted_bar(-1), alpha=2.0)
+    grid = geometric_times(count=8)
     report = check_domination(
-        build_evaluator(interval4_robin_system),
-        build_evaluator(wrong),
-        geometric_times(count=8), samples=50, seed=2024)
+        build_evaluator(interval4_robin_system, grid=grid),
+        build_evaluator(wrong, grid=grid), samples=50, seed=2024)
     assert report.status == "failed"
     assert report.max_violation > 1e-3
+
+
+def test_domination_refuses_a_comparison_on_another_grid(
+        interval4_robin_system):
+    """Both semigroups are compared at the same nonempty grid, so a
+    comparison evaluator on another grid, or two evaluators on none, are
+    refused: with no time the form criterion alone would pass."""
+    system = interval4_robin_system
+    dom_system = system.with_boundary(system.spec.dominating())
+    grid = geometric_times(count=8)
+    evaluator = build_evaluator(system, grid=grid)
+    for other in (grid[1:], grid * (1 + 1e-12), ()):
+        with pytest.raises(ValueError, match="one common, nonempty grid"):
+            check_domination(evaluator, build_evaluator(dom_system,
+                                                        grid=other))
+    with pytest.raises(ValueError, match="one common, nonempty grid"):
+        check_domination(build_evaluator(system), build_evaluator(dom_system))
 
 
 # -- power-law fit -------------------------------------------------------
 
 class SyntheticNormEvaluator:
-    """Shifted-norm curve C t^p below the knee, flat beyond it."""
+    """Shifted-norm curve C t^p below the knee, flat beyond it, on a
+    20-point grid ending at 1, for a system with alpha 1."""
 
     def __init__(self, C, p, knee, min_edge):
         self.C = C
         self.p = p
         self.knee = knee
+        self.grid = geometric_times(t_max=1.0, count=20)
         self.system = SimpleNamespace(
-            mesh=SimpleNamespace(min_edge_length=min_edge))
+            alpha=1.0, mesh=SimpleNamespace(min_edge_length=min_edge))
 
     def norm_2_to_inf(self, t):
         return self.C * min(t, self.knee) ** self.p
@@ -166,8 +186,7 @@ class SyntheticNormEvaluator:
 
 def test_fit_recovers_planted_exponent():
     ev = SyntheticNormEvaluator(C=0.3, p=-0.75, knee=0.3, min_edge=0.05)
-    report = fit_ultracontractivity(ev, alpha=1.0, times=geometric_times(
-        t_max=1.0, count=20))
+    report = fit_ultracontractivity(ev)
     assert report.envelope_ok
     assert_allclose(report.fitted_slope, -0.75, rtol=0, atol=1e-9)
     assert_allclose(report.fitted_C, 0.3, rtol=1e-9, atol=0)
@@ -180,14 +199,12 @@ def test_fit_recovers_planted_exponent():
 def test_fit_refuses_unresolved_grid():
     ev = SyntheticNormEvaluator(C=0.3, p=-0.75, knee=0.3, min_edge=10.0)
     with pytest.raises(ValueError, match="usable grid points"):
-        fit_ultracontractivity(ev, alpha=1.0,
-                               times=geometric_times(count=20))
+        fit_ultracontractivity(ev)
 
 
 def test_fit_window_has_minimum_size():
     ev = SyntheticNormEvaluator(C=0.3, p=-0.75, knee=0.3, min_edge=0.05)
-    report = fit_ultracontractivity(ev, alpha=1.0,
-                                    times=geometric_times(count=20))
+    report = fit_ultracontractivity(ev)
     assert len(report.window_times) >= MIN_FIT_POINTS
 
 
@@ -199,7 +216,7 @@ def test_eventual_positivity_zero_operator(interval4):
     system = assemble_system(interval4, field, spec, alpha=2.0)
     ev = build_evaluator(system)
     times = list(geometric_times(count=8)) + [5.0, 50.0]
-    report = check_eventual_positivity(ev, spec, times, samples=10, seed=2024)
+    report = check_eventual_positivity(ev, times, samples=10, seed=2024)
     assert report.status == "passed"
     assert report.hypothesis_ok
     assert report.delta > 0.0
@@ -216,7 +233,7 @@ def test_eventual_positivity_kernel(cube2):
                              spec)
     ev = build_evaluator(system)
     times = list(geometric_times(count=8)) + [2.0, 5.0, 10.0]
-    report = check_eventual_positivity(ev, spec, times, samples=10, seed=2024)
+    report = check_eventual_positivity(ev, times, samples=10, seed=2024)
     assert report.status == "passed"
     assert report.hypothesis_ok
     assert report.delta > 0.0
@@ -226,9 +243,8 @@ def test_eventual_positivity_gates_on_symmetric_part(interval4_robin_system):
     # multiplication by -0.1 has strictly negative symmetric part, so the
     # lower-bound theory does not apply and the check must say so
     ev = build_evaluator(interval4_robin_system)
-    report = check_eventual_positivity(
-        ev, interval4_robin_system.spec, geometric_times(count=8),
-        samples=5, seed=2024)
+    report = check_eventual_positivity(ev, geometric_times(count=8),
+                                       samples=5, seed=2024)
     assert report.status == "hypothesis unmet"
     assert not report.hypothesis_ok
     assert math.isnan(report.delta)
@@ -357,9 +373,9 @@ def test_write_document_format():
 
 
 def test_write_norms_csv_format(interval4_robin_system):
-    ev = build_evaluator(interval4_robin_system)
+    ev = build_evaluator(interval4_robin_system, grid=[0.25, 0.5])
     buffer = io.StringIO()
-    write_norms_csv(ev, [0.25, 0.5], buffer)
+    write_norms_csv(ev, buffer)
     lines = buffer.getvalue().strip().splitlines()
     assert lines[0] == "t,norm_2_to_inf,norm_1_to_2,norm_inf_to_inf,min_entry"
     assert len(lines) == 3
@@ -370,19 +386,19 @@ def test_write_norms_csv_format(interval4_robin_system):
                                * ev.norm_2_to_inf(0.25))
     # serialization must be reproducible byte for byte
     again = io.StringIO()
-    write_norms_csv(ev, [0.25, 0.5], again)
+    write_norms_csv(ev, again)
     assert again.getvalue() == buffer.getvalue()
 
 
 def test_writers_send_the_same_text_to_a_path_and_a_stream(
         tmp_path, interval4_robin_system, square11):
     system = interval4_robin_system
-    ev = build_evaluator(system)
+    ev = build_evaluator(system, grid=[0.25, 0.5])
     writers = {
         "mesh": lambda target: dump_mesh(square11, target),
         "document": lambda target: write_document({"a": 1.5, "b": True},
                                                   target),
-        "norms": lambda target: write_norms_csv(ev, [0.25, 0.5], target),
+        "norms": lambda target: write_norms_csv(ev, target),
     }
     for name, write in writers.items():
         buffer = io.StringIO()
