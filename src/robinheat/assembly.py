@@ -68,6 +68,8 @@ LANCZOS_MIN_SIZE = 300
 # arrays (288 MB each at this size), so it refuses before allocating one.
 DENSE_LIMIT = 6000
 
+ACCRETIVITY_TOL = 1e-10     # relative to the norm of the form
+
 
 def _barycentric_gradients(points):
     """Gradients of the d+1 hat functions per simplex, (m, d+1, d)."""
@@ -326,7 +328,7 @@ class AccretivityReport(Report):
     status: str                 # "passed" | "failed" | "hypothesis unmet"
     lambda_min: float
     scale: float
-    tolerance: float
+    tolerance: float = ACCRETIVITY_TOL
 
 
 def _form_pattern(system):
@@ -380,10 +382,10 @@ def _certified_lambda_min(system, sigma):
     return sigma + 1.0 / float(ritz[0])
 
 
-def check_accretivity(system, tol=1e-10):
+def check_accretivity(system):
     """Verify that the shifted form dominates the H1 Gram matrix:
     sym(FormAtilde - H1) must be positive semidefinite up to
-    tol * ||FormAtilde||.
+    ACCRETIVITY_TOL * ||FormAtilde||.
 
     Requires the weaker admissibility condition; otherwise the check is
     reported as hypothesis unmet rather than failed.  ||FormAtilde|| comes
@@ -395,17 +397,17 @@ def check_accretivity(system, tol=1e-10):
     pass.
 
     From LANCZOS_MIN_SIZE unknowns on, a sparse factorization whose pivot
-    signs certify sym(FormAtilde - H1) + tol * scale * I positive definite
-    decides ``passed``, and lambda_min comes from shift-invert Lanczos on
-    that factor (``_certified_lambda_min``).  Every other case, including
-    each one that factorization cannot certify, takes the full dense
-    spectrum of sym(FormAtilde - H1), so a Ritz value never decides a
-    pass.
+    signs certify sym(FormAtilde - H1) + ACCRETIVITY_TOL * scale * I
+    positive definite decides ``passed``, and lambda_min comes from
+    shift-invert Lanczos on that factor (``_certified_lambda_min``).
+    Every other case, including each one that factorization cannot
+    certify, takes the full dense spectrum of sym(FormAtilde - H1), so a
+    Ritz value never decides a pass.
     """
     scale = form_norm(system.FormAtilde)
     if not system.admissibility.accretive:
-        return AccretivityReport("hypothesis unmet", math.nan, scale, tol)
-    sigma = -tol * scale
+        return AccretivityReport("hypothesis unmet", math.nan, scale)
+    sigma = -ACCRETIVITY_TOL * scale
     lam = None
     if system.n >= LANCZOS_MIN_SIZE:
         lam = _certified_lambda_min(system, sigma)
@@ -413,7 +415,7 @@ def check_accretivity(system, tol=1e-10):
         diff = system.FormAtilde - system.H1
         lam = float(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min())
     status = "passed" if lam >= sigma else "failed"
-    return AccretivityReport(status, lam, scale, tol)
+    return AccretivityReport(status, lam, scale)
 
 
 @dataclass

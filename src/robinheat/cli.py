@@ -1,12 +1,12 @@
 """Config-driven experiment runner.
 
-A scenario is a flat key-value text file with ``[section]`` headers; the
-runner builds the mesh, coefficients, and boundary operator, assembles
-one system, runs the requested checks from the table ``CHECKS`` (which
-says whether each needs the admissibility condition), and writes a
-summary document, per-check reports, a norms CSV, and a machine-readable
-manifest.  Running the same scenario twice produces byte-identical CSV
-and manifest files.
+A scenario is a flat key-value text file with ``[section]`` headers and
+the keys ``_SCHEMA`` lists; the runner builds the mesh, coefficients, and
+boundary operator, assembles one system, runs the requested checks from
+the table ``CHECKS`` (which says whether each needs the admissibility
+condition), and writes a summary document, per-check reports, a norms
+CSV, and a machine-readable manifest.  Running the same scenario twice
+produces byte-identical CSV and manifest files.
 
 Exit status: 0 when every requested check passed or was hypothesis
 gated, 1 when a conclusion failed under satisfied hypotheses, 2 for
@@ -15,6 +15,7 @@ samples, missing files, schema mismatch, domains, coefficients,
 boundary operators or time grids the builders reject, an assembly that
 refuses or fails, an alpha t beyond the range of exp, a semigroup matrix
 with a non-finite entry, and a Nash constant outside the float range).
+A builder's refusal names the header line of the section it reads.
 """
 
 import argparse
@@ -36,19 +37,18 @@ __all__ = ["Scenario", "ScenarioError", "parse_scenario", "run_scenario",
            "compare_manifests", "main"]
 
 EXTRA_POSITIVITY_TIMES = (2.0, 5.0, 10.0, 20.0, 50.0)
+COMPARE_TOL = 1e-6      # the relative drift ``compare`` lists
 
 
 class ScenarioError(Exception):
-    """Parse or validation error, carrying the offending line number."""
+    """Unusable input; the message names its line when there is one."""
 
     def __init__(self, line, message):
-        self.line = line
         super().__init__(f"line {line}: {message}" if line else message)
 
 
 class Scenario:
-    """Parsed scenario: domain, coefficient, boundary operator, grid, run
-    settings."""
+    """Parsed scenario: one dict per builder section, and the run settings."""
 
     def __init__(self):
         self.domain = {"shape": "box"}
@@ -59,40 +59,76 @@ class Scenario:
         self.samples = 200
         self.seed = 2024
         self.output_dir = None
-        self.alpha = None
+        self.headers = {}       # section -> line of its header
 
     def build_mesh(self):
         shape = self.domain.get("shape", "box")
+        divisions = self.domain.get("divisions", 4)
         if shape == "box":
             extents = self.domain.get("extents", (1.0, 1.0, 1.0))
-            divisions = self.domain.get("divisions", 4)
-            if isinstance(divisions, (int, float)):
-                divisions = [int(divisions)] * len(extents)
+            if isinstance(divisions, int):
+                divisions = [divisions] * len(extents)
             return build_box_mesh(extents, divisions)
         if shape == "lshape":
-            divisions = self.domain.get("divisions", 4)
             if isinstance(divisions, list):
-                raise ScenarioError(None, "lshape divisions: one number only")
-            dim = int(self.domain.get("dim", 2))
-            return build_lshape_mesh(divisions, dim=dim)
-        raise ScenarioError(None, f"unknown domain shape {shape!r}")
+                raise ValueError("lshape divisions: one number only")
+            return build_lshape_mesh(divisions, dim=self.domain.get("dim", 2))
+        raise ValueError(f"unknown domain shape {shape!r}")
 
 
-_FLOAT_KEYS = {
-    ("coefficient", "value"), ("coefficient", "alpha"),
-    ("boundary_operator", "beta"), ("boundary_operator", "scale"),
-    ("boundary_operator", "width"),
-    ("time_grid", "t_max"), ("time_grid", "ratio"),
+def _finite(text):
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return number
+
+
+def _floats(text):      # a "/" between rows reads like a comma
+    parts = [p for chunk in text.split("/") for p in chunk.split(",")]
+    return [_finite(p) for p in parts if p.strip()]
+
+
+def _divisions(text):   # one int, or a list of one per axis
+    numbers = [int(p) for p in text.split(",") if p.strip()]
+    if not numbers:
+        raise ValueError("no divisions given")
+    return numbers[0] if len(numbers) == 1 else numbers
+
+
+def _at_least(least, message):
+    def parse(text):
+        number = int(text)
+        if number < least:
+            raise ScenarioError(None, message)
+        return number
+    return parse
+
+
+def _check_names(text):
+    names = [c.strip() for c in text.split(",") if c.strip()]
+    for name in names:
+        if name not in CHECKS:
+            raise ScenarioError(None, f"unknown check {name!r} "
+                                f"(known: {', '.join(CHECKS)})")
+    return names
+
+
+# Every key of a scenario file by section, with the parser of its value,
+# which raises ValueError on malformed text and ScenarioError on a refused
+# value.  [run] sets Scenario attributes, every other section a dict.
+_SCHEMA = {
+    "domain": {"shape": str, "extents": _floats, "divisions": _divisions,
+               "dim": int},
+    "coefficient": {"kind": str, "value": _finite, "values": _floats,
+                    "entries": _floats, "alpha": _finite},
+    "boundary_operator": {"kind": str, "beta": _finite, "profile": str,
+                          "scale": _finite, "width": _finite,
+                          "entries": _floats},
+    "time_grid": {"t_max": _finite, "ratio": _finite, "count": int},
+    "run": {"checks": _check_names, "output_dir": str,
+            "samples": _at_least(1, "samples must be positive"),
+            "seed": _at_least(0, "seed must be nonnegative")},
 }
-_INT_KEYS = {
-    ("domain", "dim"), ("time_grid", "count"),
-    ("run", "samples"), ("run", "seed"),
-}
-_LIST_KEYS = {
-    ("domain", "extents"), ("coefficient", "values"),
-    ("coefficient", "entries"), ("boundary_operator", "entries"),
-}
-_SECTIONS = ("domain", "coefficient", "boundary_operator", "time_grid", "run")
 
 
 def parse_scenario(text):
@@ -104,106 +140,49 @@ def parse_scenario(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTIONS:
+            if section not in _SCHEMA:
                 raise ScenarioError(lineno, f"unknown section [{section}]")
+            scenario.headers.setdefault(section, lineno)
             continue
         if "=" not in line:
             raise ScenarioError(lineno, f"expected key = value, got {raw!r}")
         if section is None:
             raise ScenarioError(lineno, "key outside of any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        parse = _SCHEMA[section].get(key)
+        if parse is None:
+            raise ScenarioError(lineno, f"unknown key {key!r} in [{section}]")
         try:
-            parsed = _parse_value(section, key, value)
+            value = parse(value)
+        except ScenarioError as exc:
+            raise ScenarioError(lineno, str(exc)) from exc
         except ValueError as exc:
             raise ScenarioError(lineno, f"{key}: {exc}") from exc
-        _store(scenario, section, key, parsed, lineno)
+        if section == "run":
+            setattr(scenario, key, value)
+        else:
+            getattr(scenario, section)[key] = value
     if not scenario.checks:
         raise ScenarioError(None, "no checks requested ([run] checks = ...)")
     return scenario
 
 
-def _finite(text):
-    number = float(text)
-    if not math.isfinite(number):
-        raise ValueError(f"{text.strip()!r} is not a finite number")
-    return number
-
-
-def _parse_value(section, key, value):
-    if (section, key) in _FLOAT_KEYS:
-        return _finite(value)
-    if (section, key) in _INT_KEYS:
-        return int(value)
-    if (section, key) in _LIST_KEYS:
-        parts = [p for chunk in value.split("/") for p in chunk.split(",")]
-        return [_finite(p) for p in parts if p.strip()]
-    if (section, key) == ("domain", "divisions"):
-        numbers = [int(p) for p in value.split(",") if p.strip()]
-        if not numbers:
-            raise ValueError("no divisions given")
-        return numbers[0] if len(numbers) == 1 else numbers
-    return value
-
-
-def _store(scenario, section, key, value, lineno):
-    if section == "run":
-        if key == "checks":
-            names = [c.strip() for c in str(value).split(",") if c.strip()]
-            for name in names:
-                if name not in CHECKS:
-                    raise ScenarioError(
-                        lineno, f"unknown check {name!r} "
-                        f"(known: {', '.join(CHECKS)})")
-            scenario.checks = names
-        elif key == "samples":
-            if value < 1:
-                raise ScenarioError(lineno, "samples must be positive")
-            scenario.samples = value
-        elif key == "seed":
-            if value < 0:
-                raise ScenarioError(lineno, "seed must be nonnegative")
-            scenario.seed = value
-        elif key == "output_dir":
-            scenario.output_dir = value
-        else:
-            raise ScenarioError(lineno, f"unknown key {key!r} in [run]")
-        return
-    target = getattr(scenario, section)
-    known = {
-        "domain": ("shape", "extents", "divisions", "dim"),
-        "coefficient": ("kind", "value", "values", "entries", "alpha"),
-        "boundary_operator": ("kind", "beta", "profile", "scale", "width",
-                              "entries"),
-        "time_grid": ("t_max", "ratio", "count"),
-    }[section]
-    if key not in known:
-        raise ScenarioError(lineno, f"unknown key {key!r} in [{section}]")
-    if section == "coefficient" and key == "alpha":
-        scenario.alpha = value
-        return
-    target[key] = value
-
-
 # ----------------------------------------------------------------------
 class _Run:
     """One scenario run: what every check runner reads (the scenario, the
-    assembled system, its evaluator, the time grid and the squared
-    shortest edge, the smallest time the mesh resolves) and what the runs
-    record.  Every evaluator is built with the grid, so it squares its way
-    along the grid's doublings.  The checks of the adjoint semigroup read
-    it off this evaluator by duality, so a run builds one doubling chain
-    for both.  A comparison evaluator is the primal one when ``reuse``
-    finds its form bitwise equal."""
+    assembled system, its evaluator, the time grid and the smallest time
+    the mesh resolves) and what the runs record.  Every evaluator is built
+    with the grid, so it squares its way along the grid's doublings.  The
+    checks of the adjoint semigroup read it off this evaluator by duality,
+    so a run builds one doubling chain for both.  A comparison evaluator is
+    the primal one when ``reuse`` finds its form bitwise equal."""
 
     def __init__(self, scenario, system, grid):
         self.scenario = scenario
         self.seed = scenario.seed
         self.system = system
         self.grid = grid
-        edge = system.mesh.min_edge_length
-        self.resolved = edge * edge     # inf past the float range
+        self.resolved = system.mesh.resolved_time
         self.evaluator = build_evaluator(system, grid=grid)
         # taken before any matrix is cached, so that the temporaries of
         # the weighted generator do not raise the run's peak memory
@@ -228,8 +207,7 @@ class _Run:
         self.note(f"{check}: {status}")
 
     def resolved_times(self):
-        """The grid times the mesh resolves: t at least the squared
-        shortest edge."""
+        """The grid times the mesh resolves: t >= mesh.resolved_time."""
         return self.grid[self.grid >= self.resolved]
 
     def runs(self, check):
@@ -262,24 +240,28 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
         raise ScenarioError(None, f"cannot read {path}: {exc}") from exc
     scenario = parse_scenario(text)
     if seed is not None:
-        if seed < 0:
-            raise ScenarioError(None, "seed must be nonnegative")
-        scenario.seed = seed
+        scenario.seed = _SCHEMA["run"]["seed"](seed)
     out = Path(output_dir or scenario.output_dir or f"runs/{path.stem}")
     out.mkdir(parents=True, exist_ok=True)
 
-    try:
-        mesh = scenario.build_mesh()
-        field = coefficient_field_from_config(mesh, scenario.coefficient)
-        spec = build_boundary_operator(mesh, scenario.boundary_operator)
-        grid = geometric_times(scenario.time_grid["t_max"],
-                               scenario.time_grid["ratio"],
-                               scenario.time_grid["count"])
-        system = assemble_system(mesh, field, spec)
-    except KeyError as exc:
-        raise ScenarioError(None, f"missing key {exc.args[0]!r}") from exc
-    except (ValueError, RuntimeError) as exc:
-        raise ScenarioError(None, str(exc)) from exc
+    # a builder's refusal names the header line of the section it reads
+    def build(section, builder, *args, **kwargs):
+        line = scenario.headers.get(section)
+        try:
+            return builder(*args, **kwargs)
+        except KeyError as exc:
+            raise ScenarioError(line, f"missing key {exc.args[0]!r}") from exc
+        except (ValueError, RuntimeError) as exc:
+            raise ScenarioError(line, str(exc)) from exc
+
+    mesh = build("domain", scenario.build_mesh)
+    field = build("coefficient", coefficient_field_from_config, mesh,
+                  scenario.coefficient)
+    spec = build("boundary_operator", build_boundary_operator, mesh,
+                 scenario.boundary_operator)
+    grid = build("time_grid", geometric_times, **scenario.time_grid)
+    # the assembly refuses only meshes (too large, or no trace norm)
+    system = build("domain", assemble_system, mesh, field, spec)
     run = _Run(scenario, system, grid)
     horizon = (max(grid[-1], EXTRA_POSITIVITY_TIMES[-1])
                if run.runs("eventual_positivity") else grid[-1])
@@ -292,9 +274,10 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
     run.note(f"scenario: {path.name}")
     run.note(f"mesh: dim {mesh.dim}, {mesh.n_vertices} vertices, "
              f"{mesh.n_cells} cells, volume {_fmt(mesh.volume)}")
-    if scenario.alpha is not None and not math.isclose(
-            scenario.alpha, field.alpha, rel_tol=1e-12):
-        message = (f"warning: scenario alpha {_fmt(scenario.alpha)} ignored; "
+    alpha = scenario.coefficient.get("alpha")
+    if alpha is not None and not math.isclose(alpha, field.alpha,
+                                              rel_tol=1e-12):
+        message = (f"warning: scenario alpha {_fmt(alpha)} ignored; "
                    f"certified ellipticity constant {_fmt(field.alpha)} wins")
         run.note(message)
         print(message, file=sys.stderr)
@@ -491,7 +474,7 @@ def _write_outputs(out, run):
 
 
 # ----------------------------------------------------------------------
-def compare_manifests(path_a, path_b, stream=None, tol=1e-6):
+def compare_manifests(path_a, path_b, stream=None):
     if stream is None:
         stream = sys.stdout
 
@@ -529,7 +512,7 @@ def compare_manifests(path_a, path_b, stream=None, tol=1e-6):
                 rows.append((key, va, vb, ""))
             continue
         rel = abs(fa - fb) / max(abs(fa), abs(fb), 1e-300)
-        if rel > tol or (math.isnan(rel) and va != vb):  # a nan or inf
+        if rel > COMPARE_TOL or (math.isnan(rel) and va != vb):  # a nan or inf
             rows.append((key, va, vb, f"{rel:.3g}"))
     if not rows:
         print("no differences", file=stream)

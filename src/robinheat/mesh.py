@@ -100,9 +100,14 @@ class Mesh:
 
     @property
     def min_edge_length(self):
-        """Shortest cell edge; squared, this is the smallest diffusion time
-        the mesh can resolve."""
+        """Shortest cell edge."""
         return self._min_edge
+
+    @property
+    def resolved_time(self):
+        """The squared shortest edge: the smallest time the mesh resolves."""
+        edge = self.min_edge_length
+        return edge * edge      # inf past the float range
 
     def boundary_vertex_weights(self):
         """Lumped boundary measure: each facet spreads its area equally

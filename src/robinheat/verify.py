@@ -9,7 +9,8 @@ the underlying estimate does not hold and nothing was claimed,
 to reproduce (sign structure under non-isotropic coefficients).
 
 The grid checks (sup bound, positivity, domination, the power-law fit,
-the norms CSV) scan the evaluator's grid; the others take ``times``.
+the norms CSV) scan the evaluator's grid, and all but the fit refuse an
+empty one with ValueError; the others take ``times``.
 Alpha and the boundary operator come from the evaluator's system.
 """
 
@@ -49,12 +50,25 @@ __all__ = [
 PLATEAU_SLOPE = 0.05
 ENVELOPE_FACTOR = 1.05
 MIN_FIT_POINTS = 4
+SUP_TOL = 1e-8          # the largest excess each check forgives
+POSITIVITY_TOL = 1e-9
+DOMINATION_TOL = 1e-8
+ENERGY_TOL = 1e-6       # relative to the largest squared sample norm
 
 
 # ----------------------------------------------------------------------
 def _require_samples(samples):
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+
+
+def _grid(*evaluators):
+    """The evaluators' common grid; ValueError if it is empty or differs."""
+    times = evaluators[0].grid
+    if len(times) and all(np.array_equal(times, e.grid) for e in evaluators):
+        return times
+    raise ValueError("grid checks need one common, nonempty grid; "
+                     "build each evaluator with grid=")
 
 
 def _tensor_cosine_modes(mesh, count):
@@ -228,16 +242,16 @@ class SupBoundReport(Report):
     status: str
 
 
-def check_sup_contraction(evaluator, tol=1e-8):
+def check_sup_contraction(evaluator):
     """Grid check of the sup-norm bound exp(alpha t) for the semigroup
     (excess = shifted norm - 1).  The matching L1 bound for the adjoint
     is the same number, |S*(t)|_{1->1} = |S(t)|_{inf->inf} by duality, so
     max_l1_excess restates max_sup_excess."""
-    excess = float(max(map(evaluator.norm_inf_to_inf, evaluator.grid))) - 1.0
+    excess = max(map(evaluator.norm_inf_to_inf, _grid(evaluator))) - 1.0
     return SupBoundReport(
         max_sup_excess=excess,
         max_l1_excess=excess,
-        status="passed" if excess <= tol else "failed",
+        status="passed" if excess <= SUP_TOL else "failed",
     )
 
 
@@ -249,7 +263,7 @@ class PositivityReport(Report):
     status: str
 
 
-def check_positivity(evaluator, tol=1e-9):
+def check_positivity(evaluator):
     """Entrywise nonnegativity of the semigroup matrix on the grid.
 
     Intended for the evaluator of the boundary operator |bar|_inf - bar,
@@ -258,9 +272,9 @@ def check_positivity(evaluator, tol=1e-9):
     discretization-limited: P1 elements need not preserve positivity
     there even when the continuum operator does.
     """
-    times = evaluator.grid
+    times = _grid(evaluator)
     mins = np.array([float(evaluator.matrix(t).min()) for t in times])
-    if mins.min() >= -tol:
+    if mins.min() >= -POSITIVITY_TOL:
         status = "passed"
     elif not evaluator.system.field.is_isotropic:
         status = "discretization-limited"
@@ -281,8 +295,7 @@ class DominationReport(Report):
     status: str
 
 
-def check_domination(evaluator, bar_evaluator, samples=50, seed=2024,
-                     tol=1e-8):
+def check_domination(evaluator, bar_evaluator, samples=50, seed=2024):
     """|S(t) u| <= S_bar(t) |u| componentwise for random signed samples,
     with violations measured relative to the sup norm of u, plus the
     form-level criterion a_bar(|u|, |v|) <= a(u, v) on sign-aligned pairs.
@@ -294,9 +307,7 @@ def check_domination(evaluator, bar_evaluator, samples=50, seed=2024,
     ValueError: an empty grid would leave the form criterion alone.
     """
     _require_samples(samples)
-    times = evaluator.grid
-    if not len(times) or not np.array_equal(times, bar_evaluator.grid):
-        raise ValueError("the two evaluators need one common, nonempty grid")
+    times = _grid(evaluator, bar_evaluator)
     rng = np.random.default_rng(seed)
     n = len(evaluator.mass)
     draws = rng.standard_normal((samples, n))
@@ -316,7 +327,7 @@ def check_domination(evaluator, bar_evaluator, samples=50, seed=2024,
     values = (((np.abs(V) @ form_bar) * np.abs(U)).sum(axis=1)
               - ((V @ form) * U).sum(axis=1))
     form_worst = max(float(values.max()), 0.0)
-    ok = worst <= tol and form_worst <= 1e-9 * form_scale
+    ok = worst <= DOMINATION_TOL and form_worst <= 1e-9 * form_scale
     return DominationReport(
         times=times,
         max_violation=float(worst),
@@ -360,8 +371,7 @@ def fit_ultracontractivity(evaluator):
     # np.gradient needs two points; a single one counts as a plateau
     local = (np.gradient(log_g, log_t) if len(times) > 1
              else np.zeros(len(times)))
-    edge = evaluator.system.mesh.min_edge_length
-    resolved = edge * edge
+    resolved = evaluator.system.mesh.resolved_time
     usable = (times >= resolved) & (np.abs(local) >= PLATEAU_SLOPE)
     idx = np.nonzero(usable)[0]
     if len(idx) < MIN_FIT_POINTS:
@@ -473,8 +483,7 @@ class EnergyReport(Report):
     status: str
 
 
-def check_energy_dissipation(evaluator, times, samples=20, seed=2024,
-                             tol=1e-6):
+def check_energy_dissipation(evaluator, times, samples=20, seed=2024):
     """The squared L2 norm along the adjoint shifted evolution S*(t)
     dissipates at least twice the squared H1 norm (centered finite
     difference in t against the instantaneous H1 energy).  All three
@@ -504,7 +513,7 @@ def check_energy_dissipation(evaluator, times, samples=20, seed=2024,
                           - system.l2_norm(before @ u) ** 2) / (2 * step)
             worst = max(worst, derivative + 2.0 * system.h1_norm(now @ u) ** 2)
     if len(times):
-        status = "passed" if worst <= tol * scale else "failed"
+        status = "passed" if worst <= ENERGY_TOL * scale else "failed"
     else:
         worst, status = math.nan, "discretization-limited"
     return EnergyReport(
@@ -582,7 +591,7 @@ def write_norms_csv(evaluator, target):
     """One row per grid time with the unshifted semigroup's mixed norms
     and its smallest matrix entry: exp(alpha t) times the shifted ones."""
     lines = ["t,norm_2_to_inf,norm_1_to_2,norm_inf_to_inf,min_entry"]
-    for t in evaluator.grid:
+    for t in _grid(evaluator):
         shift = math.exp(evaluator.system.alpha * t)
         shifted = (evaluator.norm_2_to_inf(t), evaluator.norm_1_to_2(t),
                    evaluator.norm_inf_to_inf(t),

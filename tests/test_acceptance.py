@@ -164,7 +164,7 @@ def test_3_domination(strong):
     dom = assemble_system(mesh, strong.system.field,
                           strong.spec.dominating())
     report = check_domination(strong.primal, build_evaluator(dom, grid=GRID),
-                              samples=50, seed=SEED, tol=DOMINATION_TOL)
+                              samples=50, seed=SEED)
     ok = report.status == "passed" and report.max_violation <= DOMINATION_TOL
     assert announce(3, "domination", ok,
                     f"max_violation={report.max_violation:.3g} "
@@ -177,7 +177,7 @@ def test_4_sup_norm_bounds(all_scenarios):
     every grid time."""
     worst = -math.inf
     for scenario in all_scenarios.values():
-        report = check_sup_contraction(scenario.primal, tol=SUP_TOL)
+        report = check_sup_contraction(scenario.primal)
         l1_excess = max(scenario.adjoint.norm_1_to_1(t) - 1.0 for t in GRID)
         worst = max(worst, report.max_sup_excess, l1_excess)
         if report.status != "passed":
@@ -195,7 +195,7 @@ def test_5_accretivity(all_scenarios):
     worst_l2 = 0.0
     ok = True
     for scenario in all_scenarios.values():
-        report = check_accretivity(scenario.system, tol=ACCRETIVITY_TOL)
+        report = check_accretivity(scenario.system)
         ok = ok and report.status == "passed"
         worst_lambda = min(worst_lambda,
                            report.lambda_min / max(report.scale, 1e-300))

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 import robinheat
 from robinheat import semigroup, verify
 from robinheat.cli import (
+    _SCHEMA,
     ScenarioError,
     compare_manifests,
     main,
@@ -85,6 +86,66 @@ def test_parse_complete_scenario():
     assert scenario.seed == 2024
 
 
+EVERY_KEY = """\
+[domain]
+shape = lshape
+extents = 2.0, 3.0
+divisions = 4
+dim = 3
+[coefficient]
+kind = matrix
+value = 2.5
+values = 1.0, 2.0
+entries = 2.0, 0.5 / -0.5, 2.0
+alpha = 1.5
+[boundary_operator]
+kind = kernel
+beta = -0.25
+profile = gaussian
+scale = 0.5
+width = 0.2
+entries = 1, 2 / 3, 4
+[time_grid]
+t_max = 2.0
+ratio = 0.5
+count = 7
+[run]
+checks = nash, positivity
+samples = 9
+seed = 0
+output_dir = runs/here
+"""
+
+
+def test_parse_reads_back_every_schema_key():
+    """Every key of the schema, set once, is read back parsed: the
+    builder sections as their dicts, with alpha kept in the coefficient
+    one, and [run] as Scenario attributes."""
+    expected = {
+        "domain": {"shape": "lshape", "extents": [2.0, 3.0],
+                   "divisions": 4, "dim": 3},
+        "coefficient": {"kind": "matrix", "value": 2.5, "values": [1.0, 2.0],
+                        "entries": [2.0, 0.5, -0.5, 2.0], "alpha": 1.5},
+        "boundary_operator": {"kind": "kernel", "beta": -0.25,
+                              "profile": "gaussian", "scale": 0.5,
+                              "width": 0.2, "entries": [1.0, 2.0, 3.0, 4.0]},
+        "time_grid": {"t_max": 2.0, "ratio": 0.5, "count": 7},
+        "run": {"checks": ["nash", "positivity"], "samples": 9, "seed": 0,
+                "output_dir": "runs/here"},
+    }
+    assert ({section: set(keys) for section, keys in expected.items()}
+            == {section: set(keys) for section, keys in _SCHEMA.items()})
+    scenario = parse_scenario(EVERY_KEY)
+    for section, values in expected.items():
+        if section == "run":
+            assert {key: getattr(scenario, key) for key in values} == values
+        else:
+            assert getattr(scenario, section) == values
+    assert scenario.headers == {"domain": 1, "coefficient": 6,
+                                "boundary_operator": 12, "time_grid": 19,
+                                "run": 23}
+
+
 def test_parse_error_carries_line_number():
     bad = "[domain]\nshape = box\n[orbit]\n"
     with pytest.raises(ScenarioError, match=r"line 3: unknown section"):
@@ -99,8 +160,21 @@ def test_parse_rejects_unknown_key():
 
 def test_parse_rejects_unknown_check():
     bad = "[run]\nchecks = accretivity,telepathy\n"
-    with pytest.raises(ScenarioError, match=r"unknown check 'telepathy'"):
+    with pytest.raises(ScenarioError,
+                       match=r"^line 2: unknown check 'telepathy' \(known: "):
         parse_scenario(bad)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("samples = 0", "line 3: samples must be positive"),
+    ("seed = -1", "line 3: seed must be nonnegative"),
+], ids=["samples", "seed"])
+def test_parse_refused_value_names_itself(setting, message):
+    """A value that parses but is refused keeps its own message, with no
+    key prefix, at its line."""
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(f"[run]\nchecks = nash\n{setting}\n")
+    assert str(caught.value).startswith(message)
 
 
 def test_parse_rejects_key_outside_section():
@@ -347,26 +421,37 @@ def test_main_parse_error_exits_2(tmp_path, capsys):
     assert "error: line 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edits, message", [
+@pytest.mark.parametrize("edits, section, message", [
     ([("extents = 1.0\n", "extents = 1.0, 1.0\n"),
       ("kind = isotropic\nvalue = 2.0",
-       "kind = matrix\nentries = 1.0, 0.0 / 0.0, -1.0")], "not elliptic"),
+       "kind = matrix\nentries = 1.0, 0.0 / 0.0, -1.0")],
+     "coefficient", "not elliptic"),
     ([("kind = multiplication\nbeta = -0.1",
-       "kind = kernel\nprofile = cosine")], "cosine kernel needs dim >= 2"),
-    ([("beta = -0.1\n", "")], "missing key 'beta'"),
+       "kind = kernel\nprofile = cosine")],
+     "boundary_operator", "cosine kernel needs dim >= 2"),
+    ([("beta = -0.1\n", "")], "boundary_operator", "missing key 'beta'"),
     ([("shape = box\nextents = 1.0\ndivisions = 4",
-       "shape = lshape\ndivisions = 2, 2")], "one number only"),
-], ids=["non-elliptic", "cosine-in-1d", "missing-beta", "lshape-divisions"])
-def test_main_builder_error_exits_2(tmp_path, capsys, edits, message):
+       "shape = lshape\ndivisions = 2, 2")], "domain", "one number only"),
+    ([("ratio = 0.5", "ratio = 1.5")], "time_grid", "ratio must lie in"),
+    ([("extents = 1.0\ndivisions = 4",
+       "extents = 1e300, 1, 1\ndivisions = 2")],
+     "domain", "did not converge"),
+], ids=["non-elliptic", "cosine-in-1d", "missing-beta", "lshape-divisions",
+        "ratio-above-1", "assembly"])
+def test_main_builder_error_exits_2(tmp_path, capsys, edits, section,
+                                    message):
+    """A builder's refusal names the header line of the section that
+    builder reads; the assembly's refusals are the mesh's."""
     text = INTERVAL_SCENARIO
     for old, new in edits:
         assert old in text
         text = text.replace(old, new)
+    line = text.splitlines().index(f"[{section}]") + 1
     path = write_scenario(tmp_path, text)
     assert main(["run", str(path), "--output-dir",
                  str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: line {line}: ")
     assert message in err
     assert "Traceback" not in err
 

@@ -166,6 +166,20 @@ def test_domination_refuses_a_comparison_on_another_grid(
         check_domination(build_evaluator(system), build_evaluator(dom_system))
 
 
+@pytest.mark.parametrize("scan", [
+    check_sup_contraction,
+    check_positivity,
+    lambda evaluator: write_norms_csv(evaluator, io.StringIO()),
+], ids=["sup-contraction", "positivity", "norms-csv"])
+def test_grid_scans_refuse_an_evaluator_without_grid(interval4_robin_system,
+                                                     scan):
+    """An evaluator built without ``grid=`` has nothing to scan: the
+    checks are refused by name, not through numpy's empty-reduction
+    errors, and the writer writes no header-only CSV."""
+    with pytest.raises(ValueError, match="one common, nonempty grid"):
+        scan(build_evaluator(interval4_robin_system))
+
+
 # -- power-law fit -------------------------------------------------------
 
 class SyntheticNormEvaluator:
@@ -178,7 +192,7 @@ class SyntheticNormEvaluator:
         self.knee = knee
         self.grid = geometric_times(t_max=1.0, count=20)
         self.system = SimpleNamespace(
-            alpha=1.0, mesh=SimpleNamespace(min_edge_length=min_edge))
+            alpha=1.0, mesh=SimpleNamespace(resolved_time=min_edge ** 2))
 
     def norm_2_to_inf(self, t):
         return self.C * min(t, self.knee) ** self.p
