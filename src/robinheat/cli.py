@@ -27,7 +27,8 @@ import numpy as np
 
 from .mesh import build_box_mesh, build_lshape_mesh, write_lines
 from .coefficients import coefficient_field_from_config, build_boundary_operator
-from .assembly import assemble_system, check_accretivity, check_continuity
+from .assembly import (RATIO_TOL, assemble_system, check_accretivity,
+                       check_continuity)
 from .semigroup import (build_evaluator, geometric_times, reuse,
                         semigroup_law_defect)
 from . import verify
@@ -38,6 +39,7 @@ __all__ = ["Scenario", "ScenarioError", "parse_scenario", "run_scenario",
 
 EXTRA_POSITIVITY_TIMES = (2.0, 5.0, 10.0, 20.0, 50.0)
 COMPARE_TOL = 1e-6      # the relative drift ``compare`` lists
+LAW_TOL = 1e-10         # the semigroup-law defect ``accretivity`` forgives
 
 
 class ScenarioError(Exception):
@@ -48,31 +50,31 @@ class ScenarioError(Exception):
 
 
 class Scenario:
-    """Parsed scenario: one dict per builder section, and the run settings."""
+    """Parsed scenario: one dict per builder section, and the run settings,
+    each from its ``_SCHEMA`` default; a key with no default is absent."""
 
     def __init__(self):
-        self.domain = {"shape": "box"}
-        self.coefficient = {"kind": "isotropic", "value": 1.0}
-        self.boundary_operator = {"kind": "zero"}
-        self.time_grid = {"t_max": 1.0, "ratio": 2.0 ** -0.5, "count": 24}
-        self.checks = []
-        self.samples = 200
-        self.seed = 2024
-        self.output_dir = None
         self.headers = {}       # section -> line of its header
+        for section, keys in _SCHEMA.items():
+            values = {key: parse(default) for key, (parse, default)
+                      in keys.items() if default is not None}
+            if section == "run":    # a run setting with no default is None
+                for key in keys:
+                    setattr(self, key, values.get(key))
+            else:
+                setattr(self, section, values)
 
     def build_mesh(self):
-        shape = self.domain.get("shape", "box")
-        divisions = self.domain.get("divisions", 4)
+        shape, divisions = self.domain["shape"], self.domain["divisions"]
         if shape == "box":
-            extents = self.domain.get("extents", (1.0, 1.0, 1.0))
+            extents = self.domain["extents"]
             if isinstance(divisions, int):
                 divisions = [divisions] * len(extents)
             return build_box_mesh(extents, divisions)
         if shape == "lshape":
             if isinstance(divisions, list):
                 raise ValueError("lshape divisions: one number only")
-            return build_lshape_mesh(divisions, dim=self.domain.get("dim", 2))
+            return build_lshape_mesh(divisions, dim=self.domain["dim"])
         raise ValueError(f"unknown domain shape {shape!r}")
 
 
@@ -113,21 +115,26 @@ def _check_names(text):
     return names
 
 
-# Every key of a scenario file by section, with the parser of its value,
-# which raises ValueError on malformed text and ScenarioError on a refused
-# value.  [run] sets Scenario attributes, every other section a dict.
+# Every key of a scenario file by section: (parser, default).  A parser
+# raises ValueError on malformed text and ScenarioError on a refused value.
+# A default is the text a scenario file would hold, or None for none.
+# [run] sets Scenario attributes, every other section a dict.
 _SCHEMA = {
-    "domain": {"shape": str, "extents": _floats, "divisions": _divisions,
-               "dim": int},
-    "coefficient": {"kind": str, "value": _finite, "values": _floats,
-                    "entries": _floats, "alpha": _finite},
-    "boundary_operator": {"kind": str, "beta": _finite, "profile": str,
-                          "scale": _finite, "width": _finite,
-                          "entries": _floats},
-    "time_grid": {"t_max": _finite, "ratio": _finite, "count": int},
-    "run": {"checks": _check_names, "output_dir": str,
-            "samples": _at_least(1, "samples must be positive"),
-            "seed": _at_least(0, "seed must be nonnegative")},
+    "domain": {"shape": (str, "box"), "extents": (_floats, "1.0, 1.0, 1.0"),
+               "divisions": (_divisions, "4"), "dim": (int, "2")},
+    "coefficient": {"kind": (str, "isotropic"), "value": (_finite, "1.0"),
+                    "values": (_floats, None), "entries": (_floats, None),
+                    "alpha": (_finite, None)},
+    "boundary_operator": {"kind": (str, "zero"), "beta": (_finite, None),
+                          "profile": (str, "constant"),
+                          "scale": (_finite, "1.0"), "width": (_finite, None),
+                          "entries": (_floats, None)},
+    "time_grid": {"t_max": (_finite, "1.0"),
+                  "ratio": (_finite, "0.70710678118654752"),
+                  "count": (int, "24")},
+    "run": {"checks": (_check_names, None), "output_dir": (str, None),
+            "samples": (_at_least(1, "samples must be positive"), "200"),
+            "seed": (_at_least(0, "seed must be nonnegative"), "2024")},
 }
 
 
@@ -149,9 +156,9 @@ def parse_scenario(text):
         if section is None:
             raise ScenarioError(lineno, "key outside of any [section]")
         key, _, value = (part.strip() for part in line.partition("="))
-        parse = _SCHEMA[section].get(key)
-        if parse is None:
+        if key not in _SCHEMA[section]:
             raise ScenarioError(lineno, f"unknown key {key!r} in [{section}]")
+        parse, _ = _SCHEMA[section][key]
         try:
             value = parse(value)
         except ScenarioError as exc:
@@ -240,7 +247,7 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
         raise ScenarioError(None, f"cannot read {path}: {exc}") from exc
     scenario = parse_scenario(text)
     if seed is not None:
-        scenario.seed = _SCHEMA["run"]["seed"](seed)
+        scenario.seed = _SCHEMA["run"]["seed"][0](seed)
     out = Path(output_dir or scenario.output_dir or f"runs/{path.stem}")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -334,8 +341,8 @@ def _run_accretivity(run):
     payload["max_l2_norm"] = l2
     payload["max_resolvent_norm"] = resolvent
     payload["energy_max_excess"] = energy.max_excess
-    ok = (report.status == "passed" and law <= 1e-10
-          and l2 <= 1.0 + 1e-10 and resolvent <= 1.0 + 1e-10)
+    ok = (report.status == "passed" and law <= LAW_TOL
+          and l2 <= 1.0 + RATIO_TOL and resolvent <= 1.0 + RATIO_TOL)
     return _conclude(run, ok, energy, payload)
 
 

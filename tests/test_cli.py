@@ -9,7 +9,9 @@ relies on.
 import contextlib
 import dataclasses
 import gc
+import inspect
 import io
+import itertools
 import math
 import os
 import re
@@ -78,7 +80,8 @@ def test_parse_complete_scenario():
     assert scenario.domain["divisions"] == 4
     assert scenario.coefficient == {"kind": "isotropic", "value": 2.0}
     assert scenario.boundary_operator == {"kind": "multiplication",
-                                          "beta": -0.1}
+                                          "beta": -0.1, "profile": "constant",
+                                          "scale": 1.0}
     assert scenario.time_grid == {"t_max": 1.0, "ratio": 0.5, "count": 10}
     assert scenario.checks == ["accretivity", "continuity", "contractivity",
                                "positivity", "domination"]
@@ -144,6 +147,36 @@ def test_parse_reads_back_every_schema_key():
     assert scenario.headers == {"domain": 1, "coefficient": 6,
                                 "boundary_operator": 12, "time_grid": 19,
                                 "run": 23}
+
+
+def test_readme_key_table_matches_the_schema():
+    """The README's key table lists every key of ``_SCHEMA`` with its
+    default as a scenario file writes it, the cell's first code span (a
+    dash: none), and the keyword defaults of the time grid and the
+    L-shape builder are the schema's."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| section | key | type | default |") + 2
+    table, section = {}, None
+    for row in itertools.takewhile(lambda line: line.startswith("|"),
+                                   lines[start:]):
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        section = cells[0].strip("`[]") or section
+        default = (None if cells[3].startswith("-")
+                   else re.match(r"`(.*?)`", cells[3])[1])
+        table.setdefault(section, {})[cells[1].strip("`")] = default
+    assert table == {section: {key: default for key, (_, default)
+                               in keys.items()}
+                     for section, keys in _SCHEMA.items()}
+
+    def parsed(section, key):
+        parse, default = _SCHEMA[section][key]
+        return parse(default)
+
+    grid = inspect.signature(semigroup.geometric_times).parameters
+    assert {key: p.default for key, p in grid.items()} == {
+        key: parsed("time_grid", key) for key in _SCHEMA["time_grid"]}
+    lshape = inspect.signature(robinheat.build_lshape_mesh).parameters
+    assert lshape["dim"].default == parsed("domain", "dim")
 
 
 def test_parse_error_carries_line_number():
@@ -430,14 +463,17 @@ def test_main_parse_error_exits_2(tmp_path, capsys):
        "kind = kernel\nprofile = cosine")],
      "boundary_operator", "cosine kernel needs dim >= 2"),
     ([("beta = -0.1\n", "")], "boundary_operator", "missing key 'beta'"),
+    ([("kind = multiplication\nbeta = -0.1",
+       "kind = kernel\nprofile = gaussian\nwidth = 0")],
+     "boundary_operator", "kernel width 0.0 is not positive"),
     ([("shape = box\nextents = 1.0\ndivisions = 4",
        "shape = lshape\ndivisions = 2, 2")], "domain", "one number only"),
     ([("ratio = 0.5", "ratio = 1.5")], "time_grid", "ratio must lie in"),
     ([("extents = 1.0\ndivisions = 4",
        "extents = 1e300, 1, 1\ndivisions = 2")],
      "domain", "did not converge"),
-], ids=["non-elliptic", "cosine-in-1d", "missing-beta", "lshape-divisions",
-        "ratio-above-1", "assembly"])
+], ids=["non-elliptic", "cosine-in-1d", "missing-beta", "zero-width",
+        "lshape-divisions", "ratio-above-1", "assembly"])
 def test_main_builder_error_exits_2(tmp_path, capsys, edits, section,
                                     message):
     """A builder's refusal names the header line of the section that
@@ -631,15 +667,16 @@ def test_manifest_restates_the_adjoint_keys(tmp_path, operator):
 
 
 @pytest.mark.parametrize("operator, expected", [
-    ("kind = zero", 2),
-    ("kind = kernel\nprofile = cosine\nscale = 0.005", 2),
+    ("kind = zero", 3),
+    ("kind = kernel\nprofile = cosine\nscale = 0.005", 3),
 ], ids=["self-adjoint", "cosine-kernel"])
-def test_ultracontractivity_takes_two_exponentials_per_evaluator(
+def test_ultracontractivity_takes_one_chain_per_evaluator(
         tmp_path, monkeypatch, operator, expected):
-    """The default grid doubles every second time, so each evaluator
-    exponentiates its two smallest times and squares the rest; the fit of
-    the adjoint is the primal's by duality, so either form takes one
-    chain."""
+    """The default grid doubles every second time.  On this 27-unknown
+    cube |t P|_inf is 0.045 at the first time, below the 2^-4 the chain
+    squares from, so each evaluator exponentiates its three smallest times
+    and squares the rest; the fit of the adjoint is the primal's by
+    duality, so either form takes one chain."""
     import scipy.linalg
 
     calls = []
@@ -809,6 +846,8 @@ def _edited(name, old, new):
 @example(_edited("lshape_robin", "divisions = 2", "divisions = 2, 2"))
 @example(_edited("cube_neumann", "extents = 1.0, 1.0, 1.0",
                  "extents = 1e300"))
+@example(_edited("cube_kernel", "profile = cosine",
+                 "profile = gaussian\nwidth = 1e300"))
 def test_every_input_exits_0_1_or_2(text):
     """main never raises: it exits 0, 1 or 2, and on 2 stderr starts with
     an error line."""
@@ -823,6 +862,33 @@ def test_every_input_exits_0_1_or_2(text):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("width", ["1e300", "1e-300"])
+def test_extreme_gaussian_width_runs(tmp_path, width):
+    """A width whose square leaves the float range still gives a kernel:
+    the constant one, or the identity's, with no numpy warning."""
+    text = SHRUNK["cube_kernel"].replace(
+        "profile = cosine", f"profile = gaussian\nwidth = {width}")
+    path = write_scenario(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_scenario(path, output_dir=tmp_path / "o",
+                            stream=io.StringIO())
+    assert code in (0, 1)
+
+
+def test_long_grid_keeps_contractivity(tmp_path):
+    """A 120-point grid starts at t = 1.2e-18.  Squaring up from there
+    once reported a sup-norm excess of 2980 on this interval with B = 0;
+    the chain now squares only from |t P|_inf >= 2^-4."""
+    path = write_scenario(tmp_path, "[domain]\nextents = 1.0\n"
+                          "divisions = 2\n[time_grid]\ncount = 120\n"
+                          "[run]\nchecks = contractivity\n")
+    out = tmp_path / "o"
+    assert run_scenario(path, output_dir=out, stream=io.StringIO()) == 0
+    manifest = (out / "manifest.txt").read_text()
+    assert "contractivity.status: passed\n" in manifest
 
 
 def test_non_finite_semigroup_matrix_exits_2(tmp_path, capsys):

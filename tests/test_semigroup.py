@@ -47,7 +47,7 @@ from robinheat import (
 )
 from robinheat import assembly, semigroup, verify
 from robinheat.cli import main
-from oracles import adjoint_evaluator, loop_smoothing_decay
+from oracles import adjoint_evaluator, l1_norm, loop_smoothing_decay
 
 EXP_TOL = 1e-13
 
@@ -217,7 +217,7 @@ def test_norm_1_to_2_matches_indicator_sweep(interval4_robin_system):
     for j in range(system.n):
         e = np.zeros(system.n)
         e[j] = 1.0
-        best = max(best, system.l2_norm(S @ e) / system.l1_norm(e))
+        best = max(best, system.l2_norm(S @ e) / l1_norm(system, e))
     assert_allclose(ev.norm_1_to_2(t), best, rtol=1e-12, atol=0)
 
 
@@ -610,11 +610,36 @@ def test_chain_agrees_with_single_exponentials(system, ratio, count, t_max,
     ev = build(system, grid=grid)
     taken = recording_exponentials(ev)
     chained = [ev.matrix(t) for t in grid]
-    # one expm per time until the grid first doubles, squarings after
-    assert len(taken) == min(count, 2 if ratio == 2 ** -0.5 else 4)
+    # one expm per time until the grid first doubles a time t_j with
+    # |t_j P|_inf >= 2^-4, squarings after
+    step = 2 if ratio == 2 ** -0.5 else 4
+    norm = np.linalg.norm(ev.generator, np.inf)
+    assert taken == [float(t) for k, t in enumerate(grid)
+                     if k < step or grid[k - step] * norm < 2.0 ** -4]
     oracle = build(system)
     for t, S in zip(grid, chained):
         assert weighted_gap(ev, S, oracle.exponential(t)) <= 1e-11
+
+
+@pytest.fixture(scope="module")
+def cube_robin_125():
+    """The cube_robin operator at 4 divisions: 125 unknowns."""
+    cube = build_box_mesh((1.0, 1.0, 1.0), (4, 4, 4))
+    return assemble_system(cube, CoefficientField.isotropic(cube, 2.5),
+                           BoundaryOperatorSpec.multiplication(cube, -0.05))
+
+
+@pytest.mark.parametrize("count", [40, 80, 120, 400])
+def test_long_grid_chain_does_not_overscale(cube_robin_125, count):
+    """A long grid starts at a tiny time.  Squaring up from there would
+    amplify that exponential's rounding by 2^m (at count 120 S(1) was off
+    by 100%), so the chain starts squaring only from |t P|_inf >= 2^-4
+    and agrees with one ``expm`` per time at every grid time."""
+    grid = geometric_times(count=count)
+    ev = build_evaluator(cube_robin_125, grid=grid)
+    for t in grid:
+        S, oracle = ev.matrix(t), ev.exponential(t)
+        assert np.abs(S - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("grid", [

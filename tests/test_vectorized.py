@@ -192,7 +192,7 @@ def loop_kernel_samples(mesh, profile, scale, width=None):
         func = lambda x, y: scale
     elif profile == "gaussian":
         func = lambda x, y: scale * np.exp(
-            -np.sum((x - y) ** 2) / (2.0 * width ** 2))
+            -0.5 * (np.sum((x - y) ** 2) / width / width))
     else:
         func = lambda x, y: scale * (
             np.cos(np.pi * x[0]) * np.cos(np.pi * y[1])
