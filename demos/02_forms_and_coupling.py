@@ -36,10 +36,10 @@ def main():
 
     print("interval with 4 cells, A = 2, boundary multiplication by -0.1")
     print("stiffness:")
-    print(system.K)
+    print(system.K.toarray())
     print(f"lumped mass: {system.mass}")
     print("shifted form:")
-    print(system.FormAtilde)
+    print(system.FormAtilde.toarray())
     report = system.admissibility
     print(f"trace constant squared: {report.trace_norm_sq:.6f}  "
           f"(limit 1/tanh(1/2) = {1.0 / math.tanh(0.5):.6f})")

@@ -1,28 +1,30 @@
 """P1 finite element assembly of the shifted boundary-coupled forms.
 
-The matrices an ``AssembledSystem`` exposes are dense; the laboratory
-targets a few hundred to a few thousand unknowns where dense algebra is
-exact enough to check operator inequalities at tolerances near machine
-precision.  Stiffness uses exact one-point quadrature (piecewise constant
-coefficients, piecewise constant gradients); volume and boundary mass are
-lumped.
+The matrices an ``AssembledSystem`` holds are scipy CSR matrices at the
+P1 sparsity pattern: the vertex pairs of each cell and the diagonal, with
+the whole boundary block added to FormAtilde when the boundary operator
+couples distinct vertices.  Each stored entry has the bits that a dense
+n x n assembly gives it, so ``toarray()`` returns that dense matrix.  The
+only dense n x n matrix a run needs is the semigroup evaluator's
+generator, which ``expm`` takes.  Stiffness uses exact one-point
+quadrature (piecewise constant coefficients, piecewise constant
+gradients); volume and boundary mass are lumped.
 
-Three computations use structure instead of dense algebra.  The trace
-norm is a power iteration on a sparse LU of H1 and the sparse diagonal
-trace form.  The norm of a large form detected as symmetric is one Lanczos
-Ritz value rather than a full spectrum (``form_norm``).  On a large system
-the accretivity status comes from the pivot signs of a sparse symmetric
-factorization and lambda_min from shift-invert Lanczos on the same factor
-(``check_accretivity``).  Their sparse matrices are gathered from the dense
-ones at the P1 sparsity pattern (the cell vertex pairs, computed once per
-system, and the boundary block of a non-diagonal boundary operator), so
-no n x n scan builds them.
+Assembly is array-at-a-time: the cell gradients come from one stacked
+``inv``, shared by K and K_id, and one ``np.bincount`` over the pattern's
+entries sums the cell matrices in cell order, so every entry has the bits
+of a loop over cells.  Boundary matrices are added at the entries of the
+boundary vertex rows and columns; no 0/1 trace matrix is formed.
 
-Assembly is array-at-a-time: the cell matrices come from one stacked
-``inv`` and one stacked ``matmul``, and one ``np.bincount`` sums them in
-cell order, so every entry has the bits of a loop over cells.  Boundary
-matrices are scattered onto the boundary vertex rows and columns; no 0/1
-trace matrix is formed.
+The form checks cost O(nnz) apart from their samples.  The trace norm is
+a power iteration on a sparse LU of H1 and the sparse diagonal trace
+form.  The symmetry test and the symmetric part of a form are sparse
+sums with its transpose.  The norm of a large form detected as symmetric
+is one Lanczos Ritz value rather than a full spectrum (``form_norm``).
+On a large system the accretivity status comes from the pivot signs of a
+sparse symmetric factorization, and lambda_min from shift-invert Lanczos
+on the same factor (``check_accretivity``).  Only a non-symmetric form's
+SVD and the dense spectrum of a small form take a dense copy.
 """
 
 import copy
@@ -33,7 +35,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .coefficients import CoefficientField, check_admissibility
+from .coefficients import check_admissibility
 from .report import Report
 from .semigroup import SYMMETRY_TOL
 
@@ -64,8 +66,9 @@ __all__ = [
 # 7.1 ms at 301 in 1-D, one thread).
 LANCZOS_MIN_SIZE = 300
 
-# Most unknowns an AssembledSystem admits: it holds several dense n x n
-# arrays (288 MB each at this size), so it refuses before allocating one.
+# Most unknowns an AssembledSystem admits.  The semigroup evaluator every
+# run builds holds the dense n x n generator and its exponentials (288 MB
+# each at this size), so the system refuses before assembling anything.
 DENSE_LIMIT = 6000
 
 ACCRETIVITY_TOL = 1e-10     # relative to the norm of the form
@@ -78,67 +81,62 @@ def _barycentric_gradients(points):
     return np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
 
 
-def _scatter_cells(mesh, local):
-    """Sum the (m, d+1, d+1) cell matrices into an n x n matrix, cell by
-    cell in mesh order."""
-    n = mesh.n_vertices
-    index = mesh.cells[:, :, None] * n + mesh.cells[:, None, :]
-    return np.bincount(index.ravel(), weights=local.ravel(),
-                       minlength=n * n).reshape(n, n)
+class _Pattern:
+    """CSR structure of the n x n entries listed by ``keys`` (row * n + col,
+    repeats allowed) and of the whole diagonal.  ``slots[k]`` is the entry
+    index of ``keys[k]``, ``diagonal[i]`` the one of (i, i)."""
+
+    def __init__(self, n, keys):
+        self.n = n
+        self.keys, inverse = np.unique(
+            np.concatenate([keys, np.arange(n) * (n + 1)]),
+            return_inverse=True)
+        self.slots = inverse[:len(keys)]
+        self.diagonal = inverse[len(keys):]
+        self.indptr = np.searchsorted(self.keys, np.arange(n + 1) * n)
+        self.indices = self.keys % n
+        self.block = None       # see AssembledSystem._block_pattern
+
+    def sum(self, values):
+        """Sum ``values``, one per key in key order, into the entries."""
+        return np.bincount(self.slots, weights=values.ravel(),
+                           minlength=len(self.keys))
+
+    def matrix(self, values):
+        """CSR matrix with ``values``, one per entry."""
+        return scipy.sparse.csr_matrix(
+            (values, self.indices.copy(), self.indptr.copy()),
+            shape=(self.n, self.n))
 
 
-def _p1_pattern(mesh, block=None):
-    """CSC structure (indptr, rows, cols) of the vertex pairs of each cell
-    of ``mesh`` and, when given, of every pair of ``block`` vertices.  The
-    pattern is symmetric and holds the whole diagonal."""
-    n = mesh.n_vertices
-    k = mesh.cells.shape[1]
-    rows = [np.repeat(mesh.cells, k, axis=1).ravel()]
-    cols = [np.tile(mesh.cells, k).ravel()]
-    if block is not None:
-        rows.append(np.repeat(block, len(block)))
-        cols.append(np.tile(block, len(block)))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    pattern = scipy.sparse.csc_matrix(
-        (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
-    pattern.sum_duplicates()
-    indptr, rows = pattern.indptr, pattern.indices
-    return indptr, rows, np.repeat(np.arange(n, dtype=rows.dtype),
-                                   np.diff(indptr))
+def _p1_pattern(mesh):
+    """The pattern of the vertex pairs of each cell, keyed cell by cell in
+    the order of the (m, d+1, d+1) cell matrices."""
+    n, cells = mesh.n_vertices, mesh.cells
+    return _Pattern(n, (cells[:, :, None] * n + cells[:, None, :]).ravel())
 
 
-def _at_pattern(pattern, values):
-    """CSC matrix with ``values``, one per entry of ``pattern``, without
-    explicit zeros.  Gathered from a dense matrix with no nonzero off the
-    pattern, it has the arrays of csc_matrix(dense)."""
-    indptr, rows, _ = pattern
-    n = len(indptr) - 1
-    A = scipy.sparse.csc_matrix((values, rows.copy(), indptr.copy()),
-                                shape=(n, n))
-    A.eliminate_zeros()
-    return A
-
-
-def _on_boundary(mesh, block):
-    """n x n matrix with ``block`` on the boundary vertex rows and columns,
-    the same as Gamma^t block Gamma for the 0/1 restriction Gamma from
-    vertex values to boundary vertex values."""
-    n = mesh.n_vertices
-    out = np.zeros((n, n))
-    out[np.ix_(mesh.boundary_vertices, mesh.boundary_vertices)] = block
-    return out
+def _cell_stiffness(mesh, *per_cells):
+    """The (m, d+1, d+1) cell matrices |cell| grad(phi_i)^t A_c grad(phi_j)
+    for each (m, d, d) coefficient array A, None meaning the identity, from
+    one gradient computation."""
+    grads = _barycentric_gradients(mesh.vertices[mesh.cells])
+    scaled = mesh.cell_volumes[:, None, None] * grads
+    right = np.swapaxes(grads, 1, 2)
+    return [scaled @ right if A is None else scaled @ A @ right
+            for A in per_cells]
 
 
 def assemble_stiffness(mesh, field):
-    """K with v^t K u = sum_cells |cell| (A_c grad u) . grad v.
+    """K with v^t K u = sum_cells |cell| (A_c grad u) . grad v, as a CSR
+    matrix at the P1 pattern.
 
     Works for nonsymmetric cell matrices; the entry convention is
     K[i, j] = |cell| grad(phi_i)^t A_c grad(phi_j).
     """
-    grads = _barycentric_gradients(mesh.vertices[mesh.cells])
-    vol = mesh.cell_volumes[:, None, None]
-    local = (vol * grads) @ field.per_cell @ np.swapaxes(grads, 1, 2)
-    return _scatter_cells(mesh, local)
+    pattern = _p1_pattern(mesh)
+    local, = _cell_stiffness(mesh, field.per_cell)
+    return pattern.matrix(pattern.sum(local))
 
 
 def assemble_lumped_mass(mesh):
@@ -155,7 +153,7 @@ class AssembledSystem:
 
     Attributes
     ----------
-    K, K_id : (n, n)
+    K, K_id : (n, n) CSR matrix at the P1 pattern
         Stiffness for the coefficient field and for the identity field.
     mass : (n,)
         Lumped mass diagonal.
@@ -164,21 +162,22 @@ class AssembledSystem:
     Bw : (nb, nb)
         Weighted boundary coupling diag(w) T on boundary vertex values, so
         the boundary part of the form is (trace v)^t Bw (trace u).
-    FormAtilde : (n, n)
-        Alpha-shifted boundary-coupled form.  The adjoint form
-        a*(u, v) = a(v, u) is its transpose, so none is assembled.
-    H1 : (n, n)
+    FormAtilde : (n, n) CSR matrix
+        Alpha-shifted boundary-coupled form, at the P1 pattern, plus the
+        boundary block when Bw couples distinct vertices.  The adjoint
+        form a*(u, v) = a(v, u) is its transpose, so none is assembled.
+    H1 : (n, n) CSR matrix at the P1 pattern
         Discrete H1 Gram matrix K_id + diag(mass).
     trace_norm_sq : float
         Largest generalized eigenvalue of (Gamma^t diag(w) Gamma, H1),
-        Gamma the 0/1 restriction to the boundary vertices.  The trace
-        form is passed to
-        ``compute_trace_norm`` as a sparse diagonal and H1 gathered at the
-        P1 pattern; neither sparse matrix is stored.
+        Gamma the 0/1 restriction to the boundary vertices; the trace form
+        is passed to ``compute_trace_norm`` as a sparse diagonal.
     admissibility : AdmissibilityReport
 
     ``with_boundary`` derives the system of another boundary operator
-    from this one.
+    from this one.  A mesh above DENSE_LIMIT unknowns is refused before
+    anything is assembled, because every run builds the dense generator
+    of a semigroup evaluator from this system.
     """
 
     def __init__(self, mesh, field, spec, alpha):
@@ -189,28 +188,52 @@ class AssembledSystem:
         self.field = field
         self.alpha = float(alpha)
 
-        self.K = assemble_stiffness(mesh, field)
-        self.K_id = assemble_stiffness(
-            mesh, CoefficientField.isotropic(mesh, 1.0))
+        self._pattern = pattern = _p1_pattern(mesh)
+        self.K, self.K_id = (
+            pattern.matrix(pattern.sum(local))
+            for local in _cell_stiffness(mesh, field.per_cell, None))
         self.mass = assemble_lumped_mass(mesh)
         self.boundary_weights = mesh.boundary_vertex_weights()
-        self.H1 = self.K_id + np.diag(self.mass)
+        h1 = self.K_id.data.copy()
+        h1[pattern.diagonal] += self.mass
+        self.H1 = pattern.matrix(h1)
 
-        self._pattern = _p1_pattern(mesh)
-        _, rows, cols = self._pattern
         weights = np.zeros(mesh.n_vertices)
         weights[mesh.boundary_vertices] = self.boundary_weights
-        H1 = _at_pattern(self._pattern, self.H1[rows, cols])
         self.trace_norm_sq = compute_trace_norm(scipy.sparse.diags(weights),
-                                                H1)
+                                                self.H1)
         self._couple(spec)
 
+    def _block_pattern(self):
+        """The P1 pattern plus every pair of boundary vertices, built on
+        first use and kept with the P1 pattern, which derived systems
+        share."""
+        p1 = self._pattern
+        if p1.block is None:
+            n, vertices = self.n, self.mesh.boundary_vertices
+            p1.block = _Pattern(n, np.concatenate(
+                [p1.keys, (vertices[:, None] * n + vertices).ravel()]))
+        return p1.block
+
     def _couple(self, spec):
-        """Set the boundary operator: Bw, FormAtilde and admissibility."""
+        """Set the boundary operator: Bw, FormAtilde and admissibility.
+        Each entry of FormAtilde is (K + Bw) + alpha * mass, summed in the
+        order of the dense expression."""
         self.spec = spec
         self.Bw = self.boundary_weights[:, None] * spec.matrix()
-        self.FormAtilde = ((self.K + _on_boundary(self.mesh, self.Bw))
-                           + self.alpha * np.diag(self.mass))
+        vertices = self.mesh.boundary_vertices
+        if np.array_equal(self.Bw, np.diag(np.diagonal(self.Bw))):
+            pattern = self._pattern
+            values = self.K.data.copy()
+            values[pattern.diagonal[vertices]] += np.diagonal(self.Bw)
+        else:
+            pattern = self._block_pattern()
+            p1_entries = len(self._pattern.keys)
+            values = np.zeros(len(pattern.keys))
+            values[pattern.slots[:p1_entries]] = self.K.data
+            values[pattern.slots[p1_entries:]] += self.Bw.ravel()
+        values[pattern.diagonal] += self.alpha * self.mass
+        self.FormAtilde = pattern.matrix(values)
         self.admissibility = check_admissibility(
             spec, self.alpha, self.trace_norm_sq)
 
@@ -228,7 +251,7 @@ class AssembledSystem:
         return derived
 
     def h1_norm(self, u):
-        return math.sqrt(max(float(u @ self.H1 @ u), 0.0))
+        return math.sqrt(max(float(u @ (self.H1 @ u)), 0.0))
 
     def l2_norm(self, u):
         return math.sqrt(float(self.mass @ (u * u)))
@@ -292,32 +315,34 @@ def compute_trace_norm(S, H1, tol=1e-10, max_iterations=10000):
 
 
 def form_norm(F):
-    """||F||_2 of a dense n x n form.
+    """||F||_2 of a sparse n x n form.
 
     When max|F - F^T| <= SYMMETRY_TOL * max|F| the form counts as
     symmetric, and the norm is the largest |eigenvalue| of its symmetric
-    part.  From LANCZOS_MIN_SIZE unknowns on it is one Lanczos Ritz value
-    (ARPACK ``eigsh`` with k=1 and tol=0).  The start vector is a fixed
-    seeded random vector, so runs stay deterministic, and unlike the
-    all-ones vector a mirror symmetry of the mesh cannot make it
-    orthogonal to the top eigenvector.  A Ritz value lies inside the
-    spectrum, so this can only underestimate the norm.  Smaller forms,
-    and forms on which ARPACK fails, take the full dense spectrum.  Any
-    other form takes the SVD.
+    part.  Both are sparse sums with the transpose, entry by entry the
+    bits of the dense expressions.  From LANCZOS_MIN_SIZE unknowns on the
+    norm is one Lanczos Ritz value (ARPACK ``eigsh`` with k=1 and tol=0).
+    The start vector is a fixed seeded random vector, so runs stay
+    deterministic, and unlike the all-ones vector a mirror symmetry of
+    the mesh cannot make it orthogonal to the top eigenvector.  A Ritz
+    value lies inside the spectrum, so this can only underestimate the
+    norm.  Smaller forms, and forms on which ARPACK fails, take the full
+    dense spectrum.  Any other form takes the SVD of its dense copy.
     """
-    if np.abs(F - F.T).max() > SYMMETRY_TOL * np.abs(F).max():
-        return float(np.linalg.norm(F, 2))
+    n = F.shape[0]
+    if abs(F - F.T).max() > SYMMETRY_TOL * abs(F).max():
+        return float(np.linalg.norm(F.toarray(), 2))
     sym = 0.5 * (F + F.T)
-    if len(F) >= LANCZOS_MIN_SIZE:
-        start = np.random.default_rng(0).standard_normal(len(F))
+    if n >= LANCZOS_MIN_SIZE:
+        start = np.random.default_rng(0).standard_normal(n)
         try:
             ritz = scipy.sparse.linalg.eigsh(
-                scipy.sparse.csr_matrix(sym), k=1, which="LM", tol=0,
-                v0=start, return_eigenvectors=False)
+                sym, k=1, which="LM", tol=0, v0=start,
+                return_eigenvectors=False)
             return float(abs(ritz[0]))
         except scipy.sparse.linalg.ArpackError:
             pass
-    return float(np.abs(np.linalg.eigvalsh(sym)).max())
+    return float(np.abs(np.linalg.eigvalsh(sym.toarray())).max())
 
 
 # ----------------------------------------------------------------------
@@ -329,39 +354,31 @@ class AccretivityReport(Report):
     tolerance: float = ACCRETIVITY_TOL
 
 
-def _form_pattern(system):
-    """The pattern of FormAtilde: the P1 pattern of ``system``, with the
-    boundary block when the boundary term Bw couples distinct vertices."""
-    Bw = system.Bw
-    if np.array_equal(Bw, np.diag(np.diagonal(Bw))):
-        return system._pattern
-    return _p1_pattern(system.mesh, system.mesh.boundary_vertices)
+def _symmetric_difference(system, sigma=0.0):
+    """sym(FormAtilde - H1) - sigma I as a CSC matrix without explicit
+    zeros, entry by entry the bits of the dense expression."""
+    diff = system.FormAtilde - system.H1
+    identity = scipy.sparse.identity(system.n, format="csr")
+    return (0.5 * (diff + diff.T) - sigma * identity).tocsc()
 
 
 def _certified_lambda_min(system, sigma):
     """lambda_min of D = sym(FormAtilde - H1) when D - sigma I is certified
     positive definite, else None.
 
-    D - sigma I is gathered at the pattern of FormAtilde
-    (``_form_pattern``) and factored once by
-    sparse LU with symmetric ordering and diagonal pivots.  When the row and
-    column permutations agree, the factor is P (D - sigma I) P^t = L U
-    with U = diag(U) L^t, so by Sylvester's law of inertia a positive
-    diag(U) certifies lambda_min > sigma.  lambda_min is then sigma + 1/nu,
-    with nu the top Ritz value of shift-invert Lanczos on the same factor
+    D - sigma I is factored once by sparse LU with symmetric ordering and
+    diagonal pivots.  When the row and column permutations agree, the
+    factor is P (D - sigma I) P^t = L U with U = diag(U) L^t, so by
+    Sylvester's law of inertia a positive diag(U) certifies
+    lambda_min > sigma.  lambda_min is then sigma + 1/nu, with nu the top
+    Ritz value of shift-invert Lanczos on the same factor
     (ARPACK ``eigsh``, k=1, tol=0, the seeded start vector of
     ``form_norm``).  A nonpositive pivot, another permutation, an exactly
     singular factor or an ARPACK failure give None.
     """
-    pattern = _form_pattern(system)
-    _, rows, cols = pattern
-    F, H1 = system.FormAtilde, system.H1
-    values = 0.5 * ((F[rows, cols] - H1[rows, cols])
-                    + (F[cols, rows] - H1[cols, rows]))
-    values[rows == cols] -= sigma
     try:
         lu = scipy.sparse.linalg.splu(
-            _at_pattern(pattern, values), permc_spec="MMD_AT_PLUS_A",
+            _symmetric_difference(system, sigma), permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0, options=dict(SymmetricMode=True))
     except RuntimeError:
         return None
@@ -410,8 +427,8 @@ def check_accretivity(system):
     if system.n >= LANCZOS_MIN_SIZE:
         lam = _certified_lambda_min(system, sigma)
     if lam is None:
-        diff = system.FormAtilde - system.H1
-        lam = float(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min())
+        lam = float(np.linalg.eigvalsh(
+            _symmetric_difference(system).toarray()).min())
     status = "passed" if lam >= sigma else "failed"
     return AccretivityReport(status, lam, scale)
 
@@ -440,11 +457,11 @@ def check_continuity(system, samples=200, seed=2024):
     u, v = np.moveaxis(rng.standard_normal((samples, 2, system.n)), 1, 0)
 
     def norms(w):
-        h1 = np.sqrt(np.maximum(((w @ system.H1) * w).sum(axis=1), 0.0))
+        h1 = np.sqrt(np.maximum(((system.H1 @ w.T).T * w).sum(axis=1), 0.0))
         return h1, np.sqrt((w * w) @ system.mass)
 
     (h1_u, l2_u), (h1_v, l2_v) = norms(u), norms(v)
-    lhs = np.abs(((v @ system.FormAtilde) * u).sum(axis=1))
+    lhs = np.abs(((system.FormAtilde @ u.T).T * v).sum(axis=1))
     rhs = const * h1_u * h1_v + system.alpha * l2_u * l2_v
     worst = (lhs / rhs).max(initial=0.0)
     return ContinuityReport(

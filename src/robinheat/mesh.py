@@ -131,7 +131,13 @@ class Mesh:
         omit = np.array([[k for k in range(d + 1) if k != j]
                          for j in range(d + 1)])
         facets = np.sort(self.cells[:, omit], axis=2).reshape(-1, d)
-        _, inverse, counts = np.unique(facets, axis=0, return_inverse=True,
+        n = self.n_vertices
+        try:    # the raveled index of a sorted facet orders like its rows
+            keys = np.ravel_multi_index(tuple(facets.T), (n,) * d)
+        except ValueError:
+            raise MeshError(f"{n} vertices are too many to index the "
+                            f"facets of a {d}-D mesh") from None
+        _, inverse, counts = np.unique(keys, return_inverse=True,
                                        return_counts=True)
         hits = counts[inverse.reshape(-1)]
         if np.any(hits > 2):

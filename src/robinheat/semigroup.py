@@ -19,7 +19,7 @@ form.  Its mixed norms are the primal's dual norms,
 |S*|_{1->2} = |S|_{2->inf} and |S*|_{1->1} = |S|_{inf->inf}, and a check
 that needs S*(t) itself forms it from the primal's matrix.
 ``reuse(evaluator, candidate)`` returns ``evaluator`` when the
-candidate's form, mass and grid are ``np.array_equal`` to its own, so
+candidate's form, mass and grid are bitwise equal to its own, so
 whoever builds the evaluators of an original and a comparison system
 whose boundary operators coincide detects that they can share and never
 assumes it.  A form one bit away keeps its own evaluator, and a reused
@@ -117,7 +117,8 @@ class SemigroupEvaluator:
         self.system = system
         self.mass = system.mass
         self.form = system.FormAtilde
-        self.generator = self.form / self.mass[:, None]
+        self.generator = self.form.toarray()
+        self.generator /= self.mass[:, None]
         self.grid = np.asarray(grid, dtype=float)
         if not (self.grid >= 0).all():
             raise ValueError("grid times must be nonnegative")
@@ -268,8 +269,8 @@ def reuse(evaluator, candidate):
     """``evaluator`` when ``candidate`` has a bitwise-equal form, mass and
     grid, so both would compute the same matrices, else ``candidate``.
     For comparison systems."""
-    if (np.array_equal(candidate.form, evaluator.form)
-            and np.array_equal(candidate.mass, evaluator.mass)
+    if (np.array_equal(candidate.mass, evaluator.mass)
+            and (candidate.form != evaluator.form).nnz == 0
             and np.array_equal(candidate.grid, evaluator.grid)):
         return evaluator
     return candidate

@@ -139,11 +139,11 @@ def check_nash(system, samples=200, seed=2024):
     U = vectors[:samples]
     U = U[np.abs(U) @ system.mass != 0.0]
     used = len(U)
-    worst = float(log_ratios(U, ((U @ system.H1) * U).sum(axis=1))
+    worst = float(log_ratios(U, ((system.H1 @ U.T).T * U).sum(axis=1))
                   .max(initial=-math.inf))
     ones = np.ones(n)
     gradient_only_violation = bool(log_ratios(
-        ones[None], np.array([ones @ system.K_id @ ones]))[0] > worst)
+        ones[None], np.array([ones @ (system.K_id @ ones)]))[0] > worst)
     try:
         constant = math.exp(worst)
     except OverflowError:
@@ -215,7 +215,7 @@ def check_ouhabaz_contractivity_criterion(system, samples=100, seed=2024):
     W = np.clip(U, -1.0, 1.0)
     Z = U - W
     min_plus, min_minus = (
-        float(((Z @ form) * W).sum(axis=1).min(initial=math.inf))
+        float(((form @ W.T).T * Z).sum(axis=1).min(initial=math.inf))
         for form in (form_plus, form_minus))
     ok = min(min_plus, min_minus) >= -FORM_TOL * scale
     return ContractivityReport(
@@ -318,8 +318,8 @@ def check_domination(evaluator, bar_evaluator, samples=50, seed=2024):
     pairs = rng.standard_normal((100, 2, n))
     U = pairs[:, 0]
     V = np.abs(pairs[:, 1]) * np.sign(U)
-    values = (((np.abs(V) @ form_bar) * np.abs(U)).sum(axis=1)
-              - ((V @ form) * U).sum(axis=1))
+    values = (((form_bar @ np.abs(U).T).T * np.abs(V)).sum(axis=1)
+              - ((form @ U.T).T * V).sum(axis=1))
     form_worst = max(float(values.max()), 0.0)
     ok = worst <= DOMINATION_TOL and form_worst <= FORM_TOL * form_scale
     return DominationReport(
@@ -486,7 +486,7 @@ def check_energy_dissipation(evaluator, times, samples=20, seed=2024):
     system = evaluator.system
     generator = (evaluator.generator
                  if evaluator.symmetry_residual <= SYMMETRY_TOL
-                 else evaluator.form.T / evaluator.mass[:, None])
+                 else evaluator.form.toarray().T / evaluator.mass[:, None])
     rng = np.random.default_rng(seed)
     draws = [rng.standard_normal(system.n) for _ in range(samples)]
     scale = max((system.l2_norm(u) ** 2 for u in draws), default=0.0)

@@ -1,11 +1,12 @@
 """Dense reference constructions that only the tests use.
 
-The package assembles the boundary coupling without a trace matrix,
-lumps the mass, reads the adjoint semigroup off the primal's matrices by
-duality, runs each time's samples as one matrix product and takes a
-self-adjoint resolvent norm from the spectrum.  These are the textbook
-forms it is checked against: the 0/1 trace matrix, the lumped L1 norm,
-the exact P1 mass matrix, the adjoint semigroup evaluated on its own
+The package assembles its forms as sparse matrices at the P1 pattern and
+the boundary coupling without a trace matrix, lumps the mass, reads the
+adjoint semigroup off the primal's matrices by duality, runs each time's
+samples as one matrix product and takes a self-adjoint resolvent norm
+from the spectrum.  These are the textbook forms it is checked against:
+the dense n x n assembly, the 0/1 trace matrix, the lumped L1 norm, the
+exact P1 mass matrix, the adjoint semigroup evaluated on its own
 with a chain of its own, the duality of the mixed norms between a
 semigroup and that adjoint, the per-sample loops of the sampled checks,
 and the resolvent from ``inv`` and an SVD.
@@ -17,9 +18,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robinheat import build_evaluator, verify
-from robinheat.assembly import form_norm
+from robinheat import CoefficientField, build_evaluator, verify
+from robinheat.assembly import _barycentric_gradients, form_norm
 from robinheat.report import Report
+
+
+def scatter_cells(mesh, local):
+    """Sum the (m, d+1, d+1) cell matrices into an n x n matrix, cell by
+    cell in mesh order."""
+    n = mesh.n_vertices
+    index = mesh.cells[:, :, None] * n + mesh.cells[:, None, :]
+    return np.bincount(index.ravel(), weights=local.ravel(),
+                       minlength=n * n).reshape(n, n)
+
+
+def on_boundary(mesh, block):
+    """n x n matrix with ``block`` on the boundary vertex rows and columns,
+    the same as Gamma^t block Gamma for the 0/1 trace matrix Gamma."""
+    n = mesh.n_vertices
+    out = np.zeros((n, n))
+    out[np.ix_(mesh.boundary_vertices, mesh.boundary_vertices)] = block
+    return out
+
+
+def dense_stiffness(mesh, field):
+    grads = _barycentric_gradients(mesh.vertices[mesh.cells])
+    vol = mesh.cell_volumes[:, None, None]
+    return scatter_cells(
+        mesh, (vol * grads) @ field.per_cell @ np.swapaxes(grads, 1, 2))
+
+
+def dense_forms(system):
+    """K, K_id, H1 and FormAtilde of ``system`` as n x n arrays, summed
+    the way a dense assembly sums them."""
+    mesh = system.mesh
+    K = dense_stiffness(mesh, system.field)
+    K_id = dense_stiffness(mesh, CoefficientField.isotropic(mesh, 1.0))
+    mass = np.diag(system.mass)
+    return {"K": K, "K_id": K_id, "H1": K_id + mass,
+            "FormAtilde": ((K + on_boundary(mesh, system.Bw))
+                           + system.alpha * mass)}
 
 
 def trace_matrix(mesh):

@@ -5,13 +5,20 @@ The interval oracles below are the full matrices worked out by hand for
 alpha = 2.  The triangle oracle integrates one nonsymmetric coefficient
 matrix against the closed-form hat gradients of the reference triangle.
 Everything is compared entrywise at 1e-12 or tighter.
+
+The sparse forms are held bit for bit against the dense n x n assembly
+of ``oracles.dense_forms``, and the assembly and the form checks of a
+1 331-unknown cube must stay below the bytes of one dense n x n array.
 """
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from robinheat import (
@@ -23,11 +30,19 @@ from robinheat import (
     assemble_stiffness,
     assemble_system,
     build_box_mesh,
+    build_boundary_operator,
+    build_lshape_mesh,
     check_accretivity,
     check_continuity,
     compute_trace_norm,
 )
-from oracles import assemble_consistent_mass, l1_norm, trace_matrix
+from robinheat import assembly
+from oracles import (
+    assemble_consistent_mass,
+    dense_forms,
+    l1_norm,
+    trace_matrix,
+)
 
 ENTRY_TOL = 1e-12
 
@@ -153,7 +168,7 @@ def test_mass_sums_to_volume(cube2, interval4):
 def dense_trace_norm(system):
     G = trace_matrix(system.mesh)
     S = G.T @ (system.boundary_weights[:, None] * G)
-    eigs = scipy.linalg.eigh(S, system.H1, eigvals_only=True)
+    eigs = scipy.linalg.eigh(S, system.H1.toarray(), eigvals_only=True)
     return float(eigs[-1])
 
 
@@ -210,9 +225,10 @@ def test_accretivity_gates_on_hypothesis(interval4):
 
 
 def test_shifted_form_dominates_h1(cube2_neumann_system):
-    diff = cube2_neumann_system.FormAtilde - cube2_neumann_system.H1
+    diff = (cube2_neumann_system.FormAtilde.toarray()
+            - cube2_neumann_system.H1.toarray())
     eigs = np.linalg.eigvalsh(0.5 * (diff + diff.T))
-    scale = np.linalg.norm(cube2_neumann_system.FormAtilde, 2)
+    scale = np.linalg.norm(cube2_neumann_system.FormAtilde.toarray(), 2)
     assert eigs.min() >= -1e-10 * scale
 
 
@@ -249,12 +265,13 @@ def test_with_boundary_matches_assemble_system(cube2, sheared):
         for name in ("K", "K_id", "mass", "boundary_weights", "H1",
                      "_pattern", "trace_norm_sq"):
             assert getattr(derived, name) is getattr(system, name), name
-        for name in ("Bw", "FormAtilde"):
-            assert np.array_equal(getattr(derived, name),
-                                  getattr(direct, name)), name
+        assert np.array_equal(derived.Bw, direct.Bw)
+        assert np.array_equal(derived.FormAtilde.toarray(),
+                              direct.FormAtilde.toarray())
         assert derived.spec is spec
         assert derived.admissibility == direct.admissibility
-        assert not np.array_equal(derived.FormAtilde, system.FormAtilde)
+        assert not np.array_equal(derived.FormAtilde.toarray(),
+                                  system.FormAtilde.toarray())
 
 
 def test_norm_helpers(interval4_robin_system):
@@ -265,3 +282,96 @@ def test_norm_helpers(interval4_robin_system):
     # masses 1/8, 1/4, 1/4, 1/4, 1/8
     assert l1_norm(system, u) == 3.0
     assert system.h1_norm(u) > system.l2_norm(u)
+
+
+# -- the sparse forms against the dense assembly --------------------------
+
+def oracle_mesh(shape):
+    if shape == "interval":
+        return build_box_mesh((1.3,), (9,))
+    if shape == "lshape":
+        return build_lshape_mesh(4, dim=2)
+    return build_box_mesh((1.0, 0.7, 1.0), (3, 4, 3))
+
+
+def oracle_spec(mesh, operator):
+    nb = len(mesh.boundary_vertices)
+    rng = np.random.default_rng(5)
+    if operator == "zero":
+        return BoundaryOperatorSpec.zero(mesh)
+    if operator == "multiplication":
+        return BoundaryOperatorSpec.multiplication(
+            mesh, rng.uniform(-0.1, 0.1, nb))
+    if operator == "dense":
+        return BoundaryOperatorSpec.dense(
+            mesh, rng.uniform(-0.01, 0.01, (nb, nb)))
+    return build_boundary_operator(
+        mesh, {"kind": "kernel", "profile": "cosine", "scale": 0.05})
+
+
+@pytest.mark.parametrize("shape, operator", [
+    (shape, operator)
+    for shape in ("interval", "lshape", "cube")
+    for operator in ("zero", "multiplication", "kernel", "dense")
+    # the cosine kernel needs two dimensions
+    if (shape, operator) != ("interval", "kernel")])
+def test_sparse_forms_have_the_bits_of_the_dense_assembly(shape, operator):
+    """K, K_id, H1 and FormAtilde, also of the systems derived with the
+    shifted and dominating operators, against the dense sums."""
+    mesh = oracle_mesh(shape)
+    if mesh.dim == 1:
+        field = CoefficientField.isotropic(mesh, 2.0)
+    else:
+        entries = 2.0 * np.eye(mesh.dim)
+        entries[0, 1], entries[1, 0] = 0.4, -0.3
+        field = CoefficientField.matrix(mesh, entries)
+    system = assemble_system(mesh, field, oracle_spec(mesh, operator))
+    spec = system.spec
+    for derived in (system, system.with_boundary(spec.shifted_bar(+1)),
+                    system.with_boundary(spec.shifted_bar(-1)),
+                    system.with_boundary(spec.dominating())):
+        expected = dense_forms(derived)
+        for name in ("K", "K_id", "H1", "FormAtilde"):
+            matrix = getattr(derived, name)
+            assert scipy.sparse.issparse(matrix), name
+            assert matrix.toarray().tobytes() == expected[name].tobytes(), \
+                name
+
+
+def test_gate_trace_norm_and_certified_lambda_min_match_the_dense_forms():
+    """On the cube_robin operator at 10 divisions (1 331 unknowns), the
+    trace norm and the certified lambda_min from the sparse forms have the
+    bits of the ones computed from the dense arrays."""
+    cube = build_box_mesh((1.0, 1.0, 1.0), (10, 10, 10))
+    system = assemble_system(cube, CoefficientField.isotropic(cube, 2.5),
+                             BoundaryOperatorSpec.multiplication(cube, -0.05))
+    forms = dense_forms(system)
+    weights = np.zeros(system.n)
+    weights[system.mesh.boundary_vertices] = system.boundary_weights
+    assert system.trace_norm_sq == compute_trace_norm(np.diag(weights),
+                                                      forms["H1"])
+    dense = SimpleNamespace(
+        n=system.n,
+        FormAtilde=scipy.sparse.csr_matrix(forms["FormAtilde"]),
+        H1=scipy.sparse.csr_matrix(forms["H1"]))
+    sigma = -1e-10 * check_accretivity(system).scale
+    lam = assembly._certified_lambda_min(system, sigma)
+    assert lam is not None
+    assert lam == assembly._certified_lambda_min(dense, sigma)
+
+
+def test_form_checks_stay_below_one_dense_array():
+    """Assembly and the accretivity and continuity checks of the gate
+    system allocate less than one n x n float64 array at their peak."""
+    mesh = build_box_mesh((1.0, 1.0, 1.0), (10, 10, 10))
+    field = CoefficientField.isotropic(mesh, 2.5)
+    spec = BoundaryOperatorSpec.multiplication(mesh, -0.05)
+    tracemalloc.start()
+    try:
+        system = assemble_system(mesh, field, spec)
+        check_accretivity(system)
+        check_continuity(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < system.n ** 2 * 8

@@ -140,6 +140,22 @@ def test_mesh_validation_catches_degenerate_cell():
         Mesh(2, vertices, np.array([[0, 1, 2]]))
 
 
+@pytest.mark.parametrize("n_vertices, refused", [(2_097_151, False),
+                                                 (2_097_152, True)])
+def test_facet_keys_past_int64_are_refused(n_vertices, refused):
+    """Facets are deduplicated by their raveled index in an n^3 grid, which
+    int64 holds up to n = 2^21 - 1 in 3-D.  One cell on the first four of
+    n vertices; np.zeros leaves the untouched rows unallocated."""
+    vertices = np.zeros((n_vertices, 3))
+    vertices[1:4] = np.eye(3)
+    cells = np.array([[0, 1, 2, 3]])
+    if refused:
+        with pytest.raises(MeshError, match="2097152 vertices"):
+            Mesh(3, vertices, cells)
+    else:
+        assert len(Mesh(3, vertices, cells).boundary_facets) == 4
+
+
 def test_dump_mesh_round_trip(square11):
     buffer = io.StringIO()
     dump_mesh(square11, buffer)

@@ -28,6 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
@@ -53,7 +54,7 @@ EXP_TOL = 1e-13
 
 
 def stub_system(form, mass, alpha=0.0):
-    form = np.asarray(form, dtype=float)
+    form = scipy.sparse.csr_matrix(np.asarray(form, dtype=float))
     mass = np.asarray(mass, dtype=float)
     return SimpleNamespace(
         FormAtilde=form,
@@ -284,7 +285,7 @@ def test_dense_limit_refusal(tmp_path, monkeypatch, capsys):
         raise AssertionError("assembly started above the dense limit")
 
     monkeypatch.setattr(assembly, "DENSE_LIMIT", 20)
-    monkeypatch.setattr(assembly, "assemble_stiffness", refuse)
+    monkeypatch.setattr(assembly, "_cell_stiffness", refuse)
     path = tmp_path / "cube2.ini"
     path.write_text("[domain]\nshape = box\nextents = 1, 1, 1\n"
                     "divisions = 2\n[run]\nchecks = accretivity\n")
@@ -401,8 +402,8 @@ def test_adjoint_form_is_the_transpose_view(cube2):
         cube2, field, BoundaryOperatorSpec.multiplication(cube2, -0.02))
     form = system.FormAtilde
     adjoint = adjoint_evaluator(system)
-    assert np.array_equal(adjoint.form, form.T)
-    assert np.shares_memory(adjoint.form, form)
+    assert np.array_equal(adjoint.form.toarray(), form.T.toarray())
+    assert np.shares_memory(adjoint.form.data, form.data)
     assert system.FormAtilde is form
 
 
@@ -496,7 +497,8 @@ def test_selfadjoint_sharing_tolerates_stiffness_roundoff(divisions):
     system = assemble_system(
         cube, CoefficientField.isotropic(cube, 2.5),
         BoundaryOperatorSpec.multiplication(cube, -0.05))
-    assert not np.array_equal(system.FormAtilde, system.FormAtilde.T)
+    assert not np.array_equal(system.FormAtilde.toarray(),
+                              system.FormAtilde.T.toarray())
     primal = build_evaluator(system)
     assert primal.symmetry_residual <= semigroup.SYMMETRY_TOL
     assert np.array_equal(energy_exponentials(primal, 0.1),
@@ -513,7 +515,8 @@ def test_sharing_stops_above_the_symmetry_tolerance(interval4_robin_system,
     system = interval4_robin_system
     m = system.mass
     root = np.sqrt(m)
-    scale = np.abs(system.FormAtilde / root[:, None] / root[None, :]).max()
+    scale = np.abs(system.FormAtilde.toarray() / root[:, None]
+                   / root[None, :]).max()
     form = system.FormAtilde.copy()
     form[0, 1] += factor * semigroup.SYMMETRY_TOL * scale * root[0] * root[1]
     pushed = copy.copy(system)
@@ -523,7 +526,8 @@ def test_sharing_stops_above_the_symmetry_tolerance(interval4_robin_system,
                     factor * semigroup.SYMMETRY_TOL, rtol=1e-3)
     t = 0.1
     own = primal.exponential(t)
-    transposed = semigroup.dense_exponential(form.T / m[:, None], t)
+    transposed = semigroup.dense_exponential(form.toarray().T / m[:, None],
+                                             t)
     assert not np.array_equal(own, transposed)
     taken = energy_exponentials(primal, t)
     assert np.array_equal(taken, own if shared else transposed)

@@ -18,8 +18,8 @@ sym(FormAtilde - H1) - sigma I and takes lambda_min from shift-invert
 Lanczos on it.  With that path forced, the status must equal the one the
 dense spectrum gives and lambda_min must match it at rtol 1e-10 with atol
 1e-12 * scale; every case the factorization cannot certify must reach
-the dense spectrum.  The sparse matrices both paths factor are gathered
-at the P1 sparsity pattern and must have the arrays of csc_matrix(dense).
+the dense spectrum.  The sparse matrices both paths factor must have the
+arrays of csc_matrix(dense).
 """
 
 import types
@@ -60,7 +60,8 @@ def dense_trace_form(system):
 
 
 def dense_trace_norm(system):
-    return float(scipy.linalg.eigh(dense_trace_form(system), system.H1,
+    return float(scipy.linalg.eigh(dense_trace_form(system),
+                                   system.H1.toarray(),
                                    eigvals_only=True)[-1])
 
 
@@ -73,7 +74,7 @@ def dense_form_norm(F):
 
 
 def dense_lambda_min(system):
-    diff = system.FormAtilde - system.H1
+    diff = system.FormAtilde.toarray() - system.H1.toarray()
     return float(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min())
 
 
@@ -100,6 +101,7 @@ def assert_lanczos_scale(F):
     with lanczos_everywhere():
         lanczos = form_norm(F)
         assert form_norm(F) == lanczos          # deterministic to the bit
+    F = F.toarray()
     if not is_symmetric(F):
         assert value == lanczos == float(np.linalg.norm(F, 2))
         return
@@ -179,20 +181,23 @@ def test_sparse_trace_norm_and_lanczos_scale_match_dense_oracles(system):
         assert contractivity.scale == max(form_norm(forms["plus"]),
                                           form_norm(forms["minus"]))
 
-    # gathered at its P1 pattern, a form has the arrays of csc_matrix(dense)
-    for pattern, A in ((system._pattern, system.H1),
-                       (assembly._form_pattern(system), system.FormAtilde)):
-        _, rows, cols = pattern
-        gathered = assembly._at_pattern(pattern, A[rows, cols])
+    # the sparse matrices the two factorizations take have the arrays of
+    # csc_matrix(dense)
+    sigma = -1e-10 * report.scale
+    H1 = system.H1.toarray()
+    diff = system.FormAtilde.toarray() - H1
+    for sparse, A in (
+            (assembly._sparse(system.H1, scipy.sparse.csc_matrix), H1),
+            (assembly._symmetric_difference(system, sigma),
+             0.5 * (diff + diff.T) - sigma * np.eye(system.n))):
         expected = scipy.sparse.csc_matrix(A)
         for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(gathered, name),
+            assert np.array_equal(getattr(sparse, name),
                                   getattr(expected, name)), name
 
     # the inertia certificate holds exactly when the dense spectrum says
     # so, inside the hypothesis or not
     lam = dense_lambda_min(system)
-    sigma = -1e-10 * report.scale
     certified = assembly._certified_lambda_min(system, sigma)
     assert (certified is not None) == (lam >= sigma)
     if certified is not None:
@@ -243,7 +248,7 @@ def test_trace_norm_takes_dense_and_sparse_inputs_alike(cube2_neumann_system):
     expected = compute_trace_norm(S, system.H1)
     for form in ("coo", "csr", "csc"):
         S_sparse = padded(S).asformat(form)
-        H1_sparse = padded(system.H1).asformat(form)
+        H1_sparse = padded(system.H1.toarray()).asformat(form)
         nnz = S_sparse.nnz, H1_sparse.nnz
         assert compute_trace_norm(S_sparse, H1_sparse) == expected, form
         assert (S_sparse.nnz, H1_sparse.nnz) == nnz   # inputs left alone
@@ -296,7 +301,7 @@ def test_symmetric_accretivity_check_takes_no_dense_spectrum(monkeypatch):
 def test_small_symmetric_form_takes_the_dense_spectrum(monkeypatch):
     system = cube_system(divisions=3)
     assert system.n < assembly.LANCZOS_MIN_SIZE
-    expected = dense_form_norm(system.FormAtilde)
+    expected = dense_form_norm(system.FormAtilde.toarray())
 
     def refuse(*args, **kwargs):
         raise AssertionError("Lanczos below LANCZOS_MIN_SIZE")
@@ -329,7 +334,7 @@ def test_lanczos_failure_falls_back_to_the_dense_spectrum(monkeypatch):
     calls = count_eigvalsh(monkeypatch)
     value = form_norm(F)
     assert calls == [F.shape]
-    assert value == dense_form_norm(F)
+    assert value == dense_form_norm(F.toarray())
     assert_allclose(value, lanczos, rtol=1e-10, atol=0)
     assert check_accretivity(system).scale == value
 
@@ -339,7 +344,8 @@ def shifted_down(system, margin):
     sym(FormAtilde - H1) is -margin * tol * ||FormAtilde||, tol = 1e-10."""
     shift = dense_lambda_min(system) + margin * 1e-10 * form_norm(
         system.FormAtilde)
-    system.FormAtilde = system.FormAtilde - shift * np.eye(system.n)
+    system.FormAtilde = system.FormAtilde - shift * scipy.sparse.identity(
+        system.n, format="csr")
     return system
 
 
@@ -420,7 +426,7 @@ def test_shift_invert_failure_takes_the_dense_spectrum(monkeypatch):
 def test_zero_form_has_zero_norm():
     """ARPACK rejects a zero form outright; the dense spectrum takes it."""
     with lanczos_everywhere():
-        assert form_norm(np.zeros((4, 4))) == 0.0
+        assert form_norm(scipy.sparse.csr_matrix((4, 4))) == 0.0
 
 
 def test_domination_form_scale_is_the_accretivity_scale():
