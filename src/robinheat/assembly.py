@@ -5,16 +5,18 @@ P1 sparsity pattern: the vertex pairs of each cell and the diagonal, with
 the whole boundary block added to FormAtilde when the boundary operator
 couples distinct vertices.  Each stored entry has the bits that a dense
 n x n assembly gives it, so ``toarray()`` returns that dense matrix.  The
-only dense n x n matrix a run needs is the semigroup evaluator's
-generator, which ``expm`` takes.  Stiffness uses exact one-point
-quadrature (piecewise constant coefficients, piecewise constant
-gradients); volume and boundary mass are lumped.
+boundary coupling Bw = diag(w) T is a CSR matrix too, so a zero or
+multiplication operator never allocates an nb x nb array.  Stiffness
+uses exact one-point quadrature (piecewise constant coefficients,
+piecewise constant gradients); volume and boundary mass are lumped.
 
 Assembly is array-at-a-time: the cell gradients come from one stacked
 ``inv``, shared by K and K_id, and one ``np.bincount`` over the pattern's
 entries sums the cell matrices in cell order, so every entry has the bits
 of a loop over cells.  Boundary matrices are added at the entries of the
-boundary vertex rows and columns; no 0/1 trace matrix is formed.
+boundary vertex rows and columns; no 0/1 trace matrix is formed.  A
+coupling of distinct vertices is added to FormAtilde's boundary block
+from one dense nb x nb copy of Bw.
 
 The form checks cost O(nnz) apart from their samples.  The trace norm is
 a power iteration on a sparse LU of H1 and the sparse diagonal trace
@@ -24,7 +26,8 @@ is one Lanczos Ritz value rather than a full spectrum (``form_norm``).
 On a large system the accretivity status comes from the pivot signs of a
 sparse symmetric factorization, and lambda_min from shift-invert Lanczos
 on the same factor (``check_accretivity``).  Only a non-symmetric form's
-SVD and the dense spectrum of a small form take a dense copy.
+SVD and the dense spectrum of a small form take a dense copy, and the
+continuity samples are drawn and evaluated in blocks.
 """
 
 import copy
@@ -66,13 +69,15 @@ __all__ = [
 # 7.1 ms at 301 in 1-D, one thread).
 LANCZOS_MIN_SIZE = 300
 
-# Most unknowns an AssembledSystem admits.  The semigroup evaluator every
-# run builds holds the dense n x n generator and its exponentials (288 MB
-# each at this size), so the system refuses before assembling anything.
+# Most unknowns an AssembledSystem admits.  Every run computes
+# exponentials of the semigroup evaluator's generator, which take its
+# dense n x n copy (288 MB each at this size): norms.csv scans the grid
+# whatever the checks.  So the system refuses before assembling anything.
 DENSE_LIMIT = 6000
 
 ACCRETIVITY_TOL = 1e-10     # relative to the norm of the form
 RATIO_TOL = 1e-10           # how far a ratio bounded by 1 may exceed it
+CONTINUITY_BLOCK = 16       # samples check_continuity draws at a time
 
 
 def _barycentric_gradients(points):
@@ -159,9 +164,10 @@ class AssembledSystem:
         Lumped mass diagonal.
     boundary_weights : (nb,)
         Lumped boundary measure at the boundary vertices.
-    Bw : (nb, nb)
+    Bw : (nb, nb) CSR matrix
         Weighted boundary coupling diag(w) T on boundary vertex values, so
         the boundary part of the form is (trace v)^t Bw (trace u).
+        Computed from the spec on each access.
     FormAtilde : (n, n) CSR matrix
         Alpha-shifted boundary-coupled form, at the P1 pattern, plus the
         boundary block when Bw couples distinct vertices.  The adjoint
@@ -176,8 +182,8 @@ class AssembledSystem:
 
     ``with_boundary`` derives the system of another boundary operator
     from this one.  A mesh above DENSE_LIMIT unknowns is refused before
-    anything is assembled, because every run builds the dense generator
-    of a semigroup evaluator from this system.
+    anything is assembled, because every run exponentiates the dense copy
+    of a semigroup evaluator's generator built from this system.
     """
 
     def __init__(self, mesh, field, spec, alpha):
@@ -216,22 +222,23 @@ class AssembledSystem:
         return p1.block
 
     def _couple(self, spec):
-        """Set the boundary operator: Bw, FormAtilde and admissibility.
+        """Set the boundary operator: spec, FormAtilde and admissibility.
         Each entry of FormAtilde is (K + Bw) + alpha * mass, summed in the
         order of the dense expression."""
         self.spec = spec
-        self.Bw = self.boundary_weights[:, None] * spec.matrix()
+        Bw = self.Bw
+        diagonal = Bw.diagonal()
         vertices = self.mesh.boundary_vertices
-        if np.array_equal(self.Bw, np.diag(np.diagonal(self.Bw))):
+        if np.count_nonzero(diagonal) == Bw.count_nonzero():
             pattern = self._pattern
             values = self.K.data.copy()
-            values[pattern.diagonal[vertices]] += np.diagonal(self.Bw)
+            values[pattern.diagonal[vertices]] += diagonal
         else:
             pattern = self._block_pattern()
             p1_entries = len(self._pattern.keys)
             values = np.zeros(len(pattern.keys))
             values[pattern.slots[:p1_entries]] = self.K.data
-            values[pattern.slots[p1_entries:]] += self.Bw.ravel()
+            values[pattern.slots[p1_entries:]] += Bw.toarray().ravel()
         values[pattern.diagonal] += self.alpha * self.mass
         self.FormAtilde = pattern.matrix(values)
         self.admissibility = check_admissibility(
@@ -241,11 +248,19 @@ class AssembledSystem:
     def n(self):
         return self.mesh.n_vertices
 
+    @property
+    def Bw(self):
+        """diag(w) T as a CSR matrix, each entry w_i T_ij, computed on each
+        access so that the system keeps no second copy of T's entries."""
+        Bw = self.spec.matrix()
+        Bw.data *= np.repeat(self.boundary_weights, np.diff(Bw.indptr))
+        return Bw
+
     def with_boundary(self, spec):
         """The system of boundary operator ``spec`` with this field and
         shift.  It shares the stiffness, mass, H1, pattern and trace norm
-        of this system; Bw, FormAtilde and admissibility are its own, with
-        the bits ``assemble_system`` gives them."""
+        of this system; spec, FormAtilde and admissibility are its own,
+        with the bits ``assemble_system`` gives them."""
         derived = copy.copy(self)
         derived._couple(spec)
         return derived
@@ -448,22 +463,33 @@ def check_continuity(system, samples=200, seed=2024):
         |v^t FormAtilde u| <= (d^2 sup|A| + norm2 tr^2) |u|_H1 |v|_H1
                               + alpha |u|_L2 |v|_L2.
 
-    Reports the largest observed ratio of left to right side.
+    Reports the largest observed ratio of left to right side.  The
+    samples are drawn and evaluated CONTINUITY_BLOCK at a time, in the
+    order of one (samples, 2, n) draw, so memory does not grow with
+    ``samples``.
     """
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     d = system.mesh.dim
     const = (d * d * system.field.sup_norm
              + system.spec.norm2 * system.trace_norm_sq)
     rng = np.random.default_rng(seed)
-    u, v = np.moveaxis(rng.standard_normal((samples, 2, system.n)), 1, 0)
 
     def norms(w):
         h1 = np.sqrt(np.maximum(((system.H1 @ w.T).T * w).sum(axis=1), 0.0))
         return h1, np.sqrt((w * w) @ system.mass)
 
-    (h1_u, l2_u), (h1_v, l2_v) = norms(u), norms(v)
-    lhs = np.abs(((system.FormAtilde @ u.T).T * v).sum(axis=1))
-    rhs = const * h1_u * h1_v + system.alpha * l2_u * l2_v
-    worst = (lhs / rhs).max(initial=0.0)
+    def ratios(count):
+        u, v = np.moveaxis(rng.standard_normal((count, 2, system.n)), 1, 0)
+        (h1_u, l2_u), (h1_v, l2_v) = norms(u), norms(v)
+        lhs = np.abs(((system.FormAtilde @ u.T).T * v).sum(axis=1))
+        rhs = const * h1_u * h1_v + system.alpha * l2_u * l2_v
+        return lhs / rhs
+
+    worst = np.max([ratios(min(CONTINUITY_BLOCK, samples - start))
+                    .max(initial=0.0)
+                    for start in range(0, samples, CONTINUITY_BLOCK)],
+                   initial=0.0)
     return ContinuityReport(
         max_ratio=float(worst),
         bound_constant=float(const),

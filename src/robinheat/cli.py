@@ -191,9 +191,6 @@ class _Run:
         self.grid = grid
         self.resolved = system.mesh.resolved_time
         self.evaluator = build_evaluator(system, grid=grid)
-        # taken before any matrix is cached, so that the temporaries of
-        # the weighted generator do not raise the run's peak memory
-        self.residual = self.evaluator.symmetry_residual
         self.fitted = None
         self.summary = []
         self.manifest = {}
@@ -308,7 +305,8 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
                 run.record(check, "hypothesis unmet",
                            {"reason": "admissibility condition violated: "
                             f"margin {_fmt(admissibility.margin)}"})
-        run.note(f"generator symmetry residual: {_fmt(run.residual)}")
+        run.note("generator symmetry residual: "
+                 f"{_fmt(run.evaluator.symmetry_residual)}")
         _write_outputs(out, run)
     except FloatingPointError as exc:    # a non-finite semigroup matrix
         raise ScenarioError(None, str(exc)) from exc

@@ -10,6 +10,7 @@ comparison operator ("bar") that dominates it entrywise.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .report import Report
 
@@ -129,33 +130,43 @@ class BoundaryOperatorSpec:
                           against the lumped boundary measure w
     * ``dense``           T = Bm, a raw matrix on vertex values
 
+    ``T`` is held as a CSR matrix without explicit zeros, so a zero or
+    multiplication operator never stores an nb x nb array.  The positive
+    comparison operator ("bar") is |T|, entrywise: the operator of the
+    absolute kernel |k(x, y)| w(y), since the weights are positive.  It is
+    formed from ``T`` by the derived operators that use it.
+
     ``norm2`` / ``norm_inf`` are the exact operator norms of ``T`` on the
-    w-weighted L2 and the Linf boundary spaces.  The positive comparison
-    operator ("bar") is |T|, entrywise: the operator of the absolute
-    kernel |k(x, y)| w(y), since the weights are positive.  ``norm2_bar``
-    and ``norm_inf_bar`` are its norms.
+    w-weighted L2 and the Linf boundary spaces, and ``norm2_bar`` and
+    ``norm_inf_bar`` those of |T|.  They are computed from the matrix the
+    constructor is given, so a kernel's come from the dense samples its
+    builder holds; a sparse non-diagonal ``T`` is copied dense for the SVD
+    behind its L2 norm (``_operator_norms``).
     """
 
     def __init__(self, weights, application):
         self.weights = np.asarray(weights, dtype=float)
-        self._T = np.asarray(application, dtype=float)
-        self._Tbar = np.abs(self._T)
+        self._T = scipy.sparse.csr_matrix(application, dtype=float,
+                                         copy=True)
+        self._T.eliminate_zeros()
 
-        self.norm2, self.norm_inf = _operator_norms(self._T, self.weights)
+        self.norm2, self.norm_inf = _operator_norms(application, self.weights)
         self.norm2_bar, self.norm_inf_bar = _operator_norms(
-            self._Tbar, self.weights)
+            abs(application), self.weights)
 
     # -- construction ---------------------------------------------------
     @classmethod
     def zero(cls, mesh):
         nb = len(mesh.boundary_vertices)
-        return cls(mesh.boundary_vertex_weights(), np.zeros((nb, nb)))
+        return cls(mesh.boundary_vertex_weights(),
+                   scipy.sparse.csr_matrix((nb, nb)))
 
     @classmethod
     def multiplication(cls, mesh, beta):
         nb = len(mesh.boundary_vertices)
         beta = np.broadcast_to(np.asarray(beta, dtype=float), (nb,))
-        return cls(mesh.boundary_vertex_weights(), np.diag(beta))
+        return cls(mesh.boundary_vertex_weights(),
+                   scipy.sparse.diags(beta, format="csr"))
 
     @classmethod
     def kernel(cls, mesh, values):
@@ -177,30 +188,40 @@ class BoundaryOperatorSpec:
 
     # -- operator data --------------------------------------------------
     def matrix(self):
-        """Application matrix on boundary vertex values."""
+        """Application matrix on boundary vertex values, a CSR copy."""
         return self._T.copy()
 
     # -- derived operators ----------------------------------------------
     def dominating(self):
         """Negated comparison operator; its semigroup dominates this one's."""
-        return BoundaryOperatorSpec(self.weights, -self._Tbar)
+        return BoundaryOperatorSpec(self.weights, -abs(self._T))
 
     def shifted_bar(self, sign):
-        """norm_inf_bar * identity +/- bar, as a dense operator."""
+        """norm_inf_bar * identity +/- bar."""
         if sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
         nb = len(self.weights)
-        comb = self.norm_inf_bar * np.eye(nb) + sign * self._Tbar
+        comb = (self.norm_inf_bar * scipy.sparse.identity(nb, format="csr")
+                + sign * abs(self._T))
         return BoundaryOperatorSpec(self.weights, comb)
 
 
 def _operator_norms(T, w):
-    """Exact discrete operator norms of the application matrix ``T``.
+    """Exact discrete operator norms of the application matrix ``T``, an
+    array or a sparse matrix.
 
     L2 norm on the w-weighted space comes from the largest singular value
     of W^(1/2) T W^(-1/2), which is max|T_ii| when T has no off-diagonal
-    nonzero; the Linf norm is the max absolute row sum.
+    nonzero; the Linf norm is the max absolute row sum, which is then
+    max|T_ii| too.  A sparse T with an off-diagonal nonzero is copied
+    dense for the SVD, and both norms come from that copy.
     """
+    if scipy.sparse.issparse(T):
+        diagonal = T.diagonal()
+        if np.count_nonzero(diagonal) == T.count_nonzero():
+            value = float(np.abs(diagonal).max())
+            return value, value
+        T = T.toarray()
     if not np.any(T):
         return 0.0, 0.0
     diagonal = np.diagonal(T)

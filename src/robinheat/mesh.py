@@ -148,13 +148,24 @@ class Mesh:
         return facets[single], single // (d + 1)
 
     def _compute_facet_areas(self):
+        """Facet measures by the squaring route of ``_lengths``.  A measure
+        that comes out infinite would make the boundary weights and the
+        trace norm infinite, so it is refused with MeshError."""
         pts = self.vertices[self.boundary_facets]
         if self.dim == 1:
             return np.ones(len(pts))      # counting measure on the endpoints
-        if self.dim == 2:
-            return _lengths(pts[:, 1] - pts[:, 0])
-        return 0.5 * _lengths(np.cross(pts[:, 1] - pts[:, 0],
-                                       pts[:, 2] - pts[:, 0]))
+        with np.errstate(over="ignore"):
+            if self.dim == 2:
+                areas = _lengths(pts[:, 1] - pts[:, 0])
+            else:
+                areas = 0.5 * _lengths(np.cross(pts[:, 1] - pts[:, 0],
+                                                pts[:, 2] - pts[:, 0]))
+        infinite = ~np.isfinite(areas)
+        if infinite.any():
+            bad = self.boundary_facets[np.argmax(infinite)]
+            raise MeshError(f"the measure of boundary facet "
+                            f"{tuple(int(v) for v in bad)} overflows")
+        return areas
 
 
 def _lengths(vectors):
@@ -166,9 +177,8 @@ def _lengths(vectors):
 def _edge_lengths(edges):
     """``_lengths`` of cell edges, except that an edge whose squared length
     overflows is divided by its largest entry first, so only a length
-    past the float range is inf.  Facet areas keep ``_lengths``: a facet
-    measure whose square overflows still makes the trace norm refuse the
-    mesh."""
+    past the float range is inf.  Facet areas keep ``_lengths``, and a
+    facet measure whose square overflows is refused by the mesh."""
     with np.errstate(over="ignore"):
         lengths = _lengths(edges)
     huge = np.isinf(lengths) & np.isfinite(edges).all(axis=-1)

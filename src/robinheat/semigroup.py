@@ -5,6 +5,16 @@ scaling and squaring and reports the mixed operator norms used by the
 smoothing estimates.  All norms refer to the lumped measures: L2 and L1
 carry the mass weights, the sup norm is the plain max over vertices.
 
+The generator is a CSR matrix at the form's pattern, each entry
+FormAtilde_ij / m_i.  Its dense copy, bit for bit
+FormAtilde.toarray() / mass[:, None], is built once, on the first call
+that needs a dense kernel (``dense_generator``): the doubling chain,
+``exponential``, the non-self-adjoint ``resolvent_contraction`` and the
+energy check.  The symmetry residual is computed on the sparse weighted
+generator when the evaluator is built, so an evaluator that is never
+exponentiated holds no n x n array, and the residual's temporaries come
+before the grid matrices.
+
 Every quantity refers to the shifted contraction semigroup
 exp(-t M^{-1} FormAtilde).  The original evolution is exp(alpha t) times
 it (Ouhabaz, Analysis of Heat Equations on Domains, 2005); the checks
@@ -56,7 +66,8 @@ The 2->2 norm.  For the generator P = M^{-1} FormAtilde, the weighted
 generator W = M^{1/2} P M^{-1/2} equals M^{-1/2} FormAtilde M^{-1/2}.
 When max|W - W^T| <= SYMMETRY_TOL * max|W|, S(t) is self-adjoint in the
 lumped inner product and its 2->2 norm is exp(-t lambda_min(W)): the
-evaluator computes the spectrum of W with one ``eigvalsh`` on first use,
+evaluator computes the spectrum of W with one ``eigvalsh`` of a dense
+copy of sym W on first use,
 and ``norm_2_to_2`` takes no SVD.  The same spectrum gives the weighted
 2->2 norm of the resolvent (I + lam P)^{-1}, max_k 1 / |1 + lam lambda_k|,
 which is 1 / (1 + lam lambda_min) whenever 1 + lam lambda_min > 0, so
@@ -74,6 +85,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 __all__ = [
     "SemigroupEvaluator",
@@ -111,36 +123,50 @@ class SemigroupEvaluator:
     grid : sequence of float
         The times the grid checks scan, built together by ``matrix`` (see
         the module docstring).  Empty by default.
+
+    Attributes
+    ----------
+    generator : (n, n) CSR matrix
+        M^{-1} FormAtilde at the form's pattern; ``dense_generator()`` is
+        its dense copy.
+    symmetry_residual : float
+        max|W - W^T| / max|W| for W = M^{1/2} P M^{-1/2}; the 2->2 norm
+        comes from the spectrum when it is at most SYMMETRY_TOL.
     """
 
     def __init__(self, system, grid=()):
         self.system = system
         self.mass = system.mass
         self.form = system.FormAtilde
-        self.generator = self.form.toarray()
-        self.generator /= self.mass[:, None]
+        form = self.form.tocsr()
+        self.generator = _at_pattern(
+            form, form.data / self.mass[_row_indices(form)])
         self.grid = np.asarray(grid, dtype=float)
         if not (self.grid >= 0).all():
             raise ValueError("grid times must be nonnegative")
+        W = self._weighted()
+        scale = float(np.abs(W.data).max(initial=0.0))
+        asym = float(np.abs((W - W.T).data).max(initial=0.0))
+        self.symmetry_residual = asym / scale if scale > 0 else 0.0
+        self._dense = None
         self._chain = None
         self._norms = {}
-        self._residual = None
         self._eigenvalues = None
 
-    def _weighted(self):
-        root = np.sqrt(self.mass)
-        return root[:, None] * self.generator / root[None, :]
+    def dense_generator(self):
+        """The generator as an n x n array, ``generator.toarray()``, built
+        on the first call and kept: what ``expm``, the squarings and
+        ``inv`` take."""
+        if self._dense is None:
+            self._dense = self.generator.toarray()
+        return self._dense
 
-    @property
-    def symmetry_residual(self):
-        """max|W - W^T| / max|W| for W = M^{1/2} P M^{-1/2}; the 2->2 norm
-        comes from the spectrum when it is at most SYMMETRY_TOL."""
-        if self._residual is None:
-            W = self._weighted()
-            scale = float(np.abs(W).max())
-            asym = float(np.abs(W - W.T).max())
-            self._residual = asym / scale if scale > 0 else 0.0
-        return self._residual
+    def _weighted(self):
+        """W = M^{1/2} P M^{-1/2} at the generator's pattern, each entry
+        (root_i P_ij) / root_j."""
+        root = np.sqrt(self.mass)
+        P = self.generator
+        return _at_pattern(P, root[_row_indices(P)] * P.data / root[P.indices])
 
     # -- exponentials --------------------------------------------------
     def matrix(self, t):
@@ -152,7 +178,7 @@ class SemigroupEvaluator:
         if len(hits) and self._chain is None:
             halves = _halves(self.grid)
             chain = [None] * len(self.grid)
-            norm = float(np.linalg.norm(self.generator, np.inf))
+            norm = float(np.linalg.norm(self.dense_generator(), np.inf))
             for k in np.argsort(self.grid, kind="stable"):
                 if halves[k] < 0 or self.grid[halves[k]] * norm < MIN_SQUARED:
                     chain[k] = self.exponential(float(self.grid[k]))
@@ -169,7 +195,7 @@ class SemigroupEvaluator:
         """Shifted semigroup matrix at time t >= 0 from one dense scaling
         and squaring ``expm``, uncached: the route the checks use as an
         oracle independent of the doubling chain."""
-        return dense_exponential(self.generator, t)
+        return dense_exponential(self.dense_generator(), t)
 
     def apply(self, t, u):
         """Semigroup applied to a vertex vector."""
@@ -216,7 +242,8 @@ class SemigroupEvaluator:
         ``eigvalsh`` on first use."""
         if self._eigenvalues is None:
             W = self._weighted()
-            self._eigenvalues = np.linalg.eigvalsh(0.5 * (W + W.T))
+            self._eigenvalues = np.linalg.eigvalsh(
+                (0.5 * (W + W.T)).toarray())
         return self._eigenvalues
 
     # -- resolvent -----------------------------------------------------
@@ -232,9 +259,22 @@ class SemigroupEvaluator:
             with np.errstate(divide="ignore"):
                 return float((1.0 / np.abs(1.0 + lam * self._spectrum()))
                              .max())
-        R = np.linalg.inv(np.eye(len(self.mass)) + lam * self.generator)
+        R = np.linalg.inv(np.eye(len(self.mass))
+                          + lam * self.dense_generator())
         root = np.sqrt(self.mass)
         return float(np.linalg.norm(root[:, None] * R / root[None, :], 2))
+
+
+def _row_indices(A):
+    """The row of each stored entry of the CSR matrix A."""
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+
+
+def _at_pattern(A, data):
+    """The CSR matrix at the pattern of the CSR matrix A, sharing its
+    index arrays, with entries ``data``."""
+    return scipy.sparse.csr_matrix((data, A.indices, A.indptr),
+                                   shape=A.shape)
 
 
 def build_evaluator(system, grid=()):

@@ -422,8 +422,8 @@ def check_eventual_positivity(evaluator, times, samples=20, seed=2024):
     times = np.asarray(times, dtype=float)
     system = evaluator.system
     Bw = system.Bw
-    sym_min = float(np.linalg.eigvalsh(0.5 * (Bw + Bw.T)).min())
-    ones_excess = float(np.abs(system.spec.matrix().sum(axis=1)).max())
+    sym_min = float(np.linalg.eigvalsh((0.5 * (Bw + Bw.T)).toarray()).min())
+    ones_excess = float(abs(system.spec.matrix().sum(axis=1)).max())
     hypothesis_ok = sym_min >= -COUPLING_TOL and ones_excess <= COUPLING_TOL
     if not hypothesis_ok:
         return EventualPositivityReport(
@@ -484,7 +484,7 @@ def check_energy_dissipation(evaluator, times, samples=20, seed=2024):
     refused with ValueError."""
     _require_samples(samples)
     system = evaluator.system
-    generator = (evaluator.generator
+    generator = (evaluator.dense_generator()
                  if evaluator.symmetry_residual <= SYMMETRY_TOL
                  else evaluator.form.toarray().T / evaluator.mass[:, None])
     rng = np.random.default_rng(seed)

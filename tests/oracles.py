@@ -1,15 +1,18 @@
 """Dense reference constructions that only the tests use.
 
 The package assembles its forms as sparse matrices at the P1 pattern and
-the boundary coupling without a trace matrix, lumps the mass, reads the
+the boundary coupling without a trace matrix, holds the boundary
+operator and its coupling as sparse matrices, lumps the mass, reads the
 adjoint semigroup off the primal's matrices by duality, runs each time's
 samples as one matrix product and takes a self-adjoint resolvent norm
 from the spectrum.  These are the textbook forms it is checked against:
-the dense n x n assembly, the 0/1 trace matrix, the lumped L1 norm, the
+the dense n x n assembly, the dense nb x nb boundary operator and its
+norms, the 0/1 trace matrix, the lumped L1 norm, the
 exact P1 mass matrix, the adjoint semigroup evaluated on its own
 with a chain of its own, the duality of the mixed norms between a
 semigroup and that adjoint, the per-sample loops of the sampled checks,
-and the resolvent from ``inv`` and an SVD.
+the continuity samples drawn at once, and the resolvent from ``inv`` and
+an SVD.
 """
 
 import copy
@@ -48,16 +51,69 @@ def dense_stiffness(mesh, field):
         mesh, (vol * grads) @ field.per_cell @ np.swapaxes(grads, 1, 2))
 
 
-def dense_forms(system):
+class DenseOperator:
+    """A boundary operator held as dense nb x nb arrays: the application
+    matrix T, the comparison operator |T|, their norms, the derived
+    operators and the coupling diag(w) T, each with the arithmetic of a
+    dense construction."""
+
+    def __init__(self, weights, T):
+        self.weights = weights
+        self.T = T
+        self.Tbar = np.abs(T)
+        self.norm2, self.norm_inf = dense_operator_norms(T, weights)
+        self.norm2_bar, self.norm_inf_bar = dense_operator_norms(self.Tbar,
+                                                                 weights)
+
+    def dominating(self):
+        return DenseOperator(self.weights, -self.Tbar)
+
+    def shifted_bar(self, sign):
+        nb = len(self.weights)
+        return DenseOperator(self.weights,
+                             self.norm_inf_bar * np.eye(nb) + sign * self.Tbar)
+
+    def coupling(self):
+        """Bw = diag(w) T."""
+        return self.weights[:, None] * self.T
+
+
+def dense_operator_norms(T, w):
+    """The weighted L2 norm of T from an SVD, or max|T_ii| when T is
+    diagonal, and the max absolute row sum."""
+    if not np.any(T):
+        return 0.0, 0.0
+    diagonal = np.diagonal(T)
+    if np.array_equal(T, np.diag(diagonal)):
+        norm2 = float(np.abs(diagonal).max())
+    else:
+        root = np.sqrt(w)
+        scaled = (T * root[:, None]) / root[None, :]
+        norm2 = float(np.linalg.norm(scaled, 2))
+    norm_inf = float(np.abs(T).sum(axis=1).max())
+    return norm2, norm_inf
+
+
+def dense_forms(system, operator):
     """K, K_id, H1 and FormAtilde of ``system`` as n x n arrays, summed
-    the way a dense assembly sums them."""
+    the way a dense assembly sums them, with the boundary coupling of the
+    DenseOperator ``operator``."""
     mesh = system.mesh
     K = dense_stiffness(mesh, system.field)
     K_id = dense_stiffness(mesh, CoefficientField.isotropic(mesh, 1.0))
     mass = np.diag(system.mass)
     return {"K": K, "K_id": K_id, "H1": K_id + mass,
-            "FormAtilde": ((K + on_boundary(mesh, system.Bw))
+            "FormAtilde": ((K + on_boundary(mesh, operator.coupling()))
                            + system.alpha * mass)}
+
+
+def dense_symmetry_residual(generator, mass):
+    """max|W - W^T| / max|W| of the dense weighted generator
+    W = M^1/2 P M^-1/2."""
+    root = np.sqrt(mass)
+    W = root[:, None] * generator / root[None, :]
+    scale = float(np.abs(W).max())
+    return float(np.abs(W - W.T).max()) / scale if scale > 0 else 0.0
 
 
 def trace_matrix(mesh):
@@ -282,9 +338,29 @@ def loop_smoothing_decay(adjoint_evaluator, nash_constant, times,
         status="passed" if worst <= 1.0 else "failed")
 
 
+def one_draw_continuity_ratio(system, samples, seed):
+    """The largest ratio of ``check_continuity`` from one (samples, 2, n)
+    draw, every sample in one product."""
+    d = system.mesh.dim
+    const = (d * d * system.field.sup_norm
+             + system.spec.norm2 * system.trace_norm_sq)
+    rng = np.random.default_rng(seed)
+    u, v = np.moveaxis(rng.standard_normal((samples, 2, system.n)), 1, 0)
+
+    def norms(w):
+        h1 = np.sqrt(np.maximum(((system.H1 @ w.T).T * w).sum(axis=1), 0.0))
+        return h1, np.sqrt((w * w) @ system.mass)
+
+    (h1_u, l2_u), (h1_v, l2_v) = norms(u), norms(v)
+    lhs = np.abs(((system.FormAtilde @ u.T).T * v).sum(axis=1))
+    rhs = const * h1_u * h1_v + system.alpha * l2_u * l2_v
+    return float((lhs / rhs).max(initial=0.0))
+
+
 def inverse_resolvent_norm(evaluator, lam):
     """Weighted L2 norm of (I + lam M^-1 FormAtilde)^-1 from ``inv`` and
     an SVD, for any form."""
-    R = np.linalg.inv(np.eye(len(evaluator.mass)) + lam * evaluator.generator)
+    R = np.linalg.inv(np.eye(len(evaluator.mass))
+                      + lam * evaluator.generator.toarray())
     root = np.sqrt(evaluator.mass)
     return float(np.linalg.norm(root[:, None] * R / root[None, :], 2))

@@ -7,8 +7,9 @@ matrix against the closed-form hat gradients of the reference triangle.
 Everything is compared entrywise at 1e-12 or tighter.
 
 The sparse forms are held bit for bit against the dense n x n assembly
-of ``oracles.dense_forms``, and the assembly and the form checks of a
-1 331-unknown cube must stay below the bytes of one dense n x n array.
+of ``oracles.dense_forms``, and the assembly, the form checks and the
+evaluator of a 1 331-unknown cube must stay below the bytes of half a
+dense n x n array.
 """
 
 import math
@@ -31,6 +32,7 @@ from robinheat import (
     assemble_system,
     build_box_mesh,
     build_boundary_operator,
+    build_evaluator,
     build_lshape_mesh,
     check_accretivity,
     check_continuity,
@@ -38,9 +40,12 @@ from robinheat import (
 )
 from robinheat import assembly
 from oracles import (
+    DenseOperator,
     assemble_consistent_mass,
     dense_forms,
+    dense_symmetry_residual,
     l1_norm,
+    one_draw_continuity_ratio,
     trace_matrix,
 )
 
@@ -239,6 +244,24 @@ def test_continuity_report(interval4_robin_system):
     assert report.samples == 100
 
 
+@pytest.mark.parametrize("shape, operator", [("lshape", "dense"),
+                                             ("cube", "kernel")])
+def test_continuity_blocks_keep_the_bits_of_one_draw(shape, operator):
+    """The samples drawn and evaluated in blocks give the largest ratio of
+    one draw of all of them, for sample counts on and off the block
+    size; a negative count is refused."""
+    mesh = oracle_mesh(shape)
+    spec, _ = oracle_spec(mesh, operator)
+    system = assemble_system(mesh, CoefficientField.isotropic(mesh, 2.0),
+                             spec)
+    for samples in (0, 1, 15, 16, 17, 203):
+        report = check_continuity(system, samples=samples, seed=7)
+        assert report.max_ratio == one_draw_continuity_ratio(system,
+                                                             samples, 7)
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_continuity(system, samples=-1)
+
+
 def test_form_with_boundary_matches_direct_assembly(interval4_robin_system):
     system = interval4_robin_system
     rebuilt = system.with_boundary(system.spec).FormAtilde
@@ -265,7 +288,7 @@ def test_with_boundary_matches_assemble_system(cube2, sheared):
         for name in ("K", "K_id", "mass", "boundary_weights", "H1",
                      "_pattern", "trace_norm_sq"):
             assert getattr(derived, name) is getattr(system, name), name
-        assert np.array_equal(derived.Bw, direct.Bw)
+        assert np.array_equal(derived.Bw.toarray(), direct.Bw.toarray())
         assert np.array_equal(derived.FormAtilde.toarray(),
                               direct.FormAtilde.toarray())
         assert derived.spec is spec
@@ -295,18 +318,30 @@ def oracle_mesh(shape):
 
 
 def oracle_spec(mesh, operator):
+    """The boundary operator of the case and its dense application
+    matrix."""
     nb = len(mesh.boundary_vertices)
     rng = np.random.default_rng(5)
     if operator == "zero":
-        return BoundaryOperatorSpec.zero(mesh)
+        return BoundaryOperatorSpec.zero(mesh), np.zeros((nb, nb))
     if operator == "multiplication":
-        return BoundaryOperatorSpec.multiplication(
-            mesh, rng.uniform(-0.1, 0.1, nb))
+        beta = rng.uniform(-0.1, 0.1, nb)
+        return BoundaryOperatorSpec.multiplication(mesh, beta), np.diag(beta)
     if operator == "dense":
-        return BoundaryOperatorSpec.dense(
-            mesh, rng.uniform(-0.01, 0.01, (nb, nb)))
-    return build_boundary_operator(
-        mesh, {"kind": "kernel", "profile": "cosine", "scale": 0.05})
+        matrix = rng.uniform(-0.01, 0.01, (nb, nb))
+        return BoundaryOperatorSpec.dense(mesh, matrix), matrix
+    x = mesh.vertices[mesh.boundary_vertices]
+    c0, c1 = np.cos(np.pi * x[:, 0]), np.cos(np.pi * x[:, 1])
+    samples = 0.05 * (c0[:, None] * c1[None, :] - c1[:, None] * c0[None, :])
+    return (build_boundary_operator(
+                mesh, {"kind": "kernel", "profile": "cosine", "scale": 0.05}),
+            samples * mesh.boundary_vertex_weights()[None, :])
+
+
+def same_bits_but_zero_signs(actual, expected):
+    """Equal bits once -0.0 is read as 0.0 (adding 0.0 does only that);
+    a sparse matrix stores no zero, so it cannot keep a sign there."""
+    return (actual + 0.0).tobytes() == (expected + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("shape, operator", [
@@ -316,8 +351,9 @@ def oracle_spec(mesh, operator):
     # the cosine kernel needs two dimensions
     if (shape, operator) != ("interval", "kernel")])
 def test_sparse_forms_have_the_bits_of_the_dense_assembly(shape, operator):
-    """K, K_id, H1 and FormAtilde, also of the systems derived with the
-    shifted and dominating operators, against the dense sums."""
+    """K, K_id, H1, FormAtilde, Bw, the operator norms, and the evaluator's
+    dense generator and symmetry residual, also of the systems derived
+    with the shifted and dominating operators, against the dense sums."""
     mesh = oracle_mesh(shape)
     if mesh.dim == 1:
         field = CoefficientField.isotropic(mesh, 2.0)
@@ -325,17 +361,35 @@ def test_sparse_forms_have_the_bits_of_the_dense_assembly(shape, operator):
         entries = 2.0 * np.eye(mesh.dim)
         entries[0, 1], entries[1, 0] = 0.4, -0.3
         field = CoefficientField.matrix(mesh, entries)
-    system = assemble_system(mesh, field, oracle_spec(mesh, operator))
-    spec = system.spec
-    for derived in (system, system.with_boundary(spec.shifted_bar(+1)),
-                    system.with_boundary(spec.shifted_bar(-1)),
-                    system.with_boundary(spec.dominating())):
-        expected = dense_forms(derived)
+    spec, T = oracle_spec(mesh, operator)
+    system = assemble_system(mesh, field, spec)
+    dense = DenseOperator(system.boundary_weights, T)
+    for derived, reference in (
+            (system, dense),
+            (system.with_boundary(spec.shifted_bar(+1)),
+             dense.shifted_bar(+1)),
+            (system.with_boundary(spec.shifted_bar(-1)),
+             dense.shifted_bar(-1)),
+            (system.with_boundary(spec.dominating()), dense.dominating())):
+        expected = dense_forms(derived, reference)
         for name in ("K", "K_id", "H1", "FormAtilde"):
             matrix = getattr(derived, name)
             assert scipy.sparse.issparse(matrix), name
             assert matrix.toarray().tobytes() == expected[name].tobytes(), \
                 name
+        assert scipy.sparse.issparse(derived.Bw)
+        assert same_bits_but_zero_signs(derived.Bw.toarray(),
+                                        reference.coupling())
+        assert same_bits_but_zero_signs(derived.spec.matrix().toarray(),
+                                        reference.T)
+        for name in ("norm2", "norm_inf", "norm2_bar", "norm_inf_bar"):
+            assert getattr(derived.spec, name) == getattr(reference, name), \
+                name
+        evaluator = build_evaluator(derived)
+        generator = expected["FormAtilde"] / derived.mass[:, None]
+        assert evaluator.dense_generator().tobytes() == generator.tobytes()
+        assert evaluator.symmetry_residual == dense_symmetry_residual(
+            generator, derived.mass)
 
 
 def test_gate_trace_norm_and_certified_lambda_min_match_the_dense_forms():
@@ -345,7 +399,9 @@ def test_gate_trace_norm_and_certified_lambda_min_match_the_dense_forms():
     cube = build_box_mesh((1.0, 1.0, 1.0), (10, 10, 10))
     system = assemble_system(cube, CoefficientField.isotropic(cube, 2.5),
                              BoundaryOperatorSpec.multiplication(cube, -0.05))
-    forms = dense_forms(system)
+    nb = len(cube.boundary_vertices)
+    forms = dense_forms(system, DenseOperator(system.boundary_weights,
+                                              np.diag(np.full(nb, -0.05))))
     weights = np.zeros(system.n)
     weights[system.mesh.boundary_vertices] = system.boundary_weights
     assert system.trace_norm_sq == compute_trace_norm(np.diag(weights),
@@ -360,18 +416,21 @@ def test_gate_trace_norm_and_certified_lambda_min_match_the_dense_forms():
     assert lam == assembly._certified_lambda_min(dense, sigma)
 
 
-def test_form_checks_stay_below_one_dense_array():
-    """Assembly and the accretivity and continuity checks of the gate
-    system allocate less than one n x n float64 array at their peak."""
+def test_form_checks_and_evaluator_stay_below_half_a_dense_array():
+    """Assembly, the continuity and accretivity checks, and building the
+    evaluator of the gate system and reading its symmetry residual
+    allocate less than half an n x n float64 array at their peak: no
+    dense generator or coupling is made before a dense kernel runs."""
     mesh = build_box_mesh((1.0, 1.0, 1.0), (10, 10, 10))
     field = CoefficientField.isotropic(mesh, 2.5)
     spec = BoundaryOperatorSpec.multiplication(mesh, -0.05)
     tracemalloc.start()
     try:
         system = assemble_system(mesh, field, spec)
-        check_accretivity(system)
         check_continuity(system)
+        check_accretivity(system)
+        build_evaluator(system).symmetry_residual
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < system.n ** 2 * 8
+    assert peak < system.n ** 2 * 8 / 2

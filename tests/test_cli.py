@@ -470,8 +470,8 @@ def test_main_parse_error_exits_2(tmp_path, capsys):
        "shape = lshape\ndivisions = 2, 2")], "domain", "one number only"),
     ([("ratio = 0.5", "ratio = 1.5")], "time_grid", "ratio must lie in"),
     ([("extents = 1.0\ndivisions = 4",
-       "extents = 1e300, 1, 1\ndivisions = 2")],
-     "domain", "did not converge"),
+       "extents = 1.0, 1.0, 1.0\ndivisions = 20")],
+     "domain", "above the dense limit 6000"),
 ], ids=["non-elliptic", "cosine-in-1d", "missing-beta", "zero-width",
         "lshape-divisions", "ratio-above-1", "assembly"])
 def test_main_builder_error_exits_2(tmp_path, capsys, edits, section,
@@ -734,7 +734,7 @@ CONTRACT_SCENARIO = CUBE2_SCENARIO.replace(
     ("value = 1.0", "value = 1e300", "exp(alpha t) overflows"),
     ("extents = 1.0, 1.0, 1.0", "extents = 1e-120, 1e-120, 1e-120",
      "degenerate"),
-    ("extents = 1.0, 1.0, 1.0", "extents = 1e300, 1, 1", "did not converge"),
+    ("extents = 1.0, 1.0, 1.0", "extents = 1e300, 1, 1", "overflows"),
 ], ids=["long-time", "large-alpha-long-positivity-time", "huge-alpha",
         "degenerate-cells", "huge-extent"])
 def test_unusable_scale_exits_2(tmp_path, capsys, old, new, message):

@@ -87,7 +87,7 @@ def test_zero_operator(interval4):
     spec = BoundaryOperatorSpec.zero(interval4)
     assert spec.norm2 == 0.0
     assert spec.norm_inf == 0.0
-    assert not np.any(spec.matrix())
+    assert not np.any(spec.matrix().toarray())
 
 
 def test_multiplication_norms(interval4):
@@ -96,9 +96,10 @@ def test_multiplication_norms(interval4):
     assert_allclose(spec.norm_inf, 0.1, rtol=0, atol=1e-15)
     assert_allclose(spec.norm2_bar, 0.1, rtol=0, atol=1e-15)
     assert_allclose(spec.norm_inf_bar, 0.1, rtol=0, atol=1e-15)
-    assert_allclose(spec.matrix(), np.diag([-0.1, -0.1]), rtol=0, atol=0)
-    assert_allclose(np.abs(spec.matrix()), np.diag([0.1, 0.1]), rtol=0,
+    assert_allclose(spec.matrix().toarray(), np.diag([-0.1, -0.1]), rtol=0,
                     atol=0)
+    assert_allclose(np.abs(spec.matrix().toarray()), np.diag([0.1, 0.1]),
+                    rtol=0, atol=0)
 
 
 def test_multiplication_per_vertex_beta(interval4):
@@ -113,7 +114,8 @@ def test_constant_kernel_oracle(interval4):
     spec = build_boundary_operator(interval4,
                                    {"kind": "kernel", "profile": "constant",
                                     "scale": 0.25})
-    assert_allclose(spec.matrix(), 0.25 * np.ones((2, 2)), rtol=0, atol=0)
+    assert_allclose(spec.matrix().toarray(), 0.25 * np.ones((2, 2)), rtol=0,
+                    atol=0)
     assert_allclose(spec.norm2, 0.5, rtol=1e-14, atol=0)
     assert_allclose(spec.norm_inf, 0.5, rtol=0, atol=1e-15)
 
@@ -131,24 +133,27 @@ def test_cosine_kernel_is_weighted_antisymmetric(cube2):
     spec = build_boundary_operator(
         cube2, {"kind": "kernel", "profile": "cosine", "scale": 0.005})
     # weighted antisymmetry W^-1 T^t W = -T is skewness of Bw = W T
-    Bw = spec.weights[:, None] * spec.matrix()
+    Bw = spec.weights[:, None] * spec.matrix().toarray()
     assert np.abs(Bw + Bw.T).max() <= 1e-15 * np.abs(Bw).max()
     # lumped boundary integrals of cos(pi y_k) vanish on the symmetric grid
-    assert np.abs(spec.matrix().sum(axis=1)).max() <= 1e-16
+    assert np.abs(spec.matrix().toarray().sum(axis=1)).max() <= 1e-16
 
 
 def test_derived_operators(interval4):
     spec = BoundaryOperatorSpec.multiplication(interval4, -0.1)
     dom = spec.dominating()
-    assert_allclose(dom.matrix(), np.diag([-0.1, -0.1]), rtol=0, atol=0)
-    assert_allclose(np.abs(dom.matrix()), np.diag([0.1, 0.1]), rtol=0,
+    assert_allclose(dom.matrix().toarray(), np.diag([-0.1, -0.1]), rtol=0,
                     atol=0)
+    assert_allclose(np.abs(dom.matrix().toarray()), np.diag([0.1, 0.1]),
+                    rtol=0, atol=0)
     assert (dom.norm2_bar, dom.norm_inf_bar) == (spec.norm2_bar,
                                                  spec.norm_inf_bar)
     up = spec.shifted_bar(+1)
     down = spec.shifted_bar(-1)
-    assert_allclose(up.matrix(), np.diag([0.2, 0.2]), rtol=0, atol=1e-15)
-    assert_allclose(down.matrix(), np.zeros((2, 2)), rtol=0, atol=1e-15)
+    assert_allclose(up.matrix().toarray(), np.diag([0.2, 0.2]), rtol=0,
+                    atol=1e-15)
+    assert_allclose(down.matrix().toarray(), np.zeros((2, 2)), rtol=0,
+                    atol=1e-15)
     with pytest.raises(ValueError):
         spec.shifted_bar(0)
 

@@ -617,7 +617,7 @@ def test_chain_agrees_with_single_exponentials(system, ratio, count, t_max,
     # one expm per time until the grid first doubles a time t_j with
     # |t_j P|_inf >= 2^-4, squarings after
     step = 2 if ratio == 2 ** -0.5 else 4
-    norm = np.linalg.norm(ev.generator, np.inf)
+    norm = np.linalg.norm(ev.generator.toarray(), np.inf)
     assert taken == [float(t) for k, t in enumerate(grid)
                      if k < step or grid[k - step] * norm < 2.0 ** -4]
     oracle = build(system)

@@ -213,7 +213,7 @@ def loop_system(mesh, field, spec, alpha):
     K = loop_stiffness(mesh, field.per_cell)
     K_id = loop_stiffness(mesh, np.tile(np.eye(mesh.dim),
                                         (mesh.n_cells, 1, 1)))
-    FormA = K + Gamma.T @ (w[:, None] * spec.matrix()) @ Gamma
+    FormA = K + Gamma.T @ (w[:, None] * spec.matrix().toarray()) @ Gamma
     dominating = spec.dominating()
     return {
         "K": K,
@@ -222,7 +222,8 @@ def loop_system(mesh, field, spec, alpha):
         "H1": K_id + Mdiag,
         "trace_form": Gamma.T @ (w[:, None] * Gamma),
         "dominating_form": (
-            K + Gamma.T @ (w[:, None] * dominating.matrix()) @ Gamma
+            K + Gamma.T @ (w[:, None] * dominating.matrix().toarray())
+            @ Gamma
             + alpha * Mdiag),
     }
 
@@ -328,7 +329,8 @@ def test_vectorized_mesh_and_assembly_match_cell_loops_bitwise(data):
         w = mesh.boundary_vertex_weights()
         kmat = loop_kernel_samples(mesh, kernel["profile"], kernel["scale"],
                                    kernel.get("width"))
-        assert same_bits(spec.matrix(), kmat * w[None, :])
+        # + 0.0 reads -0.0 as 0.0: a sparse matrix stores no zero
+        assert same_bits(spec.matrix().toarray(), kmat * w[None, :] + 0.0)
 
     # assembly
     system = assemble_system(mesh, field, spec)
@@ -414,10 +416,10 @@ def test_multiplication_operators_take_the_diagonal_norm(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     for op in (spec,) + derived:
-        assert_allclose(op.norm2, weighted_svd_norm(op.matrix(), w),
+        assert_allclose(op.norm2, weighted_svd_norm(op.matrix().toarray(), w),
                         rtol=1e-12, atol=0)
         assert_allclose(op.norm2_bar,
-                        weighted_svd_norm(np.abs(op.matrix()), w),
+                        weighted_svd_norm(np.abs(op.matrix().toarray()), w),
                         rtol=1e-12, atol=0)
 
 
@@ -637,7 +639,7 @@ def test_self_adjoint_resolvent_norm_takes_no_svd(beta, monkeypatch):
     norms = [evaluator.resolvent_contraction(lam) for lam in lams]
     assert calls == []
     assert_allclose(norms, expected, rtol=1e-12, atol=0)
-    W = evaluator._weighted()
+    W = evaluator._weighted().toarray()
     lam_min = np.linalg.eigvalsh(0.5 * (W + W.T))[0]
     if beta == 0.0:
         assert lam_min > 0.0
