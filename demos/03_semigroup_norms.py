@@ -29,6 +29,9 @@ def main():
                              BoundaryOperatorSpec.zero(mesh))
     times = geometric_times(t_max=1.0, count=9, ratio=0.5)
     forward = build_evaluator(system, grid=times)
+    # one sweep of the doubling chain records every norm the table reads
+    forward.record("norm_2_to_inf", "norm_1_to_2", "norm_inf_to_inf")
+    forward.sweep()
     print("unit cube, 4 divisions per axis, A = I, no boundary operator")
     print(f"{'t':>10} {'2->2':>10} {'2->sup':>10} {'1->2':>10} "
           f"{'sup->sup':>10}")

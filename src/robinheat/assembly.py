@@ -70,9 +70,11 @@ __all__ = [
 LANCZOS_MIN_SIZE = 300
 
 # Most unknowns an AssembledSystem admits.  Every run computes
-# exponentials of the semigroup evaluator's generator, which take its
-# dense n x n copy (288 MB each at this size): norms.csv scans the grid
-# whatever the checks.  So the system refuses before assembling anything.
+# exponentials of the semigroup evaluator's generator (norms.csv scans the
+# grid whatever the checks), so it holds the generator's dense n x n copy,
+# at most three matrices of the doubling chain's sweep and the ``expm``
+# workspace, each 288 MB at this size.  So the system refuses before
+# assembling anything.
 DENSE_LIMIT = 6000
 
 ACCRETIVITY_TOL = 1e-10     # relative to the norm of the form
@@ -88,24 +90,32 @@ def _barycentric_gradients(points):
 
 class _Pattern:
     """CSR structure of the n x n entries listed by ``keys`` (row * n + col,
-    repeats allowed) and of the whole diagonal.  ``slots[k]`` is the entry
-    index of ``keys[k]``, ``diagonal[i]`` the one of (i, i)."""
+    repeats allowed) and of the whole diagonal, held at the int32 index
+    dtype of the CSR matrices built from it (n^2 < 2^31 under
+    DENSE_LIMIT).  ``slots[k]`` is the entry index of the k-th listed key,
+    ``diagonal[i]`` the one of (i, i)."""
 
     def __init__(self, n, keys):
         self.n = n
-        self.keys, inverse = np.unique(
+        unique, inverse = np.unique(
             np.concatenate([keys, np.arange(n) * (n + 1)]),
             return_inverse=True)
-        self.slots = inverse[:len(keys)]
-        self.diagonal = inverse[len(keys):]
-        self.indptr = np.searchsorted(self.keys, np.arange(n + 1) * n)
-        self.indices = self.keys % n
+        self.slots = inverse[:len(keys)].astype(np.int32)
+        self.diagonal = inverse[len(keys):].astype(np.int32)
+        self.indptr = np.searchsorted(
+            unique, np.arange(n + 1) * n).astype(np.int32)
+        self.indices = (unique % n).astype(np.int32)
         self.block = None       # see AssembledSystem._block_pattern
 
+    def keys(self):
+        """row * n + col of each entry, in entry order."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return rows * self.n + self.indices
+
     def sum(self, values):
-        """Sum ``values``, one per key in key order, into the entries."""
+        """Sum ``values``, one per listed key in order, into the entries."""
         return np.bincount(self.slots, weights=values.ravel(),
-                           minlength=len(self.keys))
+                           minlength=len(self.indices))
 
     def matrix(self, values):
         """CSR matrix with ``values``, one per entry."""
@@ -198,6 +208,7 @@ class AssembledSystem:
         self.K, self.K_id = (
             pattern.matrix(pattern.sum(local))
             for local in _cell_stiffness(mesh, field.per_cell, None))
+        pattern.slots = None    # nothing else is summed at the P1 pattern
         self.mass = assemble_lumped_mass(mesh)
         self.boundary_weights = mesh.boundary_vertex_weights()
         h1 = self.K_id.data.copy()
@@ -218,7 +229,7 @@ class AssembledSystem:
         if p1.block is None:
             n, vertices = self.n, self.mesh.boundary_vertices
             p1.block = _Pattern(n, np.concatenate(
-                [p1.keys, (vertices[:, None] * n + vertices).ravel()]))
+                [p1.keys(), (vertices[:, None] * n + vertices).ravel()]))
         return p1.block
 
     def _couple(self, spec):
@@ -235,8 +246,8 @@ class AssembledSystem:
             values[pattern.diagonal[vertices]] += diagonal
         else:
             pattern = self._block_pattern()
-            p1_entries = len(self._pattern.keys)
-            values = np.zeros(len(pattern.keys))
+            p1_entries = len(self._pattern.indices)
+            values = np.zeros(len(pattern.indices))
             values[pattern.slots[:p1_entries]] = self.K.data
             values[pattern.slots[p1_entries:]] += Bw.toarray().ravel()
         values[pattern.diagonal] += self.alpha * self.mass

@@ -179,10 +179,14 @@ class _Run:
     """One scenario run: what every check runner reads (the scenario, the
     assembled system, its evaluator, the time grid and the smallest time
     the mesh resolves) and what the runs record.  Every evaluator is built
-    with the grid, so it squares its way along the grid's doublings.  The
-    checks of the adjoint semigroup read it off this evaluator by duality,
-    so a run builds one doubling chain for both.  A comparison evaluator is
-    the primal one when ``reuse`` finds its form bitwise equal."""
+    with the grid.  A runner registers its check's per-time steps on the
+    primal evaluator and on the comparison evaluators it names with
+    ``compares``, and returns the check's conclusion; ``run_scenario``
+    then sweeps each evaluator once, so each doubling chain is computed
+    once for all checks, and draws the conclusions in order.  The checks
+    of the adjoint semigroup read it off the primal evaluator by duality.
+    A comparison evaluator is the primal one when ``reuse`` finds its form
+    bitwise equal."""
 
     def __init__(self, scenario, system, grid):
         self.scenario = scenario
@@ -191,11 +195,18 @@ class _Run:
         self.grid = grid
         self.resolved = system.mesh.resolved_time
         self.evaluator = build_evaluator(system, grid=grid)
+        self.comparisons = []
         self.fitted = None
         self.summary = []
         self.manifest = {}
         self.reports = {}
         self.failed = []
+
+    def compares(self, evaluator):
+        """``evaluator``, added to the comparison evaluators the run
+        sweeps."""
+        self.comparisons.append(evaluator)
+        return evaluator
 
     def note(self, line):
         self.summary.append(line)
@@ -297,10 +308,17 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
                  f"reflect the mesh resolution, not the domain")
 
     try:
-        for check in scenario.checks:
-            if run.runs(check):
-                _, runner = CHECKS[check]
-                run.record(check, *runner(run))
+        conclusions = [(check, CHECKS[check][1](run) if run.runs(check)
+                        else None) for check in scenario.checks]
+        run.evaluator.record(*verify.NORMS_CSV)
+        # A second sweep of an evaluator (a reused one) computes nothing.
+        # The primal goes last: its steps may hold matrices, which should
+        # not wait through a comparison's exponentials.
+        for evaluator in run.comparisons + [run.evaluator]:
+            evaluator.sweep()
+        for check, conclude in conclusions:
+            if conclude is not None:
+                run.record(check, *conclude())
             else:
                 run.record(check, "hypothesis unmet",
                            {"reason": "admissibility condition violated: "
@@ -316,65 +334,84 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
     return 1 if run.failed else 0
 
 
-# -- check runners: each takes the run and returns (status, payload), and
-# looks its library functions up when it is called ----------------------
+# -- check runners: each takes the run, registers the per-time steps of
+# its check on the primal evaluator and on the comparisons it names with
+# ``run.compares``, and returns the conclusion, which gives (status,
+# payload) once they have swept.  Each looks its library functions up
+# when it is called ----------------------------------------------------
+def _reported(report):
+    return report.status, report.as_dict()
+
+
 def _run_accretivity(run):
     """Form accretivity plus the identities it buys: resolvent
     contraction, the semigroup law, L2 contraction, and the energy
-    dissipation rate along the adjoint evolution."""
+    dissipation rate along the adjoint evolution.  The 2->2 norms of a
+    non-self-adjoint form are registered only once the form passed.  The
+    law, resolvent and energy checks read no grid matrix, so they run
+    before any sweep, while no step holds one."""
     report = check_accretivity(run.system)
     payload = report.as_dict()
     if report.status == "hypothesis unmet":
-        return "hypothesis unmet", payload
+        return lambda: ("hypothesis unmet", payload)
     evaluator = run.evaluator
+    evaluator.record("norm_2_to_2")
     law = max(semigroup_law_defect(evaluator, s, t)
               for s, t in ((0.25, 0.375), (1 / 3, 2 / 3)))
-    l2 = max(evaluator.norm_2_to_2(t) for t in run.grid)
     resolvent = max(evaluator.resolvent_contraction(lam)
                     for lam in (0.1, 1.0, 10.0))
     energy = verify.check_energy_dissipation(
         evaluator, run.resolved_times()[:5],
         samples=min(run.scenario.samples, 20), seed=run.seed)
-    payload["law_defect"] = law
-    payload["max_l2_norm"] = l2
-    payload["max_resolvent_norm"] = resolvent
-    payload["energy_max_excess"] = energy.max_excess
-    ok = (report.status == "passed" and law <= LAW_TOL
-          and l2 <= 1.0 + RATIO_TOL and resolvent <= 1.0 + RATIO_TOL)
-    return _conclude(run, ok, energy, payload)
+
+    def conclude():
+        l2 = max(evaluator.norm_2_to_2(t) for t in run.grid)
+        payload["law_defect"] = law
+        payload["max_l2_norm"] = l2
+        payload["max_resolvent_norm"] = resolvent
+        payload["energy_max_excess"] = energy.max_excess
+        ok = (report.status == "passed" and law <= LAW_TOL
+              and l2 <= 1.0 + RATIO_TOL and resolvent <= 1.0 + RATIO_TOL)
+        return _conclude(run, ok, energy, payload)
+    return conclude
 
 
 def _run_continuity(run):
-    report = check_continuity(run.system, samples=run.scenario.samples,
-                              seed=run.seed)
-    return "passed" if report.passed else "failed", report.as_dict()
+    def conclude():
+        report = check_continuity(run.system, samples=run.scenario.samples,
+                                  seed=run.seed)
+        return "passed" if report.passed else "failed", report.as_dict()
+    return conclude
 
 
 def _run_nash(run):
     """Nash's inequality and the L1 -> L2 decay it implies, sampled on the
     ultracontractivity fit window when that check runs and its fit
-    succeeds, on the resolved grid times otherwise."""
+    succeeds, on the resolved grid times otherwise.  The decay step holds
+    the matrices at the resolved grid times until the window is known."""
     report = verify.check_nash(run.system, samples=run.scenario.samples,
                                seed=run.seed)
     payload = report.as_dict()
     if report.status == "out-of-hypothesis":
-        return "hypothesis unmet", payload
+        return lambda: ("hypothesis unmet", payload)
     constant = report.implied_constant
     if not 0.0 < constant < math.inf:
         raise ScenarioError(None, f"Nash constant {_fmt(constant)} is outside "
                             f"the float range on a mesh of volume "
                             f"{_fmt(run.system.mesh.volume)}")
-    fit = run.fit() if run.runs("ultracontractivity") else None
-    if isinstance(fit, verify.UltracontractivityReport):
-        decay_times = fit.window_times
-    else:
-        decay_times = run.resolved_times()
-    decay = verify.check_smoothing_decay(
-        run.evaluator, report.implied_constant, decay_times,
+    decay_at = verify.smoothing_decay_steps(
+        run.evaluator, constant, run.resolved_times(),
         samples=min(run.scenario.samples, 50), seed=run.seed)
-    payload["decay_max_ratio"] = decay.max_ratio
-    payload["decay_prefactor"] = decay.prefactor
-    return _conclude(run, report.status == "passed", decay, payload)
+
+    def conclude():
+        fit = run.fit() if run.runs("ultracontractivity") else None
+        decay = (decay_at(fit.window_times)
+                 if isinstance(fit, verify.UltracontractivityReport)
+                 else decay_at())
+        payload["decay_max_ratio"] = decay.max_ratio
+        payload["decay_prefactor"] = decay.prefactor
+        return _conclude(run, report.status == "passed", decay, payload)
+    return conclude
 
 
 def _conclude(run, ok, sampled, payload):
@@ -397,51 +434,61 @@ def _conclude(run, ok, sampled, payload):
 
 
 def _run_contractivity(run):
-    report = verify.check_ouhabaz_contractivity_criterion(
-        run.system, samples=max(run.scenario.samples, 100), seed=run.seed)
-    bounds = verify.check_sup_contraction(run.evaluator)
-    payload = report.as_dict()
-    payload.update(bounds.as_dict())
-    ok = report.status == "passed" and bounds.status == "passed"
-    return "passed" if ok else "failed", payload
+    run.evaluator.record("norm_inf_to_inf")
+
+    def conclude():
+        report = verify.check_ouhabaz_contractivity_criterion(
+            run.system, samples=max(run.scenario.samples, 100),
+            seed=run.seed)
+        bounds = verify.check_sup_contraction(run.evaluator)
+        payload = report.as_dict()
+        payload.update(bounds.as_dict())
+        ok = report.status == "passed" and bounds.status == "passed"
+        return "passed" if ok else "failed", payload
+    return conclude
 
 
 def _run_positivity(run):
     comparison = run.system.with_boundary(run.system.spec.shifted_bar(-1))
-    report = verify.check_positivity(
+    evaluator = run.compares(
         reuse(run.evaluator, build_evaluator(comparison, grid=run.grid)))
-    return report.status, report.as_dict()
+    evaluator.record("min_entry")
+    return lambda: _reported(verify.check_positivity(evaluator))
 
 
 def _run_domination(run):
     comparison = run.system.with_boundary(run.system.spec.dominating())
     bar_evaluator = reuse(run.evaluator,
                           build_evaluator(comparison, grid=run.grid))
-    report = verify.check_domination(
-        run.evaluator, bar_evaluator,
+    conclude = verify.domination_steps(
+        run.evaluator, run.compares(bar_evaluator),
         samples=min(run.scenario.samples, 50), seed=run.seed)
-    return report.status, report.as_dict()
+    return lambda: _reported(conclude())
 
 
 def _run_ultracontractivity(run):
-    fit = run.fit()
-    if isinstance(fit, ValueError):
-        return "discretization-limited", {"reason": str(fit)}
-    payload = fit.as_dict()
-    # The adjoint's 1 -> 2 norm is the 2 -> sup norm by duality, so its
-    # fit is this one.  Both keys stay until the benchmark reference can
-    # take a declared key change (ROADMAP item 1).
-    payload["adjoint_fitted_slope"] = fit.fitted_slope
-    payload["adjoint_consistent"] = True
-    return "passed" if fit.envelope_ok else "failed", payload
+    run.evaluator.record("norm_2_to_inf")
+
+    def conclude():
+        fit = run.fit()
+        if isinstance(fit, ValueError):
+            return "discretization-limited", {"reason": str(fit)}
+        payload = fit.as_dict()
+        # The adjoint's 1 -> 2 norm is the 2 -> sup norm by duality, so
+        # its fit is this one.  Both keys stay until the benchmark
+        # reference can take a declared key change (ROADMAP item 1).
+        payload["adjoint_fitted_slope"] = fit.fitted_slope
+        payload["adjoint_consistent"] = True
+        return "passed" if fit.envelope_ok else "failed", payload
+    return conclude
 
 
 def _run_eventual_positivity(run):
-    times = np.union1d(run.grid, EXTRA_POSITIVITY_TIMES)
-    report = verify.check_eventual_positivity(
-        run.evaluator, times,
+    conclude = verify.eventual_positivity_steps(
+        run.evaluator,
+        np.union1d(run.grid, EXTRA_POSITIVITY_TIMES),
         samples=min(run.scenario.samples, 20), seed=run.seed)
-    return report.status, report.as_dict()
+    return lambda: _reported(conclude())
 
 
 # Every check: name -> (needs admissibility, runner), in the order the

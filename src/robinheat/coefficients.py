@@ -7,6 +7,7 @@ boundary space are computed exactly and stored alongside a positive
 comparison operator ("bar") that dominates it entrywise.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,8 +194,13 @@ class BoundaryOperatorSpec:
 
     # -- derived operators ----------------------------------------------
     def dominating(self):
-        """Negated comparison operator; its semigroup dominates this one's."""
-        return BoundaryOperatorSpec(self.weights, -abs(self._T))
+        """Negated comparison operator; its semigroup dominates this one's.
+        Its comparison operator |-|T|| is |T|, so it keeps this operator's
+        bar norms and computes only the norms of -|T|."""
+        spec = copy.copy(self)
+        spec._T = -abs(self._T)
+        spec.norm2, spec.norm_inf = _operator_norms(spec._T, self.weights)
+        return spec
 
     def shifted_bar(self, sign):
         """norm_inf_bar * identity +/- bar."""

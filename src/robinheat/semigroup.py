@@ -20,9 +20,11 @@ exp(-t M^{-1} FormAtilde).  The original evolution is exp(alpha t) times
 it (Ouhabaz, Analysis of Heat Equations on Domains, 2005); the checks
 that report it apply that scalar, so an evaluator is its form, mass and grid.
 
-Sharing and duality.  Each evaluator owns its grid's read-only matrices,
-its mixed norms per time (each computed once), its symmetry residual and
-the spectrum of its symmetrized weighted generator.  There is no adjoint
+Sharing and duality.  Each evaluator owns its record of per-time values
+(``PER_TIME``: the mixed norms and the smallest entry, each computed once
+per time), its symmetry residual and the spectrum of its symmetrized
+weighted generator, and no grid matrix outlives the sweep that made it
+unless a step holds it.  There is no adjoint
 evaluator: in the lumped inner product u^T M v the adjoint semigroup is
 exactly S*(t) = M^{-1} S(t)^T M = exp(-t M^{-1} FormAtilde^T) on every
 form.  Its mixed norms are the primal's dual norms,
@@ -45,9 +47,19 @@ Anal. Appl. 26(4), 2005) run across grid points instead of inside each
 one.  Floats rarely double exactly (5 of the 22 pairs of the default
 grid do; the rest differ in the last bit), so pairs are detected with
 the tolerance and never assumed; a grid with no pairs, such as ratio
-0.6, keeps one ``expm`` per time.  The first grid request builds the
-grid in ascending time order, so the bits depend only on the generator
-and the grid; an off-grid time takes one uncached ``expm``.
+0.6, keeps one ``expm`` per time.
+
+The sweep.  ``sweep`` runs the chain once, in ascending time order, so
+the bits depend only on the generator and the grid, and hands each
+read-only S(t_k) to every per-time step registered before it
+(``register``, or ``record`` for the ``PER_TIME`` values).  It keeps a
+matrix only until the last squaring that reads it: three n x n arrays on
+the default ratio, not one per grid time.  A sweep with no step
+registered computes nothing, so whoever registers every step first
+computes each chain once.  A per-time value asked for at a grid time and
+not yet recorded is recorded at every grid time by one sweep.
+``matrix(t)`` reruns the chain up to a grid time t, for tests and
+demos; an off-grid time takes one uncached ``expm``.
 Error: S(t_k) becomes the 2^m-th power of an exponential at t_k / 2^m,
 and each squaring at most doubles the factor's error and adds one
 product's rounding (the factors of an accretive form are weighted
@@ -80,7 +92,6 @@ residuals near 1e-16, while the shipped non-self-adjoint forms sit above
 1e-5.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -88,6 +99,7 @@ import scipy.linalg
 import scipy.sparse
 
 __all__ = [
+    "PER_TIME",
     "SemigroupEvaluator",
     "build_evaluator",
     "dense_exponential",
@@ -102,18 +114,6 @@ SYMMETRY_TOL = 1e-12
 MIN_SQUARED = 2.0 ** -4     # least |t P|_inf of a factor the chain squares
 
 
-def _once_per_time(norm):
-    """Compute a mixed norm once per evaluator and time."""
-    @functools.wraps(norm)
-    def cached(self, t):
-        key = (norm.__name__, float(t))
-        value = self._norms.get(key)
-        if value is None:
-            value = self._norms[key] = norm(self, t)
-        return value
-    return cached
-
-
 class SemigroupEvaluator:
     """Evaluate exp(-t M^{-1} F) and its mixed operator norms.
 
@@ -121,8 +121,8 @@ class SemigroupEvaluator:
     ----------
     system : AssembledSystem
     grid : sequence of float
-        The times the grid checks scan, built together by ``matrix`` (see
-        the module docstring).  Empty by default.
+        The times the grid checks scan, which ``sweep`` streams in
+        ascending order (see the module docstring).  Empty by default.
 
     Attributes
     ----------
@@ -149,8 +149,8 @@ class SemigroupEvaluator:
         asym = float(np.abs((W - W.T).data).max(initial=0.0))
         self.symmetry_residual = asym / scale if scale > 0 else 0.0
         self._dense = None
-        self._chain = None
-        self._norms = {}
+        self._steps = []
+        self._record = {}       # (name, t) -> a PER_TIME value
         self._eigenvalues = None
 
     def dense_generator(self):
@@ -168,27 +168,77 @@ class SemigroupEvaluator:
         P = self.generator
         return _at_pattern(P, root[_row_indices(P)] * P.data / root[P.indices])
 
+    # -- the sweep -----------------------------------------------------
+    def register(self, step):
+        """Have the next ``sweep`` call ``step(t, S)`` at each grid time
+        t, in ascending order, with the read-only S(t)."""
+        self._steps.append(step)
+
+    def record(self, *names):
+        """Have the next ``sweep`` record the named ``PER_TIME`` values at
+        every grid time, unless they are recorded already.  A self-adjoint
+        form's 2->2 norm comes from the spectrum, so none is recorded."""
+        names = [name for name in names
+                 if (name != "norm_2_to_2"
+                     or self.symmetry_residual > SYMMETRY_TOL)
+                 and any((name, float(t)) not in self._record
+                         for t in self.grid)]
+        if names:
+            def step(t, S):
+                for name in names:
+                    if (name, t) not in self._record:
+                        self._record[name, t] = PER_TIME[name](S, self.mass)
+            self.register(step)
+
+    def sweep(self):
+        """Run the doubling chain once if a step is registered, handing
+        each S(t_k) to every registered step, and drop the steps."""
+        steps, self._steps = self._steps, []
+        if steps and len(self.grid):
+            for t, S in self._chain():
+                for step in steps:
+                    step(t, S)
+                del S       # not alive while the next matrix is made
+
+    def _chain(self):
+        """(t_k, read-only S(t_k)) for each grid index k, in ascending
+        time order: an ``expm`` or the square of S at the half time (see
+        the module docstring).  A matrix is kept only until the last
+        squaring that reads it."""
+        grid = self.grid
+        halves = _halves(grid)
+        norm = float(np.linalg.norm(self.dense_generator(), np.inf))
+        halves[grid[halves] * norm < MIN_SQUARED] = -1
+        order = np.argsort(grid, kind="stable")
+        last = {half: k for k in order if (half := halves[k]) >= 0}
+        kept = {}
+        for k in order:
+            half = halves[k]
+            if half < 0:
+                S = self.exponential(float(grid[k]))
+            else:
+                factor = kept.pop(half) if last[half] == k else kept[half]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    S = _finite(factor @ factor, grid[k])
+                del factor
+            S.flags.writeable = False
+            if k in last:
+                kept[k] = S
+            yield float(grid[k]), S
+            del S
+
     # -- exponentials --------------------------------------------------
     def matrix(self, t):
         """Read-only matrix of the semigroup at time t >= 0: a grid time's
-        from the chain, any other's from one uncached ``expm``."""
+        from the chain, rerun up to t, any other's from one ``expm``."""
         if t < 0:
             raise ValueError("negative time")
-        hits = np.flatnonzero(self.grid == t)
-        if len(hits) and self._chain is None:
-            halves = _halves(self.grid)
-            chain = [None] * len(self.grid)
-            norm = float(np.linalg.norm(self.dense_generator(), np.inf))
-            for k in np.argsort(self.grid, kind="stable"):
-                if halves[k] < 0 or self.grid[halves[k]] * norm < MIN_SQUARED:
-                    chain[k] = self.exponential(float(self.grid[k]))
-                else:
-                    half = chain[halves[k]]
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        chain[k] = _finite(half @ half, self.grid[k])
-            self._chain = chain
-        S = self._chain[hits[0]] if len(hits) else self.exponential(float(t))
-        S.flags.writeable = False   # a grid matrix is handed to every caller
+        if np.any(self.grid == t):
+            for s, S in self._chain():
+                if s == t:
+                    return S
+        S = self.exponential(float(t))
+        S.flags.writeable = False
         return S
 
     def exponential(self, t):
@@ -201,38 +251,43 @@ class SemigroupEvaluator:
         """Semigroup applied to a vertex vector."""
         return self.matrix(t) @ np.asarray(u, dtype=float)
 
-    # -- mixed norms ---------------------------------------------------
-    @_once_per_time
+    # -- mixed norms, each recorded once per time ----------------------
+    def _recorded(self, name, t):
+        """The ``PER_TIME`` value ``name`` of S(t), recorded: at a grid
+        time by one sweep that records it at every grid time, at any
+        other from one ``expm``."""
+        key = (name, float(t))
+        if key not in self._record:
+            if np.any(self.grid == t):
+                self.record(name)
+                self.sweep()
+            else:
+                self._record[key] = PER_TIME[name](self.matrix(t), self.mass)
+        return self._record[key]
+
     def norm_2_to_inf(self, t):
         """sup norm of S(t) u over the L2 unit ball."""
-        S = self.matrix(t)
-        return float(np.sqrt((S * S / self.mass[None, :]).sum(axis=1)).max())
+        return self._recorded("norm_2_to_inf", t)
 
-    @_once_per_time
     def norm_1_to_2(self, t):
-        """L2 norm of S(t) u over the L1 unit ball (extreme points are the
-        scaled vertex indicators)."""
-        S = self.matrix(t)
-        col = np.sqrt((self.mass[:, None] * S * S).sum(axis=0)) / self.mass
-        return float(col.max())
+        """L2 norm of S(t) u over the L1 unit ball."""
+        return self._recorded("norm_1_to_2", t)
 
-    @_once_per_time
     def norm_inf_to_inf(self, t):
-        S = self.matrix(t)
-        return float(np.abs(S).sum(axis=1).max())
+        return self._recorded("norm_inf_to_inf", t)
 
-    @_once_per_time
     def norm_1_to_1(self, t):
-        S = self.matrix(t)
-        col = (self.mass[:, None] * np.abs(S)).sum(axis=0) / self.mass
-        return float(col.max())
+        return self._recorded("norm_1_to_1", t)
 
-    @_once_per_time
+    def min_entry(self, t):
+        """The smallest entry of S(t)."""
+        return self._recorded("min_entry", t)
+
     def norm_2_to_2(self, t):
+        """exp(-t lambda_min(W)) on a self-adjoint form, else the SVD of
+        the weighted S(t)."""
         if self.symmetry_residual > SYMMETRY_TOL:
-            S = self.matrix(t)
-            root = np.sqrt(self.mass)
-            return float(np.linalg.norm(root[:, None] * S / root[None, :], 2))
+            return self._recorded("norm_2_to_2", t)
         if t < 0:
             raise ValueError("negative time")
         return math.exp(-float(t) * self._spectrum()[0])
@@ -275,6 +330,36 @@ def _at_pattern(A, data):
     index arrays, with entries ``data``."""
     return scipy.sparse.csr_matrix((data, A.indices, A.indptr),
                                    shape=A.shape)
+
+
+def _norm_2_to_inf(S, mass):
+    return float(np.sqrt((S * S / mass[None, :]).sum(axis=1)).max())
+
+
+def _norm_1_to_2(S, mass):
+    """Over the L1 unit ball, whose extreme points are the scaled vertex
+    indicators."""
+    return float((np.sqrt((mass[:, None] * S * S).sum(axis=0)) / mass).max())
+
+
+def _norm_1_to_1(S, mass):
+    return float(((mass[:, None] * np.abs(S)).sum(axis=0) / mass).max())
+
+
+def _norm_2_to_2(S, mass):
+    root = np.sqrt(mass)
+    return float(np.linalg.norm(root[:, None] * S / root[None, :], 2))
+
+
+# What a sweep can record per grid time: name -> f(S(t), mass).
+PER_TIME = {
+    "norm_2_to_inf": _norm_2_to_inf,
+    "norm_1_to_2": _norm_1_to_2,
+    "norm_inf_to_inf": lambda S, mass: float(np.abs(S).sum(axis=1).max()),
+    "norm_1_to_1": _norm_1_to_1,
+    "norm_2_to_2": _norm_2_to_2,
+    "min_entry": lambda S, mass: float(S.min()),
+}
 
 
 def build_evaluator(system, grid=()):

@@ -12,6 +12,18 @@ The grid checks (sup bound, positivity, domination, the power-law fit,
 the norms CSV) scan the evaluator's grid, and all but the fit refuse an
 empty one with ValueError; the others take ``times``.
 Alpha and the boundary operator come from the evaluator's system.
+
+Each check that reads S(t) is a per-time step, which an evaluator's
+``sweep`` hands each grid matrix in turn, and a conclusion drawn once the
+sweep is done.  The per-time norms and the smallest entry are the
+evaluator's record (``SemigroupEvaluator.record``); domination, eventual
+positivity and the L1 -> L2 decay register steps of their own with
+``domination_steps``, ``eventual_positivity_steps`` and
+``smoothing_decay_steps``, each of which returns its conclusion.  A
+runner registers the steps of all its checks before it sweeps, so each
+chain is computed once; every check function called alone registers its
+steps and sweeps for itself, and a sweep with nothing registered costs
+nothing.
 """
 
 import itertools
@@ -44,6 +56,10 @@ __all__ = [
     "check_energy_dissipation",
     "DecayReport",
     "check_smoothing_decay",
+    "domination_steps",
+    "eventual_positivity_steps",
+    "smoothing_decay_steps",
+    "NORMS_CSV",
     "write_document",
     "write_norms_csv",
 ]
@@ -57,6 +73,8 @@ DOMINATION_TOL = 1e-8
 ENERGY_TOL = 1e-6       # relative to the largest squared sample norm
 FORM_TOL = 1e-9         # relative to the norm of the form
 COUPLING_TOL = 1e-10    # on the coupling's symmetric part and row sums
+# The per-time values of each norms.csv row, after t.
+NORMS_CSV = ("norm_2_to_inf", "norm_1_to_2", "norm_inf_to_inf", "min_entry")
 
 
 # ----------------------------------------------------------------------
@@ -72,6 +90,13 @@ def _grid(*evaluators):
         return times
     raise ValueError("grid checks need one common, nonempty grid; "
                      "build each evaluator with grid=")
+
+
+def _record(evaluator, *names):
+    """Record the named per-time values at every grid time of the
+    evaluator, by a sweep if any is missing."""
+    evaluator.record(*names)
+    evaluator.sweep()
 
 
 def _tensor_cosine_modes(mesh, count):
@@ -241,7 +266,9 @@ def check_sup_contraction(evaluator):
     (excess = shifted norm - 1).  The matching L1 bound for the adjoint
     is the same number, |S*(t)|_{1->1} = |S(t)|_{inf->inf} by duality, so
     max_l1_excess restates max_sup_excess."""
-    excess = max(map(evaluator.norm_inf_to_inf, _grid(evaluator))) - 1.0
+    times = _grid(evaluator)
+    _record(evaluator, "norm_inf_to_inf")
+    excess = max(map(evaluator.norm_inf_to_inf, times)) - 1.0
     return SupBoundReport(
         max_sup_excess=excess,
         max_l1_excess=excess,
@@ -267,7 +294,8 @@ def check_positivity(evaluator):
     there even when the continuum operator does.
     """
     times = _grid(evaluator)
-    mins = np.array([float(evaluator.matrix(t).min()) for t in times])
+    _record(evaluator, "min_entry")
+    mins = np.array([evaluator.min_entry(t) for t in times])
     if mins.min() >= -POSITIVITY_TOL:
         status = "passed"
     elif not evaluator.system.field.is_isotropic:
@@ -300,6 +328,17 @@ def check_domination(evaluator, bar_evaluator, samples=50, seed=2024):
     |B w| <= bar w.  No sample, or no common grid, is refused with
     ValueError: an empty grid would leave the form criterion alone.
     """
+    conclude = domination_steps(evaluator, bar_evaluator, samples, seed)
+    evaluator.sweep()
+    bar_evaluator.sweep()
+    return conclude()
+
+
+def domination_steps(evaluator, bar_evaluator, samples=50, seed=2024):
+    """Register the per-time products of ``check_domination``, |S(t) D|
+    on the evaluator and S_bar(t) |D| on the comparison for the sample
+    block D, and evaluate the form criterion; return the conclusion, which
+    makes the report once both evaluators have swept."""
     _require_samples(samples)
     times = _grid(evaluator, bar_evaluator)
     rng = np.random.default_rng(seed)
@@ -307,11 +346,20 @@ def check_domination(evaluator, bar_evaluator, samples=50, seed=2024):
     draws = rng.standard_normal((samples, n))
     draws /= np.abs(draws).max(axis=1, keepdims=True)
     magnitudes = np.abs(draws).T
-    worst = 0.0
-    for t in times:
-        excess = (np.abs(evaluator.matrix(t) @ draws.T)
-                  - bar_evaluator.matrix(t) @ magnitudes)
-        worst = max(worst, float(excess.max(initial=0.0)))
+    # A product waits in ``held`` for its time's other one, which its
+    # evaluator's sweep makes later, or the next step of the same sweep.
+    held, peaks = {}, {}
+
+    def combine(t, side, product):
+        other = held.pop((not side, t), None)
+        if other is None:
+            held[side, t] = product
+        else:
+            image, bound = (product, other) if side else (other, product)
+            peaks[t] = float((image - bound).max(initial=0.0))
+
+    evaluator.register(lambda t, S: combine(t, True, np.abs(S @ draws.T)))
+    bar_evaluator.register(lambda t, S: combine(t, False, S @ magnitudes))
     form = evaluator.form
     form_bar = bar_evaluator.form
     form_scale = form_norm(form)
@@ -321,16 +369,22 @@ def check_domination(evaluator, bar_evaluator, samples=50, seed=2024):
     values = (((form_bar @ np.abs(U).T).T * np.abs(V)).sum(axis=1)
               - ((form @ U.T).T * V).sum(axis=1))
     form_worst = max(float(values.max()), 0.0)
-    ok = worst <= DOMINATION_TOL and form_worst <= FORM_TOL * form_scale
-    return DominationReport(
-        times=times,
-        max_violation=float(worst),
-        form_max_violation=float(form_worst),
-        form_scale=form_scale,
-        samples=samples,
-        seed=seed,
-        status="passed" if ok else "failed",
-    )
+
+    def conclude():
+        worst = 0.0
+        for t in map(float, times):
+            worst = max(worst, peaks[t])
+        ok = worst <= DOMINATION_TOL and form_worst <= FORM_TOL * form_scale
+        return DominationReport(
+            times=times,
+            max_violation=float(worst),
+            form_max_violation=float(form_worst),
+            form_scale=form_scale,
+            samples=samples,
+            seed=seed,
+            status="passed" if ok else "failed",
+        )
+    return conclude
 
 
 # ----------------------------------------------------------------------
@@ -358,6 +412,7 @@ def fit_ultracontractivity(evaluator):
     in log-log coordinates.  With fewer than 4 usable points the fit is
     refused.
     """
+    _record(evaluator, "norm_2_to_inf")
     times, alpha = evaluator.grid, evaluator.system.alpha
     g = np.array([evaluator.norm_2_to_inf(t) for t in times])
     log_t = np.log(times)
@@ -419,14 +474,23 @@ def check_eventual_positivity(evaluator, times, samples=20, seed=2024):
     from which the worst sample ratio stays positive, with delta the
     worst ratio from there on.
     """
+    conclude = eventual_positivity_steps(evaluator, times, samples, seed)
+    evaluator.sweep()
+    return conclude()
+
+
+def eventual_positivity_steps(evaluator, times, samples=20, seed=2024):
+    """Test the hypotheses of ``check_eventual_positivity`` and, when they
+    hold, register the worst sample ratio at the grid times among
+    ``times``; return the conclusion, which takes one ``matrix`` at every
+    other time once the evaluator has swept and makes the report."""
     times = np.asarray(times, dtype=float)
     system = evaluator.system
     Bw = system.Bw
     sym_min = float(np.linalg.eigvalsh((0.5 * (Bw + Bw.T)).toarray()).min())
     ones_excess = float(abs(system.spec.matrix().sum(axis=1)).max())
-    hypothesis_ok = sym_min >= -COUPLING_TOL and ones_excess <= COUPLING_TOL
-    if not hypothesis_ok:
-        return EventualPositivityReport(
+    if not (sym_min >= -COUPLING_TOL and ones_excess <= COUPLING_TOL):
+        return lambda: EventualPositivityReport(
             delta=math.nan, t0=math.nan, hypothesis_ok=False, times=times,
             ratios=np.full(len(times), math.nan), samples=samples, seed=seed,
             status="hypothesis unmet")
@@ -440,24 +504,38 @@ def check_eventual_positivity(evaluator, times, samples=20, seed=2024):
         data.append(bump)
     integrals = np.array([float(mass @ u) for u in data])
     block = np.array(data).T
-    ratios = np.empty(len(times))
-    for k, t in enumerate(times):
-        lowest = (evaluator.matrix(t) @ block).min(axis=0)
-        ratios[k] = (math.exp(system.alpha * t)
-                     * float((lowest / integrals).min()))
-    # the first time from which every ratio is positive, if there is one
-    start = 1 + max(np.flatnonzero(~(ratios > 0.0)), default=-1)
-    found = start < len(times)
-    return EventualPositivityReport(
-        delta=float(ratios[start:].min()) if found else math.nan,
-        t0=float(times[start]) if found else math.nan,
-        hypothesis_ok=True,
-        times=times,
-        ratios=ratios,
-        samples=len(data),
-        seed=seed,
-        status="passed" if found else "failed",
-    )
+
+    def ratio(t, S):
+        lowest = (S @ block).min(axis=0)
+        return (math.exp(system.alpha * t)
+                * float((lowest / integrals).min()))
+
+    wanted = set(map(float, times))
+    found = {}
+
+    def step(t, S):
+        if t in wanted:
+            found[t] = ratio(t, S)
+    evaluator.register(step)
+
+    def conclude():
+        ratios = np.array([found[t] if t in found
+                           else ratio(t, evaluator.matrix(t))
+                           for t in map(float, times)])
+        # the first time from which every ratio is positive, if there is one
+        start = 1 + max(np.flatnonzero(~(ratios > 0.0)), default=-1)
+        passed = start < len(times)
+        return EventualPositivityReport(
+            delta=float(ratios[start:].min()) if passed else math.nan,
+            t0=float(times[start]) if passed else math.nan,
+            hypothesis_ok=True,
+            times=times,
+            ratios=ratios,
+            samples=len(data),
+            seed=seed,
+            status="passed" if passed else "failed",
+        )
+    return conclude
 
 
 # ----------------------------------------------------------------------
@@ -536,34 +614,60 @@ def check_smoothing_decay(evaluator, nash_constant, times, samples=50,
     no time to sample, nothing is concluded: max_ratio is nan and the
     status discretization-limited.  Fewer than one sample is refused with
     ValueError."""
+    conclude = smoothing_decay_steps(evaluator, nash_constant, times,
+                                     samples, seed)
+    evaluator.sweep()
+    return conclude()
+
+
+def smoothing_decay_steps(evaluator, nash_constant, times, samples=50,
+                          seed=2024):
+    """Register a step that holds S(t) at the grid times among ``times``;
+    return the conclusion ``conclude(window=times)``, which makes the
+    report of ``check_smoothing_decay`` at the times ``window``, taken
+    from ``times``, once the evaluator has swept.  A window time off the
+    grid takes one ``matrix``."""
     _require_samples(samples)
-    system = evaluator.system
-    mass = system.mass
-    d = system.mesh.dim
-    prefactor = (d * nash_constant / 4.0) ** (d / 4.0)
-    rng = np.random.default_rng(seed)
-    times = np.asarray(times, dtype=float)
-    worst = 0.0
-    for t in times:
-        U = rng.standard_normal((samples, system.n))
-        S = evaluator.matrix(t)
-        SU = U @ ((S.T * mass) / mass[:, None]).T
-        bound = prefactor * t ** (-d / 4.0)
-        ratios = np.sqrt((SU * SU) @ mass) / (bound * (np.abs(U) @ mass))
-        worst = max(worst, float(ratios.max(initial=0.0)))
-    if len(times):
-        status = "passed" if worst <= 1.0 else "failed"
-    else:
-        worst, status = math.nan, "discretization-limited"
-    return DecayReport(
-        constant=float(nash_constant),
-        prefactor=float(prefactor),
-        max_ratio=float(worst),
-        times=times,
-        samples=samples,
-        seed=seed,
-        status=status,
-    )
+    wanted = set(map(float, np.asarray(times, dtype=float)))
+    held = {}
+
+    def step(t, S):
+        if t in wanted:
+            held[t] = S
+    evaluator.register(step)
+
+    def conclude(window=times):
+        system = evaluator.system
+        mass = system.mass
+        d = system.mesh.dim
+        prefactor = (d * nash_constant / 4.0) ** (d / 4.0)
+        rng = np.random.default_rng(seed)
+        window = np.asarray(window, dtype=float)
+        worst = 0.0
+        for t in window:
+            U = rng.standard_normal((samples, system.n))
+            S = held.get(float(t))
+            if S is None:
+                S = evaluator.matrix(t)
+            SU = U @ ((S.T * mass) / mass[:, None]).T
+            bound = prefactor * t ** (-d / 4.0)
+            ratios = np.sqrt((SU * SU) @ mass) / (bound * (np.abs(U) @ mass))
+            worst = max(worst, float(ratios.max(initial=0.0)))
+        held.clear()
+        if len(window):
+            status = "passed" if worst <= 1.0 else "failed"
+        else:
+            worst, status = math.nan, "discretization-limited"
+        return DecayReport(
+            constant=float(nash_constant),
+            prefactor=float(prefactor),
+            max_ratio=float(worst),
+            times=window,
+            samples=samples,
+            seed=seed,
+            status=status,
+        )
+    return conclude
 
 
 # ----------------------------------------------------------------------
@@ -577,12 +681,12 @@ def write_document(mapping, target):
 def write_norms_csv(evaluator, target):
     """One row per grid time with the unshifted semigroup's mixed norms
     and its smallest matrix entry: exp(alpha t) times the shifted ones."""
-    lines = ["t,norm_2_to_inf,norm_1_to_2,norm_inf_to_inf,min_entry"]
-    for t in _grid(evaluator):
+    lines = ["t," + ",".join(NORMS_CSV)]
+    times = _grid(evaluator)
+    _record(evaluator, *NORMS_CSV)
+    for t in times:
         shift = math.exp(evaluator.system.alpha * t)
-        shifted = (evaluator.norm_2_to_inf(t), evaluator.norm_1_to_2(t),
-                   evaluator.norm_inf_to_inf(t),
-                   float(evaluator.matrix(t).min()))
-        row = (float(t), *(shift * v for v in shifted))
+        row = (float(t), *(shift * getattr(evaluator, name)(t)
+                           for name in NORMS_CSV))
         lines.append(",".join(f"{v:.17g}" for v in row))
     return write_lines(lines, target)

@@ -11,8 +11,9 @@ norms, the 0/1 trace matrix, the lumped L1 norm, the
 exact P1 mass matrix, the adjoint semigroup evaluated on its own
 with a chain of its own, the duality of the mixed norms between a
 semigroup and that adjoint, the per-sample loops of the sampled checks,
-the continuity samples drawn at once, and the resolvent from ``inv`` and
-an SVD.
+the continuity samples drawn at once, the resolvent from ``inv`` and
+an SVD, and the doubling chain with every grid matrix kept, with the
+grid reports computed from its matrices.
 """
 
 import copy
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robinheat import CoefficientField, build_evaluator, verify
+from robinheat import CoefficientField, build_evaluator, semigroup, verify
 from robinheat.assembly import _barycentric_gradients, form_norm
 from robinheat.report import Report
 
@@ -364,3 +365,121 @@ def inverse_resolvent_norm(evaluator, lam):
                       + lam * evaluator.generator.toarray())
     root = np.sqrt(evaluator.mass)
     return float(np.linalg.norm(root[:, None] * R / root[None, :], 2))
+
+
+# -- the doubling chain, every grid matrix kept -------------------------
+#
+# The evaluator streams its chain through one sweep and keeps a matrix
+# only until its square is made.  These are the chain as it was once
+# cached whole and the grid reports computed from its matrices, with the
+# arithmetic of the checks that read a cached matrix per time.
+
+def chain_matrices(evaluator):
+    """The grid matrices of ``evaluator`` by grid index, from one
+    ascending pass that takes an ``expm`` or squares the matrix at the half
+    time (``semigroup._halves``, ``MIN_SQUARED``) and keeps them all."""
+    grid = evaluator.grid
+    halves = semigroup._halves(grid)
+    norm = float(np.linalg.norm(evaluator.dense_generator(), np.inf))
+    chain = [None] * len(grid)
+    for k in np.argsort(grid, kind="stable"):
+        if halves[k] < 0 or grid[halves[k]] * norm < semigroup.MIN_SQUARED:
+            chain[k] = evaluator.exponential(float(grid[k]))
+        else:
+            half = chain[halves[k]]
+            chain[k] = half @ half
+    return chain
+
+
+def cached_matrices(evaluator):
+    """t -> S(t): a grid time's matrix from ``chain_matrices``, any
+    other's from one ``expm``."""
+    chain = dict(zip(map(float, evaluator.grid), chain_matrices(evaluator)))
+
+    def at(t):
+        t = float(t)
+        return chain[t] if t in chain else evaluator.exponential(t)
+    return at
+
+
+def cached_norms(mass, S):
+    """The shifted 2->inf, 1->2 and inf->inf norms and the smallest entry
+    of S."""
+    return (float(np.sqrt((S * S / mass[None, :]).sum(axis=1)).max()),
+            float((np.sqrt((mass[:, None] * S * S).sum(axis=0))
+                   / mass).max()),
+            float(np.abs(S).sum(axis=1).max()),
+            float(S.min()))
+
+
+def cached_norms_rows(evaluator, at):
+    """The norms.csv rows after the header: t and the unshifted
+    ``cached_norms`` of S(t) = at(t)."""
+    rows = []
+    for t in evaluator.grid:
+        shifted = cached_norms(evaluator.mass, at(t))
+        shift = math.exp(evaluator.system.alpha * t)
+        row = (float(t), *(shift * v for v in shifted))
+        rows.append(",".join(f"{v:.17g}" for v in row))
+    return rows
+
+
+def cached_weighted_2_to_2(evaluator, at, t):
+    """The weighted 2->2 norm of S(t) = at(t) from an SVD."""
+    root = np.sqrt(evaluator.mass)
+    return float(np.linalg.norm(root[:, None] * at(t) / root[None, :], 2))
+
+
+def cached_domination_violation(at, bar_at, times, n, samples, seed):
+    """max_violation of ``check_domination`` from S(t) = at(t) and
+    S_bar(t) = bar_at(t)."""
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal((samples, n))
+    draws /= np.abs(draws).max(axis=1, keepdims=True)
+    magnitudes = np.abs(draws).T
+    worst = 0.0
+    for t in times:
+        excess = np.abs(at(t) @ draws.T) - bar_at(t) @ magnitudes
+        worst = max(worst, float(excess.max(initial=0.0)))
+    return worst
+
+
+def cached_eventual_positivity(system, at, times, samples, seed):
+    """(ratios, t0, delta) of ``check_eventual_positivity`` from
+    S(t) = at(t), for a system that meets its hypotheses."""
+    rng = np.random.default_rng(seed)
+    mesh, mass = system.mesh, system.mass
+    data = [np.abs(rng.standard_normal(mesh.n_vertices))
+            for _ in range(max(samples - 3, 1))]
+    for vertex in (0, mesh.n_vertices // 2, int(mesh.boundary_vertices[-1])):
+        bump = np.zeros(mesh.n_vertices)
+        bump[vertex] = 1.0
+        data.append(bump)
+    integrals = np.array([float(mass @ u) for u in data])
+    block = np.array(data).T
+    ratios = np.empty(len(times))
+    for k, t in enumerate(times):
+        lowest = (at(t) @ block).min(axis=0)
+        ratios[k] = (math.exp(system.alpha * t)
+                     * float((lowest / integrals).min()))
+    start = 1 + max(np.flatnonzero(~(ratios > 0.0)), default=-1)
+    if start == len(times):
+        return ratios, math.nan, math.nan
+    return ratios, float(times[start]), float(ratios[start:].min())
+
+
+def cached_decay_ratio(system, at, nash_constant, times, samples, seed):
+    """max_ratio of ``check_smoothing_decay`` from S(t) = at(t)."""
+    mass = system.mass
+    d = system.mesh.dim
+    prefactor = (d * nash_constant / 4.0) ** (d / 4.0)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for t in np.asarray(times, dtype=float):
+        U = rng.standard_normal((samples, system.n))
+        S = at(t)
+        SU = U @ ((S.T * mass) / mass[:, None]).T
+        bound = prefactor * t ** (-d / 4.0)
+        ratios = np.sqrt((SU * SU) @ mass) / (bound * (np.abs(U) @ mass))
+        worst = max(worst, float(ratios.max(initial=0.0)))
+    return worst

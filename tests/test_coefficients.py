@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 from robinheat import (
     BoundaryOperatorSpec,
     CoefficientField,
+    build_box_mesh,
     build_boundary_operator,
     check_admissibility,
     coefficient_field_from_config,
@@ -156,6 +157,33 @@ def test_derived_operators(interval4):
                     atol=1e-15)
     with pytest.raises(ValueError):
         spec.shifted_bar(0)
+
+
+def test_dominating_kernel_takes_one_svd(monkeypatch):
+    """|-|T|| = |T|: the dominating operator of a kernel keeps the
+    kernel's bar norms, bit for bit those a fresh construction computes
+    with a second SVD, and takes one SVD, for the norms of -|T|."""
+    cube = build_box_mesh((1.0, 1.0, 1.0), (4, 4, 4))
+    spec = build_boundary_operator(
+        cube, {"kind": "kernel", "profile": "cosine", "scale": 0.005})
+    fresh = BoundaryOperatorSpec(spec.weights, -abs(spec.matrix()))
+    norm = np.linalg.norm
+    svds = []
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            svds.append(x.shape)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    dom = spec.dominating()
+    assert len(svds) == 1
+    for name in ("norm2", "norm_inf", "norm2_bar", "norm_inf_bar"):
+        assert getattr(dom, name) == getattr(fresh, name)
+    assert (dom.norm2_bar, dom.norm_inf_bar) == (spec.norm2_bar,
+                                                 spec.norm_inf_bar)
+    assert (dom.matrix() != fresh.matrix()).nnz == 0
+    assert np.array_equal(dom.weights, spec.weights)
 
 
 def test_builder_rejects_unknowns(square11, interval4):

@@ -16,8 +16,9 @@ relative, and the exponentials bit for bit.
 The doubling chain along a time grid is checked against one ``expm``
 per time at 1e-11 relative in the weighted 2-norm (6.9e-14 is the
 largest gap the derandomized examples reach), and its pairing, its
-independence of the grid's order, its one matrix per grid position, the
-uncached off-grid route and its part in ``reuse`` are checked exactly.
+independence of the grid's order, the read-only matrices a sweep hands
+its steps, the rerun behind a grid time's ``matrix``, the uncached
+off-grid route and its part in ``reuse`` are checked exactly.
 """
 
 import copy
@@ -571,6 +572,14 @@ def weighted_gap(ev, A, B):
             / np.linalg.norm(weighted(B), 2))
 
 
+def swept(ev):
+    """Every (t, S(t)) that one sweep of ``ev`` hands its steps, in order."""
+    seen = []
+    ev.register(lambda t, S: seen.append((t, S)))
+    ev.sweep()
+    return seen
+
+
 def recording_exponentials(ev):
     """Record, on the instance, every time ``matrix`` takes an expm at."""
     times = []
@@ -613,7 +622,8 @@ def test_chain_agrees_with_single_exponentials(system, ratio, count, t_max,
     build = adjoint_evaluator if adjoint else build_evaluator
     ev = build(system, grid=grid)
     taken = recording_exponentials(ev)
-    chained = [ev.matrix(t) for t in grid]
+    chained = swept(ev)
+    assert [t for t, _ in chained] == [float(t) for t in grid]
     # one expm per time until the grid first doubles a time t_j with
     # |t_j P|_inf >= 2^-4, squarings after
     step = 2 if ratio == 2 ** -0.5 else 4
@@ -621,7 +631,7 @@ def test_chain_agrees_with_single_exponentials(system, ratio, count, t_max,
     assert taken == [float(t) for k, t in enumerate(grid)
                      if k < step or grid[k - step] * norm < 2.0 ** -4]
     oracle = build(system)
-    for t, S in zip(grid, chained):
+    for t, S in chained:
         assert weighted_gap(ev, S, oracle.exponential(t)) <= 1e-11
 
 
@@ -641,9 +651,16 @@ def test_long_grid_chain_does_not_overscale(cube_robin_125, count):
     and agrees with one ``expm`` per time at every grid time."""
     grid = geometric_times(count=count)
     ev = build_evaluator(cube_robin_125, grid=grid)
-    for t in grid:
-        S, oracle = ev.matrix(t), ev.exponential(t)
+    checked = []
+
+    def check(t, S):
+        oracle = ev.exponential(t)
         assert np.abs(S - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        checked.append(t)
+
+    ev.register(check)
+    ev.sweep()
+    assert checked == [float(t) for t in grid]
 
 
 @pytest.mark.parametrize("grid", [
@@ -654,25 +671,36 @@ def test_long_grid_chain_does_not_overscale(cube_robin_125, count):
 def test_pairs_are_detected_not_assumed(interval4_robin_system, grid):
     ev = build_evaluator(interval4_robin_system, grid=grid)
     taken = recording_exponentials(ev)
-    matrices = [ev.matrix(t) for t in grid]
+    matrices = swept(ev)
     assert taken == [float(t) for t in grid]
     oracle = build_evaluator(interval4_robin_system)
-    for t, S in zip(grid, matrices):
+    for t, S in matrices:
         assert np.array_equal(S, oracle.exponential(t))
 
 
-def test_grid_time_returns_one_read_only_matrix(interval4_robin_system):
-    """The first request builds the whole grid; every later request for a
-    grid time returns the same read-only object and takes no expm."""
+def test_sweep_hands_every_step_read_only_matrices(interval4_robin_system):
+    """One sweep takes the two exponentials of the grid and hands each
+    grid time's read-only matrix to every registered step; a second sweep
+    with nothing registered computes nothing.  ``matrix`` at a grid time
+    reruns the chain up to that time, with the sweep's bits."""
     grid = geometric_times(count=6)
     ev = build_evaluator(interval4_robin_system, grid=grid)
     taken = recording_exponentials(ev)
-    first = [ev.matrix(t) for t in grid]
+    first, second = [], []
+    ev.register(lambda t, S: first.append((t, S)))
+    ev.register(lambda t, S: second.append((t, S)))
+    ev.sweep()
     assert taken == [float(t) for t in grid[:2]]
-    for t, S in zip(grid, first):
-        assert ev.matrix(t) is S
+    assert [t for t, _ in first] == [float(t) for t in grid]
+    for (t, S), (_, other) in zip(first, second):
+        assert S is other
         assert not S.flags.writeable
+    ev.sweep()
     assert len(taken) == 2
+    for t, S in first:
+        assert np.array_equal(ev.matrix(t), S)
+    # matrix(grid[k]) exponentiates min(k + 1, 2) times
+    assert len(taken) == 2 + 1 + 2 * 5
 
 
 @pytest.mark.parametrize("grid", [(), geometric_times(count=6)],
@@ -696,11 +724,14 @@ def test_shuffled_grid_gives_the_sorted_bits():
     grid = geometric_times()
     ordered = build_evaluator(system, grid=grid)
     permutation = np.random.default_rng(0).permutation(len(grid))
+    expected = swept(ordered)
     for shuffled in (grid[::-1], grid[permutation]):
         ev = build_evaluator(system, grid=shuffled)
         taken = recording_exponentials(ev)
-        for t in shuffled:
-            assert np.array_equal(ev.matrix(t), ordered.matrix(t))
+        matrices = swept(ev)
+        assert [t for t, _ in matrices] == [t for t, _ in expected]
+        for (_, S), (_, other) in zip(matrices, expected):
+            assert np.array_equal(S, other)
         assert taken == [float(t) for t in grid[:2]]
 
 

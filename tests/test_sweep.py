@@ -1,0 +1,207 @@
+"""The sweep against the doubling chain with every grid matrix kept.
+
+Each evaluator streams its chain through one ``sweep`` and hands every
+grid matrix to the per-time steps registered before it.  Every grid
+report a run computes that way must equal, bit for bit, the same report
+computed from the matrices of ``oracles.chain_matrices``, the chain as it
+was once cached whole, with the arithmetic of the checks that read one
+cached matrix per time; and each distinct evaluator computes its chain
+once, however many checks read it.  The traced peak of a run through
+``run_scenario`` is held below a bound in n^2 doubles, which the
+per-time matrix cache exceeded.
+"""
+
+import io
+import tracemalloc
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from robinheat import (
+    BoundaryOperatorSpec,
+    CoefficientField,
+    assemble_system,
+    build_box_mesh,
+    build_evaluator,
+    check_positivity,
+    fit_ultracontractivity,
+    geometric_times,
+    reuse,
+    verify,
+    write_norms_csv,
+)
+from robinheat.cli import EXTRA_POSITIVITY_TIMES, run_scenario
+from robinheat.semigroup import SYMMETRY_TOL
+from oracles import (cached_decay_ratio, cached_domination_violation,
+                     cached_eventual_positivity, cached_matrices,
+                     cached_norms, cached_norms_rows, cached_weighted_2_to_2)
+
+SAMPLES = 5
+SEED = 7
+NASH_CONSTANT = 0.5
+
+
+@st.composite
+def sweep_systems(draw):
+    """Interval, square and 2x2x2 cube meshes with an isotropic field and
+    a zero, multiplication or random (non-symmetric) kernel operator."""
+    mesh = draw(st.sampled_from((
+        build_box_mesh((1.0,), (6,)),
+        build_box_mesh((1.0, 1.0), (3, 3)),
+        build_box_mesh((1.0, 1.0, 1.0), (2, 2, 2)))))
+    field = CoefficientField.isotropic(mesh, draw(st.floats(0.5, 3.0)))
+    nb = len(mesh.boundary_vertices)
+    kind = draw(st.sampled_from(("zero", "multiplication", "kernel")))
+    if kind == "zero":
+        spec = BoundaryOperatorSpec.zero(mesh)
+    elif kind == "multiplication":
+        spec = BoundaryOperatorSpec.multiplication(
+            mesh, draw(st.sampled_from((-0.15, -0.05, 0.05, 0.15))))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        spec = BoundaryOperatorSpec.kernel(
+            mesh, draw(st.floats(0.01, 0.2)) * rng.standard_normal((nb, nb)))
+    return assemble_system(mesh, field, spec)
+
+
+def counting_exponentials(ev, taken):
+    exponential = ev.exponential
+
+    def counted(t):
+        taken.append(t)
+        return exponential(t)
+
+    ev.exponential = counted
+
+
+def fit_or_refusal(evaluator):
+    try:
+        return fit_ultracontractivity(evaluator).as_dict()
+    except ValueError as exc:
+        return str(exc)
+
+
+def same(a, b):
+    """Equal, with nan equal to nan, arrays and report fields included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, (np.ndarray, float)):
+        return np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sweep_systems(), st.sampled_from((2 ** -0.5, 2 ** -0.25, 0.6)),
+       st.integers(4, 24), st.one_of(st.just(10.0), st.floats(0.1, 3.0)),
+       st.booleans())
+def test_grid_reports_from_the_sweep_match_the_cached_chain(
+        system, ratio, count, t_max, primal_last):
+    grid = geometric_times(t_max, ratio, count)
+    times = np.union1d(grid, EXTRA_POSITIVITY_TIMES)
+    window = grid[1::2]
+
+    def comparison(spec):
+        return build_evaluator(system.with_boundary(spec), grid=grid)
+
+    ev = build_evaluator(system, grid=grid)
+    bar = reuse(ev, comparison(system.spec.dominating()))
+    positive = reuse(ev, comparison(system.spec.shifted_bar(-1)))
+    distinct = list({id(e): e for e in (ev, bar, positive)}.values())
+    taken, chained = [], []
+    for e in distinct:
+        counting_exponentials(e, taken)
+
+    # every step registered, then one sweep each, the primal first or,
+    # as the runner does, last
+    ev.record(*verify.NORMS_CSV, "norm_2_to_2")
+    positive.record("min_entry")
+    domination = verify.domination_steps(ev, bar, SAMPLES, SEED)
+    eventual = verify.eventual_positivity_steps(ev, times, SAMPLES, SEED)
+    decay = verify.smoothing_decay_steps(ev, NASH_CONSTANT, grid, SAMPLES,
+                                         SEED)
+    for e in (distinct[::-1] if primal_last else distinct):
+        e.sweep()
+    positivity = check_positivity(positive)
+    dominated = domination()
+    eventually = eventual()
+    decayed = decay(window)
+    buffer = io.StringIO()
+    write_norms_csv(ev, buffer)
+    fit = fit_or_refusal(ev)
+    l2 = max(ev.norm_2_to_2(t) for t in grid)
+
+    oracles = {}
+    for e in distinct:
+        oracle = build_evaluator(e.system, grid=grid)
+        counting_exponentials(oracle, chained)
+        oracles[id(e)] = cached_matrices(oracle)
+    at, bar_at, positive_at = (oracles[id(e)] for e in (ev, bar, positive))
+
+    # one chain per distinct evaluator, and one expm per time of the
+    # eventual positivity scan off the grid
+    off_grid = [t for t in times if t not in set(grid)]
+    assert len(taken) == len(chained) + (
+        len(off_grid) if eventually.hypothesis_ok else 0)
+    assert np.array_equal(positivity.min_entries,
+                          [float(positive_at(t).min()) for t in grid])
+    assert dominated.max_violation == cached_domination_violation(
+        at, bar_at, grid, system.n, SAMPLES, SEED)
+    if eventually.hypothesis_ok:
+        ratios, t0, delta = cached_eventual_positivity(
+            system, at, times, SAMPLES, SEED)
+        assert np.array_equal(eventually.ratios, ratios)
+        assert same(eventually.t0, t0) and same(eventually.delta, delta)
+    assert decayed.max_ratio == cached_decay_ratio(
+        system, at, NASH_CONSTANT, window, SAMPLES, SEED)
+    assert buffer.getvalue().splitlines()[1:] == cached_norms_rows(ev, at)
+    g = {float(t): cached_norms(system.mass, at(t))[0] for t in grid}
+    stub = SimpleNamespace(grid=grid, system=system,
+                           norm_2_to_inf=lambda t: g[float(t)],
+                           record=lambda *names: None, sweep=lambda: None)
+    assert same(fit, fit_or_refusal(stub))
+    if ev.symmetry_residual > SYMMETRY_TOL:
+        assert l2 == max(cached_weighted_2_to_2(ev, at, t) for t in grid)
+
+
+# -- memory ---------------------------------------------------------------
+
+CUBE5_KERNEL = """
+[domain]
+extents = 1.0, 1.0, 1.0
+divisions = 5
+[coefficient]
+kind = isotropic
+value = 2.0
+[boundary_operator]
+kind = kernel
+profile = cosine
+scale = 0.005
+[run]
+checks = {checks}
+"""
+
+
+@pytest.mark.parametrize("checks, bound", [
+    # the per-time cache peaked at 31.9 n^2 doubles, the sweep at 14.3
+    ("ultracontractivity", 20),
+    # a run that registers matrix steps: 60.4 with the cache, 23.0 now
+    ("accretivity, domination, eventual_positivity", 35),
+], ids=["ultracontractivity", "matrix-steps"])
+def test_traced_peak_of_a_cosine_kernel_run(tmp_path, checks, bound):
+    """The 5-division cosine-kernel cube (216 unknowns) through
+    ``run_scenario``: its traced peak stays below ``bound`` n x n arrays
+    of doubles."""
+    n = 216
+    path = tmp_path / "cube5_kernel.ini"
+    path.write_text(CUBE5_KERNEL.format(checks=checks))
+    tracemalloc.start()
+    try:
+        status = run_scenario(path, output_dir=tmp_path / "out",
+                              stream=io.StringIO())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak < bound * n * n * 8, f"{peak / (n * n * 8):.1f} n^2 doubles"
