@@ -39,7 +39,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .coefficients import check_admissibility
-from .report import Report
+from .report import Report, require_samples
 from .semigroup import SYMMETRY_TOL
 
 __all__ = [
@@ -189,11 +189,15 @@ class AssembledSystem:
         Gamma the 0/1 restriction to the boundary vertices; the trace form
         is passed to ``compute_trace_norm`` as a sparse diagonal.
     admissibility : AdmissibilityReport
+    form_scale : float
+        ||FormAtilde||_2 from ``form_norm``, computed once.
 
     ``with_boundary`` derives the system of another boundary operator
-    from this one.  A mesh above DENSE_LIMIT unknowns is refused before
-    anything is assembled, because every run exponentiates the dense copy
-    of a semigroup evaluator's generator built from this system.
+    from this one, and ``shifted_bar(sign)`` the comparison system of
+    |bar|_inf + sign * bar, built once.  A mesh above DENSE_LIMIT
+    unknowns is refused before anything is assembled, because every run
+    exponentiates the dense copy of a semigroup evaluator's generator
+    built from this system.
     """
 
     def __init__(self, mesh, field, spec, alpha):
@@ -254,6 +258,8 @@ class AssembledSystem:
         self.FormAtilde = pattern.matrix(values)
         self.admissibility = check_admissibility(
             spec, self.alpha, self.trace_norm_sq)
+        self._form_scale = None
+        self._shifted = {}      # sign -> the system of spec.shifted_bar(sign)
 
     @property
     def n(self):
@@ -266,6 +272,23 @@ class AssembledSystem:
         Bw = self.spec.matrix()
         Bw.data *= np.repeat(self.boundary_weights, np.diff(Bw.indptr))
         return Bw
+
+    @property
+    def form_scale(self):
+        """||FormAtilde||_2 from ``form_norm``, computed on first access
+        and kept until the boundary operator changes."""
+        if self._form_scale is None:
+            self._form_scale = form_norm(self.FormAtilde)
+        return self._form_scale
+
+    def shifted_bar(self, sign):
+        """The system of boundary operator |bar|_inf + sign * bar
+        (``spec.shifted_bar``), built on first call and kept until the
+        boundary operator changes."""
+        if sign not in self._shifted:
+            self._shifted[sign] = self.with_boundary(
+                self.spec.shifted_bar(sign))
+        return self._shifted[sign]
 
     def with_boundary(self, spec):
         """The system of boundary operator ``spec`` with this field and
@@ -429,13 +452,13 @@ def check_accretivity(system):
     ACCRETIVITY_TOL * ||FormAtilde||.
 
     Requires the weaker admissibility condition; otherwise the check is
-    reported as hypothesis unmet rather than failed.  ||FormAtilde|| comes
-    from ``form_norm``: a Lanczos Ritz value when the form is symmetric
-    within SYMMETRY_TOL and has at least LANCZOS_MIN_SIZE unknowns, the
-    dense spectrum of a smaller symmetric form, the largest singular
-    value otherwise.  The Ritz value can only underestimate the norm,
-    which tightens the tolerance and so never turns a failure into a
-    pass.
+    reported as hypothesis unmet rather than failed.  ||FormAtilde|| is
+    the system's ``form_scale``, from ``form_norm``: a Lanczos Ritz value
+    when the form is symmetric within SYMMETRY_TOL and has at least
+    LANCZOS_MIN_SIZE unknowns, the dense spectrum of a smaller symmetric
+    form, the largest singular value otherwise.  The Ritz value can only
+    underestimate the norm, which tightens the tolerance and so never
+    turns a failure into a pass.
 
     From LANCZOS_MIN_SIZE unknowns on, a sparse factorization whose pivot
     signs certify sym(FormAtilde - H1) + ACCRETIVITY_TOL * scale * I
@@ -445,7 +468,7 @@ def check_accretivity(system):
     certify, takes the full dense spectrum of sym(FormAtilde - H1), so a
     Ritz value never decides a pass.
     """
-    scale = form_norm(system.FormAtilde)
+    scale = system.form_scale
     if not system.admissibility.accretive:
         return AccretivityReport("hypothesis unmet", math.nan, scale)
     sigma = -ACCRETIVITY_TOL * scale
@@ -477,10 +500,9 @@ def check_continuity(system, samples=200, seed=2024):
     Reports the largest observed ratio of left to right side.  The
     samples are drawn and evaluated CONTINUITY_BLOCK at a time, in the
     order of one (samples, 2, n) draw, so memory does not grow with
-    ``samples``.
+    ``samples``.  Fewer than one sample is refused with ValueError.
     """
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
+    require_samples(samples)
     d = system.mesh.dim
     const = (d * d * system.field.sup_norm
              + system.spec.norm2 * system.trace_norm_sq)

@@ -449,7 +449,9 @@ def _run_contractivity(run):
 
 
 def _run_positivity(run):
-    comparison = run.system.with_boundary(run.system.spec.shifted_bar(-1))
+    """The semigroup of |bar|_inf - bar, the system the truncation
+    criterion of ``contractivity`` also reads."""
+    comparison = run.system.shifted_bar(-1)
     evaluator = run.compares(
         reuse(run.evaluator, build_evaluator(comparison, grid=run.grid)))
     evaluator.record("min_entry")

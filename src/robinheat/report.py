@@ -6,6 +6,13 @@ from dataclasses import fields
 import numpy as np
 
 
+def require_samples(samples):
+    """Refuse a sampled check asked for fewer than one sample, whose
+    report would otherwise pass on nothing."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 class Report:
     """Base of the report dataclasses.  ``as_dict`` maps each field name
     to its value in field order, which is the key order of the per-check

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import form_norm
 from .mesh import write_lines
-from .report import Report, format_value
+from .report import Report, format_value, require_samples
 from .semigroup import SYMMETRY_TOL, dense_exponential
 
 __all__ = [
@@ -78,11 +77,6 @@ NORMS_CSV = ("norm_2_to_inf", "norm_1_to_2", "norm_inf_to_inf", "min_entry")
 
 
 # ----------------------------------------------------------------------
-def _require_samples(samples):
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-
-
 def _grid(*evaluators):
     """The evaluators' common grid; ValueError if it is empty or differs."""
     times = evaluators[0].grid
@@ -141,8 +135,9 @@ def check_nash(system, samples=200, seed=2024):
     Ratios are compared through their logarithms, so no float power of a
     norm overflows on a huge or tiny domain.  The constant itself scales
     like the domain's length to the power -2 and can still leave the float
-    range, as 0 or inf.
+    range, as 0 or inf.  Fewer than one sample is refused with ValueError.
     """
+    require_samples(samples)
     mesh = system.mesh
     d = mesh.dim
     n = mesh.n_vertices
@@ -232,10 +227,14 @@ def check_ouhabaz_contractivity_criterion(system, samples=100, seed=2024):
     """Truncation criterion behind the sup-norm contraction: with
     w = (1 ^ |u|) sign u and z = (|u| - 1)^+ sign u, the shifted form
     built with boundary operator |bar|_inf +- bar must pair w against z
-    nonnegatively.  Evaluated nodally on threshold-straddling samples."""
-    form_plus = system.with_boundary(system.spec.shifted_bar(+1)).FormAtilde
-    form_minus = system.with_boundary(system.spec.shifted_bar(-1)).FormAtilde
-    scale = max(form_norm(form_plus), form_norm(form_minus))
+    nonnegatively.  Evaluated nodally on threshold-straddling samples,
+    with the comparison systems and form norms the system keeps
+    (``AssembledSystem.shifted_bar``, ``form_scale``).  Fewer than one
+    sample is refused with ValueError."""
+    require_samples(samples)
+    plus, minus = system.shifted_bar(+1), system.shifted_bar(-1)
+    form_plus, form_minus = plus.FormAtilde, minus.FormAtilde
+    scale = max(plus.form_scale, minus.form_scale)
     U = _straddling_samples(system.mesh, samples, np.random.default_rng(seed))
     W = np.clip(U, -1.0, 1.0)
     Z = U - W
@@ -339,7 +338,7 @@ def domination_steps(evaluator, bar_evaluator, samples=50, seed=2024):
     on the evaluator and S_bar(t) |D| on the comparison for the sample
     block D, and evaluate the form criterion; return the conclusion, which
     makes the report once both evaluators have swept."""
-    _require_samples(samples)
+    require_samples(samples)
     times = _grid(evaluator, bar_evaluator)
     rng = np.random.default_rng(seed)
     n = len(evaluator.mass)
@@ -362,7 +361,7 @@ def domination_steps(evaluator, bar_evaluator, samples=50, seed=2024):
     bar_evaluator.register(lambda t, S: combine(t, False, S @ magnitudes))
     form = evaluator.form
     form_bar = bar_evaluator.form
-    form_scale = form_norm(form)
+    form_scale = evaluator.system.form_scale
     pairs = rng.standard_normal((100, 2, n))
     U = pairs[:, 0]
     V = np.abs(pairs[:, 1]) * np.sign(U)
@@ -473,6 +472,12 @@ def check_eventual_positivity(evaluator, times, samples=20, seed=2024):
     exp(alpha t) times the shifted one, and reports the first time
     from which the worst sample ratio stays positive, with delta the
     worst ratio from there on.
+
+    A time on the evaluator's grid reads the doubling chain's matrix, and
+    a time past the grid's last time t_max is S(t_max)^m applied to the
+    samples, after one ``expm`` of the remainder u - m t_max when it is
+    not negligible (``SemigroupEvaluator.apply_beyond``).  Any other time,
+    and every time of a grid-less evaluator, takes one ``expm``.
     """
     conclude = eventual_positivity_steps(evaluator, times, samples, seed)
     evaluator.sweep()
@@ -482,8 +487,11 @@ def check_eventual_positivity(evaluator, times, samples=20, seed=2024):
 def eventual_positivity_steps(evaluator, times, samples=20, seed=2024):
     """Test the hypotheses of ``check_eventual_positivity`` and, when they
     hold, register the worst sample ratio at the grid times among
-    ``times``; return the conclusion, which takes one ``matrix`` at every
-    other time once the evaluator has swept and makes the report."""
+    ``times``; the step at the grid's last time t_max also takes every
+    time past it from S(t_max) (``SemigroupEvaluator.apply_beyond``).
+    Return the conclusion, which takes one ``matrix`` at every other time
+    (off the grid below t_max, or any time of a grid-less evaluator) once
+    the evaluator has swept and makes the report."""
     times = np.asarray(times, dtype=float)
     system = evaluator.system
     Bw = system.Bw
@@ -505,22 +513,29 @@ def eventual_positivity_steps(evaluator, times, samples=20, seed=2024):
     integrals = np.array([float(mass @ u) for u in data])
     block = np.array(data).T
 
-    def ratio(t, S):
-        lowest = (S @ block).min(axis=0)
+    def ratio(t, image):
+        """The worst sample ratio at t from image = S(t) @ block."""
         return (math.exp(system.alpha * t)
-                * float((lowest / integrals).min()))
+                * float((image.min(axis=0) / integrals).min()))
 
     wanted = set(map(float, times))
+    # no time lies past an empty grid, or one of zeros
+    t_max = float(evaluator.grid.max(initial=0.0)) or math.inf
+    beyond = sorted(u for u in wanted if u > t_max)
     found = {}
 
     def step(t, S):
         if t in wanted:
-            found[t] = ratio(t, S)
+            found[t] = ratio(t, S @ block)
+        if t == t_max and beyond and beyond[0] not in found:
+            images = evaluator.apply_beyond(t, S, beyond, block)
+            found.update((u, ratio(u, image))
+                         for u, image in zip(beyond, images))
     evaluator.register(step)
 
     def conclude():
         ratios = np.array([found[t] if t in found
-                           else ratio(t, evaluator.matrix(t))
+                           else ratio(t, evaluator.matrix(t) @ block)
                            for t in map(float, times)])
         # the first time from which every ratio is positive, if there is one
         start = 1 + max(np.flatnonzero(~(ratios > 0.0)), default=-1)
@@ -560,7 +575,7 @@ def check_energy_dissipation(evaluator, times, samples=20, seed=2024):
     share.  With no time to sample, nothing is concluded: max_excess is
     nan and the status discretization-limited.  Fewer than one sample is
     refused with ValueError."""
-    _require_samples(samples)
+    require_samples(samples)
     system = evaluator.system
     generator = (evaluator.dense_generator()
                  if evaluator.symmetry_residual <= SYMMETRY_TOL
@@ -627,7 +642,7 @@ def smoothing_decay_steps(evaluator, nash_constant, times, samples=50,
     report of ``check_smoothing_decay`` at the times ``window``, taken
     from ``times``, once the evaluator has swept.  A window time off the
     grid takes one ``matrix``."""
-    _require_samples(samples)
+    require_samples(samples)
     wanted = set(map(float, np.asarray(times, dtype=float)))
     held = {}
 

@@ -425,9 +425,10 @@ def cached_norms_rows(evaluator, at):
 
 
 def cached_weighted_2_to_2(evaluator, at, t):
-    """The weighted 2->2 norm of S(t) = at(t) from an SVD."""
+    """The weighted 2->2 norm of S(t) = at(t) from ``semigroup._norm_2``,
+    whose agreement with an SVD ``test_semigroup`` checks."""
     root = np.sqrt(evaluator.mass)
-    return float(np.linalg.norm(root[:, None] * at(t) / root[None, :], 2))
+    return semigroup._norm_2(root[:, None] * at(t) / root[None, :])
 
 
 def cached_domination_violation(at, bar_at, times, n, samples, seed):
@@ -444,9 +445,31 @@ def cached_domination_violation(at, bar_at, times, n, samples, seed):
     return worst
 
 
-def cached_eventual_positivity(system, at, times, samples, seed):
+def beyond_image(S, t, u, block, exponential):
+    """S(u) @ block for a time u > t from S = S(t), with the arithmetic of
+    ``SemigroupEvaluator.apply_beyond`` but one time at a time: u = m t + r,
+    one ``exponential(r)`` unless r, or t - r, is within 4 eps u, and then
+    S^m by binary powering from the lowest bit, with the powers squared
+    afresh for this time."""
+    tol = 4.0 * np.finfo(float).eps
+    m, r = divmod(u, t)
+    if t - r <= tol * u:
+        m, r = m + 1, 0.0
+    image = block if r <= tol * u else exponential(r) @ block
+    m, power = int(m), S
+    while m:
+        if m & 1:
+            image = power @ image
+        m >>= 1
+        if m:
+            power = power @ power
+    return image
+
+
+def cached_eventual_positivity(system, image, times, samples, seed):
     """(ratios, t0, delta) of ``check_eventual_positivity`` from
-    S(t) = at(t), for a system that meets its hypotheses."""
+    S(t) @ block = image(t, block), for a system that meets its
+    hypotheses."""
     rng = np.random.default_rng(seed)
     mesh, mass = system.mesh, system.mass
     data = [np.abs(rng.standard_normal(mesh.n_vertices))
@@ -459,7 +482,7 @@ def cached_eventual_positivity(system, at, times, samples, seed):
     block = np.array(data).T
     ratios = np.empty(len(times))
     for k, t in enumerate(times):
-        lowest = (at(t) @ block).min(axis=0)
+        lowest = image(t, block).min(axis=0)
         ratios[k] = (math.exp(system.alpha * t)
                      * float((lowest / integrals).min()))
     start = 1 + max(np.flatnonzero(~(ratios > 0.0)), default=-1)

@@ -249,23 +249,48 @@ def test_continuity_report(interval4_robin_system):
 def test_continuity_blocks_keep_the_bits_of_one_draw(shape, operator):
     """The samples drawn and evaluated in blocks give the largest ratio of
     one draw of all of them, for sample counts on and off the block
-    size; a negative count is refused."""
+    size; no sample, or a negative count, is refused."""
     mesh = oracle_mesh(shape)
     spec, _ = oracle_spec(mesh, operator)
     system = assemble_system(mesh, CoefficientField.isotropic(mesh, 2.0),
                              spec)
-    for samples in (0, 1, 15, 16, 17, 203):
+    for samples in (1, 15, 16, 17, 203):
         report = check_continuity(system, samples=samples, seed=7)
         assert report.max_ratio == one_draw_continuity_ratio(system,
                                                              samples, 7)
-    with pytest.raises(ValueError, match="nonnegative"):
-        check_continuity(system, samples=-1)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            check_continuity(system, samples=samples)
 
 
 def test_form_with_boundary_matches_direct_assembly(interval4_robin_system):
     system = interval4_robin_system
     rebuilt = system.with_boundary(system.spec).FormAtilde
     assert np.abs(rebuilt - system.FormAtilde).max() <= 1e-14
+
+
+def test_cached_norm_and_comparison_systems_follow_the_operator(cube2):
+    """A system keeps its form norm and its |bar|_inf +- bar systems once
+    made; a system derived with another boundary operator starts with
+    neither, so it never reads its parent's."""
+    rng = np.random.default_rng(4)
+    nb = len(cube2.boundary_vertices)
+    system = assemble_system(
+        cube2, CoefficientField.isotropic(cube2, 2.0),
+        BoundaryOperatorSpec.kernel(cube2, 0.05 * rng.standard_normal(
+            (nb, nb))))
+    assert system.form_scale == assembly.form_norm(system.FormAtilde)
+    minus = system.shifted_bar(-1)
+    assert system.shifted_bar(-1) is minus
+    assert system.shifted_bar(+1) is not minus
+    assert minus.spec.matrix().toarray().tolist() == (
+        system.spec.shifted_bar(-1).matrix().toarray().tolist())
+    derived = system.with_boundary(BoundaryOperatorSpec.multiplication(
+        cube2, -0.1))
+    assert derived.form_scale == assembly.form_norm(derived.FormAtilde)
+    assert derived.form_scale != system.form_scale
+    assert derived.shifted_bar(-1) is not minus
+    assert minus.form_scale == assembly.form_norm(minus.FormAtilde)
 
 
 @pytest.mark.parametrize("sheared", [False, True])

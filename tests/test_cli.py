@@ -801,6 +801,61 @@ SHRUNK = {
                       path.read_text())
     for path in sorted(SCENARIO_DIR.glob("*.ini"))
 }
+
+
+def test_each_comparison_system_and_form_norm_is_built_once(tmp_path,
+                                                            monkeypatch):
+    """One cube_kernel run (at 3 divisions, where every check passes)
+    builds the |bar|_inf - bar system once, for both positivity and the
+    truncation criterion, and takes ``form_norm`` at most once per system:
+    accretivity and domination share the primal's."""
+    from robinheat import assembly, coefficients
+
+    spec_cls = coefficients.BoundaryOperatorSpec
+    system_cls = assembly.AssembledSystem
+    shifted, built, normed = {+1: [], -1: []}, [], []
+    shifted_bar, with_boundary = spec_cls.shifted_bar, system_cls.with_boundary
+    form_norm = assembly.form_norm
+
+    def counted_shifted_bar(self, sign):
+        spec = shifted_bar(self, sign)
+        shifted[sign].append(spec)
+        return spec
+
+    def counted_with_boundary(self, spec):
+        derived = with_boundary(self, spec)
+        built.append(derived)
+        return derived
+
+    def counted_form_norm(F):
+        normed.append(F)
+        return form_norm(F)
+
+    monkeypatch.setattr(spec_cls, "shifted_bar", counted_shifted_bar)
+    monkeypatch.setattr(system_cls, "with_boundary", counted_with_boundary)
+    monkeypatch.setattr(assembly, "form_norm", counted_form_norm)
+    text = (SCENARIO_DIR / "cube_kernel.ini").read_text()
+    path = write_scenario(tmp_path, text.replace("divisions = 6",
+                                                 "divisions = 3"))
+    stream = io.StringIO()
+    assert run_scenario(path, output_dir=tmp_path / "o", stream=stream) == 0
+    for check in ("accretivity", "contractivity", "positivity",
+                  "domination"):
+        assert f"{check}: passed" in stream.getvalue()
+    assert len(shifted[-1]) == len(shifted[+1]) == 1
+    # |bar|_inf +- bar and the dominating system, each built once
+    specs = [system.spec for system in built]
+    assert len(built) == 3
+    assert specs.count(shifted[-1][0]) == specs.count(shifted[+1][0]) == 1
+    # the primal's norm and those of |bar|_inf +- bar, once each; nothing
+    # reads the dominating system's
+    assert len({id(F) for F in normed}) == len(normed) == 3
+    comparisons = shifted[-1] + shifted[+1]
+    for system in built:
+        taken = any(F is system.FormAtilde for F in normed)
+        assert taken == any(spec is system.spec for spec in comparisons)
+
+
 TOKENS = ("0", "-1", "2", "0.5", "nan", "inf", "abc", "", "1e-120", "1e300",
           "1000")
 # divisions and count stay small so that no example allocates much

@@ -48,6 +48,7 @@ from robinheat import (
     write_norms_csv,
 )
 from robinheat import assembly, semigroup, verify
+from robinheat.semigroup import dense_exponential
 from robinheat.cli import main
 from oracles import adjoint_evaluator, l1_norm, loop_smoothing_decay
 
@@ -365,6 +366,9 @@ def nonsymmetric_system(kind):
 
 @pytest.mark.parametrize("kind", ["sheared-matrix", "cosine-kernel"])
 def test_nonsymmetric_generators_keep_svd_path(kind, monkeypatch):
+    """A non-self-adjoint form never takes the spectrum's shortcut: its
+    2->2 norm is the largest singular value of the weighted S(t), which
+    ``semigroup._norm_2`` computes from the Gram matrix."""
     system = nonsymmetric_system(kind)
     primal = build_evaluator(system)
     adjoint = adjoint_evaluator(system)
@@ -376,8 +380,8 @@ def test_nonsymmetric_generators_keep_svd_path(kind, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("spectral route taken for a nonsymmetric form")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    assert primal.norm_2_to_2(t) == expected
+    monkeypatch.setattr(SemigroupEvaluator, "_spectrum", refuse)
+    assert_allclose(primal.norm_2_to_2(t), expected, rtol=1e-12, atol=0)
 
 
 def test_norm_1_to_2_satisfies_weighted_adjoint_identity():
@@ -748,3 +752,145 @@ def test_reuse_requires_an_equal_grid(interval4_robin_system):
     for other in ((), grid[1:], geometric_times(ratio=0.6)):
         candidate = build_evaluator(interval4_robin_system, grid=other)
         assert reuse(ev, candidate) is candidate
+
+
+# -- times past the grid, dense 2-norms, the exponential's scaling --------
+
+def kernel_cube(divisions=3):
+    """The shipped cosine-kernel operator on a cube: a non-self-adjoint
+    form that meets the eventual positivity hypotheses."""
+    cube = build_box_mesh((1.0, 1.0, 1.0), (divisions,) * 3)
+    return assemble_system(cube, CoefficientField.isotropic(cube, 2.0),
+                           build_boundary_operator(cube, {
+                               "kind": "kernel", "profile": "cosine",
+                               "scale": 0.005}))
+
+
+# The m-th power raises the rounding of S(t_max), a few 1e-14 relative,
+# to about m times that: 1.9e-12 at u = 50 = 71 * 0.7 + 0.3 on this cube,
+# 3.3e-12 on the 4-division one.  Powering a fresh ``expm`` of t_max
+# instead of the chain's matrix differs from the single ``expm`` of u by
+# up to 1.7e-12 too, so the bound is the doubling chain's 1e-11.
+ROUTE_TOL = 1e-11
+
+
+@pytest.mark.parametrize("t_max, remainders", [
+    (1.0, 0),
+    (0.7, 5),
+    # 2, 10, 20 and 50 leave remainders within 4 eps u of 0.4 itself,
+    # which count as one more power; only 5 = 12 * 0.4 + 0.2 takes one
+    (0.4, 1),
+    (None, 0),
+], ids=["t_max-1", "t_max-0.7", "t_max-0.4", "no-grid"])
+def test_times_past_the_grid_agree_with_one_exponential(t_max, remainders,
+                                                        monkeypatch):
+    """Eventual positivity takes each time u past the grid's last time
+    from S(t_max): S(t_max)^m after one ``expm`` of a nonzero remainder
+    u - m t_max.  Each such S(u) @ block agrees with one
+    ``dense_exponential`` of u at ROUTE_TOL relative to its largest entry,
+    and so do the reported ratios.  A grid-less evaluator takes one
+    ``expm`` per time, with its bits."""
+    from robinheat.cli import EXTRA_POSITIVITY_TIMES
+
+    system = kernel_cube()
+    grid = () if t_max is None else geometric_times(t_max)
+    ev = build_evaluator(system, grid=grid)
+    times = np.union1d(grid, EXTRA_POSITIVITY_TIMES)
+    taken = recording_exponentials(ev)
+    beyond = []
+    apply_beyond = ev.apply_beyond
+
+    def recorded(t, S, past, block):
+        images = apply_beyond(t, S, past, block)
+        beyond.append((t, past, block, images))
+        return images
+
+    monkeypatch.setattr(ev, "apply_beyond", recorded)
+    report = verify.check_eventual_positivity(ev, times, 20, 5)
+    assert report.hypothesis_ok
+    generator = ev.dense_generator()
+    if t_max is None:
+        assert beyond == []
+        assert taken == [float(t) for t in times]
+        return
+    (t, past, block, images), = beyond
+    assert t == t_max and past == list(EXTRA_POSITIVITY_TIMES)
+    integrals = system.mass @ block
+    for u, image in zip(past, images):
+        exact = dense_exponential(generator, u) @ block
+        assert np.abs(image - exact).max() <= ROUTE_TOL * np.abs(exact).max()
+        k = list(times).index(u)
+        ratio = math.exp(system.alpha * u) * (exact.min(axis=0)
+                                              / integrals).min()
+        slack = (ROUTE_TOL * math.exp(system.alpha * u) * np.abs(exact).max()
+                 / integrals.min())
+        assert abs(report.ratios[k] - ratio) <= slack
+    # the chain's exponentials are at grid times; past the grid only the
+    # remainders take one
+    rest = [s for s in taken if s not in set(map(float, grid))]
+    assert len(rest) == remainders
+    assert all(0.0 < r < t_max for r in rest)
+
+
+def test_a_non_finite_power_is_refused():
+    S = np.full((2, 2), 1e200)
+    ev = build_evaluator(stub_system(np.eye(2), np.ones(2)))
+    with pytest.raises(FloatingPointError, match="t = 2"):
+        ev.apply_beyond(1.0, S, [4.0], np.ones((2, 1)))
+
+
+def norm_cases():
+    """Random matrices, a weighted chain matrix and a semigroup-law
+    residual of a non-self-adjoint form, whose entries sit near 1e-14."""
+    rng = np.random.default_rng(3)
+    ev = build_evaluator(kernel_cube(), grid=geometric_times(count=6))
+    root = np.sqrt(ev.mass)
+    _, S = swept(ev)[-1]
+    residual = ev.exponential(1.0) - ev.exponential(0.25) @ ev.exponential(
+        0.75)
+    return {
+        "random-7": rng.standard_normal((7, 7)),
+        "random-60x40": rng.standard_normal((60, 40)),
+        "uniform-50": rng.uniform(size=(50, 50)),
+        "chain": root[:, None] * S / root[None, :],
+        "law-residual": root[:, None] * residual / root[None, :],
+    }
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150])
+def test_dense_2_norm_matches_the_svd(scale):
+    cases = norm_cases()
+    assert 1e-16 < np.abs(cases["law-residual"]).max() < 1e-12
+    for name, X in cases.items():
+        X = X * scale
+        assert_allclose(semigroup._norm_2(X), np.linalg.norm(X, 2),
+                        rtol=1e-12, atol=0, err_msg=name)
+    assert semigroup._norm_2(np.zeros((3, 3))) == 0.0
+
+
+def old_dense_exponential(generator, t):
+    """``dense_exponential`` with the scaled copy handed to ``expm``."""
+    if t == 0.0:
+        return np.eye(len(generator))
+    scaled = -t * generator
+    norm = float(np.linalg.norm(scaled, np.inf))
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    S = scipy.linalg.expm(scaled / 2 ** squarings)
+    for _ in range(squarings):
+        S = S @ S
+    return S
+
+
+@pytest.mark.parametrize("kind", ["interval", "cube", "cosine-kernel"])
+def test_scaling_in_place_keeps_the_bits(kind, interval4_robin_system,
+                                         cube2_neumann_system):
+    system = {"interval": interval4_robin_system,
+              "cube": cube2_neumann_system,
+              "cosine-kernel": kernel_cube()}[kind]
+    generator = build_evaluator(system).dense_generator()
+    norm = np.linalg.norm(generator, np.inf)
+    # below and above the norm 0.5 from which expm's input is scaled
+    times = (0.0, 0.1 / norm, 0.49 / norm, 0.3, 1.0, 7.3)
+    for t in times:
+        assert np.array_equal(dense_exponential(generator, t),
+                              old_dense_exponential(generator, t))

@@ -5,10 +5,11 @@ grid matrix to the per-time steps registered before it.  Every grid
 report a run computes that way must equal, bit for bit, the same report
 computed from the matrices of ``oracles.chain_matrices``, the chain as it
 was once cached whole, with the arithmetic of the checks that read one
-cached matrix per time; and each distinct evaluator computes its chain
-once, however many checks read it.  The traced peak of a run through
-``run_scenario`` is held below a bound in n^2 doubles, which the
-per-time matrix cache exceeded.
+cached matrix per time (past the grid, eventual positivity powers the
+last grid matrix: ``oracles.beyond_image``); and each distinct evaluator
+computes its chain once, however many checks read it.  The traced peak
+of a run through ``run_scenario`` is held below a bound in n^2 doubles,
+which the per-time matrix cache exceeded.
 """
 
 import io
@@ -34,9 +35,10 @@ from robinheat import (
 )
 from robinheat.cli import EXTRA_POSITIVITY_TIMES, run_scenario
 from robinheat.semigroup import SYMMETRY_TOL
-from oracles import (cached_decay_ratio, cached_domination_violation,
-                     cached_eventual_positivity, cached_matrices,
-                     cached_norms, cached_norms_rows, cached_weighted_2_to_2)
+from oracles import (beyond_image, cached_decay_ratio,
+                     cached_domination_violation, cached_eventual_positivity,
+                     cached_matrices, cached_norms, cached_norms_rows,
+                     cached_weighted_2_to_2)
 
 SAMPLES = 5
 SEED = 7
@@ -132,27 +134,36 @@ def test_grid_reports_from_the_sweep_match_the_cached_chain(
     fit = fit_or_refusal(ev)
     l2 = max(ev.norm_2_to_2(t) for t in grid)
 
-    oracles = {}
+    oracles, exponential = {}, None
     for e in distinct:
         oracle = build_evaluator(e.system, grid=grid)
         counting_exponentials(oracle, chained)
         oracles[id(e)] = cached_matrices(oracle)
+        if e is ev:
+            exponential = oracle.exponential
     at, bar_at, positive_at = (oracles[id(e)] for e in (ev, bar, positive))
+    t_max = grid[-1]
 
-    # one chain per distinct evaluator, and one expm per time of the
-    # eventual positivity scan off the grid
-    off_grid = [t for t in times if t not in set(grid)]
-    assert len(taken) == len(chained) + (
-        len(off_grid) if eventually.hypothesis_ok else 0)
+    def image(t, block):
+        if t <= t_max:
+            return at(t) @ block
+        return beyond_image(at(t_max), t_max, t, block, exponential)
+
+    if eventually.hypothesis_ok:
+        ratios, t0, delta = cached_eventual_positivity(
+            system, image, times, SAMPLES, SEED)
+        assert np.array_equal(eventually.ratios, ratios)
+        assert same(eventually.t0, t0) and same(eventually.delta, delta)
+
+    # one chain per distinct evaluator, one expm per time of the eventual
+    # positivity scan off the grid below t_max and one per remainder of a
+    # time past it, which the oracle took too; none past t_max
+    assert len(taken) == len(chained)
+    assert max(taken) <= t_max
     assert np.array_equal(positivity.min_entries,
                           [float(positive_at(t).min()) for t in grid])
     assert dominated.max_violation == cached_domination_violation(
         at, bar_at, grid, system.n, SAMPLES, SEED)
-    if eventually.hypothesis_ok:
-        ratios, t0, delta = cached_eventual_positivity(
-            system, at, times, SAMPLES, SEED)
-        assert np.array_equal(eventually.ratios, ratios)
-        assert same(eventually.t0, t0) and same(eventually.delta, delta)
     assert decayed.max_ratio == cached_decay_ratio(
         system, at, NASH_CONSTANT, window, SAMPLES, SEED)
     assert buffer.getvalue().splitlines()[1:] == cached_norms_rows(ev, at)

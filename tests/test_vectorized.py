@@ -51,7 +51,8 @@ from robinheat import (
     check_continuity,
     compute_trace_norm,
 )
-from robinheat import build_evaluator, coefficients, geometric_times, verify
+from robinheat import (build_evaluator, coefficients, geometric_times,
+                       semigroup, verify)
 from robinheat.semigroup import SYMMETRY_TOL
 from oracles import (
     adjoint_evaluator,
@@ -501,7 +502,12 @@ def loop_continuity(system, samples, seed):
 @pytest.mark.parametrize("kind", ["multiplication", "sheared", "cosine"])
 @pytest.mark.parametrize("samples, seed", [(200, 2024), (7, 11), (0, 3)])
 def test_batched_continuity_matches_sample_loop(kind, samples, seed):
+    """No sample is refused."""
     system = shortcut_system(kind)
+    if samples == 0:
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            check_continuity(system, samples=samples, seed=seed)
+        return
     worst, const = loop_continuity(system, samples, seed)
     report = check_continuity(system, samples=samples, seed=seed)
     assert_allclose(report.max_ratio, worst, rtol=1e-12, atol=0)
@@ -556,7 +562,12 @@ def test_straddling_samples_match_the_loop_bitwise(shape, count, seed):
 @pytest.mark.parametrize("kind", ["selfadjoint", "cosine"])
 @pytest.mark.parametrize("samples, seed", SAMPLES)
 def test_batched_nash_matches_sample_loop(kind, samples, seed):
+    """No sample is refused."""
     system, _, _ = sampled_system(kind)
+    if samples == 0:
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify.check_nash(system, samples, seed)
+        return
     assert_reports_match(verify.check_nash(system, samples, seed),
                          loop_nash(system, samples, seed))
 
@@ -565,7 +576,13 @@ def test_batched_nash_matches_sample_loop(kind, samples, seed):
 @pytest.mark.parametrize("samples, seed", SAMPLES)
 def test_batched_contractivity_criterion_matches_sample_loop(kind, samples,
                                                              seed):
+    """No sample is refused."""
     system, _, _ = sampled_system(kind)
+    if samples == 0:
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify.check_ouhabaz_contractivity_criterion(system, samples,
+                                                         seed)
+        return
     assert_reports_match(
         verify.check_ouhabaz_contractivity_criterion(system, samples, seed),
         loop_contractivity_criterion(system, samples, seed))
@@ -650,8 +667,20 @@ def test_self_adjoint_resolvent_norm_takes_no_svd(beta, monkeypatch):
 
 
 def test_cosine_kernel_resolvent_norm_keeps_one_svd(monkeypatch):
+    """A non-self-adjoint resolvent takes one dense 2-norm, from
+    ``semigroup._norm_2``, and no SVD."""
     _, evaluator, _ = sampled_system("cosine")
     expected = inverse_resolvent_norm(evaluator, 1.0)
-    calls = count_svds(monkeypatch)
-    assert evaluator.resolvent_contraction(1.0) == expected
+    svds = count_svds(monkeypatch)
+    calls = []
+    norm_2 = semigroup._norm_2
+
+    def counting(X):
+        calls.append(X.shape)
+        return norm_2(X)
+
+    monkeypatch.setattr(semigroup, "_norm_2", counting)
+    assert_allclose(evaluator.resolvent_contraction(1.0), expected,
+                    rtol=1e-12, atol=0)
     assert calls == [evaluator.form.shape]
+    assert svds == []
