@@ -15,8 +15,7 @@ its one-dimensional limit 1/tanh(1/2) under refinement.
 
 import math
 
-import numpy as np
-
+# robinheat first: it sets the BLAS thread count before numpy loads.
 from robinheat import (
     BoundaryOperatorSpec,
     CoefficientField,
@@ -24,6 +23,8 @@ from robinheat import (
     build_box_mesh,
     check_admissibility,
 )
+
+import numpy as np
 
 np.set_printoptions(precision=4, suppress=True)
 

@@ -8,8 +8,7 @@ Domination compares |S(t) u| against a sign-free comparison semigroup,
 and the sup bound keeps the unshifted flow below exp(alpha t).
 """
 
-import numpy as np
-
+# robinheat first: it sets the BLAS thread count before numpy loads.
 from robinheat import (
     BoundaryOperatorSpec,
     CoefficientField,
@@ -21,6 +20,8 @@ from robinheat import (
     check_sup_contraction,
     geometric_times,
 )
+
+import numpy as np
 
 TIMES = geometric_times(count=12)
 

@@ -10,8 +10,7 @@ sampled trajectories; with no boundary operator at all the same ratios
 climb monotonically to 1, the uniform density on the unit cube.
 """
 
-import numpy as np
-
+# robinheat first: it sets the BLAS thread count before numpy loads.
 from robinheat import (
     BoundaryOperatorSpec,
     CoefficientField,
@@ -22,6 +21,8 @@ from robinheat import (
     check_eventual_positivity,
     geometric_times,
 )
+
+import numpy as np
 
 GRID = geometric_times(count=12)
 TIMES = np.concatenate([GRID, [2.0, 5.0, 10.0, 50.0]])

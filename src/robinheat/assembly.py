@@ -1,33 +1,35 @@
-"""P1 finite element assembly of the shifted boundary-coupled forms.
+"""P1 finite element assembly of the shifted boundary-coupled forms, and
+the form checks.
 
-The matrices an ``AssembledSystem`` holds are scipy CSR matrices at the
-P1 sparsity pattern: the vertex pairs of each cell and the diagonal, with
-the whole boundary block added to FormAtilde when the boundary operator
-couples distinct vertices.  Each stored entry has the bits that a dense
-n x n assembly gives it, so ``toarray()`` returns that dense matrix.  The
-boundary coupling Bw = diag(w) T is a CSR matrix too, so a zero or
-multiplication operator never allocates an nb x nb array.  Stiffness
-uses exact one-point quadrature (piecewise constant coefficients,
-piecewise constant gradients); volume and boundary mass are lumped.
-
-Assembly is array-at-a-time: the cell gradients come from one stacked
-``inv``, shared by K and K_id, and one ``np.bincount`` over the pattern's
-entries sums the cell matrices in cell order, so every entry has the bits
-of a loop over cells.  Boundary matrices are added at the entries of the
-boundary vertex rows and columns; no 0/1 trace matrix is formed.  A
-coupling of distinct vertices is added to FormAtilde's boundary block
-from one dense nb x nb copy of Bw.
+An ``AssembledSystem`` holds scipy CSR matrices at the P1 sparsity
+pattern, the vertex pairs of each cell and the diagonal; FormAtilde adds
+the whole boundary block when the boundary operator couples distinct
+vertices.  Each stored entry has the bits that a dense n x n assembly
+gives it, so ``toarray()`` returns that dense matrix.  Stiffness uses
+exact one-point quadrature (piecewise constant coefficients, piecewise
+constant gradients); volume and boundary mass are lumped.  The cell
+gradients come from one stacked ``inv``, shared by K and K_id, and one
+``np.bincount`` sums the cell matrices in cell order, so every entry has
+the bits of a loop over cells.  The boundary coupling Bw = diag(w) T is
+CSR too, so a zero or multiplication operator never allocates an
+nb x nb array; one that couples distinct vertices reaches FormAtilde
+through one dense nb x nb copy.
 
 The form checks cost O(nnz) apart from their samples.  The trace norm is
-a power iteration on a sparse LU of H1 and the sparse diagonal trace
-form.  The symmetry test and the symmetric part of a form are sparse
-sums with its transpose.  The norm of a large form detected as symmetric
-is one Lanczos Ritz value rather than a full spectrum (``form_norm``).
-On a large system the accretivity status comes from the pivot signs of a
-sparse symmetric factorization, and lambda_min from shift-invert Lanczos
-on the same factor (``check_accretivity``).  Only a non-symmetric form's
-SVD and the dense spectrum of a small form take a dense copy, and the
-continuity samples are drawn and evaluated in blocks.
+a power iteration on a sparse LU of H1.  A form is symmetric when
+max|F - F^T| <= SYMMETRY_TOL max|F|, tested, like its symmetric part, by
+a sparse sum with the transpose.  From LANCZOS_MIN_SIZE unknowns on, the
+norm of a symmetric form is one Lanczos Ritz value, which lies inside
+the spectrum and so can only underestimate the norm, and accretivity is
+decided by the pivot signs of a sparse symmetric factorization, with
+lambda_min from shift-invert Lanczos on the same factor
+(``_certified_lambda_min``).  Lanczos is ARPACK ``eigsh`` with k=1, tol=0
+and a fixed seeded random start vector, so runs stay deterministic, and
+unlike the all-ones vector a mirror symmetry of the mesh cannot make the
+start orthogonal to the top eigenvector.  Smaller forms, and every case
+that ARPACK or the factorization cannot settle, take the dense spectrum,
+so a Ritz value never decides a pass.  A non-symmetric form's norm is
+the SVD of its dense copy.
 """
 
 import copy
@@ -164,40 +166,14 @@ def assemble_lumped_mass(mesh):
 
 # ----------------------------------------------------------------------
 class AssembledSystem:
-    """All matrices of the shifted form on one mesh.
-
-    Attributes
-    ----------
-    K, K_id : (n, n) CSR matrix at the P1 pattern
-        Stiffness for the coefficient field and for the identity field.
-    mass : (n,)
-        Lumped mass diagonal.
-    boundary_weights : (nb,)
-        Lumped boundary measure at the boundary vertices.
-    Bw : (nb, nb) CSR matrix
-        Weighted boundary coupling diag(w) T on boundary vertex values, so
-        the boundary part of the form is (trace v)^t Bw (trace u).
-        Computed from the spec on each access.
-    FormAtilde : (n, n) CSR matrix
-        Alpha-shifted boundary-coupled form, at the P1 pattern, plus the
-        boundary block when Bw couples distinct vertices.  The adjoint
-        form a*(u, v) = a(v, u) is its transpose, so none is assembled.
-    H1 : (n, n) CSR matrix at the P1 pattern
-        Discrete H1 Gram matrix K_id + diag(mass).
-    trace_norm_sq : float
-        Largest generalized eigenvalue of (Gamma^t diag(w) Gamma, H1),
-        Gamma the 0/1 restriction to the boundary vertices; the trace form
-        is passed to ``compute_trace_norm`` as a sparse diagonal.
-    admissibility : AdmissibilityReport
-    form_scale : float
-        ||FormAtilde||_2 from ``form_norm``, computed once.
-
-    ``with_boundary`` derives the system of another boundary operator
-    from this one, and ``shifted_bar(sign)`` the comparison system of
-    |bar|_inf + sign * bar, built once.  A mesh above DENSE_LIMIT
-    unknowns is refused before anything is assembled, because every run
-    exponentiates the dense copy of a semigroup evaluator's generator
-    built from this system.
+    """All matrices of the shifted form on one mesh: the stiffness K of
+    the field and K_id of the identity, the lumped ``mass`` and
+    ``boundary_weights``, the H1 Gram matrix K_id + diag(mass), the
+    alpha-shifted boundary-coupled form FormAtilde (its transpose is the
+    adjoint form, so none is assembled), ``trace_norm_sq``, the largest
+    generalized eigenvalue of (Gamma^t diag(w) Gamma, H1) with Gamma the
+    restriction to the boundary vertices, and ``admissibility``.  A mesh
+    above DENSE_LIMIT unknowns is refused before anything is assembled.
     """
 
     def __init__(self, mesh, field, spec, alpha):
@@ -330,15 +306,10 @@ def _sparse(A, kind):
 
 def compute_trace_norm(S, H1, tol=1e-10, max_iterations=10000):
     """Largest generalized eigenvalue of (S, H1) by power iteration on the
-    H1-solve.
-
-    Both matrices must be symmetric and H1 positive definite; the pencil
-    then has a real nonnegative spectrum and the Rayleigh quotient
-    converges monotonically up to roundoff.  S and H1 may be dense or
-    sparse.  Both are converted to sparse matrices without explicit
-    zeros and H1 is factored once by sparse LU, so the same nonzeros give
-    the same bits in either form.
-    """
+    H1-solve.  Both must be symmetric and H1 positive definite, so the
+    Rayleigh quotient converges monotonically up to roundoff.  Dense or
+    sparse, both become sparse without explicit zeros and H1 is factored
+    once by sparse LU, so the same nonzeros give the same bits."""
     S = _sparse(S, scipy.sparse.csr_matrix)
     H1 = _sparse(H1, scipy.sparse.csc_matrix)
     solve = scipy.sparse.linalg.splu(H1).solve
@@ -364,20 +335,9 @@ def compute_trace_norm(S, H1, tol=1e-10, max_iterations=10000):
 
 
 def form_norm(F):
-    """||F||_2 of a sparse n x n form.
-
-    When max|F - F^T| <= SYMMETRY_TOL * max|F| the form counts as
-    symmetric, and the norm is the largest |eigenvalue| of its symmetric
-    part.  Both are sparse sums with the transpose, entry by entry the
-    bits of the dense expressions.  From LANCZOS_MIN_SIZE unknowns on the
-    norm is one Lanczos Ritz value (ARPACK ``eigsh`` with k=1 and tol=0).
-    The start vector is a fixed seeded random vector, so runs stay
-    deterministic, and unlike the all-ones vector a mirror symmetry of
-    the mesh cannot make it orthogonal to the top eigenvector.  A Ritz
-    value lies inside the spectrum, so this can only underestimate the
-    norm.  Smaller forms, and forms on which ARPACK fails, take the full
-    dense spectrum.  Any other form takes the SVD of its dense copy.
-    """
+    """||F||_2 of a sparse n x n form: the largest |eigenvalue| of the
+    symmetric part of a symmetric form, the largest singular value of any
+    other (module docstring)."""
     n = F.shape[0]
     if abs(F - F.T).max() > SYMMETRY_TOL * abs(F).max():
         return float(np.linalg.norm(F.toarray(), 2))
@@ -420,10 +380,9 @@ def _certified_lambda_min(system, sigma):
     factor is P (D - sigma I) P^t = L U with U = diag(U) L^t, so by
     Sylvester's law of inertia a positive diag(U) certifies
     lambda_min > sigma.  lambda_min is then sigma + 1/nu, with nu the top
-    Ritz value of shift-invert Lanczos on the same factor
-    (ARPACK ``eigsh``, k=1, tol=0, the seeded start vector of
-    ``form_norm``).  A nonpositive pivot, another permutation, an exactly
-    singular factor or an ARPACK failure give None.
+    Ritz value of shift-invert Lanczos on the same factor.  A nonpositive
+    pivot, another permutation, an exactly singular factor or an ARPACK
+    failure give None.
     """
     try:
         lu = scipy.sparse.linalg.splu(
@@ -449,24 +408,10 @@ def _certified_lambda_min(system, sigma):
 def check_accretivity(system):
     """Verify that the shifted form dominates the H1 Gram matrix:
     sym(FormAtilde - H1) must be positive semidefinite up to
-    ACCRETIVITY_TOL * ||FormAtilde||.
-
-    Requires the weaker admissibility condition; otherwise the check is
-    reported as hypothesis unmet rather than failed.  ||FormAtilde|| is
-    the system's ``form_scale``, from ``form_norm``: a Lanczos Ritz value
-    when the form is symmetric within SYMMETRY_TOL and has at least
-    LANCZOS_MIN_SIZE unknowns, the dense spectrum of a smaller symmetric
-    form, the largest singular value otherwise.  The Ritz value can only
-    underestimate the norm, which tightens the tolerance and so never
-    turns a failure into a pass.
-
-    From LANCZOS_MIN_SIZE unknowns on, a sparse factorization whose pivot
-    signs certify sym(FormAtilde - H1) + ACCRETIVITY_TOL * scale * I
-    positive definite decides ``passed``, and lambda_min comes from
-    shift-invert Lanczos on that factor (``_certified_lambda_min``).
-    Every other case, including each one that factorization cannot
-    certify, takes the full dense spectrum of sym(FormAtilde - H1), so a
-    Ritz value never decides a pass.
+    ACCRETIVITY_TOL times the system's ``form_scale``.  Without the weaker
+    admissibility condition the status is hypothesis unmet.  A Ritz value
+    in ``form_scale`` can only underestimate the norm, which tightens the
+    tolerance and so never turns a failure into a pass.
     """
     scale = system.form_scale
     if not system.admissibility.accretive:

@@ -183,10 +183,7 @@ class _Run:
     primal evaluator and on the comparison evaluators it names with
     ``compares``, and returns the check's conclusion; ``run_scenario``
     then sweeps each evaluator once, so each doubling chain is computed
-    once for all checks, and draws the conclusions in order.  The checks
-    of the adjoint semigroup read it off the primal evaluator by duality.
-    A comparison evaluator is the primal one when ``reuse`` finds its form
-    bitwise equal."""
+    once for all checks, and draws the conclusions in order."""
 
     def __init__(self, scenario, system, grid):
         self.scenario = scenario

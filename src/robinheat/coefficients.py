@@ -113,9 +113,19 @@ def coefficient_field_from_config(mesh, config):
     if kind == "diagonal":
         return CoefficientField.diagonal(mesh, config["values"])
     if kind == "matrix":
-        entries = np.asarray(config["entries"], dtype=float)
-        return CoefficientField.matrix(mesh, entries.reshape(mesh.dim, mesh.dim))
+        return CoefficientField.matrix(
+            mesh, _square(config["entries"], mesh.dim, "a matrix coefficient"))
     raise ValueError(f"unknown coefficient kind {kind!r}")
+
+
+def _square(entries, size, what):
+    """The row-major list ``entries`` as a size x size array; a list of
+    another length is refused with the count it should have."""
+    entries = np.asarray(entries, dtype=float)
+    if entries.size != size * size:
+        raise ValueError(f"{what} needs {size * size} entries ({size} x "
+                         f"{size}, row-major), got {entries.size}")
+    return entries.reshape(size, size)
 
 
 # ----------------------------------------------------------------------
@@ -277,9 +287,8 @@ def build_boundary_operator(mesh, config):
             raise ValueError(f"unknown kernel profile {profile!r}")
         return BoundaryOperatorSpec.kernel(mesh, config["scale"] * samples)
     if kind == "dense":
-        nb = len(mesh.boundary_vertices)
-        entries = np.asarray(config["entries"], dtype=float).reshape(nb, nb)
-        return BoundaryOperatorSpec.dense(mesh, entries)
+        return BoundaryOperatorSpec.dense(mesh, _square(
+            config["entries"], len(mesh.boundary_vertices), "a dense operator"))
     raise ValueError(f"unknown boundary operator kind {kind!r}")
 
 

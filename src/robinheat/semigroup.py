@@ -1,116 +1,70 @@
-"""Semigroup evaluation for the lumped generator M^{-1} FormAtilde.
+"""Semigroup evaluation for the lumped generator P = M^{-1} FormAtilde.
 
-The evaluator exponentiates the (negated, scaled) generator with dense
-scaling and squaring and reports the mixed operator norms used by the
-smoothing estimates.  All norms refer to the lumped measures: L2 and L1
-carry the mass weights, the sup norm is the plain max over vertices.
-
-The generator is a CSR matrix at the form's pattern, each entry
-FormAtilde_ij / m_i.  Its dense copy, bit for bit
-FormAtilde.toarray() / mass[:, None], is built once, on the first call
-that needs a dense kernel (``dense_generator``): the doubling chain,
-``exponential``, the non-self-adjoint ``resolvent_contraction`` and the
-energy check.  The symmetry residual is computed on the sparse weighted
-generator when the evaluator is built, so an evaluator that is never
-exponentiated holds no n x n array, and the residual's temporaries come
-before the grid matrices.
-
+An evaluator is a form, its mass and a time grid.  It holds P as a CSR
+matrix at the form's pattern and builds its dense copy, bit for bit
+FormAtilde.toarray() / mass[:, None], on the first call that needs a
+dense kernel; the symmetry residual comes from the sparse weighted
+generator, so an evaluator never exponentiated holds no n x n array.
 Every quantity refers to the shifted contraction semigroup
-exp(-t M^{-1} FormAtilde).  The original evolution is exp(alpha t) times
-it (Ouhabaz, Analysis of Heat Equations on Domains, 2005); the checks
-that report it apply that scalar, so an evaluator is its form, mass and grid.
+S(t) = exp(-t P); the original evolution is exp(alpha t) S(t) (Ouhabaz,
+Analysis of Heat Equations on Domains, 2005), and the checks that report
+it apply that scalar.  L2 and L1 carry the mass weights, the sup norm is
+the plain max over vertices.
 
-Sharing and duality.  Each evaluator owns its record of per-time values
-(``PER_TIME``: the mixed norms and the smallest entry, each computed once
-per time), its symmetry residual and the spectrum of its symmetrized
-weighted generator, and no grid matrix outlives the sweep that made it
-unless a step holds it.  There is no adjoint
-evaluator: in the lumped inner product u^T M v the adjoint semigroup is
-exactly S*(t) = M^{-1} S(t)^T M = exp(-t M^{-1} FormAtilde^T) on every
-form.  Its mixed norms are the primal's dual norms,
-|S*|_{1->2} = |S|_{2->inf} and |S*|_{1->1} = |S|_{inf->inf}, and a check
-that needs S*(t) itself forms it from the primal's matrix.
-``reuse(evaluator, candidate)`` returns ``evaluator`` when the
-candidate's form, mass and grid are bitwise equal to its own, so
-whoever builds the evaluators of an original and a comparison system
-whose boundary operators coincide detects that they can share and never
-assumes it.  A form one bit away keeps its own evaluator, and a reused
-one gives the bits the candidate would give.
+Duality and sharing.  In the lumped inner product u^T M v the adjoint
+semigroup is exactly S*(t) = M^{-1} S(t)^T M on every form, so there is
+no adjoint evaluator: |S*|_{1->2} = |S|_{2->inf} and
+|S*|_{1->1} = |S|_{inf->inf}.  ``reuse`` gives a comparison system the
+primal evaluator when their form, mass and grid are bitwise equal; that
+is detected, never assumed.
 
-Doubling chain.  An evaluator maps each grid time t_k to the earliest
-grid time t_j with |t_k - 2 t_j| <= 4 eps t_k (eps the float64 machine
-epsilon) and computes S(t_k) = S(t_j) @ S(t_j) instead of a fresh
-``expm``: on the default ratio 2^-1/2, t_{k+2} = 2 t_k, so two
-exponentials and squarings cover a grid that does not start too early
-(below).  This is scaling and squaring (Higham, SIAM J. Matrix
-Anal. Appl. 26(4), 2005) run across grid points instead of inside each
-one.  Floats rarely double exactly (5 of the 22 pairs of the default
-grid do; the rest differ in the last bit), so pairs are detected with
-the tolerance and never assumed; a grid with no pairs, such as ratio
-0.6, keeps one ``expm`` per time.
+The doubling chain.  A grid time t_k whose half is a grid time t_j within
+4 eps t_k (eps the float64 machine epsilon) gets S(t_k) = S(t_j) @ S(t_j)
+instead of a fresh ``expm``: scaling and squaring (Higham, SIAM J.
+Matrix Anal. Appl. 26(4), 2005) run across grid points.  On the default
+ratio 2^-1/2 two exponentials cover the grid; 5 of its 22 pairs double
+exactly and the rest differ in the last bit, and a grid with no pairs,
+such as ratio 0.6, keeps one ``expm`` per time.  The tolerated mismatch
+moves S(t_k) by at most 4 eps t_k |P S(t)|.  A factor far below the norm
+``expm`` scales to has its rounding amplified by 2^m, overscaling
+(Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009), so the
+chain squares only a factor with |t_j P|_inf >= MIN_SQUARED.
+``exponential(t)`` is the single-``expm`` route; ``semigroup_law_defect``
+and the energy check use it, so neither tests a law the chain satisfies
+by construction.  A matrix with a non-finite entry, from an exponential
+or a squaring, is refused with ``FloatingPointError``.
 
 The sweep.  ``sweep`` runs the chain once, in ascending time order, so
 the bits depend only on the generator and the grid, and hands each
-read-only S(t_k) to every per-time step registered before it
-(``register``, or ``record`` for the ``PER_TIME`` values).  It keeps a
-matrix only until the last squaring that reads it: three n x n arrays on
-the default ratio, not one per grid time.  A sweep with no step
-registered computes nothing, so whoever registers every step first
-computes each chain once.  A per-time value asked for at a grid time and
-not yet recorded is recorded at every grid time by one sweep.
-``matrix(t)`` reruns the chain up to a grid time t, for tests and
-demos; an off-grid time takes one uncached ``expm``.
-Error: S(t_k) becomes the 2^m-th power of an exponential at t_k / 2^m,
-and each squaring at most doubles the factor's error and adds one
-product's rounding (the factors of an accretive form are weighted
-2-norm contractions).  A factor far below the norm ``expm`` scales to
-has its rounding amplified by 2^m, overscaling (Al-Mohy and Higham,
-SIAM J. Matrix Anal. Appl. 31(3), 2009), so the chain squares only a
-factor with |t_j P|_inf >= MIN_SQUARED = 2^-4 and takes one ``expm`` at
-any other time.  The tolerated time mismatch moves S(t_k) by at most
-4 eps t_k |P S(t)|.  ``exponential(t)`` is the uncached single-``expm``
-route, ``dense_exponential`` of the generator; ``semigroup_law_defect``
-and the energy check use it, so neither tests a law the chain satisfies
-by construction.  A matrix with a non-finite entry, from an exponential
-or a squaring (of the chain or of ``apply_beyond``), is refused with
-``FloatingPointError``.
+read-only S(t_k) to every step registered before it (``register``, or
+``record`` for the ``PER_TIME`` values).  It keeps a matrix only until
+the last squaring that reads it: three n x n arrays on the default
+ratio.  A sweep with nothing registered computes nothing, so whoever
+registers every step first computes each chain once.
 
-Past the grid.  The eventual positivity scan asks for times past the
-grid's last time t_max.  ``apply_beyond`` serves them from the sweep's
-S(t_max), applied to the samples: a time u = m t_max + r takes
-S(t_max)^m by binary powering, each power S(t_max)^(2^j) squared once
-for all times, after one ``expm`` of r only when r exceeds the chain's
-tolerance 4 eps u.  It holds at most two n x n arrays besides S(t_max).
+Past the grid.  ``apply_beyond`` serves a time u = m t_max + r past the
+grid's last time from the sweep's S(t_max): S(t_max)^m by binary
+powering, after one ``expm`` of r only when r exceeds 4 eps u, so on the
+default grid (t_max = 1) the times 2, 5, 10, 20 and 50 take no ``expm``.
 The m-th power carries about m times the rounding of S(t_max): it sits
 within 3.3e-12 of one ``expm`` of u, relative to the largest entry, at
 u = 50 = 71 * 0.7 + 0.3 on a 125-unknown cosine-kernel cube.
 
-The 2->2 norm.  For the generator P = M^{-1} FormAtilde, the weighted
-generator W = M^{1/2} P M^{-1/2} equals M^{-1/2} FormAtilde M^{-1/2}.
-When max|W - W^T| <= SYMMETRY_TOL * max|W|, S(t) is self-adjoint in the
-lumped inner product and its 2->2 norm is exp(-t lambda_min(W)): the
-evaluator computes the spectrum of W with one ``eigvalsh`` of a dense
-copy of sym W on first use,
-and ``norm_2_to_2`` takes no SVD.  The same spectrum gives the weighted
-2->2 norm of the resolvent (I + lam P)^{-1}, max_k 1 / |1 + lam lambda_k|,
-which is 1 / (1 + lam lambda_min) whenever 1 + lam lambda_min > 0, so
-``resolvent_contraction`` takes neither ``inv`` nor an SVD.  Any other
-generator (sheared matrix fields, non-symmetric kernels) takes the
-weighted 2-norm of S(t), and the ``inv`` and weighted 2-norm of the
-resolvent.  Those dense 2-norms, and both of ``semigroup_law_defect``,
-come from one helper, ``_norm_2``: it scales X by its largest |entry|, so
-X^T X neither overflows nor underflows, and returns the square root of
-the top eigenvalue of X^T X, from one ``eigvalsh``.  That eigenvalue has
-a relative error of a few eps (the top singular value is well
-conditioned), and no SVD is taken.  ``eigvalsh`` is the LAPACK routine
-the form checks already run; one that computes only the top eigenvalue
-(``syevr``) was a third faster at 125 unknowns, but its first call pages
-in about 0.6 MB of library code.
-
-The symmetry rule is a tolerance, not bitwise symmetry: from 216
-unknowns on, the stiffness sum leaves a self-adjoint form asymmetric in
-its last bits, with residuals near 1e-16, while the shipped
-non-self-adjoint forms sit above 1e-5.
+The 2->2 norm.  The weighted generator W = M^{1/2} P M^{-1/2} equals
+M^{-1/2} FormAtilde M^{-1/2}.  When max|W - W^T| <= SYMMETRY_TOL max|W|,
+S(t) is self-adjoint in the lumped inner product, and one ``eigvalsh`` of
+sym W gives its 2->2 norm exp(-t lambda_min(W)) and the resolvent norm
+max_k 1 / |1 + lam lambda_k|.  The rule is a tolerance, not bitwise
+symmetry: from 216 unknowns on, the stiffness sum leaves a self-adjoint
+form asymmetric in its last bits, near 1e-16, while the shipped
+non-self-adjoint forms sit above 1e-5.  Any other generator takes the
+weighted 2-norm of S(t) and of the resolvent's ``inv`` from ``_norm_2``:
+X scaled by its largest |entry|, so X^T X neither overflows nor
+underflows, and the square root of the top eigenvalue of X^T X from one
+``eigvalsh``.  That has a relative error of a few eps (the top singular
+value is well conditioned), and no SVD is taken.  LAPACK ``syevr``, which
+computes only the top eigenvalue, was a third faster at 125 unknowns,
+but its first call pages in about 0.6 MB of library code.
 """
 
 import math
@@ -136,24 +90,10 @@ MIN_SQUARED = 2.0 ** -4     # least |t P|_inf of a factor the chain squares
 
 
 class SemigroupEvaluator:
-    """Evaluate exp(-t M^{-1} F) and its mixed operator norms.
-
-    Parameters
-    ----------
-    system : AssembledSystem
-    grid : sequence of float
-        The times the grid checks scan, which ``sweep`` streams in
-        ascending order (see the module docstring).  Empty by default.
-
-    Attributes
-    ----------
-    generator : (n, n) CSR matrix
-        M^{-1} FormAtilde at the form's pattern; ``dense_generator()`` is
-        its dense copy.
-    symmetry_residual : float
-        max|W - W^T| / max|W| for W = M^{1/2} P M^{-1/2}; the 2->2 norm
-        comes from the spectrum when it is at most SYMMETRY_TOL.
-    """
+    """exp(-t M^{-1} FormAtilde) of an ``AssembledSystem`` and its mixed
+    operator norms, on the nonnegative times ``grid`` (none by default)
+    that ``sweep`` streams.  ``generator`` is the CSR matrix P and
+    ``symmetry_residual`` is max|W - W^T| / max|W|."""
 
     def __init__(self, system, grid=()):
         self.system = system
@@ -175,9 +115,7 @@ class SemigroupEvaluator:
         self._eigenvalues = None
 
     def dense_generator(self):
-        """The generator as an n x n array, ``generator.toarray()``, built
-        on the first call and kept: what ``expm``, the squarings and
-        ``inv`` take."""
+        """``generator.toarray()``, built on the first call and kept."""
         if self._dense is None:
             self._dense = self.generator.toarray()
         return self._dense
@@ -223,9 +161,7 @@ class SemigroupEvaluator:
 
     def _chain(self):
         """(t_k, read-only S(t_k)) for each grid index k, in ascending
-        time order: an ``expm`` or the square of S at the half time (see
-        the module docstring).  A matrix is kept only until the last
-        squaring that reads it."""
+        time order: an ``expm`` or the square of S at the half time."""
         grid = self.grid
         halves = _halves(grid)
         norm = float(np.linalg.norm(self.dense_generator(), np.inf))
@@ -263,9 +199,7 @@ class SemigroupEvaluator:
         return S
 
     def exponential(self, t):
-        """Shifted semigroup matrix at time t >= 0 from one dense scaling
-        and squaring ``expm``, uncached: the route the checks use as an
-        oracle independent of the doubling chain."""
+        """S(t) from one ``expm``, uncached and independent of the chain."""
         return dense_exponential(self.dense_generator(), t)
 
     def apply(self, t, u):
@@ -273,13 +207,11 @@ class SemigroupEvaluator:
         return self.matrix(t) @ np.asarray(u, dtype=float)
 
     def apply_beyond(self, t, S, times, block):
-        """[S(u) @ block for u in times], each u > t, from S = S(t) with
-        no ``expm`` at u: with u = m t + r (``divmod``), the block takes
-        one ``exponential(r)`` only when r exceeds the chain's tolerance
-        4 eps u (an r within it of t counts as one more power), and then
-        S(t)^m by binary powering, each power S(t)^(2^j) squared once for
-        all times.  At most two n x n arrays are held besides S; a
-        non-finite square is refused like the chain's."""
+        """[S(u) @ block for u in times], each u > t, from S = S(t) and
+        no ``expm`` at u (module docstring, "Past the grid").  Each power
+        S(t)^(2^j) is squared once for all times, and an r within 4 eps u
+        of t counts as one more power.  At most two n x n arrays are held
+        besides S."""
         tol = 4.0 * np.finfo(float).eps
         images, counts = [], []
         for u in times:
@@ -332,9 +264,7 @@ class SemigroupEvaluator:
         return self._recorded("min_entry", t)
 
     def norm_2_to_2(self, t):
-        """exp(-t lambda_min(W)) on a self-adjoint form, else the largest
-        singular value of the weighted S(t), from its Gram matrix
-        (``_norm_2``)."""
+        """The weighted L2 operator norm of S(t) (module docstring)."""
         if self.symmetry_residual > SYMMETRY_TOL:
             return self._recorded("norm_2_to_2", t)
         if t < 0:
@@ -352,13 +282,8 @@ class SemigroupEvaluator:
 
     # -- resolvent -----------------------------------------------------
     def resolvent_contraction(self, lam):
-        """Weighted L2 norm of (I + lam M^{-1} FormAtilde)^{-1}; at most 1
-        for an accretive form.  On a self-adjoint form (the rule of
-        ``norm_2_to_2``) it is max_k 1 / |1 + lam lambda_k| over the
-        spectrum of W, which is 1 / (1 + lam lambda_min) whenever
-        1 + lam lambda_min > 0; any other form takes ``inv`` and the
-        weighted 2-norm of the inverse from its Gram matrix
-        (``_norm_2``)."""
+        """Weighted L2 norm of (I + lam M^{-1} FormAtilde)^{-1}, at most 1
+        for an accretive form (module docstring, "The 2->2 norm")."""
         if lam <= 0:
             raise ValueError("lam must be positive")
         if self.symmetry_residual <= SYMMETRY_TOL:
@@ -397,11 +322,9 @@ def _norm_1_to_1(S, mass):
 
 
 def _norm_2(X):
-    """The 2-norm (largest singular value) of the dense matrix X, without
-    an SVD: X is scaled by its largest |entry|, so X^T X neither overflows
-    nor underflows, and the norm is the square root of the top eigenvalue
-    of that Gram matrix, from one ``eigvalsh``.  A zero, infinite or nan
-    scale is returned as it is."""
+    """The 2-norm of the dense matrix X from its scaled Gram matrix
+    (module docstring); a zero, infinite or nan scale is returned as it
+    is."""
     scale = float(np.abs(X).max(initial=0.0))
     if not 0.0 < scale < math.inf:
         return scale
@@ -471,7 +394,7 @@ def reuse(evaluator, candidate):
 
 def _halves(grid):
     """For each grid index, the index of the earliest grid time that is
-    its half within 4 eps relative (see the module docstring), or -1."""
+    its half within 4 eps relative, or -1."""
     close = (np.abs(grid[:, None] - 2.0 * grid[None, :])
              <= 4.0 * np.finfo(float).eps * grid[:, None])
     return np.where((grid > 0) & close.any(axis=1), close.argmax(axis=1), -1)
@@ -493,8 +416,7 @@ def geometric_times(t_max=1.0, ratio=2 ** -0.5, count=24):
 
 def semigroup_law_defect(evaluator, t, s):
     """Relative weighted-L2 defect of S(t+s) - S(t) S(s), each factor from
-    its own ``expm`` (``exponential``), never from the doubling chain.
-    Both weighted 2-norms come from ``_norm_2``, with no SVD."""
+    its own ``exponential``, never from the doubling chain."""
     combined = evaluator.exponential(t + s)
     product = evaluator.exponential(t) @ evaluator.exponential(s)
     return (_weighted_norm_2(combined - product, evaluator.mass)

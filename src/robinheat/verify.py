@@ -17,13 +17,12 @@ Each check that reads S(t) is a per-time step, which an evaluator's
 ``sweep`` hands each grid matrix in turn, and a conclusion drawn once the
 sweep is done.  The per-time norms and the smallest entry are the
 evaluator's record (``SemigroupEvaluator.record``); domination, eventual
-positivity and the L1 -> L2 decay register steps of their own with
-``domination_steps``, ``eventual_positivity_steps`` and
-``smoothing_decay_steps``, each of which returns its conclusion.  A
-runner registers the steps of all its checks before it sweeps, so each
-chain is computed once; every check function called alone registers its
-steps and sweeps for itself, and a sweep with nothing registered costs
-nothing.
+positivity and the L1 -> L2 decay register steps of their own with the
+``*_steps`` functions, which state each check's contract and return its
+conclusion.  A runner registers the steps of all its checks before it
+sweeps, so each chain is computed once; ``check_domination``,
+``check_eventual_positivity`` and ``check_smoothing_decay`` run one
+``*_steps`` function alone.
 """
 
 import itertools
@@ -86,11 +85,13 @@ def _grid(*evaluators):
                      "build each evaluator with grid=")
 
 
-def _record(evaluator, *names):
-    """Record the named per-time values at every grid time of the
-    evaluator, by a sweep if any is missing."""
-    evaluator.record(*names)
-    evaluator.sweep()
+def _alone(steps, evaluators, *args):
+    """Run a ``*_steps`` check alone: register its steps, sweep the
+    ``evaluators`` it reads, in order, and return its conclusion."""
+    conclude = steps(*evaluators, *args)
+    for evaluator in evaluators:
+        evaluator.sweep()
+    return conclude()
 
 
 def _tensor_cosine_modes(mesh, count):
@@ -266,7 +267,6 @@ def check_sup_contraction(evaluator):
     is the same number, |S*(t)|_{1->1} = |S(t)|_{inf->inf} by duality, so
     max_l1_excess restates max_sup_excess."""
     times = _grid(evaluator)
-    _record(evaluator, "norm_inf_to_inf")
     excess = max(map(evaluator.norm_inf_to_inf, times)) - 1.0
     return SupBoundReport(
         max_sup_excess=excess,
@@ -293,7 +293,6 @@ def check_positivity(evaluator):
     there even when the continuum operator does.
     """
     times = _grid(evaluator)
-    _record(evaluator, "min_entry")
     mins = np.array([evaluator.min_entry(t) for t in times])
     if mins.min() >= -POSITIVITY_TOL:
         status = "passed"
@@ -317,6 +316,11 @@ class DominationReport(Report):
 
 
 def check_domination(evaluator, bar_evaluator, samples=50, seed=2024):
+    """``domination_steps`` run alone."""
+    return _alone(domination_steps, (evaluator, bar_evaluator), samples, seed)
+
+
+def domination_steps(evaluator, bar_evaluator, samples=50, seed=2024):
     """|S(t) u| <= S_bar(t) |u| componentwise for random signed samples,
     with violations measured relative to the sup norm of u, plus the
     form-level criterion a_bar(|u|, |v|) <= a(u, v) on sign-aligned pairs.
@@ -324,20 +328,11 @@ def check_domination(evaluator, bar_evaluator, samples=50, seed=2024):
     The comparison semigroup must be the one generated with boundary
     operator -bar: its form minorizes the original on sign-aligned pairs
     entry by entry, which is the discrete shape of the kernel bound
-    |B w| <= bar w.  No sample, or no common grid, is refused with
-    ValueError: an empty grid would leave the form criterion alone.
-    """
-    conclude = domination_steps(evaluator, bar_evaluator, samples, seed)
-    evaluator.sweep()
-    bar_evaluator.sweep()
-    return conclude()
-
-
-def domination_steps(evaluator, bar_evaluator, samples=50, seed=2024):
-    """Register the per-time products of ``check_domination``, |S(t) D|
-    on the evaluator and S_bar(t) |D| on the comparison for the sample
-    block D, and evaluate the form criterion; return the conclusion, which
-    makes the report once both evaluators have swept."""
+    |B w| <= bar w.  Registers |S(t) D| on the evaluator and S_bar(t) |D|
+    on the comparison for the sample block D; the conclusion makes the
+    report once both have swept.  No sample, or no common grid, is
+    refused with ValueError: an empty grid would leave the form criterion
+    alone."""
     require_samples(samples)
     times = _grid(evaluator, bar_evaluator)
     rng = np.random.default_rng(seed)
@@ -411,7 +406,6 @@ def fit_ultracontractivity(evaluator):
     in log-log coordinates.  With fewer than 4 usable points the fit is
     refused.
     """
-    _record(evaluator, "norm_2_to_inf")
     times, alpha = evaluator.grid, evaluator.system.alpha
     g = np.array([evaluator.norm_2_to_inf(t) for t in times])
     log_t = np.log(times)
@@ -463,35 +457,25 @@ class EventualPositivityReport(Report):
 
 
 def check_eventual_positivity(evaluator, times, samples=20, seed=2024):
+    """``eventual_positivity_steps`` run alone."""
+    return _alone(eventual_positivity_steps, (evaluator,), times, samples,
+                  seed)
+
+
+def eventual_positivity_steps(evaluator, times, samples=20, seed=2024):
     """Uniform lower bound (S(t) u)_i >= delta * integral(u) for
     nonnegative data and large times.
 
     Hypotheses checked discretely before any claim: the weighted boundary
     coupling must have nonnegative symmetric part and annihilate the
     constant boundary vector.  The scan uses the unshifted semigroup,
-    exp(alpha t) times the shifted one, and reports the first time
-    from which the worst sample ratio stays positive, with delta the
-    worst ratio from there on.
-
-    A time on the evaluator's grid reads the doubling chain's matrix, and
-    a time past the grid's last time t_max is S(t_max)^m applied to the
-    samples, after one ``expm`` of the remainder u - m t_max when it is
-    not negligible (``SemigroupEvaluator.apply_beyond``).  Any other time,
-    and every time of a grid-less evaluator, takes one ``expm``.
-    """
-    conclude = eventual_positivity_steps(evaluator, times, samples, seed)
-    evaluator.sweep()
-    return conclude()
-
-
-def eventual_positivity_steps(evaluator, times, samples=20, seed=2024):
-    """Test the hypotheses of ``check_eventual_positivity`` and, when they
-    hold, register the worst sample ratio at the grid times among
-    ``times``; the step at the grid's last time t_max also takes every
-    time past it from S(t_max) (``SemigroupEvaluator.apply_beyond``).
-    Return the conclusion, which takes one ``matrix`` at every other time
-    (off the grid below t_max, or any time of a grid-less evaluator) once
-    the evaluator has swept and makes the report."""
+    exp(alpha t) times the shifted one, and reports the first time from
+    which the worst sample ratio stays positive, with delta the worst
+    ratio from there on.  A grid time among ``times`` is registered on
+    the sweep; the step at the grid's last time t_max also takes every
+    time past it (``SemigroupEvaluator.apply_beyond``).  Any other time,
+    and every time of a grid-less evaluator, takes one ``matrix`` in the
+    conclusion."""
     times = np.asarray(times, dtype=float)
     system = evaluator.system
     Bw = system.Bw
@@ -572,9 +556,11 @@ def check_energy_dissipation(evaluator, times, samples=20, seed=2024):
     O(1) terms never mixes them with the evaluator's doubling chain.  On a
     self-adjoint form (symmetry residual at most SYMMETRY_TOL) that is the
     evaluator's own generator, whose last bits the transpose need not
-    share.  With no time to sample, nothing is concluded: max_excess is
-    nan and the status discretization-limited.  Fewer than one sample is
-    refused with ValueError."""
+    share.  Each sample keeps its own matrix-vector product, because the
+    value is a roundoff-amplified difference.  With no time to sample,
+    nothing is concluded: max_excess is nan and the status
+    discretization-limited.  Fewer than one sample is refused with
+    ValueError."""
     require_samples(samples)
     system = evaluator.system
     generator = (evaluator.dense_generator()
@@ -619,29 +605,26 @@ class DecayReport(Report):
 
 def check_smoothing_decay(evaluator, nash_constant, times, samples=50,
                           seed=2024):
+    """``smoothing_decay_steps`` run alone, on the whole of ``times``."""
+    return _alone(smoothing_decay_steps, (evaluator,), nash_constant, times,
+                  samples, seed)
+
+
+def smoothing_decay_steps(evaluator, nash_constant, times, samples=50,
+                          seed=2024):
     """Quantitative L1 -> L2 decay of the adjoint shifted semigroup
     S*(t) = M^{-1} S(t)^T M, formed from the evaluator's matrices:
 
         |S*(t) u|_L2 <= (d C / 4)^(d/4) t^(-d/4) |u|_L1
 
-    with C the sampled interpolation constant on the same mesh.  The
-    report's max_ratio is the worst observed left/right quotient.  With
-    no time to sample, nothing is concluded: max_ratio is nan and the
-    status discretization-limited.  Fewer than one sample is refused with
-    ValueError."""
-    conclude = smoothing_decay_steps(evaluator, nash_constant, times,
-                                     samples, seed)
-    evaluator.sweep()
-    return conclude()
-
-
-def smoothing_decay_steps(evaluator, nash_constant, times, samples=50,
-                          seed=2024):
-    """Register a step that holds S(t) at the grid times among ``times``;
-    return the conclusion ``conclude(window=times)``, which makes the
-    report of ``check_smoothing_decay`` at the times ``window``, taken
-    from ``times``, once the evaluator has swept.  A window time off the
-    grid takes one ``matrix``."""
+    with C the sampled interpolation constant on the same mesh; the
+    report's max_ratio is the worst observed left/right quotient.  The
+    step holds S(t) at the grid times among ``times``, and the conclusion
+    ``conclude(window=times)`` reports at the times ``window``, taken
+    from ``times``; a window time off the grid takes one ``matrix``.
+    With no time to sample, nothing is concluded: max_ratio is nan and
+    the status discretization-limited.  Fewer than one sample is refused
+    with ValueError."""
     require_samples(samples)
     wanted = set(map(float, np.asarray(times, dtype=float)))
     held = {}
@@ -698,7 +681,8 @@ def write_norms_csv(evaluator, target):
     and its smallest matrix entry: exp(alpha t) times the shifted ones."""
     lines = ["t," + ",".join(NORMS_CSV)]
     times = _grid(evaluator)
-    _record(evaluator, *NORMS_CSV)
+    evaluator.record(*NORMS_CSV)       # one sweep records all four
+    evaluator.sweep()
     for t in times:
         shift = math.exp(evaluator.system.alpha * t)
         row = (float(t), *(shift * getattr(evaluator, name)(t)

@@ -1,12 +1,19 @@
-import numpy as np
-import pytest
-
+# robinheat first: it sets the BLAS thread count before numpy loads.
 from robinheat import (
     BoundaryOperatorSpec,
     CoefficientField,
     assemble_system,
     build_box_mesh,
 )
+
+import pytest
+
+
+def pytest_configure(config):
+    """Registered here, not in pyproject.toml: resolving the category
+    imports scipy, and with it numpy, which must load after robinheat."""
+    config.addinivalue_line(
+        "filterwarnings", "error::scipy.sparse.SparseEfficiencyWarning")
 
 
 @pytest.fixture(scope="session")

@@ -117,6 +117,19 @@ def test_positivity_sheared_coefficient_is_discretization_limited():
     assert report.min_entries.min() < -1e-3
 
 
+def test_positivity_fails_under_the_cosine_kernel(cube2):
+    """The paper's headline: a general B destroys positivity.  The primal
+    semigroup of the cosine kernel goes negative on an isotropic field,
+    so the status is failed, not discretization-limited."""
+    spec = build_boundary_operator(
+        cube2, {"kind": "kernel", "profile": "cosine", "scale": 0.005})
+    system = assemble_system(cube2, CoefficientField.isotropic(cube2, 2.0),
+                             spec)
+    report = check_positivity(build_evaluator(system, grid=geometric_times()))
+    assert report.status == "failed"
+    assert report.min_entries.min() == pytest.approx(-2.64e-4, rel=1e-2)
+
+
 # -- domination ----------------------------------------------------------
 
 def test_domination_by_negated_comparison_operator(interval4_robin_system):
