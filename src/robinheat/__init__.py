@@ -30,7 +30,6 @@ from .coefficients import (
 from .assembly import (
     AssembledSystem,
     assemble_system,
-    assemble_stiffness,
     assemble_lumped_mass,
     compute_trace_norm,
     check_accretivity,
@@ -73,7 +72,6 @@ __all__ = [
     "build_boundary_operator",
     "AssembledSystem",
     "assemble_system",
-    "assemble_stiffness",
     "assemble_lumped_mass",
     "compute_trace_norm",
     "check_accretivity",

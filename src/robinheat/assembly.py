@@ -45,7 +45,6 @@ from .report import Report, require_samples
 from .semigroup import SYMMETRY_TOL
 
 __all__ = [
-    "assemble_stiffness",
     "assemble_lumped_mass",
     "AssembledSystem",
     "assemble_system",
@@ -142,18 +141,6 @@ def _cell_stiffness(mesh, *per_cells):
     right = np.swapaxes(grads, 1, 2)
     return [scaled @ right if A is None else scaled @ A @ right
             for A in per_cells]
-
-
-def assemble_stiffness(mesh, field):
-    """K with v^t K u = sum_cells |cell| (A_c grad u) . grad v, as a CSR
-    matrix at the P1 pattern.
-
-    Works for nonsymmetric cell matrices; the entry convention is
-    K[i, j] = |cell| grad(phi_i)^t A_c grad(phi_j).
-    """
-    pattern = _p1_pattern(mesh)
-    local, = _cell_stiffness(mesh, field.per_cell)
-    return pattern.matrix(pattern.sum(local))
 
 
 def assemble_lumped_mass(mesh):

@@ -66,15 +66,20 @@ class Scenario:
 
     def build_mesh(self):
         shape, divisions = self.domain["shape"], self.domain["divisions"]
+        # a box has one dimension per extent, an L-shape dim or the default
+        dim = {"dim": self.domain["dim"]} if "dim" in self.domain else {}
         if shape == "box":
             extents = self.domain["extents"]
+            if dim.get("dim", len(extents)) != len(extents):
+                raise ValueError(f"dim {dim['dim']} disagrees with the "
+                                 f"{len(extents)} extents of the box")
             if isinstance(divisions, int):
                 divisions = [divisions] * len(extents)
             return build_box_mesh(extents, divisions)
         if shape == "lshape":
             if isinstance(divisions, list):
                 raise ValueError("lshape divisions: one number only")
-            return build_lshape_mesh(divisions, dim=self.domain["dim"])
+            return build_lshape_mesh(divisions, **dim)
         raise ValueError(f"unknown domain shape {shape!r}")
 
 
@@ -106,8 +111,9 @@ def _at_least(least, message):
     return parse
 
 
-def _check_names(text):
-    names = [c.strip() for c in text.split(",") if c.strip()]
+def _check_names(text):   # a check named twice runs once
+    names = list(dict.fromkeys(c.strip() for c in text.split(",")
+                               if c.strip()))
     for name in names:
         if name not in CHECKS:
             raise ScenarioError(None, f"unknown check {name!r} "
@@ -121,7 +127,7 @@ def _check_names(text):
 # [run] sets Scenario attributes, every other section a dict.
 _SCHEMA = {
     "domain": {"shape": (str, "box"), "extents": (_floats, "1.0, 1.0, 1.0"),
-               "divisions": (_divisions, "4"), "dim": (int, "2")},
+               "divisions": (_divisions, "4"), "dim": (int, None)},
     "coefficient": {"kind": (str, "isotropic"), "value": (_finite, "1.0"),
                     "values": (_floats, None), "entries": (_floats, None),
                     "alpha": (_finite, None)},
@@ -183,7 +189,7 @@ class _Run:
     primal evaluator and on the comparison evaluators it names with
     ``compares``, and returns the check's conclusion; ``run_scenario``
     then sweeps each evaluator once, so each doubling chain is computed
-    once for all checks, and draws the conclusions in order."""
+    once for all checks, and records the conclusions in order."""
 
     def __init__(self, scenario, system, grid):
         self.scenario = scenario
@@ -197,26 +203,25 @@ class _Run:
         self.summary = []
         self.manifest = {}
         self.reports = {}
-        self.failed = []
 
     def compares(self, evaluator):
-        """``evaluator``, added to the comparison evaluators the run
-        sweeps."""
+        """``evaluator``, added to the comparisons the run sweeps."""
         self.comparisons.append(evaluator)
         return evaluator
 
     def note(self, line):
         self.summary.append(line)
 
-    def record(self, check, status, payload):
-        self.reports[check] = payload
-        self.manifest[f"{check}.status"] = status
-        for key, value in payload.items():
+    def record(self, check, conclusion):
+        """Take the check's verdict from its ``conclusion``, one mapping
+        that holds its ``status``: the manifest's ``<check>.status`` and
+        numbers, the summary line, the exit code and ``<check>.txt``."""
+        self.reports[check] = conclusion
+        self.manifest[f"{check}.status"] = conclusion["status"]
+        for key, value in conclusion.items():
             if isinstance(value, (int, float, np.floating, bool, np.bool_)):
                 self.manifest[f"{check}.{key}"] = _fmt(value)
-        if status == "failed":
-            self.failed.append(check)
-        self.note(f"{check}: {status}")
+        self.note(f"{check}: {conclusion['status']}")
 
     def resolved_times(self):
         """The grid times the mesh resolves: t >= mesh.resolved_time."""
@@ -305,8 +310,9 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
                  f"reflect the mesh resolution, not the domain")
 
     try:
-        conclusions = [(check, CHECKS[check][1](run) if run.runs(check)
-                        else None) for check in scenario.checks]
+        conclusions = [(check, (CHECKS[check][1] if run.runs(check)
+                                else _run_gated)(run))
+                       for check in scenario.checks]
         run.evaluator.record(*verify.NORMS_CSV)
         # A second sweep of an evaluator (a reused one) computes nothing.
         # The primal goes last: its steps may hold matrices, which should
@@ -314,12 +320,7 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
         for evaluator in run.comparisons + [run.evaluator]:
             evaluator.sweep()
         for check, conclude in conclusions:
-            if conclude is not None:
-                run.record(check, *conclude())
-            else:
-                run.record(check, "hypothesis unmet",
-                           {"reason": "admissibility condition violated: "
-                            f"margin {_fmt(admissibility.margin)}"})
+            run.record(check, conclude())
         run.note("generator symmetry residual: "
                  f"{_fmt(run.evaluator.symmetry_residual)}")
         _write_outputs(out, run)
@@ -328,16 +329,20 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
     for line in run.summary:
         print(line, file=stream)
     print(f"output: {out}", file=stream)
-    return 1 if run.failed else 0
+    statuses = [conclusion["status"] for conclusion in run.reports.values()]
+    return 1 if "failed" in statuses else 0
 
 
 # -- check runners: each takes the run, registers the per-time steps of
 # its check on the primal evaluator and on the comparisons it names with
-# ``run.compares``, and returns the conclusion, which gives (status,
-# payload) once they have swept.  Each looks its library functions up
-# when it is called ----------------------------------------------------
-def _reported(report):
-    return report.status, report.as_dict()
+# ``run.compares``, and returns the conclusion, which gives the check's
+# document once they have swept, with "status" last if its report has
+# none.  Each looks its library functions up when it is called ---------
+def _run_gated(run):
+    """A check that needs the admissibility condition, which fails."""
+    reason = ("admissibility condition violated: "
+              f"margin {_fmt(run.system.admissibility.margin)}")
+    return lambda: {"reason": reason, "status": "hypothesis unmet"}
 
 
 def _run_accretivity(run):
@@ -350,7 +355,7 @@ def _run_accretivity(run):
     report = check_accretivity(run.system)
     payload = report.as_dict()
     if report.status == "hypothesis unmet":
-        return lambda: ("hypothesis unmet", payload)
+        return lambda: payload
     evaluator = run.evaluator
     evaluator.record("norm_2_to_2")
     law = max(semigroup_law_defect(evaluator, s, t)
@@ -363,10 +368,9 @@ def _run_accretivity(run):
 
     def conclude():
         l2 = max(evaluator.norm_2_to_2(t) for t in run.grid)
-        payload["law_defect"] = law
-        payload["max_l2_norm"] = l2
-        payload["max_resolvent_norm"] = resolvent
-        payload["energy_max_excess"] = energy.max_excess
+        payload.update(law_defect=law, max_l2_norm=l2,
+                       max_resolvent_norm=resolvent,
+                       energy_max_excess=energy.max_excess)
         ok = (report.status == "passed" and law <= LAW_TOL
               and l2 <= 1.0 + RATIO_TOL and resolvent <= 1.0 + RATIO_TOL)
         return _conclude(run, ok, energy, payload)
@@ -377,7 +381,8 @@ def _run_continuity(run):
     def conclude():
         report = check_continuity(run.system, samples=run.scenario.samples,
                                   seed=run.seed)
-        return "passed" if report.passed else "failed", report.as_dict()
+        return {**report.as_dict(),
+                "status": "passed" if report.passed else "failed"}
     return conclude
 
 
@@ -389,8 +394,8 @@ def _run_nash(run):
     report = verify.check_nash(run.system, samples=run.scenario.samples,
                                seed=run.seed)
     payload = report.as_dict()
-    if report.status == "out-of-hypothesis":
-        return lambda: ("hypothesis unmet", payload)
+    if report.status == "hypothesis unmet":
+        return lambda: payload
     constant = report.implied_constant
     if not 0.0 < constant < math.inf:
         raise ScenarioError(None, f"Nash constant {_fmt(constant)} is outside "
@@ -405,29 +410,24 @@ def _run_nash(run):
         decay = (decay_at(fit.window_times)
                  if isinstance(fit, verify.UltracontractivityReport)
                  else decay_at())
-        payload["decay_max_ratio"] = decay.max_ratio
-        payload["decay_prefactor"] = decay.prefactor
+        payload.update(decay_max_ratio=decay.max_ratio,
+                       decay_prefactor=decay.prefactor)
         return _conclude(run, report.status == "passed", decay, payload)
     return conclude
 
 
 def _conclude(run, ok, sampled, payload):
-    """The status of a check whose conclusion also rests on a report
+    """``payload`` concluded for a check that also rests on a report
     sampled at the resolved grid times: failed when ``ok`` is false or
     the sampled report failed; discretization-limited, with the reason in
     the payload, when no grid time was resolved, so nothing was sampled;
     passed otherwise."""
-    if not ok or sampled.status == "failed":
-        status = "failed"
-    elif sampled.status == "discretization-limited":
-        status = "discretization-limited"
+    status = sampled.status if ok else "failed"
+    if status == "discretization-limited":
         payload["reason"] = (
             f"no grid time reaches the resolved scale {_fmt(run.resolved)}"
             f" (the longest is {_fmt(run.grid[-1])}), so nothing was sampled")
-    else:
-        status = "passed"
-    payload["status"] = status
-    return status, payload
+    return {**payload, "status": status}
 
 
 def _run_contractivity(run):
@@ -438,10 +438,9 @@ def _run_contractivity(run):
             run.system, samples=max(run.scenario.samples, 100),
             seed=run.seed)
         bounds = verify.check_sup_contraction(run.evaluator)
-        payload = report.as_dict()
-        payload.update(bounds.as_dict())
-        ok = report.status == "passed" and bounds.status == "passed"
-        return "passed" if ok else "failed", payload
+        ok = report.status == bounds.status == "passed"
+        return {**report.as_dict(), **bounds.as_dict(),
+                "status": "passed" if ok else "failed"}
     return conclude
 
 
@@ -452,7 +451,7 @@ def _run_positivity(run):
     evaluator = run.compares(
         reuse(run.evaluator, build_evaluator(comparison, grid=run.grid)))
     evaluator.record("min_entry")
-    return lambda: _reported(verify.check_positivity(evaluator))
+    return lambda: verify.check_positivity(evaluator).as_dict()
 
 
 def _run_domination(run):
@@ -462,7 +461,7 @@ def _run_domination(run):
     conclude = verify.domination_steps(
         run.evaluator, run.compares(bar_evaluator),
         samples=min(run.scenario.samples, 50), seed=run.seed)
-    return lambda: _reported(conclude())
+    return lambda: conclude().as_dict()
 
 
 def _run_ultracontractivity(run):
@@ -471,14 +470,13 @@ def _run_ultracontractivity(run):
     def conclude():
         fit = run.fit()
         if isinstance(fit, ValueError):
-            return "discretization-limited", {"reason": str(fit)}
-        payload = fit.as_dict()
+            return {"reason": str(fit), "status": "discretization-limited"}
         # The adjoint's 1 -> 2 norm is the 2 -> sup norm by duality, so
         # its fit is this one.  Both keys stay until the benchmark
         # reference can take a declared key change (ROADMAP item 1).
-        payload["adjoint_fitted_slope"] = fit.fitted_slope
-        payload["adjoint_consistent"] = True
-        return "passed" if fit.envelope_ok else "failed", payload
+        return {**fit.as_dict(), "adjoint_fitted_slope": fit.fitted_slope,
+                "adjoint_consistent": True,
+                "status": "passed" if fit.envelope_ok else "failed"}
     return conclude
 
 
@@ -487,7 +485,7 @@ def _run_eventual_positivity(run):
         run.evaluator,
         np.union1d(run.grid, EXTRA_POSITIVITY_TIMES),
         samples=min(run.scenario.samples, 20), seed=run.seed)
-    return lambda: _reported(conclude())
+    return lambda: conclude().as_dict()
 
 
 # Every check: name -> (needs admissibility, runner), in the order the

@@ -394,10 +394,23 @@ def reuse(evaluator, candidate):
 
 def _halves(grid):
     """For each grid index, the index of the earliest grid time that is
-    its half within 4 eps relative, or -1."""
-    close = (np.abs(grid[:, None] - 2.0 * grid[None, :])
-             <= 4.0 * np.finfo(float).eps * grid[:, None])
-    return np.where((grid > 0) & close.any(axis=1), close.argmax(axis=1), -1)
+    its half within 4 eps relative, or -1.  In linear memory: with the
+    times sorted, ``searchsorted`` finds each one's window of doubled
+    times and one ``minimum.reduceat`` the earliest index in it."""
+    order = np.argsort(grid, kind="stable")
+    times = grid[order]
+    tol = 4.0 * np.finfo(float).eps * times
+    # [t - tol, t + tol] rounded inward (t - low, high - t are exact)
+    low, high = times - tol, times + tol
+    low = np.where(times - low > tol, np.nextafter(low, np.inf), low)
+    high = np.where(high - times > tol, np.nextafter(high, -np.inf), high)
+    lo = np.searchsorted(2.0 * times, low, "left")
+    hi = np.searchsorted(2.0 * times, high, "right")
+    earliest = np.minimum.reduceat(np.append(order, len(grid)),
+                                   np.column_stack([lo, hi]).ravel())[::2]
+    halves = np.empty(len(grid), dtype=np.intp)
+    halves[order] = np.where((times > 0) & (lo < hi), earliest, -1)
+    return halves
 
 
 def geometric_times(t_max=1.0, ratio=2 ** -0.5, count=24):

@@ -131,7 +131,7 @@ def check_nash(system, samples=200, seed=2024):
     failure.
 
     The estimate is used for d > 2; lower dimensions are sampled all the
-    same and labeled out-of-hypothesis.
+    same and reported as hypothesis unmet.
 
     Ratios are compared through their logarithms, so no float power of a
     norm overflows on a huge or tiny domain.  The constant itself scales
@@ -169,7 +169,7 @@ def check_nash(system, samples=200, seed=2024):
         constant = math.exp(worst)
     except OverflowError:
         constant = math.inf
-    status = "passed" if d > 2 else "out-of-hypothesis"
+    status = "passed" if d > 2 else "hypothesis unmet"
     return NashReport(
         dim=d,
         samples=used,

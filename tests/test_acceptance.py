@@ -27,7 +27,6 @@ from robinheat import (
     CoefficientField,
     SemigroupEvaluator,
     assemble_lumped_mass,
-    assemble_stiffness,
     assemble_system,
     build_boundary_operator,
     build_box_mesh,
@@ -305,8 +304,7 @@ def test_9_oracle_equivalence():
     gamma[0, 0] = gamma[1, 4] = 1.0
 
     matrix_errors = {
-        "stiffness": np.abs(assemble_stiffness(mesh, field).toarray()
-                            - K).max(),
+        "stiffness": np.abs(system.K.toarray() - K).max(),
         "mass": np.abs(assemble_lumped_mass(mesh) - mass).max(),
         "consistent": np.abs(assemble_consistent_mass(mesh)
                              - consistent).max(),

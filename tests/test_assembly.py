@@ -28,7 +28,6 @@ from robinheat import (
     CoefficientField,
     Mesh,
     assemble_lumped_mass,
-    assemble_stiffness,
     assemble_system,
     build_box_mesh,
     build_boundary_operator,
@@ -52,6 +51,11 @@ from oracles import (
 ENTRY_TOL = 1e-12
 
 
+def stiffness(mesh, field):
+    """K as a run assembles it: ``AssembledSystem.K``."""
+    return assemble_system(mesh, field, BoundaryOperatorSpec.zero(mesh)).K
+
+
 def tridiag(lower, diag, upper, n):
     return (np.diag(np.full(n - 1, lower), -1)
             + np.diag(np.full(n, diag))
@@ -63,7 +67,7 @@ def tridiag(lower, diag, upper, n):
 def test_interval_stiffness_oracle(interval4):
     # per cell: (A/h) [[1, -1], [-1, 1]] with A = 2, h = 1/4
     field = CoefficientField.isotropic(interval4, 2.0)
-    K = assemble_stiffness(interval4, field)
+    K = stiffness(interval4, field)
     expected = 8.0 * tridiag(-1.0, 2.0, -1.0, 5)
     expected[0, 0] = 8.0
     expected[4, 4] = 8.0
@@ -126,7 +130,7 @@ def test_reference_triangle_nonsymmetric_stiffness():
     mesh = Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]))
     field = CoefficientField.matrix(mesh, np.array([[2.0, 1.0], [0.0, 3.0]]))
-    K = assemble_stiffness(mesh, field)
+    K = stiffness(mesh, field)
     expected = np.array([[3.0, -1.0, -2.0],
                          [-1.5, 1.0, 0.5],
                          [-1.5, 0.0, 1.5]])
@@ -141,10 +145,10 @@ def test_stiffness_transpose_identity(cube2):
                         [-0.5, 2.0, 0.3],
                         [0.0, -0.3, 2.0]])
     field = CoefficientField.matrix(cube2, entries)
-    K = assemble_stiffness(cube2, field)
+    K = stiffness(cube2, field)
     transposed = CoefficientField(
         cube2, np.transpose(field.per_cell, (0, 2, 1)))
-    Kt = assemble_stiffness(cube2, transposed)
+    Kt = stiffness(cube2, transposed)
     assert np.abs(K.T - Kt).max() <= 1e-14
 
 

@@ -152,8 +152,8 @@ def test_parse_reads_back_every_schema_key():
 def test_readme_key_table_matches_the_schema():
     """The README's key table lists every key of ``_SCHEMA`` with its
     default as a scenario file writes it, the cell's first code span (a
-    dash: none), and the keyword defaults of the time grid and the
-    L-shape builder are the schema's."""
+    dash: none), the keyword defaults of the time grid are the schema's,
+    and an L-shape without ``dim`` takes the builder's default, 2."""
     lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
     start = lines.index("| section | key | type | default |") + 2
     table, section = {}, None
@@ -176,7 +176,9 @@ def test_readme_key_table_matches_the_schema():
     assert {key: p.default for key, p in grid.items()} == {
         key: parsed("time_grid", key) for key in _SCHEMA["time_grid"]}
     lshape = inspect.signature(robinheat.build_lshape_mesh).parameters
-    assert lshape["dim"].default == parsed("domain", "dim")
+    scenario = parse_scenario("[domain]\nshape = lshape\ndivisions = 2\n"
+                              "[run]\nchecks = nash\n")
+    assert scenario.build_mesh().dim == lshape["dim"].default == 2
 
 
 def test_parse_error_carries_line_number():
@@ -481,9 +483,11 @@ def test_main_parse_error_exits_2(tmp_path, capsys):
        "kind = matrix\nentries = 2.0, 0.0, 2.0")],
      "coefficient", "a matrix coefficient needs 4 entries (2 x 2, "
      "row-major), got 3"),
+    ([("extents = 1.0\n", "extents = 1.0, 1.0\ndim = 3\n")], "domain",
+     "dim 3 disagrees with the 2 extents of the box"),
 ], ids=["non-elliptic", "cosine-in-1d", "missing-beta", "zero-width",
         "lshape-divisions", "ratio-above-1", "assembly", "dense-count",
-        "matrix-count"])
+        "matrix-count", "box-dim"])
 def test_main_builder_error_exits_2(tmp_path, capsys, edits, section,
                                     message):
     """A builder's refusal names the header line of the section that
@@ -885,6 +889,87 @@ def test_each_comparison_system_and_form_norm_is_built_once(tmp_path,
         assert taken == any(spec is system.spec for spec in comparisons)
 
 
+def with_checks(text, checks):
+    return re.sub(r"checks = .*", f"checks = {checks}", text)
+
+
+VERDICT_INPUTS = {
+    **SHRUNK,
+    "gated": INTERVAL_SCENARIO.replace("beta = -0.1", "beta = -2.0"),
+    "refused-fit": with_checks(INTERVAL_SCENARIO.replace("count = 10",
+                                                         "count = 3"),
+                               "ultracontractivity"),
+    "unresolved": UNRESOLVED_SCENARIO,
+    "nash-2d": with_checks(SHRUNK["lshape_robin"], "nash"),
+    "sup-violation": INTERVAL_SCENARIO.replace(
+        "divisions = 4", "divisions = 64").replace(
+        "ratio = 0.5", "ratio = 0.70710678118654752").replace(
+        "count = 10", "count = 24"),
+    "duplicate": with_checks(SHRUNK["interval_robin"],
+                             "positivity, positivity"),
+}
+STATUSES = ("passed", "failed", "hypothesis unmet", "discretization-limited")
+
+
+def counted_run(tmp_path, monkeypatch, text, name):
+    """The run's exit code, manifest, output directory and count of
+    ``expm`` calls."""
+    import scipy.linalg
+
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        lambda A: calls.append(A.shape) or expm(A))
+    out = tmp_path / name
+    code = run_scenario(write_scenario(tmp_path, text, f"{name}.ini"),
+                        output_dir=out, stream=io.StringIO())
+    manifest = dict(line.split(": ", 1) for line in
+                    (out / "manifest.txt").read_text().splitlines())
+    return code, manifest, out, len(calls)
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_INPUTS))
+def test_each_document_carries_the_manifest_status(tmp_path, monkeypatch,
+                                                   name):
+    """Each ``<check>.txt`` has one status line, the manifest's
+    ``<check>.status``, one of four names; the run exits 1 exactly when
+    one is failed.  A check named twice is listed once and runs once."""
+    code, manifest, out, taken = counted_run(
+        tmp_path, monkeypatch, VERDICT_INPUTS[name], "run")
+    checks = manifest["checks"].split(",")
+    assert len(set(checks)) == len(checks)
+    statuses = [manifest[f"{check}.status"] for check in checks]
+    for check, status in zip(checks, statuses):
+        lines = (out / f"{check}.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("status:")] == [
+            f"status: {status}"]
+        assert status in STATUSES
+    assert code == (1 if "failed" in statuses else 0)
+    if name == "sup-violation":     # one input that must fail
+        assert code == 1
+    if name == "duplicate":
+        single = counted_run(tmp_path, monkeypatch, with_checks(
+            SHRUNK["interval_robin"], "positivity"), "single")
+        assert checks == ["positivity"]
+        assert (code, manifest, taken) == (single[0], single[1], single[3])
+
+
+def test_a_failed_criterion_fails_the_contractivity_document(tmp_path,
+                                                            monkeypatch):
+    """``contractivity`` fails when the truncation criterion fails and the
+    sup bound passes, in its document as in the manifest."""
+    real = verify.check_ouhabaz_contractivity_criterion
+    monkeypatch.setattr(verify, "check_ouhabaz_contractivity_criterion",
+                        lambda *args, **kwargs: dataclasses.replace(
+                            real(*args, **kwargs), status="failed"))
+    code, manifest, out, _ = counted_run(tmp_path, monkeypatch, with_checks(
+        SHRUNK["interval_robin"], "contractivity"), "run")
+    assert code == 1
+    assert manifest["contractivity.status"] == "failed"
+    assert manifest["contractivity.max_sup_excess"].startswith("-")
+    assert "status: failed\n" in (out / "contractivity.txt").read_text()
+
+
 TOKENS = ("0", "-1", "2", "0.5", "nan", "inf", "abc", "", "1e-120", "1e300",
           "1000")
 # divisions and count stay small so that no example allocates much
@@ -962,6 +1047,32 @@ def test_extreme_gaussian_width_runs(tmp_path, width):
     assert code in (0, 1)
 
 
+@pytest.mark.parametrize("text, code", [
+    ("[domain]\nextents = 1.0\ndivisions = 4\n[boundary_operator]\n"
+     "kind = kernel\nprofile = gaussian\nwidth = 0\n"
+     "[run]\nchecks = accretivity\n", 2),
+    ("[domain]\nextents = 1e300, 1, 1\ndivisions = 2\n"
+     "[run]\nchecks = accretivity\n", 2),
+    (HUGE_INTERVAL_NASH, 0),
+], ids=["gaussian-zero", "huge-extent", "huge-nash"])
+def test_extreme_inputs_draw_no_numpy_warning(tmp_path, capsys, text, code):
+    """A zero width, a facet measure that overflows and an interval of
+    length 1e300 are decided by name, with no numpy warning on the way: a
+    refusal names its section's header line."""
+    path = write_scenario(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--output-dir",
+                     str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        section = "boundary_operator" if "kernel" in text else "domain"
+        line = text.splitlines().index(f"[{section}]") + 1
+        assert err.startswith(f"error: line {line}: ")
+    else:
+        assert err == ""
+
+
 def test_long_grid_keeps_contractivity(tmp_path):
     """A 120-point grid starts at t = 1.2e-18.  Squaring up from there
     once reported a sup-norm excess of 2980 on this interval with B = 0;
@@ -1004,6 +1115,24 @@ def clean_env(**variables):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def test_the_module_exits_2_with_an_error_line(tmp_path):
+    """``python -m robinheat.cli`` exits with main's status: 2 for a dense
+    operator with three entries, whose refusal is stderr's first line,
+    naming the section's header line, with no traceback."""
+    path = write_scenario(tmp_path, "[domain]\nextents = 1.0\ndivisions = 4\n"
+                          "[boundary_operator]\nkind = dense\n"
+                          "entries = -0.1, 0.0, 0.0\n"
+                          "[run]\nchecks = accretivity\n")
+    result = subprocess.run([sys.executable, "-m", "robinheat.cli", "run",
+                             str(path), "--output-dir", str(tmp_path / "o")],
+                            env=clean_env(), capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: line 4: a dense operator needs "
+                                    "4 entries")
+    assert "Traceback" not in result.stderr
 
 
 def blas_variable_after_import(env):

@@ -24,6 +24,7 @@ off-grid route and its part in ``reuse`` are checked exactly.
 import copy
 import io
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,6 +51,7 @@ from robinheat import (
 from robinheat import assembly, semigroup, verify
 from robinheat.semigroup import dense_exponential
 from robinheat.cli import main
+import oracles
 from oracles import adjoint_evaluator, l1_norm, loop_smoothing_decay
 
 EXP_TOL = 1e-13
@@ -737,6 +739,40 @@ def test_shuffled_grid_gives_the_sorted_bits():
         for (_, S), (_, other) in zip(matrices, expected):
             assert np.array_equal(S, other)
         assert taken == [float(t) for t in grid[:2]]
+
+
+@st.composite
+def pairing_grids(draw):
+    """Times with a near double each (moved by up to 10 ulps, across the
+    4 eps of the pairing), zeros, subnormals, powers of two and repeats,
+    shuffled."""
+    times = draw(st.lists(st.one_of(
+        st.floats(0.0, 1e300),
+        st.integers(-1074, 996).map(lambda e: math.ldexp(1.0, e))),
+        min_size=1, max_size=12))
+    for t in list(times):
+        ulps = draw(st.integers(-10, 10))
+        times.append(float(2 * t + ulps * np.spacing(2 * t)))
+    times += draw(st.lists(st.sampled_from(times), max_size=6))
+    return np.array(draw(st.permutations(times)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pairing_grids())
+def test_halves_match_the_pairwise_table(grid):
+    assert np.array_equal(semigroup._halves(grid), oracles.halves(grid))
+
+
+def test_halves_take_linear_memory():
+    """4 000 grid times in under 1 MiB; the pairwise table took 256 MB."""
+    grid = geometric_times(ratio=0.9999, count=4000)
+    tracemalloc.start()
+    try:
+        semigroup._halves(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_negative_grid_time_is_refused(interval4_robin_system):

@@ -58,7 +58,7 @@ def test_nash_constant_attains_unit_ratio(cube2_neumann_system):
 
 def test_nash_low_dimension_gate(interval4_robin_system):
     report = check_nash(interval4_robin_system, samples=50, seed=2024)
-    assert report.status == "out-of-hypothesis"
+    assert report.status == "hypothesis unmet"
 
 
 # -- truncation criterion ------------------------------------------------
