@@ -72,10 +72,9 @@ LANCZOS_MIN_SIZE = 300
 
 # Most unknowns an AssembledSystem admits.  Every run computes
 # exponentials of the semigroup evaluator's generator (norms.csv scans the
-# grid whatever the checks), so it holds the generator's dense n x n copy,
-# at most three matrices of the doubling chain's sweep and the ``expm``
-# workspace, each 288 MB at this size.  So the system refuses before
-# assembling anything.
+# grid whatever the checks), so it holds at most three matrices of the
+# doubling chain's sweep and the ``expm`` operand and workspace, each
+# 288 MB at this size.  So the system refuses before assembling anything.
 DENSE_LIMIT = 6000
 
 ACCRETIVITY_TOL = 1e-10     # relative to the norm of the form

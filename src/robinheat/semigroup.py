@@ -1,10 +1,11 @@
 """Semigroup evaluation for the lumped generator P = M^{-1} FormAtilde.
 
-An evaluator is a form, its mass and a time grid.  It holds P as a CSR
-matrix at the form's pattern and builds its dense copy, bit for bit
-FormAtilde.toarray() / mass[:, None], on the first call that needs a
-dense kernel; the symmetry residual comes from the sparse weighted
-generator, so an evaluator never exponentiated holds no n x n array.
+An evaluator is a form, its mass and a time grid.  It holds P only as a
+CSR matrix at the form's pattern, each entry FormAtilde_ij / mass_i, and
+no n x n array outside a sweep or a kernel call: each dense kernel
+(``dense_exponential``, the resolvent's ``inv``) densifies its one
+operand from the sparse P, and the chain and the symmetry residual read
+the sparse P.
 Every quantity refers to the shifted contraction semigroup
 S(t) = exp(-t P); the original evolution is exp(alpha t) S(t) (Ouhabaz,
 Analysis of Heat Equations on Domains, 2005), and the checks that report
@@ -99,9 +100,7 @@ class SemigroupEvaluator:
         self.system = system
         self.mass = system.mass
         self.form = system.FormAtilde
-        form = self.form.tocsr()
-        self.generator = _at_pattern(
-            form, form.data / self.mass[_row_indices(form)])
+        self.generator = lumped_generator(self.form, self.mass)
         self.grid = np.asarray(grid, dtype=float)
         if not (self.grid >= 0).all():
             raise ValueError("grid times must be nonnegative")
@@ -109,16 +108,9 @@ class SemigroupEvaluator:
         scale = float(np.abs(W.data).max(initial=0.0))
         asym = float(np.abs((W - W.T).data).max(initial=0.0))
         self.symmetry_residual = asym / scale if scale > 0 else 0.0
-        self._dense = None
         self._steps = []
         self._record = {}       # (name, t) -> a PER_TIME value
         self._eigenvalues = None
-
-    def dense_generator(self):
-        """``generator.toarray()``, built on the first call and kept."""
-        if self._dense is None:
-            self._dense = self.generator.toarray()
-        return self._dense
 
     def _weighted(self):
         """W = M^{1/2} P M^{-1/2} at the generator's pattern, each entry
@@ -164,7 +156,7 @@ class SemigroupEvaluator:
         time order: an ``expm`` or the square of S at the half time."""
         grid = self.grid
         halves = _halves(grid)
-        norm = float(np.linalg.norm(self.dense_generator(), np.inf))
+        norm = float(abs(self.generator).sum(axis=1).max())
         halves[grid[halves] * norm < MIN_SQUARED] = -1
         order = np.argsort(grid, kind="stable")
         last = {half: k for k in order if (half := halves[k]) >= 0}
@@ -200,7 +192,7 @@ class SemigroupEvaluator:
 
     def exponential(self, t):
         """S(t) from one ``expm``, uncached and independent of the chain."""
-        return dense_exponential(self.dense_generator(), t)
+        return dense_exponential(self.generator, t)
 
     def apply(self, t, u):
         """Semigroup applied to a vertex vector."""
@@ -290,9 +282,17 @@ class SemigroupEvaluator:
             with np.errstate(divide="ignore"):
                 return float((1.0 / np.abs(1.0 + lam * self._spectrum()))
                              .max())
-        R = np.linalg.inv(np.eye(len(self.mass))
-                          + lam * self.dense_generator())
-        return _weighted_norm_2(R, self.mass)
+        A = self.generator.toarray()
+        A *= lam
+        A.flat[::len(A) + 1] += 1.0     # I + lam P
+        return _weighted_norm_2(np.linalg.inv(A), self.mass)
+
+
+def lumped_generator(form, mass):
+    """M^{-1} form as a CSR matrix at the pattern of the sparse ``form``,
+    each entry form_ij / mass_i."""
+    form = form.tocsr()
+    return _at_pattern(form, form.data / mass[_row_indices(form)])
 
 
 def _row_indices(A):
@@ -356,11 +356,17 @@ def build_evaluator(system, grid=()):
 
 
 def dense_exponential(generator, t):
-    """exp(-t generator) for t >= 0 from one dense scaling and squaring
-    ``expm``; a result with a non-finite entry is refused."""
+    """exp(-t generator) of the sparse ``generator`` for a finite t >= 0
+    from one dense scaling and squaring ``expm``, whose one n x n operand
+    is -t generator densified; a negative or non-finite t is refused with
+    ValueError, and a result with a non-finite entry with
+    FloatingPointError."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time {t!r} is not finite and nonnegative")
     if t == 0.0:
-        return np.eye(len(generator))
-    scaled = -t * generator
+        return np.eye(generator.shape[0])
+    scaled = generator.toarray()
+    scaled *= -t
     norm = float(np.linalg.norm(scaled, np.inf))
     squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
     if squarings:
@@ -429,8 +435,9 @@ def geometric_times(t_max=1.0, ratio=2 ** -0.5, count=24):
 
 def semigroup_law_defect(evaluator, t, s):
     """Relative weighted-L2 defect of S(t+s) - S(t) S(s), each factor from
-    its own ``exponential``, never from the doubling chain."""
-    combined = evaluator.exponential(t + s)
+    its own ``exponential``, never from the doubling chain.  The product
+    is formed, and both factors dropped, before S(t+s) is made."""
     product = evaluator.exponential(t) @ evaluator.exponential(s)
+    combined = evaluator.exponential(t + s)
     return (_weighted_norm_2(combined - product, evaluator.mass)
             / _weighted_norm_2(combined, evaluator.mass))

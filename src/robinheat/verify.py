@@ -33,7 +33,7 @@ import numpy as np
 
 from .mesh import write_lines
 from .report import Report, format_value, require_samples
-from .semigroup import SYMMETRY_TOL, dense_exponential
+from .semigroup import SYMMETRY_TOL, dense_exponential, lumped_generator
 
 __all__ = [
     "NashReport",
@@ -551,33 +551,35 @@ def check_energy_dissipation(evaluator, times, samples=20, seed=2024):
     """The squared L2 norm along the adjoint shifted evolution S*(t)
     dissipates at least twice the squared H1 norm (centered finite
     difference in t against the instantaneous H1 energy).  All three
-    matrices of a time come from ``dense_exponential`` of the adjoint
-    generator M^{-1} FormAtilde^T, one ``expm`` each, so a difference of
-    O(1) terms never mixes them with the evaluator's doubling chain.  On a
-    self-adjoint form (symmetry residual at most SYMMETRY_TOL) that is the
-    evaluator's own generator, whose last bits the transpose need not
-    share.  Each sample keeps its own matrix-vector product, because the
-    value is a roundoff-amplified difference.  With no time to sample,
-    nothing is concluded: max_excess is nan and the status
-    discretization-limited.  Fewer than one sample is refused with
-    ValueError."""
+    matrices of a time come from ``dense_exponential`` of the sparse
+    adjoint generator M^{-1} FormAtilde^T, one ``expm`` each and one held
+    at a time, so a difference of O(1) terms never mixes them with the
+    evaluator's doubling chain.  On a self-adjoint form (symmetry residual
+    at most SYMMETRY_TOL) that is the evaluator's own generator, whose
+    last bits the transpose need not share.  Each sample keeps its own
+    matrix-vector product, because the value is a roundoff-amplified
+    difference.  With no time to sample, nothing is concluded: max_excess
+    is nan and the status discretization-limited.  Fewer than one sample,
+    or a time that is not positive, is refused with ValueError."""
     require_samples(samples)
+    if not all(t > 0 for t in times):
+        raise ValueError("energy dissipation is sampled at positive times")
     system = evaluator.system
-    generator = (evaluator.dense_generator()
+    generator = (evaluator.generator
                  if evaluator.symmetry_residual <= SYMMETRY_TOL
-                 else evaluator.form.toarray().T / evaluator.mass[:, None])
+                 else lumped_generator(evaluator.form.T, evaluator.mass))
     rng = np.random.default_rng(seed)
     draws = [rng.standard_normal(system.n) for _ in range(samples)]
     scale = max((system.l2_norm(u) ** 2 for u in draws), default=0.0)
     worst = -math.inf
     for t in times:
         step = 1e-3 * t
-        before, now, after = (dense_exponential(generator, s)
+        before, now, after = (_images(generator, s, draws)
                               for s in (t - step, t, t + step))
-        for u in draws:
-            derivative = (system.l2_norm(after @ u) ** 2
-                          - system.l2_norm(before @ u) ** 2) / (2 * step)
-            worst = max(worst, derivative + 2.0 * system.h1_norm(now @ u) ** 2)
+        for u_before, u_now, u_after in zip(before, now, after):
+            derivative = (system.l2_norm(u_after) ** 2
+                          - system.l2_norm(u_before) ** 2) / (2 * step)
+            worst = max(worst, derivative + 2.0 * system.h1_norm(u_now) ** 2)
     if len(times):
         status = "passed" if worst <= ENERGY_TOL * scale else "failed"
     else:
@@ -589,6 +591,13 @@ def check_energy_dissipation(evaluator, times, samples=20, seed=2024):
         seed=seed,
         status=status,
     )
+
+
+def _images(generator, t, draws):
+    """[exp(-t generator) @ u for u in draws], from one
+    ``dense_exponential`` dropped on return."""
+    S = dense_exponential(generator, t)
+    return [S @ u for u in draws]
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,12 @@ import pytest
 
 def pytest_configure(config):
     """Registered here, not in pyproject.toml: resolving the category
-    imports scipy, and with it numpy, which must load after robinheat."""
+    imports scipy, and with it numpy, which must load after robinheat.
+    A numpy RuntimeWarning (overflow, division by zero, an invalid value)
+    fails the test that raised it."""
     config.addinivalue_line(
         "filterwarnings", "error::scipy.sparse.SparseEfficiencyWarning")
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
 @pytest.fixture(scope="session")

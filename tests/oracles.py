@@ -390,7 +390,7 @@ def chain_matrices(evaluator):
     time (``halves``, ``MIN_SQUARED``) and keeps them all."""
     grid = evaluator.grid
     halves_at = halves(grid)
-    norm = float(np.linalg.norm(evaluator.dense_generator(), np.inf))
+    norm = float(np.linalg.norm(evaluator.generator.toarray(), np.inf))
     chain = [None] * len(grid)
     for k in np.argsort(grid, kind="stable"):
         if (halves_at[k] < 0

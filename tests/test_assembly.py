@@ -416,7 +416,7 @@ def test_sparse_forms_have_the_bits_of_the_dense_assembly(shape, operator):
                 name
         evaluator = build_evaluator(derived)
         generator = expected["FormAtilde"] / derived.mass[:, None]
-        assert evaluator.dense_generator().tobytes() == generator.tobytes()
+        assert evaluator.generator.toarray().tobytes() == generator.tobytes()
         assert evaluator.symmetry_residual == dense_symmetry_residual(
             generator, derived.mass)
 

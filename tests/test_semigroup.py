@@ -124,6 +124,24 @@ def test_matrix_rejects_negative_time():
         ev.matrix(-0.1)
 
 
+@pytest.mark.parametrize("t", [-1.0, -1e-300, math.inf, math.nan])
+def test_exponentials_refuse_negative_and_non_finite_times(
+        interval4_robin_system, t):
+    """Unrefused, a negative time answers with a growing matrix (entries
+    near 1e222 at t = -1 on an 8-cell interval)."""
+    ev = build_evaluator(interval4_robin_system)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        dense_exponential(ev.generator, t)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ev.exponential(t)
+
+
+def test_law_defect_refuses_a_negative_time(interval4_robin_system):
+    ev = build_evaluator(interval4_robin_system)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        semigroup_law_defect(ev, -0.5, 0.25)
+
+
 # -- structural identities ----------------------------------------------
 
 def test_semigroup_law(interval4_robin_system):
@@ -533,8 +551,8 @@ def test_sharing_stops_above_the_symmetry_tolerance(interval4_robin_system,
                     factor * semigroup.SYMMETRY_TOL, rtol=1e-3)
     t = 0.1
     own = primal.exponential(t)
-    transposed = semigroup.dense_exponential(form.toarray().T / m[:, None],
-                                             t)
+    transposed = semigroup.dense_exponential(
+        scipy.sparse.csr_matrix(form.toarray().T / m[:, None]), t)
     assert not np.array_equal(own, transposed)
     taken = energy_exponentials(primal, t)
     assert np.array_equal(taken, own if shared else transposed)
@@ -844,7 +862,7 @@ def test_times_past_the_grid_agree_with_one_exponential(t_max, remainders,
     monkeypatch.setattr(ev, "apply_beyond", recorded)
     report = verify.check_eventual_positivity(ev, times, 20, 5)
     assert report.hypothesis_ok
-    generator = ev.dense_generator()
+    generator = ev.generator
     if t_max is None:
         assert beyond == []
         assert taken == [float(t) for t in times]
@@ -923,10 +941,36 @@ def test_scaling_in_place_keeps_the_bits(kind, interval4_robin_system,
     system = {"interval": interval4_robin_system,
               "cube": cube2_neumann_system,
               "cosine-kernel": kernel_cube()}[kind]
-    generator = build_evaluator(system).dense_generator()
-    norm = np.linalg.norm(generator, np.inf)
+    generator = build_evaluator(system).generator
+    assert scipy.sparse.issparse(generator) and generator.format == "csr"
+    dense = generator.toarray()
+    norm = np.linalg.norm(dense, np.inf)
     # below and above the norm 0.5 from which expm's input is scaled
     times = (0.0, 0.1 / norm, 0.49 / norm, 0.3, 1.0, 7.3)
     for t in times:
         assert np.array_equal(dense_exponential(generator, t),
-                              old_dense_exponential(generator, t))
+                              old_dense_exponential(dense, t))
+
+
+def test_an_evaluator_holds_no_dense_array_between_kernels():
+    """After a sweep, an ``exponential``, the resolvent's ``inv`` and the
+    energy check on a non-self-adjoint form, no attribute of the evaluator
+    (nor an item of one) is an n x n array: each kernel densified its
+    operand from the sparse generator and dropped it."""
+    ev = build_evaluator(kernel_cube(), grid=geometric_times(count=6))
+    n = len(ev.mass)
+    assert ev.symmetry_residual > semigroup.SYMMETRY_TOL
+    ev.record("norm_2_to_2", "min_entry")
+    ev.sweep()
+    ev.exponential(0.3)
+    ev.resolvent_contraction(1.0)
+    verify.check_energy_dissipation(ev, [0.5], samples=2)
+    held = []
+    for value in vars(ev).values():
+        held.append(value)
+        if isinstance(value, dict):
+            held += value.values()
+        elif isinstance(value, (list, tuple)):
+            held += value
+    assert not [value for value in held
+                if isinstance(value, np.ndarray) and value.size == n * n]

@@ -178,35 +178,43 @@ def test_grid_reports_from_the_sweep_match_the_cached_chain(
 
 # -- memory ---------------------------------------------------------------
 
-CUBE5_KERNEL = """
+CUBE5 = """
 [domain]
 extents = 1.0, 1.0, 1.0
 divisions = 5
 [coefficient]
 kind = isotropic
-value = 2.0
+value = {value}
 [boundary_operator]
-kind = kernel
-profile = cosine
-scale = 0.005
+{operator}
 [run]
 checks = {checks}
 """
+OPERATORS = {
+    "cosine-kernel": (2.0, "kind = kernel\nprofile = cosine\nscale = 0.005"),
+    "cube_robin": (2.5, "kind = multiplication\nbeta = -0.05"),
+}
+MATRIX_STEPS = "accretivity, domination, eventual_positivity"
 
 
-@pytest.mark.parametrize("checks, bound", [
-    # the per-time cache peaked at 31.9 n^2 doubles, the sweep at 14.3
-    ("ultracontractivity", 20),
-    # a run that registers matrix steps: 60.4 with the cache, 23.0 now
-    ("accretivity, domination, eventual_positivity", 35),
-], ids=["ultracontractivity", "matrix-steps"])
-def test_traced_peak_of_a_cosine_kernel_run(tmp_path, checks, bound):
-    """The 5-division cosine-kernel cube (216 unknowns) through
-    ``run_scenario``: its traced peak stays below ``bound`` n x n arrays
-    of doubles."""
+@pytest.mark.parametrize("operator, checks, bound", [
+    # the per-time cache peaked at 31.9 n^2 doubles, the sweep with the
+    # generator's dense copy at 13.3, with none at 12.3
+    ("cosine-kernel", "ultracontractivity", 13),
+    # a run that registers matrix steps: 60.4 with the cache, 22.0 with
+    # the dense copy, 20.0 now
+    ("cosine-kernel", MATRIX_STEPS, 21),
+    # 14.9 with the dense copy, 10.3 now
+    ("cube_robin", MATRIX_STEPS, 12),
+], ids=["ultracontractivity", "matrix-steps", "cube_robin-matrix-steps"])
+def test_traced_peak_of_a_cosine_kernel_run(tmp_path, operator, checks, bound):
+    """The 5-division cube (216 unknowns) with the cosine-kernel operator,
+    and with cube_robin's beside it, through ``run_scenario``: its traced
+    peak stays below ``bound`` n x n arrays of doubles."""
     n = 216
-    path = tmp_path / "cube5_kernel.ini"
-    path.write_text(CUBE5_KERNEL.format(checks=checks))
+    value, lines = OPERATORS[operator]
+    path = tmp_path / "cube5.ini"
+    path.write_text(CUBE5.format(value=value, operator=lines, checks=checks))
     tracemalloc.start()
     try:
         status = run_scenario(path, output_dir=tmp_path / "out",

@@ -301,6 +301,17 @@ def test_energy_dissipation(interval4_robin_system):
     assert report.max_excess <= 1e-6 * report.scale
 
 
+@pytest.mark.parametrize("times", [[-0.1], [0.0], [0.5, -1e-300]],
+                         ids=["negative", "zero", "one-negative"])
+def test_energy_dissipation_refuses_times_that_are_not_positive(
+        times, interval4_robin_system):
+    """Unrefused, a negative time reads as a large negative excess, so
+    ``passed``, and a zero time divides by a zero step."""
+    evaluator = build_evaluator(interval4_robin_system)
+    with pytest.raises(ValueError, match="positive times"):
+        check_energy_dissipation(evaluator, times)
+
+
 def sample_outer_energy(adjoint_evaluator, times, samples, seed):
     """Reference for check_energy_dissipation: the loop over samples, each
     through every time by ``apply``, as (max_excess, scale)."""
