@@ -8,14 +8,16 @@ condition), and writes a summary document, per-check reports, a norms
 CSV, and a machine-readable manifest.  Running the same scenario twice
 produces byte-identical CSV and manifest files.
 
-Exit status: 0 when every requested check passed or was hypothesis
-gated, 1 when a conclusion failed under satisfied hypotheses, 2 for
-unusable input (parse errors, non-finite numbers, a negative seed or no
-samples, missing files, schema mismatch, domains, coefficients,
+Exit status of ``run``: 0 when every requested check passed or was
+hypothesis gated, 1 when a conclusion failed under satisfied hypotheses,
+2 for unusable input (parse errors, non-finite numbers, a negative seed
+or no samples, missing files, schema mismatch, domains, coefficients,
 boundary operators or time grids the builders reject, an assembly that
 refuses or fails, an alpha t beyond the range of exp, a semigroup matrix
 with a non-finite entry, and a Nash constant outside the float range).
 A builder's refusal names the header line of the section it reads.
+``compare`` exits 0 when two manifests agree, 1 when it lists a
+difference and 2 on a schema mismatch or an unreadable file.
 """
 
 import argparse
@@ -129,8 +131,7 @@ _SCHEMA = {
     "domain": {"shape": (str, "box"), "extents": (_floats, "1.0, 1.0, 1.0"),
                "divisions": (_divisions, "4"), "dim": (int, None)},
     "coefficient": {"kind": (str, "isotropic"), "value": (_finite, "1.0"),
-                    "values": (_floats, None), "entries": (_floats, None),
-                    "alpha": (_finite, None)},
+                    "values": (_floats, None), "entries": (_floats, None)},
     "boundary_operator": {"kind": (str, "zero"), "beta": (_finite, None),
                           "profile": (str, "constant"),
                           "scale": (_finite, "1.0"), "width": (_finite, None),
@@ -184,12 +185,13 @@ def parse_scenario(text):
 class _Run:
     """One scenario run: what every check runner reads (the scenario, the
     assembled system, its evaluator, the time grid and the smallest time
-    the mesh resolves) and what the runs record.  Every evaluator is built
-    with the grid.  A runner registers its check's per-time steps on the
-    primal evaluator and on the comparison evaluators it names with
-    ``compares``, and returns the check's conclusion; ``run_scenario``
-    then sweeps each evaluator once, so each doubling chain is computed
-    once for all checks, and records the conclusions in order."""
+    the mesh resolves) and what the runs record.  A runner registers its
+    check's per-time steps on the primal evaluator and on those
+    ``comparison`` gives it, all on the grid, and returns the check's
+    conclusion; ``run_scenario`` then sweeps each evaluator once, so each
+    chain is computed once, makes ``fitted`` (the ultracontractivity fit,
+    or the ValueError that refused it) when that check runs, and records
+    the conclusions in order."""
 
     def __init__(self, scenario, system, grid):
         self.scenario = scenario
@@ -204,9 +206,13 @@ class _Run:
         self.manifest = {}
         self.reports = {}
 
-    def compares(self, evaluator):
-        """``evaluator``, added to the comparisons the run sweeps."""
-        self.comparisons.append(evaluator)
+    def comparison(self, system):
+        """The evaluator of the comparison ``system``: the primal when
+        ``reuse`` finds them equal, else a new one, which the run sweeps."""
+        evaluator = reuse(self.evaluator,
+                          build_evaluator(system, grid=self.grid))
+        if evaluator is not self.evaluator:
+            self.comparisons.append(evaluator)
         return evaluator
 
     def note(self, line):
@@ -233,18 +239,6 @@ class _Run:
         needs_admissibility, _ = CHECKS[check]
         return check in self.scenario.checks and (
             self.system.admissibility.admissible or not needs_admissibility)
-
-    def fit(self):
-        """The ultracontractivity fit, made on the first call, or the
-        ValueError that refused it (too few resolved grid points).  The
-        error is kept without its traceback, whose frames would hold the
-        run and its matrices."""
-        if self.fitted is None:
-            try:
-                self.fitted = verify.fit_ultracontractivity(self.evaluator)
-            except ValueError as exc:
-                self.fitted = exc.with_traceback(None)
-        return self.fitted
 
 
 def run_scenario(path, output_dir=None, seed=None, stream=None):
@@ -291,13 +285,6 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
     run.note(f"scenario: {path.name}")
     run.note(f"mesh: dim {mesh.dim}, {mesh.n_vertices} vertices, "
              f"{mesh.n_cells} cells, volume {_fmt(mesh.volume)}")
-    alpha = scenario.coefficient.get("alpha")
-    if alpha is not None and not math.isclose(alpha, field.alpha,
-                                              rel_tol=1e-12):
-        message = (f"warning: scenario alpha {_fmt(alpha)} ignored; "
-                   f"certified ellipticity constant {_fmt(field.alpha)} wins")
-        run.note(message)
-        print(message, file=sys.stderr)
     run.note(f"alpha: {_fmt(system.alpha)}")
     run.note(f"trace_norm_sq: {_fmt(system.trace_norm_sq)}")
     run.note(f"admissible: {_fmt(admissibility.admissible)} "
@@ -314,11 +301,16 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
                                 else _run_gated)(run))
                        for check in scenario.checks]
         run.evaluator.record(*verify.NORMS_CSV)
-        # A second sweep of an evaluator (a reused one) computes nothing.
         # The primal goes last: its steps may hold matrices, which should
         # not wait through a comparison's exponentials.
         for evaluator in run.comparisons + [run.evaluator]:
             evaluator.sweep()
+        if run.runs("ultracontractivity"):
+            try:
+                run.fitted = verify.fit_ultracontractivity(run.evaluator)
+            except ValueError as exc:
+                # without its traceback, whose frames hold the run
+                run.fitted = exc.with_traceback(None)
         for check, conclude in conclusions:
             run.record(check, conclude())
         run.note("generator symmetry residual: "
@@ -334,8 +326,8 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
 
 
 # -- check runners: each takes the run, registers the per-time steps of
-# its check on the primal evaluator and on the comparisons it names with
-# ``run.compares``, and returns the conclusion, which gives the check's
+# its check on the primal evaluator and on the comparisons it takes from
+# ``run.comparison``, and returns the conclusion, which gives the check's
 # document once they have swept, with "status" last if its report has
 # none.  Each looks its library functions up when it is called ---------
 def _run_gated(run):
@@ -378,12 +370,8 @@ def _run_accretivity(run):
 
 
 def _run_continuity(run):
-    def conclude():
-        report = check_continuity(run.system, samples=run.scenario.samples,
-                                  seed=run.seed)
-        return {**report.as_dict(),
-                "status": "passed" if report.passed else "failed"}
-    return conclude
+    return lambda: check_continuity(run.system, samples=run.scenario.samples,
+                                    seed=run.seed).as_dict()
 
 
 def _run_nash(run):
@@ -406,7 +394,7 @@ def _run_nash(run):
         samples=min(run.scenario.samples, 50), seed=run.seed)
 
     def conclude():
-        fit = run.fit() if run.runs("ultracontractivity") else None
+        fit = run.fitted
         decay = (decay_at(fit.window_times)
                  if isinstance(fit, verify.UltracontractivityReport)
                  else decay_at())
@@ -447,19 +435,16 @@ def _run_contractivity(run):
 def _run_positivity(run):
     """The semigroup of |bar|_inf - bar, the system the truncation
     criterion of ``contractivity`` also reads."""
-    comparison = run.system.shifted_bar(-1)
-    evaluator = run.compares(
-        reuse(run.evaluator, build_evaluator(comparison, grid=run.grid)))
+    evaluator = run.comparison(run.system.shifted_bar(-1))
     evaluator.record("min_entry")
     return lambda: verify.check_positivity(evaluator).as_dict()
 
 
 def _run_domination(run):
-    comparison = run.system.with_boundary(run.system.spec.dominating())
-    bar_evaluator = reuse(run.evaluator,
-                          build_evaluator(comparison, grid=run.grid))
+    bar_evaluator = run.comparison(
+        run.system.with_boundary(run.system.spec.dominating()))
     conclude = verify.domination_steps(
-        run.evaluator, run.compares(bar_evaluator),
+        run.evaluator, bar_evaluator,
         samples=min(run.scenario.samples, 50), seed=run.seed)
     return lambda: conclude().as_dict()
 
@@ -468,7 +453,7 @@ def _run_ultracontractivity(run):
     run.evaluator.record("norm_2_to_inf")
 
     def conclude():
-        fit = run.fit()
+        fit = run.fitted
         if isinstance(fit, ValueError):
             return {"reason": str(fit), "status": "discretization-limited"}
         # The adjoint's 1 -> 2 norm is the 2 -> sup norm by duality, so
@@ -570,7 +555,7 @@ def compare_manifests(path_a, path_b, stream=None):
     for key, va, vb, rel in rows:
         suffix = f"  (rel {rel})" if rel else ""
         print(f"{key:<{width}}  {va}  {vb}{suffix}", file=stream)
-    return 0
+    return 1
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,9 @@ moves S(t_k) by at most 4 eps t_k |P S(t)|.  A factor far below the norm
 chain squares only a factor with |t_j P|_inf >= MIN_SQUARED.
 ``exponential(t)`` is the single-``expm`` route; ``semigroup_law_defect``
 and the energy check use it, so neither tests a law the chain satisfies
-by construction.  A matrix with a non-finite entry, from an exponential
-or a squaring, is refused with ``FloatingPointError``.
+by construction; ``matrix(t)`` is its read-only result at any time, and
+only a sweep hands out the chain's.  A matrix with a non-finite entry,
+from an exponential or a squaring, is refused with ``FloatingPointError``.
 
 The sweep.  ``sweep`` runs the chain once, in ascending time order, so
 the bits depend only on the generator and the grid, and hands each
@@ -178,14 +179,8 @@ class SemigroupEvaluator:
 
     # -- exponentials --------------------------------------------------
     def matrix(self, t):
-        """Read-only matrix of the semigroup at time t >= 0: a grid time's
-        from the chain, rerun up to t, any other's from one ``expm``."""
-        if t < 0:
-            raise ValueError("negative time")
-        if np.any(self.grid == t):
-            for s, S in self._chain():
-                if s == t:
-                    return S
+        """Read-only S(t) from one ``expm`` at any time t >= 0, a grid time
+        included; the chain's S(t) is handed only to sweep steps."""
         S = self.exponential(float(t))
         S.flags.writeable = False
         return S

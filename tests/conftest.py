@@ -9,16 +9,6 @@ from robinheat import (
 import pytest
 
 
-def pytest_configure(config):
-    """Registered here, not in pyproject.toml: resolving the category
-    imports scipy, and with it numpy, which must load after robinheat.
-    A numpy RuntimeWarning (overflow, division by zero, an invalid value)
-    fails the test that raised it."""
-    config.addinivalue_line(
-        "filterwarnings", "error::scipy.sparse.SparseEfficiencyWarning")
-    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
-
-
 @pytest.fixture(scope="session")
 def interval4():
     """Unit interval split into 4 cells; small enough for hand oracles."""
@@ -43,11 +33,11 @@ def interval4_robin_system(interval4):
     """
     field = CoefficientField.isotropic(interval4, 2.0)
     spec = BoundaryOperatorSpec.multiplication(interval4, -0.1)
-    return assemble_system(interval4, field, spec, alpha=2.0)
+    return assemble_system(interval4, field, spec)
 
 
 @pytest.fixture(scope="session")
 def cube2_neumann_system(cube2):
     field = CoefficientField.isotropic(cube2, 1.0)
     spec = BoundaryOperatorSpec.zero(cube2)
-    return assemble_system(cube2, field, spec, alpha=1.0)
+    return assemble_system(cube2, field, spec)

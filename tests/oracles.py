@@ -264,9 +264,11 @@ def loop_domination(evaluator, bar_evaluator, samples=50, seed=2024,
     draws = rng.standard_normal((samples, n))
     draws /= np.abs(draws).max(axis=1, keepdims=True)
     worst = 0.0
+    chain = cached_matrices(evaluator)
+    bar_chain = cached_matrices(bar_evaluator)
     for t in times:
-        S = evaluator.matrix(t)
-        Sbar = bar_evaluator.matrix(t)
+        S = chain(t)
+        Sbar = bar_chain(t)
         for u in draws:
             excess = np.abs(S @ u) - Sbar @ np.abs(u)
             worst = max(worst, float(excess.max()))
@@ -301,8 +303,9 @@ def loop_eventual_positivity(evaluator, times, samples=20, seed=2024):
         bump[vertex] = 1.0
         data.append(bump)
     ratios = np.empty(len(times))
+    chain = cached_matrices(evaluator)
     for k, t in enumerate(times):
-        S = evaluator.matrix(t)
+        S = chain(t)
         ratios[k] = math.exp(evaluator.system.alpha * t) * min(
             float((S @ u).min() / float(mass @ u)) for u in data)
     positive = ratios > 0.0
@@ -326,8 +329,9 @@ def loop_smoothing_decay(adjoint_evaluator, nash_constant, times,
     rng = np.random.default_rng(seed)
     worst = 0.0
     times = np.asarray(times, dtype=float)
+    chain = cached_matrices(adjoint_evaluator)
     for t in times:
-        S = adjoint_evaluator.matrix(t)
+        S = chain(t)
         bound = prefactor * t ** (-d / 4.0)
         for _ in range(samples):
             u = rng.standard_normal(system.n)

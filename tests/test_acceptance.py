@@ -291,7 +291,7 @@ def test_9_oracle_equivalence():
     mesh = build_box_mesh((1.0,), (4,))
     field = CoefficientField.isotropic(mesh, 2.0)
     spec = BoundaryOperatorSpec.multiplication(mesh, -0.1)
-    system = assemble_system(mesh, field, spec, alpha=2.0)
+    system = assemble_system(mesh, field, spec)
 
     K = np.diag([8.0, 16.0, 16.0, 16.0, 8.0])
     K += np.diag([-8.0] * 4, 1) + np.diag([-8.0] * 4, -1)

@@ -12,6 +12,7 @@ evaluator of a 1 331-unknown cube must stay below the bytes of half a
 dense n x n array.
 """
 
+import copy
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -246,6 +247,18 @@ def test_continuity_report(interval4_robin_system):
     assert report.passed
     assert report.max_ratio <= 1.0 + 1e-10
     assert report.samples == 100
+
+
+def test_continuity_report_carries_its_status(interval4_robin_system):
+    """``status`` is the report's last field, after ``passed``, and says
+    the same: a form scaled far past the bound fails."""
+    report = check_continuity(interval4_robin_system, samples=20, seed=11)
+    assert list(report.as_dict())[-2:] == ["passed", "status"]
+    assert (report.passed, report.status) == (True, "passed")
+    stretched = copy.copy(interval4_robin_system)
+    stretched.FormAtilde = 1e6 * stretched.FormAtilde
+    report = check_continuity(stretched, samples=20, seed=11)
+    assert (report.passed, report.status) == (False, "failed")
 
 
 @pytest.mark.parametrize("shape, operator", [("lshape", "dense"),

@@ -100,7 +100,6 @@ kind = matrix
 value = 2.5
 values = 1.0, 2.0
 entries = 2.0, 0.5 / -0.5, 2.0
-alpha = 1.5
 [boundary_operator]
 kind = kernel
 beta = -0.25
@@ -122,13 +121,12 @@ output_dir = runs/here
 
 def test_parse_reads_back_every_schema_key():
     """Every key of the schema, set once, is read back parsed: the
-    builder sections as their dicts, with alpha kept in the coefficient
-    one, and [run] as Scenario attributes."""
+    builder sections as their dicts, and [run] as Scenario attributes."""
     expected = {
         "domain": {"shape": "lshape", "extents": [2.0, 3.0],
                    "divisions": 4, "dim": 3},
         "coefficient": {"kind": "matrix", "value": 2.5, "values": [1.0, 2.0],
-                        "entries": [2.0, 0.5, -0.5, 2.0], "alpha": 1.5},
+                        "entries": [2.0, 0.5, -0.5, 2.0]},
         "boundary_operator": {"kind": "kernel", "beta": -0.25,
                               "profile": "gaussian", "scale": 0.5,
                               "width": 0.2, "entries": [1.0, 2.0, 3.0, 4.0]},
@@ -145,8 +143,8 @@ def test_parse_reads_back_every_schema_key():
         else:
             assert getattr(scenario, section) == values
     assert scenario.headers == {"domain": 1, "coefficient": 6,
-                                "boundary_operator": 12, "time_grid": 19,
-                                "run": 23}
+                                "boundary_operator": 11, "time_grid": 18,
+                                "run": 22}
 
 
 def test_readme_key_table_matches_the_schema():
@@ -282,14 +280,16 @@ def test_run_seed_override_lands_in_manifest(tmp_path):
     assert "seed: 7\n" in (out / "manifest.txt").read_text()
 
 
-def test_run_warns_when_certified_alpha_wins(tmp_path, capsys):
+def test_scenario_alpha_is_an_unknown_key(tmp_path, capsys):
+    """The shift is the field's certified ellipticity constant, so a
+    scenario that sets ``alpha`` is refused at its line."""
     text = INTERVAL_SCENARIO.replace("value = 2.0", "value = 2.0\nalpha = 9.0")
+    line = text.splitlines().index("alpha = 9.0") + 1
     path = write_scenario(tmp_path, text)
-    stream = io.StringIO()
-    code = run_scenario(path, output_dir=tmp_path / "o", stream=stream)
-    assert code == 0
-    assert "certified ellipticity constant 2 wins" in stream.getvalue()
-    assert "alpha 9 ignored" in capsys.readouterr().err
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: unknown key 'alpha' "
+                          "in [coefficient]")
 
 
 def test_run_gates_inadmissible_scenario(tmp_path):
@@ -411,7 +411,7 @@ def test_compare_lists_numeric_drift(tmp_path):
     changed = INTERVAL_SCENARIO.replace("value = 2.0", "value = 2.5")
     man_a, man_b = run_twice(tmp_path, changed)
     stream = io.StringIO()
-    assert compare_manifests(man_a, man_b, stream=stream) == 0
+    assert compare_manifests(man_a, man_b, stream=stream) == 1
     printed = stream.getvalue()
     assert "no differences" not in printed
     assert "admissibility.alpha" in printed
@@ -423,7 +423,7 @@ def test_compare_lists_numeric_drift(tmp_path):
     man_b.write_text(header + "eventual_positivity.delta: 0.25\n"
                      "eventual_positivity.t0: 1.5\nratio: nan\nbound: inf\n")
     stream = io.StringIO()
-    assert compare_manifests(man_a, man_b, stream=stream) == 0
+    assert compare_manifests(man_a, man_b, stream=stream) == 1
     rows = [line.split()[:3] for line in stream.getvalue().splitlines()]
     assert rows == [["eventual_positivity.delta", "nan", "0.25"],
                     ["eventual_positivity.t0", "inf", "1.5"]]
@@ -448,6 +448,12 @@ def test_main_run_and_compare(tmp_path, capsys):
     assert main(["compare", str(out / "manifest.txt"),
                  str(out / "manifest.txt")]) == 0
     assert "no differences" in capsys.readouterr().out
+    drifted = tmp_path / "drifted.txt"
+    drifted.write_text((out / "manifest.txt").read_text()
+                       .replace("\nseed: 2024\n", "\nseed: 7\n"))
+    assert main(["compare", str(out / "manifest.txt"), str(drifted)]) == 1
+    assert capsys.readouterr().out.split() == ["seed", "2024", "7",
+                                               "(rel", "0.997)"]
 
 
 def test_main_parse_error_exits_2(tmp_path, capsys):
@@ -672,6 +678,41 @@ def test_one_evaluator_makes_every_exponential(tmp_path, monkeypatch):
     run_scenario(path, output_dir=tmp_path / "o", stream=io.StringIO())
     assert len(generators) > 20
     assert all(generator is generators[0] for generator in generators)
+
+
+def test_a_reused_comparison_sweeps_the_primal_once(tmp_path, monkeypatch):
+    """The cube_robin operator dominates itself, so the domination
+    comparison is the primal evaluator: the run sweeps it once, and
+    ``write_norms_csv`` once more, with nothing registered, and never
+    lists it as a comparison."""
+    from robinheat import cli
+
+    built, swept = [], []
+    sweep = semigroup.SemigroupEvaluator.sweep
+
+    def recorded_build(*args, **kwargs):
+        evaluator = robinheat.build_evaluator(*args, **kwargs)
+        built.append(evaluator)
+        return evaluator
+
+    def recorded_sweep(self):
+        swept.append(self)
+        return sweep(self)
+
+    monkeypatch.setattr(cli, "build_evaluator", recorded_build)
+    monkeypatch.setattr(semigroup.SemigroupEvaluator, "sweep", recorded_sweep)
+    text = (CUBE2_SCENARIO.replace("value = 1.0", "value = 2.5")
+            .replace("kind = zero", "kind = multiplication\nbeta = -0.05")
+            .replace("checks = ultracontractivity, nash",
+                     "checks = domination"))
+    path = write_scenario(tmp_path, text)
+    stream = io.StringIO()
+    assert run_scenario(path, output_dir=tmp_path / "o", stream=stream) == 0
+    assert "domination: passed" in stream.getvalue()
+    primal, comparison = built
+    assert semigroup.reuse(primal, comparison) is primal
+    assert sum(evaluator is primal for evaluator in swept) == 2
+    assert not any(evaluator is comparison for evaluator in swept)
 
 
 @pytest.mark.parametrize("operator", [

@@ -108,9 +108,10 @@ def test_unshifted_outputs_carry_exponential_factor():
     ev = build_evaluator(system, grid=times)
     buffer = io.StringIO()
     write_norms_csv(ev, buffer)
+    chain = oracles.cached_matrices(ev)
     for line, t in zip(buffer.getvalue().splitlines()[1:], times):
         shifted = (ev.norm_2_to_inf(t), ev.norm_1_to_2(t),
-                   ev.norm_inf_to_inf(t), float(ev.matrix(t).min()))
+                   ev.norm_inf_to_inf(t), float(chain(t).min()))
         assert [float(v) for v in line.split(",")] == [
             t, *(math.exp(alpha * t) * v for v in shifted)]
     fit = fit_ultracontractivity(ev)
@@ -442,10 +443,12 @@ def test_nonsymmetric_adjoint_is_the_weighted_transpose(kind):
     grid = geometric_times(count=6)
     primal = build_evaluator(system, grid=grid)
     independent = adjoint_evaluator(system, grid=grid)
+    chain, adjoint_chain = (oracles.cached_matrices(ev)
+                            for ev in (primal, independent))
     m = system.mass
     for t in grid:
-        dual = (primal.matrix(t).T * m[None, :]) / m[:, None]
-        assert weighted_gap(primal, independent.matrix(t), dual) <= 1e-12
+        dual = (chain(t).T * m[None, :]) / m[:, None]
+        assert weighted_gap(primal, adjoint_chain(t), dual) <= 1e-12
         assert np.array_equal(energy_exponentials(primal, t),
                               independent.exponential(t))
 
@@ -705,8 +708,7 @@ def test_pairs_are_detected_not_assumed(interval4_robin_system, grid):
 def test_sweep_hands_every_step_read_only_matrices(interval4_robin_system):
     """One sweep takes the two exponentials of the grid and hands each
     grid time's read-only matrix to every registered step; a second sweep
-    with nothing registered computes nothing.  ``matrix`` at a grid time
-    reruns the chain up to that time, with the sweep's bits."""
+    with nothing registered computes nothing."""
     grid = geometric_times(count=6)
     ev = build_evaluator(interval4_robin_system, grid=grid)
     taken = recording_exponentials(ev)
@@ -721,10 +723,21 @@ def test_sweep_hands_every_step_read_only_matrices(interval4_robin_system):
         assert not S.flags.writeable
     ev.sweep()
     assert len(taken) == 2
-    for t, S in first:
-        assert np.array_equal(ev.matrix(t), S)
-    # matrix(grid[k]) exponentiates min(k + 1, 2) times
-    assert len(taken) == 2 + 1 + 2 * 5
+
+
+def test_matrix_at_a_grid_time_takes_one_expm(interval4_robin_system):
+    """``matrix`` reruns no chain: at every grid time it takes one
+    ``expm``, with the bits of ``exponential``."""
+    grid = geometric_times(count=6)
+    ev = build_evaluator(interval4_robin_system, grid=grid)
+    oracle = build_evaluator(interval4_robin_system)
+    taken = recording_exponentials(ev)
+    for t in grid[1:]:
+        taken.clear()
+        S = ev.matrix(t)
+        assert taken == [float(t)]
+        assert np.array_equal(S, oracle.exponential(t))
+        assert not S.flags.writeable
 
 
 @pytest.mark.parametrize("grid", [(), geometric_times(count=6)],

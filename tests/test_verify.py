@@ -136,7 +136,7 @@ def test_domination_by_negated_comparison_operator(interval4_robin_system):
     spec = interval4_robin_system.spec
     mesh = interval4_robin_system.mesh
     field = interval4_robin_system.field
-    dom_system = assemble_system(mesh, field, spec.dominating(), alpha=2.0)
+    dom_system = assemble_system(mesh, field, spec.dominating())
     grid = geometric_times(count=8)
     report = check_domination(
         build_evaluator(interval4_robin_system, grid=grid),
@@ -153,7 +153,7 @@ def test_norm_shifted_operator_does_not_dominate(interval4_robin_system):
     spec = interval4_robin_system.spec
     mesh = interval4_robin_system.mesh
     field = interval4_robin_system.field
-    wrong = assemble_system(mesh, field, spec.shifted_bar(-1), alpha=2.0)
+    wrong = assemble_system(mesh, field, spec.shifted_bar(-1))
     grid = geometric_times(count=8)
     report = check_domination(
         build_evaluator(interval4_robin_system, grid=grid),
@@ -246,7 +246,7 @@ def test_fit_window_has_minimum_size():
 def test_eventual_positivity_zero_operator(interval4):
     field = CoefficientField.isotropic(interval4, 2.0)
     spec = BoundaryOperatorSpec.zero(interval4)
-    system = assemble_system(interval4, field, spec, alpha=2.0)
+    system = assemble_system(interval4, field, spec)
     ev = build_evaluator(system)
     times = list(geometric_times(count=8)) + [5.0, 50.0]
     report = check_eventual_positivity(ev, times, samples=10, seed=2024)
