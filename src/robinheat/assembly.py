@@ -1,19 +1,18 @@
 """P1 finite element assembly of the shifted boundary-coupled forms, and
 the form checks.
 
-An ``AssembledSystem`` holds scipy CSR matrices at the P1 sparsity
-pattern, the vertex pairs of each cell and the diagonal; FormAtilde adds
-the whole boundary block when the boundary operator couples distinct
-vertices.  Each stored entry has the bits that a dense n x n assembly
-gives it, so ``toarray()`` returns that dense matrix.  Stiffness uses
-exact one-point quadrature (piecewise constant coefficients, piecewise
+An ``AssembledSystem`` holds scipy CSR matrices.  K and K_id sit at the
+P1 sparsity pattern, the vertex pairs of each cell.  H1 and FormAtilde
+are scipy sparse sums of them with the diagonal and with the boundary
+coupling Bw = diag(w) T, itself CSR, placed at the boundary vertices;
+they store no zero.  Each stored entry has the bits that a dense n x n
+assembly gives it, so ``toarray()`` returns that dense matrix, and no
+boundary operator is made dense on the way.  Stiffness uses exact
+one-point quadrature (piecewise constant coefficients, piecewise
 constant gradients); volume and boundary mass are lumped.  The cell
 gradients come from one stacked ``inv``, shared by K and K_id, and one
 ``np.bincount`` sums the cell matrices in cell order, so every entry has
-the bits of a loop over cells.  The boundary coupling Bw = diag(w) T is
-CSR too, so a zero or multiplication operator never allocates an
-nb x nb array; one that couples distinct vertices reaches FormAtilde
-through one dense nb x nb copy.
+the bits of a loop over cells.
 
 The form checks cost O(nnz) apart from their samples.  The trace norm is
 a power iteration on a sparse LU of H1.  A form is symmetric when
@@ -74,7 +73,9 @@ LANCZOS_MIN_SIZE = 300
 # exponentials of the semigroup evaluator's generator (norms.csv scans the
 # grid whatever the checks), so it holds at most three matrices of the
 # doubling chain's sweep and the ``expm`` operand and workspace, each
-# 288 MB at this size.  So the system refuses before assembling anything.
+# 288 MB at this size.  So the system refuses before assembling anything,
+# and ``robinheat run`` before it builds the mesh.  Below it n^2 < 2^31,
+# so the P1 pattern's indices fit int32.
 DENSE_LIMIT = 6000
 
 ACCRETIVITY_TOL = 1e-10     # relative to the norm of the form
@@ -88,47 +89,16 @@ def _barycentric_gradients(points):
     return np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
 
 
-class _Pattern:
-    """CSR structure of the n x n entries listed by ``keys`` (row * n + col,
-    repeats allowed) and of the whole diagonal, held at the int32 index
-    dtype of the CSR matrices built from it (n^2 < 2^31 under
-    DENSE_LIMIT).  ``slots[k]`` is the entry index of the k-th listed key,
-    ``diagonal[i]`` the one of (i, i)."""
-
-    def __init__(self, n, keys):
-        self.n = n
-        unique, inverse = np.unique(
-            np.concatenate([keys, np.arange(n) * (n + 1)]),
-            return_inverse=True)
-        self.slots = inverse[:len(keys)].astype(np.int32)
-        self.diagonal = inverse[len(keys):].astype(np.int32)
-        self.indptr = np.searchsorted(
-            unique, np.arange(n + 1) * n).astype(np.int32)
-        self.indices = (unique % n).astype(np.int32)
-        self.block = None       # see AssembledSystem._block_pattern
-
-    def keys(self):
-        """row * n + col of each entry, in entry order."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return rows * self.n + self.indices
-
-    def sum(self, values):
-        """Sum ``values``, one per listed key in order, into the entries."""
-        return np.bincount(self.slots, weights=values.ravel(),
-                           minlength=len(self.indices))
-
-    def matrix(self, values):
-        """CSR matrix with ``values``, one per entry."""
-        return scipy.sparse.csr_matrix(
-            (values, self.indices.copy(), self.indptr.copy()),
-            shape=(self.n, self.n))
-
-
-def _p1_pattern(mesh):
-    """The pattern of the vertex pairs of each cell, keyed cell by cell in
-    the order of the (m, d+1, d+1) cell matrices."""
+def _cell_pairs(mesh):
+    """The CSR pattern of the vertex pairs of each cell, int32: the entry
+    of each pair in the order of the (m, d+1, d+1) cell matrices, and the
+    pattern's indices and indptr."""
     n, cells = mesh.n_vertices, mesh.cells
-    return _Pattern(n, (cells[:, :, None] * n + cells[:, None, :]).ravel())
+    keys, slots = np.unique((cells[:, :, None] * n + cells[:, None, :]).ravel(),
+                            return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return (slots.astype(np.int32), (keys % n).astype(np.int32),
+            indptr.astype(np.int32))
 
 
 def _cell_stiffness(mesh, *per_cells):
@@ -140,6 +110,13 @@ def _cell_stiffness(mesh, *per_cells):
     right = np.swapaxes(grads, 1, 2)
     return [scaled @ right if A is None else scaled @ A @ right
             for A in per_cells]
+
+
+def refuse_above_dense_limit(n):
+    """Refuse a mesh of ``n`` unknowns above DENSE_LIMIT with RuntimeError."""
+    if n > DENSE_LIMIT:
+        raise RuntimeError(f"mesh has {n} unknowns, above the dense limit "
+                           f"{DENSE_LIMIT}")
 
 
 def assemble_lumped_mass(mesh):
@@ -159,28 +136,29 @@ class AssembledSystem:
     ``alpha`` (its transpose is the adjoint form, so none is assembled),
     ``trace_norm_sq``, the largest generalized eigenvalue of
     (Gamma^t diag(w) Gamma, H1) with Gamma the restriction to the
-    boundary vertices, and ``admissibility``.  A mesh above DENSE_LIMIT
-    unknowns is refused before anything is assembled.
+    boundary vertices, and ``admissibility``.  H1 and FormAtilde store no
+    zero.  A mesh above DENSE_LIMIT unknowns is refused before anything
+    is assembled.
     """
 
     def __init__(self, mesh, field, spec):
-        if mesh.n_vertices > DENSE_LIMIT:
-            raise RuntimeError(f"mesh has {mesh.n_vertices} unknowns, above "
-                               f"the dense limit {DENSE_LIMIT}")
+        refuse_above_dense_limit(mesh.n_vertices)
         self.mesh = mesh
         self.field = field
         self.alpha = float(field.alpha)
 
-        self._pattern = pattern = _p1_pattern(mesh)
+        # the pattern first, so its temporaries are gone before the cell
+        # matrices exist
+        slots, indices, indptr = _cell_pairs(mesh)
         self.K, self.K_id = (
-            pattern.matrix(pattern.sum(local))
+            scipy.sparse.csr_matrix(
+                (np.bincount(slots, weights=local.ravel(),
+                             minlength=len(indices)), indices, indptr),
+                shape=(self.n, self.n))
             for local in _cell_stiffness(mesh, field.per_cell, None))
-        pattern.slots = None    # nothing else is summed at the P1 pattern
         self.mass = assemble_lumped_mass(mesh)
         self.boundary_weights = mesh.boundary_vertex_weights()
-        h1 = self.K_id.data.copy()
-        h1[pattern.diagonal] += self.mass
-        self.H1 = pattern.matrix(h1)
+        self.H1 = self.K_id + scipy.sparse.diags(self.mass)
 
         weights = np.zeros(mesh.n_vertices)
         weights[mesh.boundary_vertices] = self.boundary_weights
@@ -188,37 +166,18 @@ class AssembledSystem:
                                                 self.H1)
         self._couple(spec)
 
-    def _block_pattern(self):
-        """The P1 pattern plus every pair of boundary vertices, built on
-        first use and kept with the P1 pattern, which derived systems
-        share."""
-        p1 = self._pattern
-        if p1.block is None:
-            n, vertices = self.n, self.mesh.boundary_vertices
-            p1.block = _Pattern(n, np.concatenate(
-                [p1.keys(), (vertices[:, None] * n + vertices).ravel()]))
-        return p1.block
-
     def _couple(self, spec):
         """Set the boundary operator: spec, FormAtilde and admissibility.
-        Each entry of FormAtilde is (K + Bw) + alpha * mass, summed in the
-        order of the dense expression."""
+        FormAtilde is (K + Bw) + alpha * mass by sparse sums, each entry in
+        the order of the dense expression, Bw at the boundary vertices."""
         self.spec = spec
-        Bw = self.Bw
-        diagonal = Bw.diagonal()
+        Bw = self.Bw.tocoo()
         vertices = self.mesh.boundary_vertices
-        if np.count_nonzero(diagonal) == Bw.count_nonzero():
-            pattern = self._pattern
-            values = self.K.data.copy()
-            values[pattern.diagonal[vertices]] += diagonal
-        else:
-            pattern = self._block_pattern()
-            p1_entries = len(self._pattern.indices)
-            values = np.zeros(len(pattern.indices))
-            values[pattern.slots[:p1_entries]] = self.K.data
-            values[pattern.slots[p1_entries:]] += Bw.toarray().ravel()
-        values[pattern.diagonal] += self.alpha * self.mass
-        self.FormAtilde = pattern.matrix(values)
+        coupling = scipy.sparse.csr_matrix(
+            (Bw.data, (vertices[Bw.row], vertices[Bw.col])),
+            shape=(self.n, self.n))
+        self.FormAtilde = ((self.K + coupling)
+                           + scipy.sparse.diags(self.alpha * self.mass))
         self.admissibility = check_admissibility(
             spec, self.alpha, self.trace_norm_sq)
         self._form_scale = None
@@ -255,8 +214,8 @@ class AssembledSystem:
 
     def with_boundary(self, spec):
         """The system of boundary operator ``spec`` with this field and
-        shift.  It shares the stiffness, mass, H1, pattern and trace norm
-        of this system; spec, FormAtilde and admissibility are its own,
+        shift.  It shares the stiffness, mass, H1 and trace norm of this
+        system; spec, FormAtilde and admissibility are its own,
         with the bits ``assemble_system`` gives them."""
         derived = copy.copy(self)
         derived._couple(spec)

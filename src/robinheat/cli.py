@@ -27,10 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import build_box_mesh, build_lshape_mesh, write_lines
+from .mesh import (box_vertex_count, build_box_mesh, build_lshape_mesh,
+                   lshape_vertex_count, write_lines)
 from .coefficients import coefficient_field_from_config, build_boundary_operator
 from .assembly import (RATIO_TOL, assemble_system, check_accretivity,
-                       check_continuity)
+                       check_continuity, refuse_above_dense_limit)
 from .semigroup import (build_evaluator, geometric_times, reuse,
                         semigroup_law_defect)
 from . import verify
@@ -67,6 +68,8 @@ class Scenario:
                 setattr(self, section, values)
 
     def build_mesh(self):
+        """The [domain] mesh, refused above the dense limit by its vertex
+        count before it, the field or the boundary operator is built."""
         shape, divisions = self.domain["shape"], self.domain["divisions"]
         # a box has one dimension per extent, an L-shape dim or the default
         dim = {"dim": self.domain["dim"]} if "dim" in self.domain else {}
@@ -77,10 +80,12 @@ class Scenario:
                                  f"{len(extents)} extents of the box")
             if isinstance(divisions, int):
                 divisions = [divisions] * len(extents)
+            refuse_above_dense_limit(box_vertex_count(extents, divisions))
             return build_box_mesh(extents, divisions)
         if shape == "lshape":
             if isinstance(divisions, list):
                 raise ValueError("lshape divisions: one number only")
+            refuse_above_dense_limit(lshape_vertex_count(divisions, **dim))
             return build_lshape_mesh(divisions, **dim)
         raise ValueError(f"unknown domain shape {shape!r}")
 
@@ -271,7 +276,8 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
     spec = build("boundary_operator", build_boundary_operator, mesh,
                  scenario.boundary_operator)
     grid = build("time_grid", geometric_times, **scenario.time_grid)
-    # the assembly refuses only meshes (too large, or no trace norm)
+    # the assembly refuses only meshes: one with no trace norm (build_mesh
+    # has refused one too large)
     system = build("domain", assemble_system, mesh, field, spec)
     run = _Run(scenario, system, grid)
     horizon = (max(grid[-1], EXTRA_POSITIVITY_TIMES[-1])

@@ -23,6 +23,8 @@ __all__ = [
     "MeshError",
     "build_box_mesh",
     "build_lshape_mesh",
+    "box_vertex_count",
+    "lshape_vertex_count",
     "dump_mesh",
 ]
 
@@ -225,6 +227,27 @@ def _simplices_from_boxes(dim, divisions, mask):
     return ids.reshape(-1, dim + 1)
 
 
+def _box_arguments(extents, divisions):
+    """The checked extents and divisions of a box, as tuples."""
+    extents = tuple(float(e) for e in np.atleast_1d(extents))
+    divisions = tuple(int(n) for n in np.atleast_1d(divisions))
+    if len(extents) != len(divisions):
+        raise ValueError("extents and divisions must have equal length")
+    if len(extents) not in (1, 2, 3):
+        raise ValueError(f"dimension must be 1, 2 or 3, got {len(extents)}")
+    if any(e <= 0 for e in extents):
+        raise ValueError(f"extents must be positive, got {extents}")
+    if any(n <= 0 for n in divisions):
+        raise ValueError(f"divisions must be positive, got {divisions}")
+    return extents, divisions
+
+
+def box_vertex_count(extents, divisions):
+    """The vertex count of ``build_box_mesh(extents, divisions)``,
+    prod(div_i + 1), after its argument checks and without building it."""
+    return math.prod(n + 1 for n in _box_arguments(extents, divisions)[1])
+
+
 def build_box_mesh(extents, divisions):
     """Mesh the box [0, e_1] x ... x [0, e_d].
 
@@ -241,21 +264,30 @@ def build_box_mesh(extents, divisions):
         Intervals (d = 1), two triangles per grid square (d = 2) or six
         tetrahedra per grid box (d = 3), all positively oriented.
     """
-    extents = tuple(float(e) for e in np.atleast_1d(extents))
-    divisions = tuple(int(n) for n in np.atleast_1d(divisions))
-    if len(extents) != len(divisions):
-        raise ValueError("extents and divisions must have equal length")
+    extents, divisions = _box_arguments(extents, divisions)
     dim = len(extents)
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {dim}")
-    if any(e <= 0 for e in extents):
-        raise ValueError(f"extents must be positive, got {extents}")
-    if any(n <= 0 for n in divisions):
-        raise ValueError(f"divisions must be positive, got {divisions}")
-
     vertices = _grid_vertices(extents, divisions)
     cells = _simplices_from_boxes(dim, divisions, np.ones(divisions, bool))
     return Mesh(dim, vertices, cells)
+
+
+def _lshape_divisions(divisions, dim):
+    """The checked divisions of an L-shape in ``dim`` dimensions."""
+    divisions = int(divisions)
+    if dim not in (2, 3):
+        raise ValueError(f"L-shaped domains need dim 2 or 3, got {dim}")
+    if divisions < 2:
+        raise ValueError(f"divisions must be >= 2, got {divisions}")
+    if divisions % 2 != 0:
+        raise ValueError(f"divisions must be even, got {divisions}")
+    return divisions
+
+
+def lshape_vertex_count(divisions, dim=2):
+    """The vertex count of ``build_lshape_mesh(divisions, dim)`` after its
+    argument checks: (n + 1)^d less the (n/2)^d inside the removed box."""
+    n = _lshape_divisions(divisions, dim)
+    return (n + 1) ** dim - (n // 2) ** dim
 
 
 def build_lshape_mesh(divisions, dim=2):
@@ -269,14 +301,7 @@ def build_lshape_mesh(divisions, dim=2):
     dim : int
         2 or 3.
     """
-    divisions = int(divisions)
-    if dim not in (2, 3):
-        raise ValueError(f"L-shaped domains need dim 2 or 3, got {dim}")
-    if divisions < 2:
-        raise ValueError(f"divisions must be >= 2, got {divisions}")
-    if divisions % 2 != 0:
-        raise ValueError(f"divisions must be even, got {divisions}")
-
+    divisions = _lshape_divisions(divisions, dim)
     half = divisions // 2
     all_divs = (divisions,) * dim
     vertices = _grid_vertices((1.0,) * dim, all_divs)

@@ -310,6 +310,42 @@ def test_cached_norm_and_comparison_systems_follow_the_operator(cube2):
     assert minus.form_scale == assembly.form_norm(minus.FormAtilde)
 
 
+@pytest.mark.parametrize("value, operator", [
+    (2.5, {"kind": "multiplication", "beta": -0.05}),
+    (2.0, {"kind": "kernel", "profile": "cosine", "scale": 0.005}),
+], ids=["cube_robin", "cosine-kernel"])
+def test_summed_forms_store_no_zero(value, operator):
+    """H1 and FormAtilde are sparse sums, which store no exact zero,
+    although 608 entries of the stiffness on the P1 pattern of the cube at
+    4 divisions cancel."""
+    cube = build_box_mesh((1.0, 1.0, 1.0), (4, 4, 4))
+    system = assemble_system(cube, CoefficientField.isotropic(cube, value),
+                             build_boundary_operator(cube, operator))
+    for name in ("H1", "FormAtilde"):
+        assert getattr(system, name).data.all(), name
+
+
+def test_with_boundary_makes_no_sparse_matrix_dense(cube2, monkeypatch):
+    """A kernel operator, which couples distinct boundary vertices,
+    reaches FormAtilde through sparse sums alone."""
+    system = assemble_system(cube2, CoefficientField.isotropic(cube2, 2.0),
+                             build_boundary_operator(
+                                 cube2, {"kind": "kernel", "profile": "cosine",
+                                         "scale": 0.005}))
+    spec = system.spec.dominating()     # its norms come from a dense copy
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("with_boundary made a sparse matrix dense")
+
+    for fmt in ("bsr", "coo", "csc", "csr", "dia", "dok", "lil"):
+        for kind in ("matrix", "array"):
+            monkeypatch.setattr(getattr(scipy.sparse, f"{fmt}_{kind}"),
+                                "toarray", refuse)
+    derived = system.with_boundary(spec)
+    assert derived.spec is spec
+    assert derived.FormAtilde.nnz > system.K.count_nonzero()
+
+
 @pytest.mark.parametrize("sheared", [False, True])
 def test_with_boundary_matches_assemble_system(cube2, sheared):
     """A derived system shares the mesh-level data of its parent and has
@@ -328,7 +364,7 @@ def test_with_boundary_matches_assemble_system(cube2, sheared):
         derived = system.with_boundary(spec)
         direct = assemble_system(cube2, field, spec)
         for name in ("K", "K_id", "mass", "boundary_weights", "H1",
-                     "_pattern", "trace_norm_sq"):
+                     "trace_norm_sq"):
             assert getattr(derived, name) is getattr(system, name), name
         assert np.array_equal(derived.Bw.toarray(), direct.Bw.toarray())
         assert np.array_equal(derived.FormAtilde.toarray(),

@@ -512,6 +512,46 @@ def test_main_builder_error_exits_2(tmp_path, capsys, edits, section,
     assert "Traceback" not in err
 
 
+def test_oversized_mesh_is_refused_before_any_builder(tmp_path, monkeypatch,
+                                                     capsys):
+    """The cosine-kernel cube at 18 divisions (6 859 unknowns) exits 2 on
+    its predicted vertex count, at the [domain] line, before the mesh, the
+    field or the boundary operator is built: the kernel alone would take
+    nb^2 samples and two SVDs first."""
+    from robinheat import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a builder ran above the dense limit")
+
+    for name in ("build_box_mesh", "coefficient_field_from_config",
+                 "build_boundary_operator"):
+        monkeypatch.setattr(cli, name, refuse)
+    text = (Path(__file__).resolve().parent.parent / "scenarios"
+            / "cube_kernel.ini").read_text()
+    assert "divisions = 6\n" in text
+    text = text.replace("divisions = 6\n", "divisions = 18\n")
+    line = text.splitlines().index("[domain]") + 1
+    path = write_scenario(tmp_path, text)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {line}: mesh has 6859 unknowns, above the dense limit "
+        f"6000\n")
+
+
+def test_lshape_is_judged_by_its_own_vertex_count():
+    """The 2-D L-shape at 88 divisions has 5 985 vertices, below the dense
+    limit, although the 89 x 89 grid it is cut from has 7 921; the box of
+    that grid is refused."""
+    lshape = parse_scenario("[domain]\nshape = lshape\ndivisions = 88\n"
+                            "[run]\nchecks = nash\n")
+    assert lshape.build_mesh().n_vertices == 5985
+    box = parse_scenario("[domain]\nextents = 1.0, 1.0\ndivisions = 88\n"
+                         "[run]\nchecks = nash\n")
+    with pytest.raises(RuntimeError, match="mesh has 7921 unknowns, above "
+                       "the dense limit 6000"):
+        box.build_mesh()
+
+
 def test_dense_diagonal_operator_gives_the_multiplication_bytes(tmp_path):
     """``kind = dense`` with the entries of diag(beta) is the operator of
     ``kind = multiplication, beta = beta``, to the byte."""

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from robinheat import Mesh, MeshError, build_box_mesh, build_lshape_mesh, dump_mesh
+from robinheat.mesh import box_vertex_count, lshape_vertex_count
 
 
 def test_interval_counts_and_measures(interval4):
@@ -112,6 +113,26 @@ def test_lshape_rejects_odd_or_tiny_divisions():
         build_lshape_mesh(0)
     with pytest.raises(ValueError):
         build_lshape_mesh(4, dim=1)
+
+
+def test_vertex_counts_predict_the_builders():
+    """Each count equals the n_vertices of the mesh its builder makes, and
+    refuses what the builder refuses."""
+    for extents, divisions in [((1.0,), (5,)), ((1.0, 2.0), (3, 4)),
+                               ((1.0, 1.0, 0.5), (2, 3, 4)),
+                               ((1.0, 1.0, 1.0), (6, 6, 6))]:
+        assert box_vertex_count(extents, divisions) == (
+            build_box_mesh(extents, divisions).n_vertices)
+    for dim in (2, 3):
+        for divisions in range(2, 11, 2):
+            assert lshape_vertex_count(divisions, dim) == (
+                build_lshape_mesh(divisions, dim).n_vertices)
+    with pytest.raises(ValueError, match="divisions must be positive"):
+        box_vertex_count((1.0, 1.0), (2, 0))
+    with pytest.raises(ValueError, match="dimension must be 1, 2 or 3"):
+        box_vertex_count((1.0,) * 4, (2,) * 4)
+    with pytest.raises(ValueError, match="divisions must be even"):
+        lshape_vertex_count(3)
 
 
 def test_box_rejects_bad_input():
