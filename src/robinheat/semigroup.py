@@ -36,13 +36,18 @@ by construction; ``matrix(t)`` is its read-only result at any time, and
 only a sweep hands out the chain's.  A matrix with a non-finite entry,
 from an exponential or a squaring, is refused with ``FloatingPointError``.
 
-The sweep.  ``sweep`` runs the chain once, in ascending time order, so
-the bits depend only on the generator and the grid, and hands each
-read-only S(t_k) to every step registered before it (``register``, or
-``record`` for the ``PER_TIME`` values).  It keeps a matrix only until
-the last squaring that reads it: three n x n arrays on the default
-ratio.  A sweep with nothing registered computes nothing, so whoever
-registers every step first computes each chain once.
+The sweep.  ``sweep`` runs the chains once, one after another, and
+hands each read-only S(t_k) to every step registered before it
+(``register``, or ``record`` for the ``PER_TIME`` values).  Chain order
+is the seeds in ascending time order, each followed at once by the
+squarings that double it up, ascending; the bits of each S(t_k) depend
+only on the generator and the grid, not on the order.  A matrix is kept
+only until the last squaring that reads it, so on a grid with no
+repeated time the sweep holds one factor, the one being squared, and on
+any grid no chain matrix is alive while a seed is exponentiated.  Every
+step keys what it keeps by time.  A sweep with nothing registered
+computes nothing, so whoever registers every step first computes each
+chain once.
 
 Past the grid.  ``apply_beyond`` serves a time u = m t_max + r past the
 grid's last time from the sweep's S(t_max): S(t_max)^m by binary
@@ -123,7 +128,8 @@ class SemigroupEvaluator:
     # -- the sweep -----------------------------------------------------
     def register(self, step):
         """Have the next ``sweep`` call ``step(t, S)`` at each grid time
-        t, in ascending order, with the read-only S(t)."""
+        t, in chain order (module docstring, "The sweep"), with the
+        read-only S(t)."""
         self._steps.append(step)
 
     def record(self, *names):
@@ -143,8 +149,10 @@ class SemigroupEvaluator:
             self.register(step)
 
     def sweep(self):
-        """Run the doubling chain once if a step is registered, handing
-        each S(t_k) to every registered step, and drop the steps."""
+        """Run the doubling chains once, one after another, if a step is
+        registered, handing each S(t_k) to every registered step, and
+        drop the steps.  With no repeated grid time, the matrix the
+        steps see and the factor being squared are all it holds."""
         steps, self._steps = self._steps, []
         if steps and len(self.grid):
             for t, S in self._chain():
@@ -153,13 +161,20 @@ class SemigroupEvaluator:
                 del S       # not alive while the next matrix is made
 
     def _chain(self):
-        """(t_k, read-only S(t_k)) for each grid index k, in ascending
-        time order: an ``expm`` or the square of S at the half time."""
+        """(t_k, read-only S(t_k)) for each grid index k, in chain order:
+        each seed (an ``expm``) in ascending time order, followed at once
+        by the times that double it up, ascending, each the square of S
+        at its half time.  A matrix is kept only until its last square is
+        made, so no chain matrix is alive while a seed is exponentiated."""
         grid = self.grid
         halves = _halves(grid)
         norm = float(abs(self.generator).sum(axis=1).max())
         halves[grid[halves] * norm < MIN_SQUARED] = -1
-        order = np.argsort(grid, kind="stable")
+        ascending = np.argsort(grid, kind="stable")
+        seed = np.empty(len(grid), dtype=np.intp)   # its seed's rank
+        for rank, k in enumerate(ascending):    # a half before its doubles
+            seed[k] = rank if halves[k] < 0 else seed[halves[k]]
+        order = ascending[np.argsort(seed[ascending], kind="stable")]
         last = {half: k for k in order if (half := halves[k]) >= 0}
         kept = {}
         for k in order:

@@ -16,9 +16,10 @@ relative, and the exponentials bit for bit.
 The doubling chain along a time grid is checked against one ``expm``
 per time at 1e-11 relative in the weighted 2-norm (6.9e-14 is the
 largest gap the derandomized examples reach), and its pairing, its
-independence of the grid's order, the read-only matrices a sweep hands
-its steps, the rerun behind a grid time's ``matrix``, the uncached
-off-grid route and its part in ``reuse`` are checked exactly.
+chain order, its independence of the grid's order, the read-only
+matrices a sweep hands its steps, the traced memory at each seed, the
+single ``expm`` behind a grid time's ``matrix``, the uncached off-grid
+route and its part in ``reuse`` are checked exactly.
 """
 
 import copy
@@ -607,6 +608,21 @@ def swept(ev):
     return seen
 
 
+def chain_order(ev, step):
+    """The times of ``ev``'s ascending grid, on which each time doubles
+    the one ``step`` indices before it, in chain order: each seed in
+    ascending order, followed by the times that double it up.  A time is
+    a seed until the grid first doubles a time t_j with
+    |t_j P|_inf >= 2^-4."""
+    grid = ev.grid
+    norm = np.linalg.norm(ev.generator.toarray(), np.inf)
+    seed = {}
+    for k in range(len(grid)):
+        fresh = k < step or grid[k - step] * norm < 2.0 ** -4
+        seed[k] = k if fresh else seed[k - step]
+    return [float(grid[k]) for k in sorted(seed, key=lambda k: (seed[k], k))]
+
+
 def recording_exponentials(ev):
     """Record, on the instance, every time ``matrix`` takes an expm at."""
     times = []
@@ -650,10 +666,10 @@ def test_chain_agrees_with_single_exponentials(system, ratio, count, t_max,
     ev = build(system, grid=grid)
     taken = recording_exponentials(ev)
     chained = swept(ev)
-    assert [t for t, _ in chained] == [float(t) for t in grid]
+    step = 2 if ratio == 2 ** -0.5 else 4
+    assert [t for t, _ in chained] == chain_order(ev, step)
     # one expm per time until the grid first doubles a time t_j with
     # |t_j P|_inf >= 2^-4, squarings after
-    step = 2 if ratio == 2 ** -0.5 else 4
     norm = np.linalg.norm(ev.generator.toarray(), np.inf)
     assert taken == [float(t) for k, t in enumerate(grid)
                      if k < step or grid[k - step] * norm < 2.0 ** -4]
@@ -687,7 +703,7 @@ def test_long_grid_chain_does_not_overscale(cube_robin_125, count):
 
     ev.register(check)
     ev.sweep()
-    assert checked == [float(t) for t in grid]
+    assert checked == chain_order(ev, 2)
 
 
 @pytest.mark.parametrize("grid", [
@@ -717,12 +733,61 @@ def test_sweep_hands_every_step_read_only_matrices(interval4_robin_system):
     ev.register(lambda t, S: second.append((t, S)))
     ev.sweep()
     assert taken == [float(t) for t in grid[:2]]
-    assert [t for t, _ in first] == [float(t) for t in grid]
+    assert [t for t, _ in first] == chain_order(ev, 2)
     for (t, S), (_, other) in zip(first, second):
         assert S is other
         assert not S.flags.writeable
     ev.sweep()
     assert len(taken) == 2
+
+
+@pytest.mark.parametrize("grid, order, exponentials", [
+    # the repeat of grid[3] doubles grid[1] too, after grid[3] and
+    # before grid[5], which doubles the earlier copy
+    (np.append(geometric_times(count=6), geometric_times(count=6)[3]),
+     [0, 2, 4, 1, 3, 6, 5], [0, 1]),
+    # no time doubles another: every time is a seed, in ascending order
+    (geometric_times(ratio=0.6), list(range(24)), list(range(24))),
+], ids=["repeated-time", "ratio-0.6"])
+def test_sweep_hands_out_chain_order(interval4_robin_system, grid, order,
+                                     exponentials):
+    ev = build_evaluator(interval4_robin_system, grid=grid)
+    taken = recording_exponentials(ev)
+    matrices = swept(ev)
+    assert [t for t, _ in matrices] == [float(grid[k]) for k in order]
+    assert taken == [float(grid[k]) for k in exponentials]
+    oracle = build_evaluator(interval4_robin_system)
+    first = {}
+    for t, S in matrices:
+        assert weighted_gap(ev, S, oracle.exponential(t)) <= 1e-11
+        # the copies of a repeated time are squares of one half
+        assert np.array_equal(S, first.setdefault(t, S))
+
+
+def test_no_chain_matrix_is_alive_at_a_seed(cube_robin_125):
+    """Each seed's ``expm`` starts with no chain matrix held.  On the
+    default ratio two chains interleave in time; swept in ascending
+    time, the second seed would be exponentiated while the first chain's
+    matrix waits for its square."""
+    n = cube_robin_125.n
+    ev = build_evaluator(cube_robin_125, grid=geometric_times())
+    exponential, levels = ev.exponential, []
+
+    def traced(t):
+        levels.append(tracemalloc.get_traced_memory()[0])
+        return exponential(t)
+
+    ev.exponential = traced
+    ev.register(lambda t, S: None)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ev.sweep()
+    finally:
+        tracemalloc.stop()
+    assert len(levels) >= 2
+    assert max(levels) - before <= 0.5 * n * n * 8, (
+        f"{(max(levels) - before) / (n * n * 8):+.2f} n^2 doubles")
 
 
 def test_matrix_at_a_grid_time_takes_one_expm(interval4_robin_system):

@@ -199,14 +199,18 @@ MATRIX_STEPS = "accretivity, domination, eventual_positivity"
 
 @pytest.mark.parametrize("operator, checks, bound", [
     # the per-time cache peaked at 31.9 n^2 doubles, the sweep with the
-    # generator's dense copy at 13.3, with none at 12.3
-    ("cosine-kernel", "ultracontractivity", 13),
+    # generator's dense copy at 13.3, with none at 11.65, and the chains
+    # swept one at a time at 10.65
+    ("cosine-kernel", "ultracontractivity", 11),
     # a run that registers matrix steps: 60.4 with the cache, 22.0 with
-    # the dense copy, 20.0 now
-    ("cosine-kernel", MATRIX_STEPS, 21),
-    # 14.9 with the dense copy, 10.3 now
-    ("cube_robin", MATRIX_STEPS, 12),
-], ids=["ultracontractivity", "matrix-steps", "cube_robin-matrix-steps"])
+    # the dense copy, 19.31 with none, 18.54 a chain at a time
+    ("cosine-kernel", MATRIX_STEPS, 19),
+    # 14.9 with the dense copy, 10.19 with none, 9.70 a chain at a time
+    ("cube_robin", MATRIX_STEPS, 10),
+    # 9.70 with interleaved chains, 8.71 a chain at a time
+    ("cube_robin", "ultracontractivity", 9),
+], ids=["ultracontractivity", "matrix-steps", "cube_robin-matrix-steps",
+        "cube_robin-ultracontractivity"])
 def test_traced_peak_of_a_cosine_kernel_run(tmp_path, operator, checks, bound):
     """The 5-division cube (216 unknowns) with the cosine-kernel operator,
     and with cube_robin's beside it, through ``run_scenario``: its traced
