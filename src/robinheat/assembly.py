@@ -71,11 +71,14 @@ LANCZOS_MIN_SIZE = 300
 
 # Most unknowns an AssembledSystem admits.  Every run computes
 # exponentials of the semigroup evaluator's generator (norms.csv scans the
-# grid whatever the checks), so it holds at most three matrices of the
-# doubling chain's sweep and the ``expm`` operand and workspace, each
-# 288 MB at this size.  So the system refuses before assembling anything,
-# and ``robinheat run`` before it builds the mesh.  Below it n^2 < 2^31,
-# so the P1 pattern's indices fit int32.
+# grid whatever the checks).  What sets its dense peak is a seed
+# ``expm``'s operand and workspace, with no chain matrix beside it, and in
+# an ``accretivity`` run ``semigroup_law_defect``'s first factor, held
+# through the ``expm`` of the second; a sweep otherwise holds the factor
+# being squared and its square, and no step keeps an n x n array past its
+# chain.  Each n x n array is 288 MB at this size.  So the system refuses
+# before assembling anything, and ``robinheat run`` before it builds the
+# mesh.  Below it n^2 < 2^31, so the P1 pattern's indices fit int32.
 DENSE_LIMIT = 6000
 
 ACCRETIVITY_TOL = 1e-10     # relative to the norm of the form

@@ -33,7 +33,7 @@ from .coefficients import coefficient_field_from_config, build_boundary_operator
 from .assembly import (RATIO_TOL, assemble_system, check_accretivity,
                        check_continuity, refuse_above_dense_limit)
 from .semigroup import (build_evaluator, geometric_times, reuse,
-                        semigroup_law_defect)
+                        semigroup_law_defect, sweep)
 from . import verify
 from .report import format_value as _fmt
 
@@ -193,10 +193,10 @@ class _Run:
     the mesh resolves) and what the runs record.  A runner registers its
     check's per-time steps on the primal evaluator and on those
     ``comparison`` gives it, all on the grid, and returns the check's
-    conclusion; ``run_scenario`` then sweeps each evaluator once, so each
-    chain is computed once, makes ``fitted`` (the ultracontractivity fit,
-    or the ValueError that refused it) when that check runs, and records
-    the conclusions in order."""
+    conclusion; ``run_scenario`` then sweeps all its evaluators once,
+    chain by chain, so each chain is computed once, makes ``fitted`` (the
+    ultracontractivity fit, or the ValueError that refused it) when that
+    check runs, and records the conclusions in order."""
 
     def __init__(self, scenario, system, grid):
         self.scenario = scenario
@@ -307,10 +307,9 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
                                 else _run_gated)(run))
                        for check in scenario.checks]
         run.evaluator.record(*verify.NORMS_CSV)
-        # The primal goes last: its steps may hold matrices, which should
-        # not wait through a comparison's exponentials.
-        for evaluator in run.comparisons + [run.evaluator]:
-            evaluator.sweep()
+        # One sweep, chain by chain.  The primal goes last in each chain,
+        # so domination's comparison product is the one that waits.
+        sweep(run.comparisons + [run.evaluator])
         if run.runs("ultracontractivity"):
             try:
                 run.fitted = verify.fit_ultracontractivity(run.evaluator)
@@ -383,8 +382,9 @@ def _run_continuity(run):
 def _run_nash(run):
     """Nash's inequality and the L1 -> L2 decay it implies, sampled on the
     ultracontractivity fit window when that check runs and its fit
-    succeeds, on the resolved grid times otherwise.  The decay step holds
-    the matrices at the resolved grid times until the window is known."""
+    succeeds, on the resolved grid times otherwise.  The decay step keeps,
+    at each resolved grid time, the largest ratio for every window
+    position the time can take, so no matrix waits for the window."""
     report = verify.check_nash(run.system, samples=run.scenario.samples,
                                seed=run.seed)
     payload = report.as_dict()

@@ -36,18 +36,25 @@ by construction; ``matrix(t)`` is its read-only result at any time, and
 only a sweep hands out the chain's.  A matrix with a non-finite entry,
 from an exponential or a squaring, is refused with ``FloatingPointError``.
 
-The sweep.  ``sweep`` runs the chains once, one after another, and
-hands each read-only S(t_k) to every step registered before it
-(``register``, or ``record`` for the ``PER_TIME`` values).  Chain order
-is the seeds in ascending time order, each followed at once by the
-squarings that double it up, ascending; the bits of each S(t_k) depend
-only on the generator and the grid, not on the order.  A matrix is kept
-only until the last squaring that reads it, so on a grid with no
-repeated time the sweep holds one factor, the one being squared, and on
-any grid no chain matrix is alive while a seed is exponentiated.  Every
-step keys what it keeps by time.  A sweep with nothing registered
-computes nothing, so whoever registers every step first computes each
-chain once.
+The sweep.  ``sweep`` runs the chains of several evaluators once, chain
+by chain: chain c of each evaluator, in the order given, before chain
+c + 1 of any, and ``SemigroupEvaluator.sweep`` is its call on one
+evaluator.  Each read-only S(t_k) goes to every step registered on its
+evaluator before the sweep (``register``, or ``record`` for the
+``PER_TIME`` values).  An evaluator's chains are its seeds in ascending
+time order, each followed at once by the squarings that double it up,
+ascending; an evaluator with fewer chains skips the missing ones, and
+one listed twice is swept once.  The bits of each S(t_k) depend only on
+the generator and the grid, not on the order.  A matrix is kept only
+until the last squaring that reads it, which its own chain makes, so on
+a grid with no repeated time the sweep holds one factor, the one being
+squared, and no chain matrix of any evaluator is alive while a seed is
+exponentiated.  Every step keys what it keeps by time, and keeps no
+n x n array past the chain that handed it out; a step that pairs two
+evaluators' products at one time waits for the other within one chain
+when both evaluators' chains hold the same times.  A sweep with nothing
+registered computes nothing, so whoever registers every step first
+computes each chain once.
 
 Past the grid.  ``apply_beyond`` serves a time u = m t_max + r past the
 grid's last time from the sweep's S(t_max): S(t_max)^m by binary
@@ -74,6 +81,7 @@ computes only the top eigenvalue, was a third faster at 125 unknowns,
 but its first call pages in about 0.6 MB of library code.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -88,6 +96,7 @@ __all__ = [
     "geometric_times",
     "reuse",
     "semigroup_law_defect",
+    "sweep",
 ]
 
 # Largest entrywise asymmetry of the weighted generator, relative to its
@@ -127,9 +136,9 @@ class SemigroupEvaluator:
 
     # -- the sweep -----------------------------------------------------
     def register(self, step):
-        """Have the next ``sweep`` call ``step(t, S)`` at each grid time
-        t, in chain order (module docstring, "The sweep"), with the
-        read-only S(t)."""
+        """Have the next sweep of this evaluator call ``step(t, S)`` at each
+        grid time t, in chain order (module docstring, "The sweep"), with
+        the read-only S(t)."""
         self._steps.append(step)
 
     def record(self, *names):
@@ -149,23 +158,17 @@ class SemigroupEvaluator:
             self.register(step)
 
     def sweep(self):
-        """Run the doubling chains once, one after another, if a step is
-        registered, handing each S(t_k) to every registered step, and
-        drop the steps.  With no repeated grid time, the matrix the
-        steps see and the factor being squared are all it holds."""
-        steps, self._steps = self._steps, []
-        if steps and len(self.grid):
-            for t, S in self._chain():
-                for step in steps:
-                    step(t, S)
-                del S       # not alive while the next matrix is made
+        """``sweep([self])``: run this evaluator's doubling chains once if
+        a step is registered, and drop the steps."""
+        sweep([self])
 
-    def _chain(self):
-        """(t_k, read-only S(t_k)) for each grid index k, in chain order:
-        each seed (an ``expm``) in ascending time order, followed at once
-        by the times that double it up, ascending, each the square of S
-        at its half time.  A matrix is kept only until its last square is
-        made, so no chain matrix is alive while a seed is exponentiated."""
+    def _chains(self):
+        """One iterable per doubling chain, seeds in ascending time order;
+        each yields (t_k, read-only S(t_k)) for the grid indices k of its
+        chain: the seed (an ``expm``), then the times that double it up,
+        ascending, each the square of S at its half time.  A matrix is
+        kept only until its last square is made, which its own chain
+        makes, so a chain holds no matrix once it is done."""
         grid = self.grid
         halves = _halves(grid)
         norm = float(abs(self.generator).sum(axis=1).max())
@@ -176,8 +179,17 @@ class SemigroupEvaluator:
             seed[k] = rank if halves[k] < 0 else seed[halves[k]]
         order = ascending[np.argsort(seed[ascending], kind="stable")]
         last = {half: k for k in order if (half := halves[k]) >= 0}
+        starts = np.flatnonzero(halves[order] < 0)
+        for chain in np.split(order, starts[1:]):
+            yield self._squarings(chain, halves, last)
+
+    def _squarings(self, chain, halves, last):
+        """(t_k, read-only S(t_k)) for the grid indices k of ``chain``: an
+        ``expm`` at its seed, else the square of S at the half time
+        ``halves[k]``, each half kept until the index ``last[half]``."""
+        grid = self.grid
         kept = {}
-        for k in order:
+        for k in chain:
             half = halves[k]
             if half < 0:
                 S = self.exponential(float(grid[k]))
@@ -363,6 +375,26 @@ PER_TIME = {
 
 def build_evaluator(system, grid=()):
     return SemigroupEvaluator(system, grid=grid)
+
+
+def sweep(evaluators):
+    """Run the doubling chains of the ``evaluators`` with a step
+    registered once, chain by chain: chain c of each, in the order given,
+    before chain c + 1 of any (module docstring, "The sweep").  Hand each
+    S(t_k) to every step registered on its evaluator, and drop the steps.
+    An evaluator listed twice is swept once."""
+    swept = []
+    for evaluator in {id(e): e for e in evaluators}.values():
+        steps, evaluator._steps = evaluator._steps, []
+        if steps and len(evaluator.grid):
+            swept.append((evaluator._chains(), steps))
+    for chains in itertools.zip_longest(*(chains for chains, _ in swept),
+                                        fillvalue=()):
+        for chain, (_, steps) in zip(chains, swept):
+            for t, S in chain:
+                for step in steps:
+                    step(t, S)
+                del S       # not alive while the next matrix is made
 
 
 def dense_exponential(generator, t):

@@ -33,7 +33,8 @@ import numpy as np
 
 from .mesh import write_lines
 from .report import Report, format_value, require_samples
-from .semigroup import SYMMETRY_TOL, dense_exponential, lumped_generator
+from .semigroup import (SYMMETRY_TOL, dense_exponential,
+                        lumped_generator, sweep)
 
 __all__ = [
     "NashReport",
@@ -87,10 +88,10 @@ def _grid(*evaluators):
 
 def _alone(steps, evaluators, *args):
     """Run a ``*_steps`` check alone: register its steps, sweep the
-    ``evaluators`` it reads, in order, and return its conclusion."""
+    ``evaluators`` it reads in one sweep, chain by chain, and return its
+    conclusion."""
     conclude = steps(*evaluators, *args)
-    for evaluator in evaluators:
-        evaluator.sweep()
+    sweep(evaluators)
     return conclude()
 
 
@@ -340,8 +341,10 @@ def domination_steps(evaluator, bar_evaluator, samples=50, seed=2024):
     draws = rng.standard_normal((samples, n))
     draws /= np.abs(draws).max(axis=1, keepdims=True)
     magnitudes = np.abs(draws).T
-    # A product waits in ``held`` for its time's other one, which its
-    # evaluator's sweep makes later, or the next step of the same sweep.
+    # A product waits in ``held`` for its time's other one: the other
+    # evaluator's, which one sweep hands out within the same chain when
+    # both evaluators' chains hold the same times, or the next step's at
+    # the same time when both are one evaluator.
     held, peaks = {}, {}
 
     def combine(t, side, product):
@@ -628,39 +631,60 @@ def smoothing_decay_steps(evaluator, nash_constant, times, samples=50,
 
     with C the sampled interpolation constant on the same mesh; the
     report's max_ratio is the worst observed left/right quotient.  The
-    step holds S(t) at the grid times among ``times``, and the conclusion
-    ``conclude(window=times)`` reports at the times ``window``, taken
-    from ``times``; a window time off the grid takes one ``matrix``.
-    With no time to sample, nothing is concluded: max_ratio is nan and
-    the status discretization-limited.  Fewer than one sample is refused
-    with ValueError."""
+    conclusion ``conclude(window=times)`` reports at the times
+    ``window``, an increasing subsequence of ``times`` (any other is
+    refused with ValueError), and draws the k-th (samples, n) block of
+    ``default_rng(seed)`` for the k-th window time.  So the i-th time of
+    ``times`` can be the k-th window time for every k <= i: the step
+    reduces S(t) there to those i + 1 largest ratios, one product per
+    block replayed from the seed, and keeps the numbers, not S(t).  A
+    window time the step did not see, one off the grid or one the sweep
+    never handed out, takes one ``matrix``.  With no time to sample,
+    nothing is concluded: max_ratio is nan and the status
+    discretization-limited.  Fewer than one sample is refused with
+    ValueError."""
     require_samples(samples)
-    wanted = set(map(float, np.asarray(times, dtype=float)))
-    held = {}
+    system = evaluator.system
+    mass = system.mass
+    d = system.mesh.dim
+    prefactor = (d * nash_constant / 4.0) ** (d / 4.0)
+    times = np.asarray(times, dtype=float)
+    last = {float(t): i for i, t in enumerate(times)}   # its last index
+    kept = {}       # t -> the largest ratio at t for each window position
+
+    def largest_ratios(t, S, first, stop):
+        """The largest ratio at t, from S = S(t), for each block k of
+        ``default_rng(seed)`` with first <= k < stop."""
+        rng = np.random.default_rng(seed)
+        adjoint = ((S.T * mass) / mass[:, None]).T
+        bound = prefactor * t ** (-d / 4.0)
+        values = []
+        for k in range(stop):
+            U = rng.standard_normal((samples, system.n))
+            if k >= first:
+                SU = U @ adjoint
+                ratios = (np.sqrt((SU * SU) @ mass)
+                          / (bound * (np.abs(U) @ mass)))
+                values.append(float(ratios.max(initial=0.0)))
+        return values
 
     def step(t, S):
-        if t in wanted:
-            held[t] = S
+        if t in last and t not in kept:
+            kept[t] = largest_ratios(t, S, 0, last[t] + 1)
     evaluator.register(step)
 
     def conclude(window=times):
-        system = evaluator.system
-        mass = system.mass
-        d = system.mesh.dim
-        prefactor = (d * nash_constant / 4.0) ** (d / 4.0)
-        rng = np.random.default_rng(seed)
         window = np.asarray(window, dtype=float)
+        rest = iter(map(float, times))
+        if (np.any(window[1:] < window[:-1])
+                or not all(t in rest for t in map(float, window))):
+            raise ValueError("the decay window is not an increasing "
+                             "subsequence of the times")
         worst = 0.0
-        for t in window:
-            U = rng.standard_normal((samples, system.n))
-            S = held.get(float(t))
-            if S is None:
-                S = evaluator.matrix(t)
-            SU = U @ ((S.T * mass) / mass[:, None]).T
-            bound = prefactor * t ** (-d / 4.0)
-            ratios = np.sqrt((SU * SU) @ mass) / (bound * (np.abs(U) @ mass))
-            worst = max(worst, float(ratios.max(initial=0.0)))
-        held.clear()
+        for k, t in enumerate(window):
+            ratio = (kept[float(t)][k] if float(t) in kept
+                     else largest_ratios(t, evaluator.matrix(t), k, k + 1)[0])
+            worst = max(worst, ratio)
         if len(window):
             status = "passed" if worst <= 1.0 else "failed"
         else:

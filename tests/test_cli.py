@@ -722,25 +722,27 @@ def test_one_evaluator_makes_every_exponential(tmp_path, monkeypatch):
 
 def test_a_reused_comparison_sweeps_the_primal_once(tmp_path, monkeypatch):
     """The cube_robin operator dominates itself, so the domination
-    comparison is the primal evaluator: the run sweeps it once, and
-    ``write_norms_csv`` once more, with nothing registered, and never
-    lists it as a comparison."""
+    comparison is the primal evaluator: the run's one sweep is handed the
+    primal once, ``write_norms_csv`` sweeps it once more, with nothing
+    registered, and no sweep is handed the comparison."""
     from robinheat import cli
 
     built, swept = [], []
-    sweep = semigroup.SemigroupEvaluator.sweep
+    sweep = semigroup.sweep
 
     def recorded_build(*args, **kwargs):
         evaluator = robinheat.build_evaluator(*args, **kwargs)
         built.append(evaluator)
         return evaluator
 
-    def recorded_sweep(self):
-        swept.append(self)
-        return sweep(self)
+    def recorded_sweep(evaluators):
+        evaluators = list(evaluators)
+        swept.append([(e, len(e._steps)) for e in evaluators])
+        return sweep(evaluators)
 
     monkeypatch.setattr(cli, "build_evaluator", recorded_build)
-    monkeypatch.setattr(semigroup.SemigroupEvaluator, "sweep", recorded_sweep)
+    monkeypatch.setattr(cli, "sweep", recorded_sweep)
+    monkeypatch.setattr(semigroup, "sweep", recorded_sweep)
     text = (CUBE2_SCENARIO.replace("value = 1.0", "value = 2.5")
             .replace("kind = zero", "kind = multiplication\nbeta = -0.05")
             .replace("checks = ultracontractivity, nash",
@@ -751,8 +753,10 @@ def test_a_reused_comparison_sweeps_the_primal_once(tmp_path, monkeypatch):
     assert "domination: passed" in stream.getvalue()
     primal, comparison = built
     assert semigroup.reuse(primal, comparison) is primal
-    assert sum(evaluator is primal for evaluator in swept) == 2
-    assert not any(evaluator is comparison for evaluator in swept)
+    run_sweep, norms_sweep = swept
+    assert [e for e, _ in run_sweep] == [primal]
+    assert run_sweep[0][1] > 0
+    assert norms_sweep == [(primal, 0)]
 
 
 @pytest.mark.parametrize("operator", [

@@ -16,7 +16,8 @@ relative, and the exponentials bit for bit.
 The doubling chain along a time grid is checked against one ``expm``
 per time at 1e-11 relative in the weighted 2-norm (6.9e-14 is the
 largest gap the derandomized examples reach), and its pairing, its
-chain order, its independence of the grid's order, the read-only
+chain order, the chain-by-chain order of one sweep of several
+evaluators, its independence of the grid's order, the read-only
 matrices a sweep hands its steps, the traced memory at each seed, the
 single ``expm`` behind a grid time's ``matrix``, the uncached off-grid
 route and its part in ``reuse`` are checked exactly.
@@ -762,6 +763,33 @@ def test_sweep_hands_out_chain_order(interval4_robin_system, grid, order,
         assert weighted_gap(ev, S, oracle.exponential(t)) <= 1e-11
         # the copies of a repeated time are squares of one half
         assert np.array_equal(S, first.setdefault(t, S))
+
+
+def test_one_sweep_of_several_evaluators_goes_chain_by_chain(
+        interval4_robin_system):
+    """On the default ratio a comparison and the primal each have two
+    chains; one sweep hands out comparison chain 1, primal chain 1,
+    comparison chain 2 and primal chain 2, each in its evaluator's chain
+    order.  An evaluator listed twice is swept once, and one with a single
+    chain takes part in the first chain only."""
+    grid = geometric_times(count=6)
+    primal = build_evaluator(interval4_robin_system, grid=grid)
+    comparison = build_evaluator(interval4_robin_system.shifted_bar(-1),
+                                 grid=grid)
+    short = build_evaluator(interval4_robin_system, grid=grid[:1])
+    seen = []
+    for name, ev in (("comparison", comparison), ("primal", primal),
+                     ("short", short)):
+        ev.register(lambda t, S, name=name: seen.append((name, t)))
+    semigroup.sweep([comparison, primal, comparison, short])
+    chains = [[float(t) for t in grid[0::2]], [float(t) for t in grid[1::2]]]
+    assert chain_order(primal, 2) == chain_order(comparison, 2) == sum(
+        chains, [])
+    assert seen == ([("comparison", t) for t in chains[0]]
+                    + [("primal", t) for t in chains[0]]
+                    + [("short", float(grid[0]))]
+                    + [("comparison", t) for t in chains[1]]
+                    + [("primal", t) for t in chains[1]])
 
 
 def test_no_chain_matrix_is_alive_at_a_seed(cube_robin_125):

@@ -7,9 +7,12 @@ computed from the matrices of ``oracles.chain_matrices``, the chain as it
 was once cached whole, with the arithmetic of the checks that read one
 cached matrix per time (past the grid, eventual positivity powers the
 last grid matrix: ``oracles.beyond_image``); and each distinct evaluator
-computes its chain once, however many checks read it.  The traced peak
-of a run through ``run_scenario`` is held below a bound in n^2 doubles,
-which the per-time matrix cache exceeded.
+computes its chain once, however many checks read it.  The decay step
+keeps numbers, not matrices: its conclusion on a window that starts past
+the first time, or holds a time off the grid, has the same bits, and a
+window that is not an increasing subsequence of its times is refused.
+The traced peak of a run through ``run_scenario`` is held below a bound
+in n^2 doubles, which the per-time matrix cache exceeded.
 """
 
 import io
@@ -24,6 +27,7 @@ from robinheat import (
     BoundaryOperatorSpec,
     CoefficientField,
     assemble_system,
+    build_boundary_operator,
     build_box_mesh,
     build_evaluator,
     check_positivity,
@@ -176,6 +180,75 @@ def test_grid_reports_from_the_sweep_match_the_cached_chain(
         assert l2 == max(cached_weighted_2_to_2(ev, at, t) for t in grid)
 
 
+@pytest.fixture(scope="module")
+def cube_kernel_64():
+    """The cosine-kernel operator on a 3-division cube: 64 unknowns."""
+    mesh = build_box_mesh((1.0, 1.0, 1.0), (3, 3, 3))
+    return assemble_system(
+        mesh, CoefficientField.isotropic(mesh, 2.0),
+        build_boundary_operator(mesh, {"kind": "kernel", "profile": "cosine",
+                                       "scale": 0.005}))
+
+
+def decay_run(system, times):
+    """A default-grid evaluator of ``system`` swept with only the decay
+    step on ``times`` registered, the conclusion, and the cached chain."""
+    grid = geometric_times()
+    ev = build_evaluator(system, grid=grid)
+    conclude = verify.smoothing_decay_steps(ev, NASH_CONSTANT, times,
+                                            SAMPLES, SEED)
+    ev.sweep()
+    return conclude, cached_matrices(build_evaluator(system, grid=grid))
+
+
+@pytest.mark.parametrize("window", ["past-the-first", "one-off-grid"])
+def test_a_decay_window_keeps_the_bits_of_the_cached_chain(cube_kernel_64,
+                                                           window):
+    """The decay conclusion on a window that starts past the first time,
+    and on one that holds a time off the grid, has the bits of the same
+    draws on the cached chain, and a second conclusion the same."""
+    system = cube_kernel_64
+    times = geometric_times()
+    if window == "one-off-grid":
+        times = np.sort(np.append(times, np.sqrt(times[10] * times[11])))
+        chosen = times[7:15]
+    else:
+        chosen = times[5::2]
+    conclude, at = decay_run(system, times)
+    expected = cached_decay_ratio(system, at, NASH_CONSTANT, chosen,
+                                  SAMPLES, SEED)
+    assert conclude(chosen).max_ratio == expected
+    assert conclude(chosen).max_ratio == expected
+
+
+def test_a_decay_window_that_is_not_increasing_is_refused(cube_kernel_64):
+    grid = geometric_times()
+    conclude, _ = decay_run(cube_kernel_64, grid)
+    with pytest.raises(ValueError, match="increasing subsequence"):
+        conclude(grid[8:2:-1])
+
+
+def test_the_decay_step_keeps_no_matrix(cube_kernel_64):
+    """After the sweep the decay step keeps only numbers: its traced
+    memory is below one n x n array of doubles, where holding S(t) at
+    the R grid times took R of them."""
+    system = cube_kernel_64
+    n = system.n
+    grid = geometric_times()
+    ev = build_evaluator(system, grid=grid)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        conclude = verify.smoothing_decay_steps(ev, NASH_CONSTANT, grid,
+                                                SAMPLES, SEED)
+        ev.sweep()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert conclude().status in ("passed", "failed")
+    assert kept < n * n * 8, f"{kept / (n * n * 8):.2f} n^2 doubles"
+
+
 # -- memory ---------------------------------------------------------------
 
 CUBE5 = """
@@ -203,14 +276,21 @@ MATRIX_STEPS = "accretivity, domination, eventual_positivity"
     # swept one at a time at 10.65
     ("cosine-kernel", "ultracontractivity", 11),
     # a run that registers matrix steps: 60.4 with the cache, 22.0 with
-    # the dense copy, 19.31 with none, 18.54 a chain at a time
-    ("cosine-kernel", MATRIX_STEPS, 19),
+    # the dense copy, 19.31 with none, 18.54 a chain at a time, 16.02
+    # with both evaluators swept chain by chain
+    ("cosine-kernel", MATRIX_STEPS, 17),
     # 14.9 with the dense copy, 10.19 with none, 9.70 a chain at a time
     ("cube_robin", MATRIX_STEPS, 10),
     # 9.70 with interleaved chains, 8.71 a chain at a time
     ("cube_robin", "ultracontractivity", 9),
+    # 13.73 with the decay step holding S(t) at the resolved times, 8.73
+    # with it keeping only its largest ratios
+    ("cube_robin", "ultracontractivity, nash", 10),
+    # 20.30 with each evaluator swept whole, 17.79 chain by chain
+    ("cosine-kernel", "positivity, domination", 19),
 ], ids=["ultracontractivity", "matrix-steps", "cube_robin-matrix-steps",
-        "cube_robin-ultracontractivity"])
+        "cube_robin-ultracontractivity", "cube_robin-nash",
+        "positivity-domination"])
 def test_traced_peak_of_a_cosine_kernel_run(tmp_path, operator, checks, bound):
     """The 5-division cube (216 unknowns) with the cosine-kernel operator,
     and with cube_robin's beside it, through ``run_scenario``: its traced

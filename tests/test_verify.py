@@ -379,8 +379,13 @@ def test_oracle_routes_ignore_the_evaluators_matrices(cube2):
         return rng.standard_normal((system.n, system.n))
 
     ev.matrix = garbage
-    ev._chain = lambda: ((float(t), garbage(t)) for t in grid)
+    # every chain a sweep reads, one per grid time
+    ev._chains = lambda: ([(float(t), garbage(t))] for t in grid)
     assert ev.matrix(grid[-1]).max() > 1.0
+    seen = []
+    ev.register(lambda t, S: seen.append(S.max()))
+    ev.sweep()
+    assert len(seen) == len(grid) and max(seen) > 1.0
     assert outputs() == expected
 
 
