@@ -13,8 +13,10 @@ hypothesis gated, 1 when a conclusion failed under satisfied hypotheses,
 2 for unusable input (parse errors, non-finite numbers, a negative seed
 or no samples, missing files, schema mismatch, domains, coefficients,
 boundary operators or time grids the builders reject, an assembly that
-refuses or fails, an alpha t beyond the range of exp, a semigroup matrix
-with a non-finite entry, and a Nash constant outside the float range).
+refuses or fails, a grid ``count`` or ``samples`` times the vertex count
+above DENSE_LIMIT squared, an alpha t beyond the range of exp, a semigroup
+matrix with a non-finite entry, and a Nash constant outside the float
+range).
 A builder's refusal names the header line of the section it reads.
 ``compare`` exits 0 when two manifests agree, 1 when it lists a
 difference and 2 on a schema mismatch or an unreadable file.
@@ -30,8 +32,9 @@ import numpy as np
 from .mesh import (box_vertex_count, build_box_mesh, build_lshape_mesh,
                    lshape_vertex_count, write_lines)
 from .coefficients import coefficient_field_from_config, build_boundary_operator
-from .assembly import (RATIO_TOL, assemble_system, check_accretivity,
-                       check_continuity, refuse_above_dense_limit)
+from .assembly import (DENSE_LIMIT, RATIO_TOL, assemble_system,
+                       check_accretivity, check_continuity,
+                       refuse_above_dense_limit)
 from .semigroup import (build_evaluator, geometric_times, reuse,
                         semigroup_law_defect, sweep)
 from . import verify
@@ -271,6 +274,14 @@ def run_scenario(path, output_dir=None, seed=None, stream=None):
             raise ScenarioError(line, str(exc)) from exc
 
     mesh = build("domain", scenario.build_mesh)
+    # neither the grid nor a block of samples may hold more elements than
+    # the largest dense array admitted
+    for section, key, size in (
+            ("time_grid", "count", scenario.time_grid["count"]),
+            ("run", "samples", scenario.samples * mesh.n_vertices)):
+        if size > DENSE_LIMIT ** 2:
+            raise ScenarioError(scenario.headers.get(section), f"{key} asks "
+                                f"for {size} elements, above {DENSE_LIMIT}^2")
     field = build("coefficient", coefficient_field_from_config, mesh,
                   scenario.coefficient)
     spec = build("boundary_operator", build_boundary_operator, mesh,
@@ -382,9 +393,9 @@ def _run_continuity(run):
 def _run_nash(run):
     """Nash's inequality and the L1 -> L2 decay it implies, sampled on the
     ultracontractivity fit window when that check runs and its fit
-    succeeds, on the resolved grid times otherwise.  The decay step keeps,
-    at each resolved grid time, the largest ratio for every window
-    position the time can take, so no matrix waits for the window."""
+    succeeds, on the resolved grid times otherwise.  The decay step keeps
+    one ratio at each resolved grid time, from the block its entry draws,
+    so no matrix waits for the window."""
     report = verify.check_nash(run.system, samples=run.scenario.samples,
                                seed=run.seed)
     payload = report.as_dict()

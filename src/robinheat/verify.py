@@ -630,61 +630,51 @@ def smoothing_decay_steps(evaluator, nash_constant, times, samples=50,
         |S*(t) u|_L2 <= (d C / 4)^(d/4) t^(-d/4) |u|_L1
 
     with C the sampled interpolation constant on the same mesh; the
-    report's max_ratio is the worst observed left/right quotient.  The
-    conclusion ``conclude(window=times)`` reports at the times
-    ``window``, an increasing subsequence of ``times`` (any other is
-    refused with ValueError), and draws the k-th (samples, n) block of
-    ``default_rng(seed)`` for the k-th window time.  So the i-th time of
-    ``times`` can be the k-th window time for every k <= i: the step
-    reduces S(t) there to those i + 1 largest ratios, one product per
-    block replayed from the seed, and keeps the numbers, not S(t).  A
-    window time the step did not see, one off the grid or one the sweep
-    never handed out, takes one ``matrix``.  With no time to sample,
-    nothing is concluded: max_ratio is nan and the status
-    discretization-limited.  Fewer than one sample is refused with
-    ValueError."""
+    report's max_ratio is the worst observed left/right quotient.  Entry
+    i of ``times`` draws the i-th (samples, n) block of
+    ``default_rng(seed)``, replayed from the seed, and the step keeps at
+    each time the largest ratio over the blocks of its entries: one
+    number, not S(t).  The conclusion ``conclude(window=times)`` reports
+    the largest kept ratio over the times ``window``, in any order; a
+    time not among ``times`` is refused with ValueError.  A window time
+    the step did not see, one off the grid or one the sweep never handed
+    out, takes one ``matrix``.  With no time to sample, nothing is
+    concluded: max_ratio is nan and the status discretization-limited.
+    Fewer than one sample is refused with ValueError."""
     require_samples(samples)
     system = evaluator.system
     mass = system.mass
     d = system.mesh.dim
     prefactor = (d * nash_constant / 4.0) ** (d / 4.0)
     times = np.asarray(times, dtype=float)
-    last = {float(t): i for i, t in enumerate(times)}   # its last index
-    kept = {}       # t -> the largest ratio at t for each window position
+    last = {t: i for i, t in enumerate(times)}      # its last index
+    kept = {}       # t -> the largest ratio at t
 
-    def largest_ratios(t, S, first, stop):
-        """The largest ratio at t, from S = S(t), for each block k of
-        ``default_rng(seed)`` with first <= k < stop."""
+    def keep(t, S):
+        """Keep at t, from S = S(t), the largest ratio over the blocks of
+        ``default_rng(seed)`` whose entries of ``times`` equal t; a time
+        not among ``times``, or one kept already, is passed over."""
+        if t not in last or t in kept:
+            return
         rng = np.random.default_rng(seed)
         adjoint = ((S.T * mass) / mass[:, None]).T
         bound = prefactor * t ** (-d / 4.0)
-        values = []
-        for k in range(stop):
+        for k in range(last[t] + 1):
             U = rng.standard_normal((samples, system.n))
-            if k >= first:
+            if times[k] == t:
                 SU = U @ adjoint
                 ratios = (np.sqrt((SU * SU) @ mass)
                           / (bound * (np.abs(U) @ mass)))
-                values.append(float(ratios.max(initial=0.0)))
-        return values
-
-    def step(t, S):
-        if t in last and t not in kept:
-            kept[t] = largest_ratios(t, S, 0, last[t] + 1)
-    evaluator.register(step)
+                kept[t] = max(kept.get(t, 0.0), float(ratios.max(initial=0.0)))
+    evaluator.register(keep)
 
     def conclude(window=times):
         window = np.asarray(window, dtype=float)
-        rest = iter(map(float, times))
-        if (np.any(window[1:] < window[:-1])
-                or not all(t in rest for t in map(float, window))):
-            raise ValueError("the decay window is not an increasing "
-                             "subsequence of the times")
-        worst = 0.0
-        for k, t in enumerate(window):
-            ratio = (kept[float(t)][k] if float(t) in kept
-                     else largest_ratios(t, evaluator.matrix(t), k, k + 1)[0])
-            worst = max(worst, ratio)
+        if not last.keys() >= set(window):
+            raise ValueError("a decay window time is not among the times")
+        for t in set(window) - kept.keys():     # off the grid, or never seen
+            keep(t, evaluator.matrix(t))
+        worst = max((kept[t] for t in window), default=0.0)
         if len(window):
             status = "passed" if worst <= 1.0 else "failed"
         else:

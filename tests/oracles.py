@@ -506,15 +506,20 @@ def cached_eventual_positivity(system, image, times, samples, seed):
     return ratios, float(times[start]), float(ratios[start:].min())
 
 
-def cached_decay_ratio(system, at, nash_constant, times, samples, seed):
-    """max_ratio of ``check_smoothing_decay`` from S(t) = at(t)."""
+def cached_decay_ratio(system, at, nash_constant, times, window, samples,
+                       seed):
+    """max_ratio of ``smoothing_decay_steps`` on ``times``, concluded on
+    ``window``, from S(t) = at(t): entry i of ``times`` draws block i."""
     mass = system.mass
     d = system.mesh.dim
     prefactor = (d * nash_constant / 4.0) ** (d / 4.0)
     rng = np.random.default_rng(seed)
+    window = set(map(float, window))
     worst = 0.0
     for t in np.asarray(times, dtype=float):
         U = rng.standard_normal((samples, system.n))
+        if float(t) not in window:
+            continue
         S = at(t)
         SU = U @ ((S.T * mass) / mass[:, None]).T
         bound = prefactor * t ** (-d / 4.0)

@@ -538,6 +538,41 @@ def test_oversized_mesh_is_refused_before_any_builder(tmp_path, monkeypatch,
         f"6000\n")
 
 
+HUGE = 10 ** 15         # elements: past a 47-bit address space in doubles
+
+
+@pytest.mark.parametrize("section, grid, checks, samples", [
+    ("time_grid", f"count = {HUGE}", "contractivity", 200),
+    ("run", "count = 24", "nash", HUGE),
+    ("run", "count = 24", "contractivity", HUGE),
+    ("run", "count = 24", "continuity", HUGE),
+], ids=["count", "nash-samples", "contractivity-samples",
+        "continuity-samples"])
+def test_oversized_grid_or_samples_is_refused_before_any_draw(
+        tmp_path, monkeypatch, capsys, section, grid, checks, samples):
+    """A grid ``count``, or ``samples`` times the vertex count, above
+    DENSE_LIMIT^2 (the elements of the largest dense array admitted)
+    exits 2 at its section's header line before the grid is built or a
+    sample drawn, where numpy would fail to allocate, or continuity loop
+    over about 6e13 blocks."""
+    from robinheat import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli, "geometric_times", refuse)
+    text = (f"[domain]\nextents = 1.0, 1.0, 1.0\ndivisions = 2\n"
+            f"[time_grid]\n{grid}\n"
+            f"[run]\nchecks = {checks}\nsamples = {samples}\n")
+    line = text.splitlines().index(f"[{section}]") + 1
+    path = write_scenario(tmp_path, text)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ")
+    assert "elements, above 6000^2" in err
+    assert "Traceback" not in err
+
+
 def test_lshape_is_judged_by_its_own_vertex_count():
     """The 2-D L-shape at 88 divisions has 5 985 vertices, below the dense
     limit, although the 89 x 89 grid it is cut from has 7 921; the box of

@@ -8,9 +8,10 @@ was once cached whole, with the arithmetic of the checks that read one
 cached matrix per time (past the grid, eventual positivity powers the
 last grid matrix: ``oracles.beyond_image``); and each distinct evaluator
 computes its chain once, however many checks read it.  The decay step
-keeps numbers, not matrices: its conclusion on a window that starts past
-the first time, or holds a time off the grid, has the same bits, and a
-window that is not an increasing subsequence of its times is refused.
+keeps one number per time, from the block its entry of the times draws:
+its conclusion on a window that starts past the first time, holds a time
+off the grid, or repeats a time has the same bits, a window is read in
+any order, and a window time not among its times is refused.
 The traced peak of a run through ``run_scenario`` is held below a bound
 in n^2 doubles, which the per-time matrix cache exceeded.
 """
@@ -169,7 +170,7 @@ def test_grid_reports_from_the_sweep_match_the_cached_chain(
     assert dominated.max_violation == cached_domination_violation(
         at, bar_at, grid, system.n, SAMPLES, SEED)
     assert decayed.max_ratio == cached_decay_ratio(
-        system, at, NASH_CONSTANT, window, SAMPLES, SEED)
+        system, at, NASH_CONSTANT, grid, window, SAMPLES, SEED)
     assert buffer.getvalue().splitlines()[1:] == cached_norms_rows(ev, at)
     g = {float(t): cached_norms(system.mass, at(t))[0] for t in grid}
     stub = SimpleNamespace(grid=grid, system=system,
@@ -201,31 +202,44 @@ def decay_run(system, times):
     return conclude, cached_matrices(build_evaluator(system, grid=grid))
 
 
-@pytest.mark.parametrize("window", ["past-the-first", "one-off-grid"])
+@pytest.mark.parametrize("window", ["past-the-first", "one-off-grid",
+                                    "repeated-time"])
 def test_a_decay_window_keeps_the_bits_of_the_cached_chain(cube_kernel_64,
                                                            window):
     """The decay conclusion on a window that starts past the first time,
-    and on one that holds a time off the grid, has the bits of the same
-    draws on the cached chain, and a second conclusion the same."""
+    on one that holds a time off the grid, and on times that hold one
+    time twice (both its blocks drawn), has the bits of the same draws on
+    the cached chain, and a second conclusion the same."""
     system = cube_kernel_64
     times = geometric_times()
     if window == "one-off-grid":
         times = np.sort(np.append(times, np.sqrt(times[10] * times[11])))
         chosen = times[7:15]
+    elif window == "repeated-time":
+        # the last time twice: its second block holds the largest ratio
+        times = np.append(times[:17], times[16])
+        chosen = times
     else:
         chosen = times[5::2]
     conclude, at = decay_run(system, times)
-    expected = cached_decay_ratio(system, at, NASH_CONSTANT, chosen,
+    expected = cached_decay_ratio(system, at, NASH_CONSTANT, times, chosen,
                                   SAMPLES, SEED)
     assert conclude(chosen).max_ratio == expected
     assert conclude(chosen).max_ratio == expected
 
 
-def test_a_decay_window_that_is_not_increasing_is_refused(cube_kernel_64):
+def test_a_decay_window_time_not_among_the_times_is_refused(cube_kernel_64):
+    grid = geometric_times()
+    conclude, _ = decay_run(cube_kernel_64, grid[::2])
+    with pytest.raises(ValueError, match="not among the times"):
+        conclude(grid[2:6])
+
+
+def test_a_decay_window_is_read_in_any_order(cube_kernel_64):
     grid = geometric_times()
     conclude, _ = decay_run(cube_kernel_64, grid)
-    with pytest.raises(ValueError, match="increasing subsequence"):
-        conclude(grid[8:2:-1])
+    assert (conclude(grid[8:2:-1]).max_ratio
+            == conclude(grid[3:9]).max_ratio)
 
 
 def test_the_decay_step_keeps_no_matrix(cube_kernel_64):

@@ -19,13 +19,15 @@ from robinheat.cli import run_scenario
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def _shipped(name, divisions, checks):
-    """A shipped scenario at other ``divisions``, running ``checks``."""
+def _shipped(name, divisions, checks, count=24):
+    """A shipped scenario at other ``divisions``, running ``checks`` on a
+    grid of ``count`` times."""
     text = (SCENARIO_DIR / f"{name}.ini").read_text()
     text, edits = re.subn(r"(?m)^divisions = .*$", f"divisions = {divisions}",
                           text)
     text, runs = re.subn(r"(?m)^checks = .*$", f"checks = {checks}", text)
-    assert edits == runs == 1
+    text, counts = re.subn(r"(?m)^count = .*$", f"count = {count}", text)
+    assert edits == runs == counts == 1
     return text
 
 
@@ -70,6 +72,21 @@ TRUTH = [
                      "pattern cannot carry is not told apart from a "
                      "failure"),
                  id="sheared-lshape-zero-B"),
+    # The shipped cosine kernel is admissible, so the continuum semigroup
+    # is sup-contractive, and no continuum sup excess exists to find.  At
+    # 10 divisions (1 331 unknowns) mu_inf(-P) = +0.248 > 0, so the
+    # discrete semigroup leaves the sup ball at short times (+2.46e-8 at
+    # t = 1e-7, one expm): the rule of the sheared L-shape above.  The
+    # grid starts far above that time, and today the run reports
+    # ``passed`` and exits 0.
+    pytest.param(_shipped("cube_kernel", 10, "contractivity", count=4),
+                 "contractivity", "discretization-limited",
+                 marks=pytest.mark.xfail(
+                     strict=True, raises=AssertionError,
+                     reason="ROADMAP items 3 and 11: a positive log-norm "
+                     "of the generator is not found below the grid, nor "
+                     "told apart from a failure"),
+                 id="cube_kernel-10-divisions"),
 ]
 
 
