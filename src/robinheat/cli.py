@@ -12,11 +12,12 @@ Exit status of ``run``: 0 when every requested check passed or was
 hypothesis gated, 1 when a conclusion failed under satisfied hypotheses,
 2 for unusable input (parse errors, non-finite numbers, a negative seed
 or no samples, missing files, schema mismatch, domains, coefficients,
-boundary operators or time grids the builders reject, an assembly that
-refuses or fails, a grid ``count`` or ``samples`` times the vertex count
-above DENSE_LIMIT squared, an alpha t beyond the range of exp, a semigroup
-matrix with a non-finite entry, and a Nash constant outside the float
-range).
+boundary operators or time grids the builders reject, among them a grid
+whose times do not increase because its ratio is too close to 1, an
+assembly that refuses or fails, a grid ``count`` or ``samples`` times
+the vertex count above DENSE_LIMIT squared, an alpha t beyond the range
+of exp, a semigroup matrix with a non-finite entry, and a Nash constant
+outside the float range).
 A builder's refusal names the header line of the section it reads.
 ``compare`` exits 0 when two manifests agree, 1 when it lists a
 difference and 2 on a schema mismatch or an unreadable file.

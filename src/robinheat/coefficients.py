@@ -229,24 +229,19 @@ def _operator_norms(T, w):
     L2 norm on the w-weighted space comes from the largest singular value
     of W^(1/2) T W^(-1/2), which is max|T_ii| when T has no off-diagonal
     nonzero; the Linf norm is the max absolute row sum, which is then
-    max|T_ii| too.  A sparse T with an off-diagonal nonzero is copied
-    dense for the SVD, and both norms come from that copy.
+    max|T_ii| too.  Any other T takes the SVD of the dense array it is,
+    or of a dense copy of a sparse T, and both norms come from that.
     """
+    sparse = scipy.sparse.csr_matrix(T)
+    diagonal = sparse.diagonal()
+    if np.count_nonzero(diagonal) == sparse.count_nonzero():
+        value = float(np.abs(diagonal).max())
+        return value, value
     if scipy.sparse.issparse(T):
-        diagonal = T.diagonal()
-        if np.count_nonzero(diagonal) == T.count_nonzero():
-            value = float(np.abs(diagonal).max())
-            return value, value
         T = T.toarray()
-    if not np.any(T):
-        return 0.0, 0.0
-    diagonal = np.diagonal(T)
-    if np.array_equal(T, np.diag(diagonal)):
-        norm2 = float(np.abs(diagonal).max())
-    else:
-        root = np.sqrt(w)
-        scaled = (T * root[:, None]) / root[None, :]
-        norm2 = float(np.linalg.norm(scaled, 2))
+    root = np.sqrt(w)
+    scaled = (T * root[:, None]) / root[None, :]
+    norm2 = float(np.linalg.norm(scaled, 2))
     norm_inf = float(np.abs(T).sum(axis=1).max())
     return norm2, norm_inf
 

@@ -1,11 +1,12 @@
 """Semigroup evaluation for the lumped generator P = M^{-1} FormAtilde.
 
-An evaluator is a form, its mass and a time grid.  It holds P only as a
-CSR matrix at the form's pattern, each entry FormAtilde_ij / mass_i, and
-no n x n array outside a sweep or a kernel call: each dense kernel
-(``dense_exponential``, the resolvent's ``inv``) densifies its one
-operand from the sparse P, and the chain and the symmetry residual read
-the sparse P.
+An evaluator is a form, its mass and a grid of positive, strictly
+increasing times (any other grid is refused with ValueError).  It holds
+P only as a CSR matrix at the form's pattern, each entry
+FormAtilde_ij / mass_i, and no n x n array outside a sweep or a kernel
+call: each dense kernel (``dense_exponential``, the resolvent's ``inv``)
+densifies its one operand from the sparse P, and the chain and the
+symmetry residual read the sparse P.
 Every quantity refers to the shifted contraction semigroup
 S(t) = exp(-t P); the original evolution is exp(alpha t) S(t) (Ouhabaz,
 Analysis of Heat Equations on Domains, 2005), and the checks that report
@@ -39,18 +40,18 @@ from an exponential or a squaring, is refused with ``FloatingPointError``.
 The sweep.  ``sweep`` runs the chains of several evaluators once, chain
 by chain: chain c of each evaluator, in the order given, before chain
 c + 1 of any, and ``SemigroupEvaluator.sweep`` is its call on one
-evaluator.  Each read-only S(t_k) goes to every step registered on its
-evaluator before the sweep (``register``, or ``record`` for the
-``PER_TIME`` values).  An evaluator's chains are its seeds in ascending
-time order, each followed at once by the squarings that double it up,
-ascending; an evaluator with fewer chains skips the missing ones, and
+evaluator.  Each read-only S(t_k) goes once to every step registered on
+its evaluator before the sweep (``register``, or ``record`` for the
+``PER_TIME`` values).  An evaluator's chains are its seeds in grid
+order, each followed at once by the squarings that double it up, in
+grid order; an evaluator with fewer chains skips the missing ones, and
 one listed twice is swept once.  The bits of each S(t_k) depend only on
 the generator and the grid, not on the order.  A matrix is kept only
-until the last squaring that reads it, which its own chain makes, so on
-a grid with no repeated time the sweep holds one factor, the one being
-squared, and no chain matrix of any evaluator is alive while a seed is
-exponentiated.  Every step keys what it keeps by time, and keeps no
-n x n array past the chain that handed it out; a step that pairs two
+until the last squaring that reads it, which its own chain makes, so
+unless two grid times share a half the sweep holds one factor, the one
+being squared, and no chain matrix of any evaluator is alive while a
+seed is exponentiated.  Every step keys what it keeps by time, and keeps
+no n x n array past the chain that handed it out; a step that pairs two
 evaluators' products at one time waits for the other within one chain
 when both evaluators' chains hold the same times.  A sweep with nothing
 registered computes nothing, so whoever registers every step first
@@ -107,8 +108,9 @@ MIN_SQUARED = 2.0 ** -4     # least |t P|_inf of a factor the chain squares
 
 class SemigroupEvaluator:
     """exp(-t M^{-1} FormAtilde) of an ``AssembledSystem`` and its mixed
-    operator norms, on the nonnegative times ``grid`` (none by default)
-    that ``sweep`` streams.  ``generator`` is the CSR matrix P and
+    operator norms, on the positive, strictly increasing times ``grid``
+    (none by default; any other is refused with ValueError) that
+    ``sweep`` streams.  ``generator`` is the CSR matrix P and
     ``symmetry_residual`` is max|W - W^T| / max|W|."""
 
     def __init__(self, system, grid=()):
@@ -117,8 +119,8 @@ class SemigroupEvaluator:
         self.form = system.FormAtilde
         self.generator = lumped_generator(self.form, self.mass)
         self.grid = np.asarray(grid, dtype=float)
-        if not (self.grid >= 0).all():
-            raise ValueError("grid times must be nonnegative")
+        if not (np.diff(self.grid, prepend=0.0) > 0).all():
+            raise ValueError("grid times must increase strictly from 0")
         W = self._weighted()
         scale = float(np.abs(W.data).max(initial=0.0))
         asym = float(np.abs((W - W.T).data).max(initial=0.0))
@@ -163,21 +165,20 @@ class SemigroupEvaluator:
         sweep([self])
 
     def _chains(self):
-        """One iterable per doubling chain, seeds in ascending time order;
-        each yields (t_k, read-only S(t_k)) for the grid indices k of its
+        """One iterable per doubling chain, seeds in grid order; each
+        yields (t_k, read-only S(t_k)) for the grid indices k of its
         chain: the seed (an ``expm``), then the times that double it up,
-        ascending, each the square of S at its half time.  A matrix is
+        in grid order, each the square of S at its half time.  A matrix is
         kept only until its last square is made, which its own chain
         makes, so a chain holds no matrix once it is done."""
         grid = self.grid
         halves = _halves(grid)
         norm = float(abs(self.generator).sum(axis=1).max())
         halves[grid[halves] * norm < MIN_SQUARED] = -1
-        ascending = np.argsort(grid, kind="stable")
-        seed = np.empty(len(grid), dtype=np.intp)   # its seed's rank
-        for rank, k in enumerate(ascending):    # a half before its doubles
-            seed[k] = rank if halves[k] < 0 else seed[halves[k]]
-        order = ascending[np.argsort(seed[ascending], kind="stable")]
+        seed = np.arange(len(grid))     # the index of its chain's seed
+        for k in np.flatnonzero(halves >= 0):   # a half before its doubles
+            seed[k] = seed[halves[k]]
+        order = np.argsort(seed, kind="stable")
         last = {half: k for k in order if (half := halves[k]) >= 0}
         starts = np.flatnonzero(halves[order] < 0)
         for chain in np.split(order, starts[1:]):
@@ -441,29 +442,24 @@ def reuse(evaluator, candidate):
 
 
 def _halves(grid):
-    """For each grid index, the index of the earliest grid time that is
-    its half within 4 eps relative, or -1.  In linear memory: with the
-    times sorted, ``searchsorted`` finds each one's window of doubled
-    times and one ``minimum.reduceat`` the earliest index in it."""
-    order = np.argsort(grid, kind="stable")
-    times = grid[order]
-    tol = 4.0 * np.finfo(float).eps * times
+    """For each index of the positive, strictly increasing ``grid``, the
+    index of the earliest grid time that is its half within 4 eps
+    relative, or -1.  In linear memory: ``searchsorted`` finds each
+    time's window of doubled times, whose first index is the earliest."""
+    tol = 4.0 * np.finfo(float).eps * grid
     # [t - tol, t + tol] rounded inward (t - low, high - t are exact)
-    low, high = times - tol, times + tol
-    low = np.where(times - low > tol, np.nextafter(low, np.inf), low)
-    high = np.where(high - times > tol, np.nextafter(high, -np.inf), high)
-    lo = np.searchsorted(2.0 * times, low, "left")
-    hi = np.searchsorted(2.0 * times, high, "right")
-    earliest = np.minimum.reduceat(np.append(order, len(grid)),
-                                   np.column_stack([lo, hi]).ravel())[::2]
-    halves = np.empty(len(grid), dtype=np.intp)
-    halves[order] = np.where((times > 0) & (lo < hi), earliest, -1)
-    return halves
+    low, high = grid - tol, grid + tol
+    low = np.where(grid - low > tol, np.nextafter(low, np.inf), low)
+    high = np.where(high - grid > tol, np.nextafter(high, -np.inf), high)
+    lo = np.searchsorted(2.0 * grid, low, "left")
+    hi = np.searchsorted(2.0 * grid, high, "right")
+    return np.where(lo < hi, lo, -1)
 
 
 def geometric_times(t_max=1.0, ratio=2 ** -0.5, count=24):
-    """Geometrically spaced times, increasing, ending at t_max; a grid
-    whose first time underflows to 0 is refused."""
+    """Geometrically spaced times, strictly increasing, ending at t_max; a
+    grid whose first time underflows to 0, or whose ratio is so close to
+    1 that a time repeats, is refused."""
     if not 0 < ratio < 1:
         raise ValueError("ratio must lie in (0, 1)")
     if count < 1 or t_max <= 0:
@@ -472,6 +468,9 @@ def geometric_times(t_max=1.0, ratio=2 ** -0.5, count=24):
     if not times[0] > 0:
         raise ValueError(f"the first grid time t_max * ratio^{count - 1} "
                          "underflows to 0")
+    if not (np.diff(times) > 0).all():
+        raise ValueError("the grid times are not increasing: ratio is too "
+                         "close to 1")
     return times
 
 

@@ -474,12 +474,15 @@ def eventual_positivity_steps(evaluator, times, samples=20, seed=2024):
     constant boundary vector.  The scan uses the unshifted semigroup,
     exp(alpha t) times the shifted one, and reports the first time from
     which the worst sample ratio stays positive, with delta the worst
-    ratio from there on.  A grid time among ``times`` is registered on
-    the sweep; the step at the grid's last time t_max also takes every
-    time past it (``SemigroupEvaluator.apply_beyond``).  Any other time,
-    and every time of a grid-less evaluator, takes one ``matrix`` in the
+    ratio from there on.  ``times`` must strictly increase, else
+    ValueError.  A grid time among them is registered on the sweep; the
+    step at the grid's last time t_max also takes every time past it
+    (``SemigroupEvaluator.apply_beyond``).  Any other time, and every
+    time of a grid-less evaluator, takes one ``matrix`` in the
     conclusion."""
     times = np.asarray(times, dtype=float)
+    if not (np.diff(times) > 0).all():
+        raise ValueError("eventual positivity times must strictly increase")
     system = evaluator.system
     Bw = system.Bw
     sym_min = float(np.linalg.eigvalsh((0.5 * (Bw + Bw.T)).toarray()).min())
@@ -506,15 +509,14 @@ def eventual_positivity_steps(evaluator, times, samples=20, seed=2024):
                 * float((image.min(axis=0) / integrals).min()))
 
     wanted = set(map(float, times))
-    # no time lies past an empty grid, or one of zeros
-    t_max = float(evaluator.grid.max(initial=0.0)) or math.inf
-    beyond = sorted(u for u in wanted if u > t_max)
+    t_max = float(evaluator.grid[-1]) if len(evaluator.grid) else math.inf
+    beyond = [float(u) for u in times[times > t_max]]
     found = {}
 
     def step(t, S):
         if t in wanted:
             found[t] = ratio(t, S @ block)
-        if t == t_max and beyond and beyond[0] not in found:
+        if t == t_max and beyond:
             images = evaluator.apply_beyond(t, S, beyond, block)
             found.update((u, ratio(u, image))
                          for u, image in zip(beyond, images))
@@ -617,7 +619,7 @@ class DecayReport(Report):
 
 def check_smoothing_decay(evaluator, nash_constant, times, samples=50,
                           seed=2024):
-    """``smoothing_decay_steps`` run alone, on the whole of ``times``."""
+    """``smoothing_decay_steps`` run alone, on all its increasing ``times``."""
     return _alone(smoothing_decay_steps, (evaluator,), nash_constant, times,
                   samples, seed)
 
@@ -630,47 +632,48 @@ def smoothing_decay_steps(evaluator, nash_constant, times, samples=50,
         |S*(t) u|_L2 <= (d C / 4)^(d/4) t^(-d/4) |u|_L1
 
     with C the sampled interpolation constant on the same mesh; the
-    report's max_ratio is the worst observed left/right quotient.  Entry
-    i of ``times`` draws the i-th (samples, n) block of
-    ``default_rng(seed)``, replayed from the seed, and the step keeps at
-    each time the largest ratio over the blocks of its entries: one
-    number, not S(t).  The conclusion ``conclude(window=times)`` reports
-    the largest kept ratio over the times ``window``, in any order; a
-    time not among ``times`` is refused with ValueError.  A window time
-    the step did not see, one off the grid or one the sweep never handed
-    out, takes one ``matrix``.  With no time to sample, nothing is
-    concluded: max_ratio is nan and the status discretization-limited.
-    Fewer than one sample is refused with ValueError."""
+    report's max_ratio is the worst observed left/right quotient.
+    ``times`` must strictly increase, else ValueError.  Entry i of
+    ``times`` draws the i-th (samples, n) block of ``default_rng(seed)``,
+    replayed from the seed, and the step keeps at each time the largest
+    ratio over that block: one number, not S(t).  The conclusion
+    ``conclude(window=times)`` reports the largest kept ratio over the
+    times ``window``, in any order; a time not among ``times`` is refused
+    with ValueError.  A window time the step did not see, one off the
+    grid or one the sweep never handed out, takes one ``matrix``.  With
+    no time to sample, nothing is concluded: max_ratio is nan and the
+    status discretization-limited.  Fewer than one sample is refused with
+    ValueError."""
     require_samples(samples)
     system = evaluator.system
     mass = system.mass
     d = system.mesh.dim
     prefactor = (d * nash_constant / 4.0) ** (d / 4.0)
     times = np.asarray(times, dtype=float)
-    last = {t: i for i, t in enumerate(times)}      # its last index
+    if not (np.diff(times) > 0).all():
+        raise ValueError("decay times must strictly increase")
+    index = {t: i for i, t in enumerate(times)}
     kept = {}       # t -> the largest ratio at t
 
     def keep(t, S):
-        """Keep at t, from S = S(t), the largest ratio over the blocks of
-        ``default_rng(seed)`` whose entries of ``times`` equal t; a time
-        not among ``times``, or one kept already, is passed over."""
-        if t not in last or t in kept:
+        """Keep at t, from S = S(t), the largest ratio over the block of
+        ``default_rng(seed)`` that t's entry of ``times`` draws; a time
+        not among ``times`` is passed over."""
+        if t not in index:
             return
         rng = np.random.default_rng(seed)
+        for _ in range(index[t] + 1):   # block i is the (i + 1)-th draw
+            U = rng.standard_normal((samples, system.n))
         adjoint = ((S.T * mass) / mass[:, None]).T
         bound = prefactor * t ** (-d / 4.0)
-        for k in range(last[t] + 1):
-            U = rng.standard_normal((samples, system.n))
-            if times[k] == t:
-                SU = U @ adjoint
-                ratios = (np.sqrt((SU * SU) @ mass)
-                          / (bound * (np.abs(U) @ mass)))
-                kept[t] = max(kept.get(t, 0.0), float(ratios.max(initial=0.0)))
+        SU = U @ adjoint
+        ratios = np.sqrt((SU * SU) @ mass) / (bound * (np.abs(U) @ mass))
+        kept[t] = float(ratios.max(initial=0.0))
     evaluator.register(keep)
 
     def conclude(window=times):
         window = np.asarray(window, dtype=float)
-        if not last.keys() >= set(window):
+        if not index.keys() >= set(window):
             raise ValueError("a decay window time is not among the times")
         for t in set(window) - kept.keys():     # off the grid, or never seen
             keep(t, evaluator.matrix(t))

@@ -512,6 +512,26 @@ def test_main_builder_error_exits_2(tmp_path, capsys, edits, section,
     assert "Traceback" not in err
 
 
+def test_a_ratio_whose_grid_times_repeat_exits_2(tmp_path, capsys):
+    """With t_max = 3 and ratio = 1 - 2^-53, only 18 of the 24 grid
+    times are distinct, and all lie within 1e-14 of 3.  Such a grid is
+    refused at its [time_grid] line before any evaluator is built: no
+    fit reads it, and numpy warns of nothing."""
+    text = ("[domain]\nextents = 1.0, 1.0, 1.0\ndivisions = 2\n"
+            "[coefficient]\nkind = isotropic\nvalue = 2.5\n"
+            "[boundary_operator]\nkind = multiplication\nbeta = -0.05\n"
+            "[time_grid]\nt_max = 3.0\nratio = 0.9999999999999999\n"
+            "[run]\nchecks = ultracontractivity\n")
+    path = write_scenario(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--output-dir",
+                     str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 10: the grid times are not increasing: ratio is too "
+        "close to 1\n")
+
+
 def test_oversized_mesh_is_refused_before_any_builder(tmp_path, monkeypatch,
                                                      capsys):
     """The cosine-kernel cube at 18 divisions (6 859 unknowns) exits 2 on

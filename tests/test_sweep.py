@@ -202,23 +202,17 @@ def decay_run(system, times):
     return conclude, cached_matrices(build_evaluator(system, grid=grid))
 
 
-@pytest.mark.parametrize("window", ["past-the-first", "one-off-grid",
-                                    "repeated-time"])
+@pytest.mark.parametrize("window", ["past-the-first", "one-off-grid"])
 def test_a_decay_window_keeps_the_bits_of_the_cached_chain(cube_kernel_64,
                                                            window):
     """The decay conclusion on a window that starts past the first time,
-    on one that holds a time off the grid, and on times that hold one
-    time twice (both its blocks drawn), has the bits of the same draws on
-    the cached chain, and a second conclusion the same."""
+    and on one that holds a time off the grid, has the bits of the same
+    draws on the cached chain, and a second conclusion the same."""
     system = cube_kernel_64
     times = geometric_times()
     if window == "one-off-grid":
         times = np.sort(np.append(times, np.sqrt(times[10] * times[11])))
         chosen = times[7:15]
-    elif window == "repeated-time":
-        # the last time twice: its second block holds the largest ratio
-        times = np.append(times[:17], times[16])
-        chosen = times
     else:
         chosen = times[5::2]
     conclude, at = decay_run(system, times)

@@ -46,6 +46,35 @@ kind = zero
 checks = contractivity
 """
 
+# The unit interval with its two endpoints coupled by +-0.05: admissible
+# (margin +0.784), with boundary margin -0.05.
+ENDPOINT_COUPLING = """
+[domain]
+extents = 1.0
+divisions = {divisions}
+[coefficient]
+kind = isotropic
+value = 2.0
+[boundary_operator]
+kind = dense
+entries = 0, 0.05, -0.05, 0
+[run]
+checks = contractivity
+"""
+
+# Item 18's criterion (Ouhabaz 2005, ch. 2): the shifted semigroup is
+# sup-contractive if and only if the boundary margin
+# min_i (T_ii - sum_{j != i} |T_ij|) of the boundary application matrix T
+# is nonnegative.  The margin does not depend on the mesh, and no shift
+# alpha repairs a negative one: the continuum semigroup leaves the sup
+# ball near the boundary at short times.  Then the sup bound is no theorem
+# for this B, and the status item 18 recommends is ``hypothesis unmet``,
+# whatever the mesh reports.
+NOT_SUP_CONTRACTIVE = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 18: sup-contraction is not decided from the "
+    "boundary margin")
+
 TRUTH = [
     # At 2 divisions the mesh resolves only t >= h^2 = 0.25, while the
     # spectral gap puts the plateau from 1/(lambda2 - lambda1) = 0.068 on:
@@ -72,21 +101,32 @@ TRUTH = [
                      "pattern cannot carry is not told apart from a "
                      "failure"),
                  id="sheared-lshape-zero-B"),
-    # The shipped cosine kernel is admissible, so the continuum semigroup
-    # is sup-contractive, and no continuum sup excess exists to find.  At
-    # 10 divisions (1 331 unknowns) mu_inf(-P) = +0.248 > 0, so the
-    # discrete semigroup leaves the sup ball at short times (+2.46e-8 at
-    # t = 1e-7, one expm): the rule of the sheared L-shape above.  The
-    # grid starts far above that time, and today the run reports
-    # ``passed`` and exits 0.
+    # The shipped cosine kernel's boundary margin is -0.0281 at every mesh
+    # size, so by item 18's criterion its continuum semigroup is not
+    # sup-contractive, although the kernel is admissible.  At 10
+    # divisions (1 331 unknowns) mu_inf(-P) = +0.248 > 0 shows it on the
+    # mesh too (+2.46e-8 at t = 1e-7, one expm), but the grid starts far
+    # above that time, and today the run reports ``passed`` and exits 0.
     pytest.param(_shipped("cube_kernel", 10, "contractivity", count=4),
-                 "contractivity", "discretization-limited",
-                 marks=pytest.mark.xfail(
-                     strict=True, raises=AssertionError,
-                     reason="ROADMAP items 3 and 11: a positive log-norm "
-                     "of the generator is not found below the grid, nor "
-                     "told apart from a failure"),
-                 id="cube_kernel-10-divisions"),
+                 "contractivity", "hypothesis unmet",
+                 marks=NOT_SUP_CONTRACTIVE, id="cube_kernel-10-divisions"),
+    # Margin -0.05.  The continuum leaves the sup ball by +1.99e-4 near
+    # t = 1e-4, below the grid.  Today the run reports ``passed`` at 8
+    # divisions (max_sup_excess -4.3e-4) and ``failed`` at 64 (+3.3e-5)
+    # and exits 1: the status follows the mesh, not B.
+    pytest.param(ENDPOINT_COUPLING.format(divisions=8), "contractivity",
+                 "hypothesis unmet", marks=NOT_SUP_CONTRACTIVE,
+                 id="endpoint-coupling-8-divisions"),
+    pytest.param(ENDPOINT_COUPLING.format(divisions=64), "contractivity",
+                 "hypothesis unmet", marks=NOT_SUP_CONTRACTIVE,
+                 id="endpoint-coupling-64-divisions"),
+    # Margin -0.05, the beta of the multiplication.  The continuum leaves
+    # the sup ball by +1.15e-3 at t = 4.9e-4 at a cube corner.  Today the
+    # run reports ``failed`` (max_sup_excess +1.54e-4) and exits 1; at
+    # the shipped 6 divisions it reports ``passed``.
+    pytest.param(_shipped("cube_robin", 8, "contractivity"), "contractivity",
+                 "hypothesis unmet", marks=NOT_SUP_CONTRACTIVE,
+                 id="cube_robin-8-divisions"),
 ]
 
 

@@ -39,7 +39,7 @@ from robinheat import (
     write_document,
     write_norms_csv,
 )
-from robinheat.verify import MIN_FIT_POINTS
+from robinheat.verify import MIN_FIT_POINTS, smoothing_decay_steps
 from oracles import adjoint_evaluator, check_duality
 
 
@@ -272,6 +272,22 @@ def test_eventual_positivity_kernel(cube2):
     assert report.delta > 0.0
 
 
+def test_eventual_positivity_refuses_times_that_do_not_increase(cube2):
+    """t0 is the first of the times from which every ratio stays
+    positive, so the scan reads them in increasing order: on the run's
+    times reversed, the kernel cube's ``passed`` read ``failed``."""
+    spec = build_boundary_operator(
+        cube2, {"kind": "kernel", "profile": "cosine", "scale": 0.005})
+    system = assemble_system(cube2, CoefficientField.isotropic(cube2, 2.0),
+                             spec)
+    grid = geometric_times()
+    ev = build_evaluator(system, grid=grid)
+    times = np.union1d(grid, [2.0, 5.0, 10.0, 20.0, 50.0])
+    assert check_eventual_positivity(ev, times).status == "passed"
+    with pytest.raises(ValueError, match="times must strictly increase"):
+        check_eventual_positivity(ev, times[::-1])
+
+
 def test_eventual_positivity_gates_on_symmetric_part(interval4_robin_system):
     # multiplication by -0.1 has strictly negative symmetric part, so the
     # lower-bound theory does not apply and the check must say so
@@ -401,6 +417,13 @@ def test_smoothing_decay(cube2, cube2_neumann_system):
     assert_allclose(report.prefactor,
                     (3.0 * nash.implied_constant / 4.0) ** 0.75,
                     rtol=1e-14, atol=0)
+
+
+def test_smoothing_decay_refuses_a_repeated_time(cube2_neumann_system):
+    evaluator = build_evaluator(cube2_neumann_system)
+    times = geometric_times(count=12)
+    with pytest.raises(ValueError, match="times must strictly increase"):
+        smoothing_decay_steps(evaluator, 1.0, np.append(times, times[-1]))
 
 
 # -- report serialization ------------------------------------------------
